@@ -6,10 +6,10 @@ import argparse
 import json
 import sys
 
-from .bath import SpectralDensitySpec, discretize_bath, write_bath_csv
+from .bath import write_bath_csv
 from .config import SCENARIOS, build_config, parse_document
 from .errors import ConfigError
-from .runner import run_scenario, write_report
+from .runner import run_scenario, scenario_bath, write_report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,14 +86,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.dump_bath:
             if config.n_modes is None or config.half_bandwidth is None:
                 raise ConfigError("dump-bath requires n_modes and half_bandwidth")
-            spec = SpectralDensitySpec(
-                gamma=config.gamma,
-                band_center=config.band_center
-                if config.band_center is not None
-                else config.omega_b,
-                half_bandwidth=config.half_bandwidth,
-            )
-            write_bath_csv(discretize_bath(spec, config.n_modes), args.dump_bath)
+            write_bath_csv(scenario_bath(config), args.dump_bath)
         path = write_report(report, config)
         summary = report.meta.get("summary")
         if summary is not None:

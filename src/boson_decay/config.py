@@ -6,6 +6,7 @@ Unknown keys, missing required keys, and out-of-range values are hard errors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -106,17 +107,23 @@ def parse_document(text: str) -> dict[str, str]:
 
 def _coerce(key: str, value: Any) -> Any:
     kind, _ = _SCHEMA[key]
-    if value is None or isinstance(value, kind):
+    if value is None:
         return value
-    try:
-        if kind is int:
-            as_float = float(value)
-            if as_float != int(as_float):
-                raise ValueError
-            return int(as_float)
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"key {key!r} expects {kind.__name__} (got {value!r})") from None
+    if not isinstance(value, kind):
+        try:
+            if kind is int:
+                as_float = float(value)
+                if as_float != int(as_float):
+                    raise ValueError
+                value = int(as_float)
+            else:
+                value = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"key {key!r} expects {kind.__name__} (got {value!r})") from None
+    # beta = inf is the zero-temperature limit; every other float must be finite.
+    if kind is float and not math.isfinite(value) and not (key == "beta" and value == math.inf):
+        raise ConfigError(f"key {key!r} must be finite (got {value!r})")
+    return value
 
 
 def build_config(values: dict[str, Any], overrides: dict[str, Any] | None = None) -> ScenarioConfig:
@@ -200,6 +207,15 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> None:
         _require(merged, "samples", scenario)
     if merged["beta"] is not None and not merged["beta"] > 0:
         raise ConfigError(f"beta must be positive (got {merged['beta']})")
+    if merged["beta"] is not None and scenario in _BATH_SCENARIOS:
+        # Same arithmetic as discretize_bath, so this is exactly its lowest mode.
+        spacing = 2.0 * merged["half_bandwidth"] / merged["n_modes"]
+        lowest = merged["band_center"] - merged["half_bandwidth"] + 0.5 * spacing
+        if not lowest > 0:
+            raise ConfigError(
+                f"thermal occupations need every bath mode above zero frequency "
+                f"(lowest mode at {lowest})"
+            )
     if merged["samples"] is not None:
         if merged["samples"] < 1:
             raise ConfigError(f"samples must be at least 1 (got {merged['samples']})")

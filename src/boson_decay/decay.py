@@ -196,9 +196,9 @@ def excited_bath_evolution(
     lambdas = np.asarray(lambdas, dtype=complex)
     if lambdas.shape != (coeffs.n_modes,):
         raise ValueError("need exactly one bath label per mode")
-    system_label = complex(alpha) * coeffs.survival + np.dot(lambdas, coeffs.emission)
+    system_label = complex(alpha) * coeffs.survival + np.dot(lambdas, coeffs.absorption)
     if coeffs.bath_block is not None:
-        bath_labels = complex(alpha) * coeffs.emission + coeffs.bath_block @ lambdas
+        bath_labels = complex(alpha) * coeffs.absorption + coeffs.bath_block @ lambdas
     else:
         if int(np.count_nonzero(lambdas)) > 1:
             raise CrossBlockRequiredError(

@@ -9,7 +9,7 @@ every requested time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,15 +36,15 @@ class PropagatorCoefficients:
 
     ``survival`` multiplies the initial system operator in the evolved system
     operator; ``absorption[j]`` multiplies the initial bath operator j there.
-    ``emission[j]`` is the reverse amplitude (initial system operator appearing
-    in evolved bath operator j), and ``bath_block[j, s]``, kept only on
-    request, is the full bath-to-bath map including its free-phase diagonal.
+    Couplings are real, so ``absorption[j]`` is also the reverse amplitude
+    (initial system operator appearing in evolved bath operator j).
+    ``bath_block[j, s]``, kept only on request, is the full bath-to-bath map
+    including its free-phase diagonal.
     """
 
     t: float
     survival: complex
     absorption: np.ndarray
-    emission: np.ndarray
     bath_omegas: np.ndarray
     provenance: str
     bath_block: np.ndarray | None = None
@@ -53,8 +53,8 @@ class PropagatorCoefficients:
         if self.provenance not in (PROVENANCE_ANALYTIC, PROVENANCE_ORACLE):
             raise ValueError(f"unknown provenance {self.provenance!r}")
         n = self.bath_omegas.size
-        if self.absorption.shape != (n,) or self.emission.shape != (n,):
-            raise ValueError("coefficient arrays must have one entry per bath mode")
+        if self.absorption.shape != (n,):
+            raise ValueError("absorption must have one entry per bath mode")
         if self.bath_block is not None and self.bath_block.shape != (n, n):
             raise ValueError("bath block must be square with one row per bath mode")
         if abs(self.survival) > 1.0 + 1e-9:
@@ -105,14 +105,10 @@ def analytic_propagator(
     """Assemble broadband closed-form coefficients for every mode of ``bath``."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    kernel = _transfer_kernel(system, gamma, bath.omegas, t)
-    absorption = bath.xis * kernel
-    emission = np.conj(bath.xis) * kernel
     return PropagatorCoefficients(
         t=float(t),
         survival=analytic_survival(system, gamma, t),
-        absorption=absorption,
-        emission=emission,
+        absorption=bath.xis * _transfer_kernel(system, gamma, bath.omegas, t),
         bath_omegas=bath.omegas,
         provenance=PROVENANCE_ANALYTIC,
     )
@@ -138,8 +134,8 @@ class ExactPropagator:
     """Exact finite-bath propagator from one symmetric eigendecomposition.
 
     The decomposition is computed once per (system, bath) pair; evaluating the
-    coefficients at a time point then costs one matrix-vector contraction, and
-    the optional bath-to-bath block one matrix product.
+    coefficients over a whole time grid then costs two real matrix products,
+    and the optional bath-to-bath block one matrix product per time.
     """
 
     def __init__(self, system: SystemMode, bath: DiscreteBath):
@@ -148,34 +144,54 @@ class ExactPropagator:
         h = single_particle_hamiltonian(system, bath)
         self._eigenvalues, self._eigenvectors = np.linalg.eigh(h)
 
+    def _phases(self, times) -> np.ndarray:
+        """exp(-i t lambda_k), one row per time and one column per eigenvalue."""
+        times = np.asarray(times, dtype=float)
+        if np.any(times < 0):
+            raise ValueError("time must be nonnegative")
+        return np.exp(-1j * np.outer(times, self._eigenvalues))
+
     def unitary(self, t: float) -> np.ndarray:
         """Full (N+1) x (N+1) single-excitation evolution matrix."""
-        if t < 0:
-            raise ValueError("time must be nonnegative")
-        phases = np.exp(-1j * self._eigenvalues * t)
         v = self._eigenvectors
-        return (v * phases) @ v.T
+        return (v * self._phases([t])[0]) @ v.T
+
+    def evaluate(self, times) -> list[PropagatorCoefficients]:
+        """Coefficients at every time of ``times``, from one batched contraction.
+
+        Row 0 of the evolution matrix at all T times is
+        ``(phases * V[0]) @ V.T``, computed as its real and imaginary parts so
+        the real eigenvector matrix is never copied to complex. The arrowhead
+        matrix is real symmetric, so the evolution matrix is complex symmetric
+        and row 0 also serves as column 0. The returned ``absorption`` arrays
+        are views into one (T, N+1) array; peak memory is about
+        40 T (N+1) bytes.
+        """
+        times = np.asarray(times, dtype=float).ravel()
+        weighted = self._phases(times) * self._eigenvectors[0]
+        v_t = self._eigenvectors.T
+        rows = np.empty(weighted.shape, dtype=complex)
+        rows.real = weighted.real @ v_t
+        rows.imag = weighted.imag @ v_t
+        return [
+            PropagatorCoefficients(
+                t=float(t),
+                survival=complex(row[0]),
+                absorption=row[1:],
+                bath_omegas=self.bath.omegas,
+                provenance=PROVENANCE_ORACLE,
+            )
+            for t, row in zip(times, rows)
+        ]
 
     def coefficients(self, t: float, include_bath_block: bool = False) -> PropagatorCoefficients:
-        if t < 0:
-            raise ValueError("time must be nonnegative")
-        phases = np.exp(-1j * self._eigenvalues * t)
-        v = self._eigenvectors
-        row0 = (v[0] * phases) @ v.T
-        bath_block = None
-        if include_bath_block:
-            bath_block = (v[1:] * phases) @ v[1:].T
-        # The arrowhead matrix is real symmetric, so the evolution matrix is
-        # complex symmetric and row 0 equals column 0: absorption == emission.
-        return PropagatorCoefficients(
-            t=float(t),
-            survival=complex(row0[0]),
-            absorption=row0[1:].copy(),
-            emission=row0[1:].copy(),
-            bath_omegas=self.bath.omegas,
-            provenance=PROVENANCE_ORACLE,
-            bath_block=bath_block,
-        )
+        """Coefficients at one time, optionally with the bath-to-bath block."""
+        coeffs = self.evaluate([t])[0]
+        if not include_bath_block:
+            return coeffs
+        v = self._eigenvectors[1:]
+        block = (v * self._phases([coeffs.t])[0]) @ v.T
+        return replace(coeffs, bath_block=block)
 
 
 def exact_propagator(

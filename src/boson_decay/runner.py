@@ -62,7 +62,8 @@ def _system(config: ScenarioConfig) -> SystemMode:
     return SystemMode(omega_b=config.omega_b)
 
 
-def _bath(config: ScenarioConfig) -> DiscreteBath:
+def scenario_bath(config: ScenarioConfig) -> DiscreteBath:
+    """Discretized bath of a bath scenario; ``band_center`` defaults to ``omega_b``."""
     spec = SpectralDensitySpec(
         gamma=config.gamma,
         band_center=config.band_center if config.band_center is not None else config.omega_b,
@@ -94,23 +95,21 @@ def _run_coherent_decay(config: ScenarioConfig) -> RunReport:
 
 def _run_excited_bath(config: ScenarioConfig) -> RunReport:
     system = _system(config)
-    bath = _bath(config)
+    bath = scenario_bath(config)
     propagator = ExactPropagator(system, bath)
     lambdas = np.zeros(bath.n_modes, dtype=complex)
     lambdas[config.excited_mode] = config.excited_label
     columns = ["t", "mean_number", "re_label", "im_label", "purity"]
     rows = []
-    for t in _time_grid(config):
-        coeffs = propagator.coefficients(t)
-        labels = excited_bath_evolution(config.alpha, lambdas, coeffs)
-        mu = labels.system_label
-        rows.append([float(t), abs(mu) ** 2, mu.real, mu.imag, 1.0])
+    for coeffs in propagator.evaluate(_time_grid(config)):
+        mu = excited_bath_evolution(config.alpha, lambdas, coeffs).system_label
+        rows.append([coeffs.t, abs(mu) ** 2, mu.real, mu.imag, 1.0])
     return RunReport(columns=columns, rows=rows)
 
 
 def _run_thermal(config: ScenarioConfig) -> RunReport:
     system = _system(config)
-    bath = _bath(config)
+    bath = scenario_bath(config)
     thermal = ThermalSpec.for_system(config.beta, config.omega_b)
     propagator = ExactPropagator(system, bath)
     samples = sample_thermal_bath(bath, thermal, config.samples, config.seed)
@@ -126,8 +125,8 @@ def _run_thermal(config: ScenarioConfig) -> RunReport:
     ]
     alpha = config.alpha
     rows = []
-    for t in _time_grid(config):
-        coeffs = propagator.coefficients(t, include_bath_block=True)
+    for coeffs in propagator.evaluate(_time_grid(config)):
+        t = coeffs.t
         phi_d = thermal_factor_discrete(system, bath, thermal, coeffs)
         phi_c = thermal_factor_closed(thermal.n_th, config.gamma, t)
         paper_mean = conditional_mean_number(
@@ -138,7 +137,7 @@ def _run_thermal(config: ScenarioConfig) -> RunReport:
         mc, errors = monte_carlo_moments(alpha, system, bath, thermal, coeffs, samples)
         rows.append(
             [
-                float(t),
+                t,
                 phi_d.value,
                 phi_c.value,
                 paper_mean,
@@ -153,21 +152,21 @@ def _run_thermal(config: ScenarioConfig) -> RunReport:
 
 def _run_wwa_validate(config: ScenarioConfig) -> RunReport:
     system = _system(config)
-    bath = _bath(config)
+    bath = scenario_bath(config)
     propagator = ExactPropagator(system, bath)
     columns = ["t", "re_u", "im_u", "abs_u_sq", "sum_abs_v_sq", "unitarity_defect"]
     rows = []
     max_survival_dev = 0.0
     max_dissipation_dev = 0.0
-    for t in _time_grid(config):
-        coeffs = propagator.coefficients(t)
+    for coeffs in propagator.evaluate(_time_grid(config)):
+        t = coeffs.t
         u = coeffs.survival
         survived = abs(u) ** 2
         dissipated = dissipation_sum(coeffs)
         decayed = -math.expm1(-config.gamma * t)
         max_survival_dev = max(max_survival_dev, abs(survived - math.exp(-config.gamma * t)))
         max_dissipation_dev = max(max_dissipation_dev, abs(dissipated - decayed))
-        rows.append([float(t), u.real, u.imag, survived, dissipated, unitarity_defect(coeffs)])
+        rows.append([t, u.real, u.imag, survived, dissipated, unitarity_defect(coeffs)])
     summary = {
         "max_abs_u_sq_deviation": max_survival_dev,
         "max_sum_abs_v_sq_deviation": max_dissipation_dev,
@@ -181,15 +180,16 @@ def _run_wwa_validate(config: ScenarioConfig) -> RunReport:
 
 def _run_oracle_compare(config: ScenarioConfig) -> RunReport:
     system = _system(config)
-    bath = _bath(config)
+    bath = scenario_bath(config)
     n = config.fock_n
     propagator = ExactPropagator(system, bath)
     oracle = FockSpaceOracle(system, bath, n_max=n)
     n_th = 0.0
-    thermal = None
+    bath_occ = np.zeros(bath.n_modes)
     if config.beta is not None:
         thermal = ThermalSpec.for_system(config.beta, config.omega_b)
         n_th = thermal.n_th
+        bath_occ = thermal.occupations(bath)
     columns = (
         ["t"]
         + [f"P_{m}_oracle" for m in range(n + 1)]
@@ -198,20 +198,19 @@ def _run_oracle_compare(config: ScenarioConfig) -> RunReport:
     )
     rows = []
     max_pop_dev_overall = 0.0
-    for t in _time_grid(config):
-        coeffs = propagator.coefficients(t)
+    for coeffs in propagator.evaluate(_time_grid(config)):
+        t = coeffs.t
         survived = abs(coeffs.survival) ** 2
-        law = fock_populations(n, min(survived, 1.0), t=float(t))
+        law = fock_populations(n, min(survived, 1.0), t=t)
         reduced = oracle.reduced_density(FockState(n), t)
         pops = reduced.populations
         deviation = float(np.max(np.abs(pops - law.probs)))
         max_pop_dev_overall = max(max_pop_dev_overall, deviation)
         heff_mean = n * math.exp(-(n_th + n) * config.gamma * t)
         exact_mean = n * math.exp(-config.gamma * t) + n_th * -math.expm1(-config.gamma * t)
-        bath_occ = thermal.occupations(bath) if thermal is not None else np.zeros(bath.n_modes)
         oracle_mean = n * survived + float(np.sum(bath_occ * np.abs(coeffs.absorption) ** 2))
         rows.append(
-            [float(t)]
+            [t]
             + [float(x) for x in pops]
             + [float(x) for x in law.probs]
             + [deviation, heff_mean, exact_mean, oracle_mean, heff_mean - exact_mean]
@@ -233,8 +232,9 @@ _SCENARIO_RUNNERS: dict[str, Callable[[ScenarioConfig], RunReport]] = {
 def run_scenario(config: ScenarioConfig) -> RunReport:
     """Execute one scenario and return its report with full metadata."""
     started = time.time()
+    clock = time.perf_counter()
     report = _SCENARIO_RUNNERS[config.scenario](config)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - clock
     report.meta = {
         "config": config.as_dict(),
         "defaults_applied": list(config.defaults_applied),

@@ -6,9 +6,7 @@ Gaussian moments.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,11 +19,10 @@ from .decay import (
     coherent_amplitudes,
     default_fock_cutoff,
 )
-from .errors import AsymptoticRegimeError, CrossBlockRequiredError, InfiniteOccupationError
+from .errors import AsymptoticRegimeError, InfiniteOccupationError
 from .propagator import PROVENANCE_ORACLE, PropagatorCoefficients, SystemMode
 
 SHORT_TIME_WINDOW = 0.1
-_MC_BLOCK = 512
 
 METHOD_DISCRETE = "discrete_sum"
 METHOD_CLOSED = "closed_form"
@@ -52,11 +49,11 @@ def thermal_factor_discrete(
     thermal: ThermalSpec,
     coeffs: PropagatorCoefficients,
 ) -> ThermalFactor:
-    """Mode-resolved enhancement: 1 + sum_j n_j |emission_j|^2."""
+    """Mode-resolved enhancement: 1 + sum_j n_j |absorption_j|^2."""
     if coeffs.n_modes != bath.n_modes:
         raise ValueError("coefficients and bath disagree on the mode count")
     occupations = thermal.occupations(bath)
-    value = 1.0 + float(np.sum(occupations * np.abs(coeffs.emission) ** 2))
+    value = 1.0 + float(np.sum(occupations * np.abs(coeffs.absorption) ** 2))
     return ThermalFactor(value=value, t=coeffs.t, method=METHOD_DISCRETE)
 
 
@@ -275,14 +272,6 @@ class MomentErrors(NamedTuple):
     occupation: float
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        threads = int(os.environ.get("BOSON_DECAY_THREADS", "0"))
-    if threads <= 0:
-        threads = min(4, os.cpu_count() or 1)
-    return threads
-
-
 def monte_carlo_moments(
     alpha: complex,
     system: SystemMode,
@@ -290,42 +279,20 @@ def monte_carlo_moments(
     thermal: ThermalSpec,
     coeffs: PropagatorCoefficients,
     samples: ThermalSampleSet,
-    threads: int | None = None,
 ) -> tuple[GaussianMoments, MomentErrors]:
     """Monte Carlo estimate of the system moments over thermal bath samples.
 
     Each sample is a joint coherent state, so its evolved system branch is the
-    coherent label alpha * survival + sum_j lambda_j emission_j and contributes
-    |label|^2 to the occupation with no within-branch correction. Work is
-    split into fixed-size blocks and reduced in index order, so the result is
-    byte-identical for any thread count.
+    coherent label alpha * survival + sum_j lambda_j absorption_j and
+    contributes |label|^2 to the occupation with no within-branch correction.
     """
-    if coeffs.bath_block is None:
-        raise CrossBlockRequiredError(
-            "cross-block required: thermal Monte Carlo propagation expects "
-            "coefficients computed with the bath-to-bath block"
-        )
     if samples.samples.shape[1] != coeffs.n_modes:
         raise ValueError("sample set and coefficients disagree on the mode count")
     if abs(samples.beta - thermal.beta) > 1e-12 * max(1.0, abs(thermal.beta)):
         raise ValueError("sample set was drawn at a different temperature")
 
-    labels = samples.samples
     count = samples.count
-    base = complex(alpha) * coeffs.survival
-    blocks = [(start, min(start + _MC_BLOCK, count)) for start in range(0, count, _MC_BLOCK)]
-
-    def branch_labels(block: tuple[int, int]) -> np.ndarray:
-        start, stop = block
-        return base + labels[start:stop] @ coeffs.emission
-
-    n_workers = _resolve_threads(threads)
-    if n_workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            pieces = list(pool.map(branch_labels, blocks))
-    else:
-        pieces = [branch_labels(block) for block in blocks]
-    branch = np.concatenate(pieces)
+    branch = complex(alpha) * coeffs.survival + samples.samples @ coeffs.absorption
 
     mean_amplitude = complex(np.mean(branch))
     occ_samples = np.abs(branch) ** 2

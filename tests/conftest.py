@@ -38,7 +38,7 @@ def wwa_grid():
 
 @pytest.fixture(scope="session")
 def wwa_coefficients(wwa_propagator, wwa_grid):
-    return [wwa_propagator.coefficients(t) for t in wwa_grid]
+    return wwa_propagator.evaluate(wwa_grid)
 
 
 @pytest.fixture(scope="session")

@@ -149,13 +149,13 @@ class TestAcceptance:
         bath = discretize_bath(spec, 4000)
         system = SystemMode(omega_b)
         propagator = ExactPropagator(system, bath)
+        all_coeffs = propagator.evaluate(np.linspace(0.0, 5.0, 21))
         worst = 0.0
         for beta_omega in (0.1, 1.0, 10.0):
             thermal = ThermalSpec.for_system(beta_omega / omega_b, omega_b)
-            for t in np.linspace(0.0, 5.0, 21):
-                coeffs = propagator.coefficients(t)
+            for coeffs in all_coeffs:
                 phi_d = thermal_factor_discrete(system, bath, thermal, coeffs)
-                phi_c = thermal_factor_closed(thermal.n_th, GAMMA, t)
+                phi_c = thermal_factor_closed(thermal.n_th, GAMMA, coeffs.t)
                 worst = max(worst, abs(phi_d.value - phi_c.value) / phi_c.value)
         _report(
             "criterion 6 (thermal factor)",
@@ -173,7 +173,7 @@ class TestAcceptance:
             thermal = ThermalSpec.for_system(beta, thermal_system.omega_b)
             samples = sample_thermal_bath(thermal_bath, thermal, 10_000, seed=MC_SEED)
             for t in times:
-                coeffs = thermal_propagator.coefficients(t, include_bath_block=True)
+                coeffs = thermal_propagator.coefficients(t)
                 mc, errors = monte_carlo_moments(
                     1.0, thermal_system, thermal_bath, thermal, coeffs, samples
                 )

@@ -1,8 +1,12 @@
 """Configuration parsing, defaults, overrides, and the hard-error contract."""
 
+import json
+import math
+
 import pytest
 
 from boson_decay import ConfigError, parse_config
+from boson_decay.cli import main
 
 MINIMAL_FOCK = """
 scenario = fock-decay
@@ -132,6 +136,68 @@ class TestValidation:
     def test_format_validation(self):
         with pytest.raises(ConfigError, match="format"):
             parse_config(MINIMAL_FOCK + "format = yaml\n")
+
+
+WWA_BASE = """
+scenario = wwa-validate
+gamma = 1.0
+omega_b = 100
+n_modes = 50
+half_bandwidth = 20
+t_max = 5
+n_steps = 10
+"""
+
+
+class TestBoundary:
+    """Non-finite and unphysical values stop at the config, not deep in a solver."""
+
+    @pytest.mark.parametrize(
+        "base, overrides, match",
+        [
+            (MINIMAL_FOCK, {"t_max": math.inf}, "'t_max' must be finite"),
+            (MINIMAL_FOCK, {"alpha_re": math.nan}, "'alpha_re' must be finite"),
+            (WWA_BASE, {"band_center": math.nan}, "'band_center' must be finite"),
+            (WWA_BASE, {"gamma": math.inf}, "'gamma' must be finite"),
+            (THERMAL_BASE + "beta = 0.001\n", {"band_center": 50.0}, "above zero frequency"),
+            (THERMAL_BASE, {"beta": -math.inf}, "'beta' must be finite"),
+            (THERMAL_BASE, {"beta": math.nan}, "'beta' must be finite"),
+            (MINIMAL_FOCK, {"n_steps": "inf"}, "expects int"),
+        ],
+        ids=[
+            "t_max-inf",
+            "alpha_re-nan",
+            "band_center-nan",
+            "gamma-inf",
+            "thermal-band-below-zero",
+            "beta-minus-inf",
+            "beta-nan",
+            "int-key-inf",
+        ],
+    )
+    def test_rejected(self, base, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(base, overrides=overrides)
+
+    def test_zero_temperature_beta_parses(self):
+        config = parse_config(THERMAL_BASE + "beta = inf\n")
+        assert config.beta == math.inf
+
+    def test_cli_reports_config_error(self, capsys):
+        code = main(
+            [
+                "--scenario", "coherent-decay", "--gamma", "1", "--omega-b", "50",
+                "--t-max", "inf", "--n-steps", "5",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ConfigError"
+        assert "t_max" in record["message"]
 
 
 class TestOverrides:

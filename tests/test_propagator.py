@@ -162,6 +162,30 @@ class TestExactPropagator:
             small_propagator.coefficients(-1.0)
 
 
+class TestEvaluate:
+    @pytest.mark.parametrize("fixture", ["small_propagator", "wwa_propagator"])
+    def test_rows_match_unitary(self, fixture, request):
+        propagator = request.getfixturevalue(fixture)
+        grid = np.array([0.3, 5.0])
+        for t, coeffs in zip(grid, propagator.evaluate(grid)):
+            row = propagator.unitary(t)[0]
+            assert coeffs.t == t
+            assert abs(coeffs.survival - row[0]) <= 1e-13
+            assert np.max(np.abs(coeffs.absorption - row[1:])) <= 1e-13
+
+    def test_single_time_matches_batch_bit_for_bit(self, small_propagator):
+        single = small_propagator.coefficients(1.3)
+        batched = small_propagator.evaluate([1.3])[0]
+        assert single.t == batched.t
+        assert single.survival == batched.survival
+        assert np.array_equal(single.absorption, batched.absorption)
+        assert single.provenance == batched.provenance
+
+    def test_rejects_negative_time(self, small_propagator):
+        with pytest.raises(ValueError):
+            small_propagator.evaluate([0.0, 1.0, -0.5])
+
+
 class TestDissipationAndDefect:
     def test_zero_at_time_zero(self, small_propagator):
         assert dissipation_sum(small_propagator.coefficients(0.0)) < 1e-28
@@ -237,7 +261,6 @@ class TestCoefficientValidation:
                 t=0.0,
                 survival=1.0,
                 absorption=np.zeros(1, dtype=complex),
-                emission=np.zeros(1, dtype=complex),
                 bath_omegas=np.array([1.0]),
                 provenance="guess",
             )
@@ -248,7 +271,6 @@ class TestCoefficientValidation:
                 t=0.0,
                 survival=1.0,
                 absorption=np.zeros(2, dtype=complex),
-                emission=np.zeros(1, dtype=complex),
                 bath_omegas=np.array([1.0]),
                 provenance="oracle",
             )
@@ -259,7 +281,6 @@ class TestCoefficientValidation:
                 t=0.0,
                 survival=1.5,
                 absorption=np.zeros(1, dtype=complex),
-                emission=np.zeros(1, dtype=complex),
                 bath_omegas=np.array([1.0]),
                 provenance="oracle",
             )

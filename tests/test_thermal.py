@@ -9,7 +9,6 @@ import pytest
 from boson_decay import (
     AsymptoticRegimeError,
     CoherentSuperposition,
-    CrossBlockRequiredError,
     EffectiveHamiltonian,
     InfiniteOccupationError,
     SystemMode,
@@ -355,7 +354,7 @@ def setup(thermal_bath):
 class TestMonteCarloMoments:
     def test_time_zero_is_exact(self, setup, thermal_system, thermal_bath, thermal_propagator):
         thermal, samples = setup
-        coeffs = thermal_propagator.coefficients(0.0, include_bath_block=True)
+        coeffs = thermal_propagator.coefficients(0.0)
         moments, _ = monte_carlo_moments(
             1.5, thermal_system, thermal_bath, thermal, coeffs, samples
         )
@@ -367,7 +366,7 @@ class TestMonteCarloMoments:
     ):
         thermal, samples = setup
         for t in (0.5, 2.0):
-            coeffs = thermal_propagator.coefficients(t, include_bath_block=True)
+            coeffs = thermal_propagator.coefficients(t)
             mc, errors = monte_carlo_moments(
                 1.0, thermal_system, thermal_bath, thermal, coeffs, samples
             )
@@ -378,7 +377,7 @@ class TestMonteCarloMoments:
     def test_vacuum_bath_limit(self, thermal_system, thermal_bath, thermal_propagator):
         cold = ThermalSpec.for_system(math.inf, 800.0)
         samples = sample_thermal_bath(thermal_bath, cold, 16, seed=3)
-        coeffs = thermal_propagator.coefficients(1.0, include_bath_block=True)
+        coeffs = thermal_propagator.coefficients(1.0)
         moments, _ = monte_carlo_moments(
             2.0, thermal_system, thermal_bath, cold, coeffs, samples
         )
@@ -396,44 +395,23 @@ class TestMonteCarloMoments:
             excited_bath_evolution(1.0, samples.samples[i], coeffs).system_label
             for i in range(count)
         ]
-        branch = 1.0 * coeffs.survival + samples.samples[:count] @ coeffs.emission
+        branch = 1.0 * coeffs.survival + samples.samples[:count] @ coeffs.absorption
         assert np.allclose(branch, expected, atol=1e-13)
-
-    def test_requires_bath_block(self, setup, thermal_system, thermal_bath, thermal_propagator):
-        thermal, samples = setup
-        coeffs = thermal_propagator.coefficients(0.5)
-        with pytest.raises(CrossBlockRequiredError):
-            monte_carlo_moments(1.0, thermal_system, thermal_bath, thermal, coeffs, samples)
 
     def test_rejects_temperature_mismatch(
         self, setup, thermal_system, thermal_bath, thermal_propagator
     ):
         _, samples = setup
         other = ThermalSpec.for_system(5e-4, 800.0)
-        coeffs = thermal_propagator.coefficients(0.5, include_bath_block=True)
+        coeffs = thermal_propagator.coefficients(0.5)
         with pytest.raises(ValueError, match="temperature"):
             monte_carlo_moments(1.0, thermal_system, thermal_bath, other, coeffs, samples)
-
-    def test_thread_count_does_not_change_bits(
-        self, setup, thermal_system, thermal_bath, thermal_propagator
-    ):
-        thermal, samples = setup
-        coeffs = thermal_propagator.coefficients(1.3, include_bath_block=True)
-        results = [
-            monte_carlo_moments(
-                1.0, thermal_system, thermal_bath, thermal, coeffs, samples, threads=k
-            )
-            for k in (1, 4)
-        ]
-        assert results[0][0].occupation == results[1][0].occupation
-        assert results[0][0].mean_amplitude == results[1][0].mean_amplitude
-        assert results[0][1] == results[1][1]
 
     def test_standard_error_scales_as_inverse_sqrt(
         self, thermal_system, thermal_bath, thermal_propagator
     ):
         thermal = ThermalSpec.for_system(math.log(2.0) / 800.0, 800.0)
-        coeffs = thermal_propagator.coefficients(1.0, include_bath_block=True)
+        coeffs = thermal_propagator.coefficients(1.0)
         scaled = []
         for count in (100, 1000, 10000):
             samples = sample_thermal_bath(thermal_bath, thermal, count, seed=7)
