@@ -98,39 +98,45 @@ def default_fock_cutoff(alpha_scale: float) -> int:
 
 @dataclass(frozen=True)
 class PopulationDistribution:
-    """Probabilities of finding m = 0..n excitations in the system."""
+    """Probabilities of m = 0..n system excitations: shape (n+1,), or (T, n+1) over T times."""
 
     probs: np.ndarray
-    t: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
 
     @property
-    def mean(self) -> float:
-        return float(np.dot(np.arange(self.probs.size), self.probs))
+    def mean(self):
+        return self.probs @ np.arange(self.probs.shape[-1])
 
     @property
-    def variance(self) -> float:
-        m = np.arange(self.probs.size)
-        return float(np.dot(m * m, self.probs) - self.mean**2)
+    def variance(self):
+        m = np.arange(self.probs.shape[-1])
+        return self.probs @ (m * m) - self.mean**2
 
 
-def fock_populations(n: int, survival: float, t: float | None = None) -> PopulationDistribution:
+def fock_populations(n: int, survival) -> PopulationDistribution:
     """Binomial population law for an initial n-excitation state.
 
-    ``survival`` is the single-excitation survival probability; each of the n
-    excitations is independently retained with that probability, giving
-    P_m = C(n, m) p^m (1-p)^(n-m).
+    ``survival`` is the single-excitation survival probability, one value or
+    an array of them (one per time); each of the n excitations is
+    independently retained with that probability, giving
+    P_m = C(n, m) p^m (1-p)^(n-m). The law is evaluated in log space so it
+    stays finite for large n; the endpoint terms are masked, so p = 0 and
+    p = 1 give exact unit populations.
     """
     if n < 0:
         raise ValueError("excitation number must be nonnegative")
-    if not 0.0 <= survival <= 1.0:
+    p = np.asarray(survival, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError(f"survival probability must lie in [0, 1] (got {survival})")
     m = np.arange(n + 1)
-    coeffs = np.array([math.comb(n, int(k)) for k in m], dtype=float)
-    probs = coeffs * survival**m * (1.0 - survival) ** (n - m)
-    return PopulationDistribution(probs=probs, t=t)
+    log_comb = np.array([math.log(math.comb(n, k)) for k in range(n + 1)])
+    p = p[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kept = np.where(m > 0, m * np.log(p), 0.0)
+        lost = np.where(m < n, (n - m) * np.log1p(-p), 0.0)
+    return PopulationDistribution(probs=np.exp(log_comb + kept + lost))
 
 
 def fock_survival(n: int, gamma: float, t: float) -> float:
@@ -149,17 +155,18 @@ def fock_decay_time(n: int, gamma: float) -> float:
     return 1.0 / (n * gamma)
 
 
-def coherent_decay(alpha: complex, survival_amplitude: complex) -> tuple[complex, float]:
+def coherent_decay(alpha: complex, survival_amplitude):
     """Label and mean excitation number of a decayed coherent state.
 
     A coherent state stays coherent with contracted label alpha * survival;
     the mean number is the squared label magnitude, independent of the phase
-    of alpha.
+    of alpha. ``survival_amplitude`` may be one value or one per time.
     """
-    if abs(survival_amplitude) > 1.0 + 1e-9:
+    u = np.asarray(survival_amplitude, dtype=complex)
+    if np.any(np.abs(u) > 1.0 + 1e-9):
         raise ValueError("survival amplitude cannot exceed unit magnitude")
-    label = complex(alpha) * complex(survival_amplitude)
-    return label, abs(label) ** 2
+    label = (alpha * u)[()]
+    return label, np.abs(label) ** 2
 
 
 def coherent_decay_time(gamma: float) -> float:
@@ -192,21 +199,25 @@ def excited_bath_evolution(
     block present the map is exact (and exactly norm-preserving for oracle
     coefficients). Without it, at most one bath label may be nonzero and the
     bath labels keep only their free phase, dropping bath-to-bath feeding.
+    Grid coefficients give one system label per time and bath labels of
+    shape (T, N).
     """
     lambdas = np.asarray(lambdas, dtype=complex)
     if lambdas.shape != (coeffs.n_modes,):
         raise ValueError("need exactly one bath label per mode")
-    system_label = complex(alpha) * coeffs.survival + np.dot(lambdas, coeffs.absorption)
+    system_label = (alpha * coeffs.survival + coeffs.absorption @ lambdas)[()]
     if coeffs.bath_block is not None:
-        bath_labels = complex(alpha) * coeffs.absorption + coeffs.bath_block @ lambdas
+        bath_labels = alpha * coeffs.absorption + coeffs.bath_block @ lambdas
     else:
-        if int(np.count_nonzero(lambdas)) > 1:
+        excited = np.flatnonzero(lambdas)
+        if excited.size > 1:
             raise CrossBlockRequiredError(
                 "cross-block required: propagating two or more excited bath modes "
                 "needs coefficients computed with the bath-to-bath block"
             )
-        free_phase = np.exp(-1j * coeffs.bath_omegas * coeffs.t)
-        bath_labels = complex(alpha) * coeffs.absorption + lambdas * free_phase
+        free_phase = np.exp(-1j * np.multiply.outer(coeffs.t, coeffs.bath_omegas[excited]))
+        bath_labels = alpha * coeffs.absorption
+        bath_labels[..., excited] += lambdas[excited] * free_phase
     return JointCoherentLabels(system_label=system_label, bath_labels=bath_labels)
 
 

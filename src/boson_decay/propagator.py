@@ -32,18 +32,20 @@ class SystemMode:
 
 @dataclass(frozen=True)
 class PropagatorCoefficients:
-    """Linear input-output amplitudes of the coupled mode network at one time.
+    """Linear input-output amplitudes of the coupled mode network on a time grid.
 
     ``survival`` multiplies the initial system operator in the evolved system
-    operator; ``absorption[j]`` multiplies the initial bath operator j there.
-    Couplings are real, so ``absorption[j]`` is also the reverse amplitude
-    (initial system operator appearing in evolved bath operator j).
-    ``bath_block[j, s]``, kept only on request, is the full bath-to-bath map
-    including its free-phase diagonal.
+    operator; ``absorption[..., j]`` multiplies the initial bath operator j
+    there. Couplings are real, so ``absorption[..., j]`` is also the reverse
+    amplitude (initial system operator appearing in evolved bath operator j).
+    ``t`` and ``survival`` share the time shape: () at one time, (T,) on a
+    grid, where ``absorption`` has shape (T, N). ``bath_block[j, s]``, kept
+    only on request at one time, is the full bath-to-bath map including its
+    free-phase diagonal.
     """
 
-    t: float
-    survival: complex
+    t: float | np.ndarray
+    survival: complex | np.ndarray
     absorption: np.ndarray
     bath_omegas: np.ndarray
     provenance: str
@@ -53,11 +55,11 @@ class PropagatorCoefficients:
         if self.provenance not in (PROVENANCE_ANALYTIC, PROVENANCE_ORACLE):
             raise ValueError(f"unknown provenance {self.provenance!r}")
         n = self.bath_omegas.size
-        if self.absorption.shape != (n,):
-            raise ValueError("absorption must have one entry per bath mode")
+        if self.absorption.shape != np.shape(self.survival) + (n,):
+            raise ValueError("absorption must have one entry per bath mode and time")
         if self.bath_block is not None and self.bath_block.shape != (n, n):
             raise ValueError("bath block must be square with one row per bath mode")
-        if abs(self.survival) > 1.0 + 1e-9:
+        if np.any(np.abs(self.survival) > 1.0 + 1e-9):
             raise ValueError("survival amplitude cannot exceed unit magnitude")
 
     @property
@@ -65,11 +67,12 @@ class PropagatorCoefficients:
         return int(self.bath_omegas.size)
 
 
-def analytic_survival(system: SystemMode, gamma: float, t: float) -> complex:
-    """Broadband closed form for the system self-amplitude: damped free rotation."""
-    if t < 0:
+def analytic_survival(system: SystemMode, gamma: float, t):
+    """Broadband closed form for the system self-amplitude at time(s) ``t``: damped rotation."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("time must be nonnegative")
-    return complex(np.exp(-0.5 * gamma * t) * np.exp(-1j * system.omega_b * t))
+    return (np.exp(-0.5 * gamma * t) * np.exp(-1j * system.omega_b * t))[()]
 
 
 def _transfer_kernel(system: SystemMode, gamma: float, omegas: np.ndarray, t: float) -> np.ndarray:
@@ -145,52 +148,51 @@ class ExactPropagator:
         self._eigenvalues, self._eigenvectors = np.linalg.eigh(h)
 
     def _phases(self, times) -> np.ndarray:
-        """exp(-i t lambda_k), one row per time and one column per eigenvalue."""
+        """exp(-i t lambda_k): the shape of ``times`` plus one axis over eigenvalues."""
         times = np.asarray(times, dtype=float)
         if np.any(times < 0):
             raise ValueError("time must be nonnegative")
-        return np.exp(-1j * np.outer(times, self._eigenvalues))
+        return np.exp(-1j * np.multiply.outer(times, self._eigenvalues))
 
     def unitary(self, t: float) -> np.ndarray:
         """Full (N+1) x (N+1) single-excitation evolution matrix."""
         v = self._eigenvectors
-        return (v * self._phases([t])[0]) @ v.T
+        return (v * self._phases(t)) @ v.T
 
-    def evaluate(self, times) -> list[PropagatorCoefficients]:
-        """Coefficients at every time of ``times``, from one batched contraction.
+    def evaluate(self, times) -> PropagatorCoefficients:
+        """Coefficients over ``times`` (one time or a grid), from one contraction.
 
         Row 0 of the evolution matrix at all T times is
         ``(phases * V[0]) @ V.T``, computed as its real and imaginary parts so
         the real eigenvector matrix is never copied to complex. The arrowhead
         matrix is real symmetric, so the evolution matrix is complex symmetric
-        and row 0 also serves as column 0. The returned ``absorption`` arrays
-        are views into one (T, N+1) array; peak memory is about
-        40 T (N+1) bytes.
+        and row 0 also serves as column 0. On a grid the result carries
+        ``t`` and ``survival`` of shape (T,) and ``absorption`` of shape
+        (T, N), a view into one (T, N+1) array; peak memory is about
+        40 T (N+1) bytes. A scalar time gives scalar ``t`` and ``survival``.
         """
-        times = np.asarray(times, dtype=float).ravel()
-        weighted = self._phases(times) * self._eigenvectors[0]
+        times = np.asarray(times, dtype=float)
+        weighted = self._phases(times.reshape(-1)) * self._eigenvectors[0]
         v_t = self._eigenvectors.T
         rows = np.empty(weighted.shape, dtype=complex)
         rows.real = weighted.real @ v_t
         rows.imag = weighted.imag @ v_t
-        return [
-            PropagatorCoefficients(
-                t=float(t),
-                survival=complex(row[0]),
-                absorption=row[1:],
-                bath_omegas=self.bath.omegas,
-                provenance=PROVENANCE_ORACLE,
-            )
-            for t, row in zip(times, rows)
-        ]
+        rows = rows.reshape(times.shape + (-1,))
+        return PropagatorCoefficients(
+            t=times[()],
+            survival=rows[..., 0][()],
+            absorption=rows[..., 1:],
+            bath_omegas=self.bath.omegas,
+            provenance=PROVENANCE_ORACLE,
+        )
 
     def coefficients(self, t: float, include_bath_block: bool = False) -> PropagatorCoefficients:
         """Coefficients at one time, optionally with the bath-to-bath block."""
-        coeffs = self.evaluate([t])[0]
+        coeffs = self.evaluate(t)
         if not include_bath_block:
             return coeffs
         v = self._eigenvectors[1:]
-        block = (v * self._phases([coeffs.t])[0]) @ v.T
+        block = (v * self._phases(coeffs.t)) @ v.T
         return replace(coeffs, bath_block=block)
 
 
@@ -201,15 +203,15 @@ def exact_propagator(
     return ExactPropagator(system, bath).coefficients(t, include_bath_block=include_bath_block)
 
 
-def dissipation_sum(coeffs: PropagatorCoefficients) -> float:
-    """Total probability transferred into the bath, summed over modes."""
-    return float(np.sum(np.abs(coeffs.absorption) ** 2))
+def dissipation_sum(coeffs: PropagatorCoefficients):
+    """Total probability transferred into the bath, summed over modes, per time."""
+    return np.sum(np.abs(coeffs.absorption) ** 2, axis=-1)[()]
 
 
-def unitarity_defect(coeffs: PropagatorCoefficients) -> float:
-    """Deviation of ``|survival|^2 + dissipation_sum`` from one.
+def unitarity_defect(coeffs: PropagatorCoefficients):
+    """Deviation of ``|survival|^2 + dissipation_sum`` from one, per time.
 
     Vanishes to roundoff for oracle coefficients; for analytic coefficients
     summed over a discrete bath it measures the broadband-approximation error.
     """
-    return float(abs(abs(coeffs.survival) ** 2 + dissipation_sum(coeffs) - 1.0))
+    return np.abs(np.abs(coeffs.survival) ** 2 + dissipation_sum(coeffs) - 1.0)[()]

@@ -1,15 +1,15 @@
 """Scenario execution and deterministic report emission.
 
-Each scenario walks a uniform time grid and fills one row per grid point;
-columns follow the per-module CSV schemas. CSV artifacts contain only the
-table (so identical runs are byte-identical); metadata travels in the JSON
-format or in a ``.meta.json`` sidecar next to a CSV file.
+Each scenario evaluates its laws as arrays over a uniform time grid and
+stacks the named columns once into one row per grid point; columns follow
+the per-module CSV schemas. CSV artifacts contain only the table (so
+identical runs are byte-identical); metadata travels in the JSON format or
+in a ``.meta.json`` sidecar next to a CSV file.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -72,101 +72,79 @@ def scenario_bath(config: ScenarioConfig) -> DiscreteBath:
     return discretize_bath(spec, config.n_modes)
 
 
+def _report(table: dict[str, np.ndarray], meta: dict[str, Any] | None = None) -> RunReport:
+    """One row per time from named per-time columns, stacked once into floats."""
+    rows = np.column_stack(list(table.values())).tolist()
+    return RunReport(columns=list(table), rows=rows, meta=meta or {})
+
+
 def _run_fock_decay(config: ScenarioConfig) -> RunReport:
-    n = config.fock_n
-    columns = ["t"] + [f"P_{m}" for m in range(n + 1)]
-    rows = []
-    for t in _time_grid(config):
-        p = math.exp(-config.gamma * t)
-        dist = fock_populations(n, p, t=float(t))
-        rows.append([float(t)] + [float(x) for x in dist.probs])
-    return RunReport(columns=columns, rows=rows)
+    grid = _time_grid(config)
+    probs = fock_populations(config.fock_n, np.exp(-config.gamma * grid)).probs
+    return _report({"t": grid, **{f"P_{m}": p for m, p in enumerate(probs.T)}})
+
+
+def _coherent_table(grid: np.ndarray, label: np.ndarray) -> dict[str, np.ndarray]:
+    """Columns of a system that stays in a pure coherent state with ``label``."""
+    return {
+        "t": grid,
+        "mean_number": np.abs(label) ** 2,
+        "re_label": label.real,
+        "im_label": label.imag,
+        "purity": np.ones_like(grid),
+    }
 
 
 def _run_coherent_decay(config: ScenarioConfig) -> RunReport:
-    system = _system(config)
-    columns = ["t", "mean_number", "re_label", "im_label", "purity"]
-    rows = []
-    for t in _time_grid(config):
-        label, mean_number = coherent_decay(config.alpha, analytic_survival(system, config.gamma, t))
-        rows.append([float(t), mean_number, label.real, label.imag, 1.0])
-    return RunReport(columns=columns, rows=rows)
+    grid = _time_grid(config)
+    survival = analytic_survival(_system(config), config.gamma, grid)
+    return _report(_coherent_table(grid, coherent_decay(config.alpha, survival)[0]))
 
 
 def _run_excited_bath(config: ScenarioConfig) -> RunReport:
-    system = _system(config)
     bath = scenario_bath(config)
-    propagator = ExactPropagator(system, bath)
+    propagator = ExactPropagator(_system(config), bath)
     lambdas = np.zeros(bath.n_modes, dtype=complex)
     lambdas[config.excited_mode] = config.excited_label
-    columns = ["t", "mean_number", "re_label", "im_label", "purity"]
-    rows = []
-    for coeffs in propagator.evaluate(_time_grid(config)):
-        mu = excited_bath_evolution(config.alpha, lambdas, coeffs).system_label
-        rows.append([coeffs.t, abs(mu) ** 2, mu.real, mu.imag, 1.0])
-    return RunReport(columns=columns, rows=rows)
+    grid = _time_grid(config)
+    mu = excited_bath_evolution(config.alpha, lambdas, propagator.evaluate(grid)).system_label
+    return _report(_coherent_table(grid, mu))
 
 
 def _run_thermal(config: ScenarioConfig) -> RunReport:
     system = _system(config)
     bath = scenario_bath(config)
     thermal = ThermalSpec.for_system(config.beta, config.omega_b)
-    propagator = ExactPropagator(system, bath)
+    grid = _time_grid(config)
+    # Decompose before sampling: the eigh workspace would otherwise sit on top of the samples.
+    coeffs = ExactPropagator(system, bath).evaluate(grid)
     samples = sample_thermal_bath(bath, thermal, config.samples, config.seed)
-    columns = [
-        "t",
-        "phi_discrete",
-        "phi_closed",
-        "paper_mean_number",
-        "heff_mean_number",
-        "oracle_occupation",
-        "mc_occupation",
-        "mc_stderr",
-    ]
     alpha = config.alpha
-    rows = []
-    for coeffs in propagator.evaluate(_time_grid(config)):
-        t = coeffs.t
-        phi_d = thermal_factor_discrete(system, bath, thermal, coeffs)
-        phi_c = thermal_factor_closed(thermal.n_th, config.gamma, t)
-        paper_mean = conditional_mean_number(
-            alpha, analytic_survival(system, config.gamma, t), phi_c
-        )
-        heff_mean = abs(alpha) ** 2 * math.exp(-(thermal.n_th + 1.0) * config.gamma * t)
-        oracle = exact_thermal_moments(alpha, bath, thermal, coeffs)
-        mc, errors = monte_carlo_moments(alpha, system, bath, thermal, coeffs, samples)
-        rows.append(
-            [
-                t,
-                phi_d.value,
-                phi_c.value,
-                paper_mean,
-                heff_mean,
-                oracle.occupation,
-                mc.occupation,
-                errors.occupation,
-            ]
-        )
-    return RunReport(columns=columns, rows=rows)
+    phi_c = thermal_factor_closed(thermal.n_th, config.gamma, grid)
+    survival = analytic_survival(system, config.gamma, grid)
+    heff_mean = abs(alpha) ** 2 * np.exp(-(thermal.n_th + 1.0) * config.gamma * grid)
+    mc, errors = monte_carlo_moments(alpha, system, bath, thermal, coeffs, samples)
+    return _report(
+        {
+            "t": grid,
+            "phi_discrete": thermal_factor_discrete(system, bath, thermal, coeffs).value,
+            "phi_closed": phi_c.value,
+            "paper_mean_number": conditional_mean_number(alpha, survival, phi_c),
+            "heff_mean_number": heff_mean,
+            "oracle_occupation": exact_thermal_moments(alpha, bath, thermal, coeffs).occupation,
+            "mc_occupation": mc.occupation,
+            "mc_stderr": errors.occupation,
+        }
+    )
 
 
 def _run_wwa_validate(config: ScenarioConfig) -> RunReport:
-    system = _system(config)
-    bath = scenario_bath(config)
-    propagator = ExactPropagator(system, bath)
-    columns = ["t", "re_u", "im_u", "abs_u_sq", "sum_abs_v_sq", "unitarity_defect"]
-    rows = []
-    max_survival_dev = 0.0
-    max_dissipation_dev = 0.0
-    for coeffs in propagator.evaluate(_time_grid(config)):
-        t = coeffs.t
-        u = coeffs.survival
-        survived = abs(u) ** 2
-        dissipated = dissipation_sum(coeffs)
-        decayed = -math.expm1(-config.gamma * t)
-        max_survival_dev = max(max_survival_dev, abs(survived - math.exp(-config.gamma * t)))
-        max_dissipation_dev = max(max_dissipation_dev, abs(dissipated - decayed))
-        rows.append([t, u.real, u.imag, survived, dissipated, unitarity_defect(coeffs)])
+    grid = _time_grid(config)
+    coeffs = ExactPropagator(_system(config), scenario_bath(config)).evaluate(grid)
+    survived = np.abs(coeffs.survival) ** 2
+    dissipated = dissipation_sum(coeffs)
+    max_survival_dev = float(np.max(np.abs(survived - np.exp(-config.gamma * grid))))
+    max_dissipation_dev = float(np.max(np.abs(dissipated + np.expm1(-config.gamma * grid))))
     summary = {
         "max_abs_u_sq_deviation": max_survival_dev,
         "max_sum_abs_v_sq_deviation": max_dissipation_dev,
@@ -175,14 +153,21 @@ def _run_wwa_validate(config: ScenarioConfig) -> RunReport:
             max_survival_dev <= WWA_TOLERANCE and max_dissipation_dev <= WWA_TOLERANCE
         ),
     }
-    return RunReport(columns=columns, rows=rows, meta={"summary": summary})
+    table = {
+        "t": grid,
+        "re_u": coeffs.survival.real,
+        "im_u": coeffs.survival.imag,
+        "abs_u_sq": survived,
+        "sum_abs_v_sq": dissipated,
+        "unitarity_defect": unitarity_defect(coeffs),
+    }
+    return _report(table, meta={"summary": summary})
 
 
 def _run_oracle_compare(config: ScenarioConfig) -> RunReport:
     system = _system(config)
     bath = scenario_bath(config)
     n = config.fock_n
-    propagator = ExactPropagator(system, bath)
     oracle = FockSpaceOracle(system, bath, n_max=n)
     n_th = 0.0
     bath_occ = np.zeros(bath.n_modes)
@@ -190,33 +175,26 @@ def _run_oracle_compare(config: ScenarioConfig) -> RunReport:
         thermal = ThermalSpec.for_system(config.beta, config.omega_b)
         n_th = thermal.n_th
         bath_occ = thermal.occupations(bath)
-    columns = (
-        ["t"]
-        + [f"P_{m}_oracle" for m in range(n + 1)]
-        + [f"P_{m}_law" for m in range(n + 1)]
-        + ["max_pop_deviation", "heff_fock_mean", "exact_fock_mean", "oracle_fock_mean", "divergence"]
-    )
-    rows = []
-    max_pop_dev_overall = 0.0
-    for coeffs in propagator.evaluate(_time_grid(config)):
-        t = coeffs.t
-        survived = abs(coeffs.survival) ** 2
-        law = fock_populations(n, min(survived, 1.0), t=t)
-        reduced = oracle.reduced_density(FockState(n), t)
-        pops = reduced.populations
-        deviation = float(np.max(np.abs(pops - law.probs)))
-        max_pop_dev_overall = max(max_pop_dev_overall, deviation)
-        heff_mean = n * math.exp(-(n_th + n) * config.gamma * t)
-        exact_mean = n * math.exp(-config.gamma * t) + n_th * -math.expm1(-config.gamma * t)
-        oracle_mean = n * survived + float(np.sum(bath_occ * np.abs(coeffs.absorption) ** 2))
-        rows.append(
-            [t]
-            + [float(x) for x in pops]
-            + [float(x) for x in law.probs]
-            + [deviation, heff_mean, exact_mean, oracle_mean, heff_mean - exact_mean]
-        )
-    meta = {"summary": {"max_population_deviation": max_pop_dev_overall}}
-    return RunReport(columns=columns, rows=rows, meta=meta)
+    grid = _time_grid(config)
+    coeffs = ExactPropagator(system, bath).evaluate(grid)
+    survived = np.abs(coeffs.survival) ** 2
+    law = fock_populations(n, np.minimum(survived, 1.0)).probs
+    # The dense oracle is the reference implementation: one evaluation per time.
+    pops = np.array([oracle.reduced_density(FockState(n), t).populations for t in grid])
+    deviation = np.max(np.abs(pops - law), axis=1)
+    heff_mean = n * np.exp(-(n_th + n) * config.gamma * grid)
+    exact_mean = n * np.exp(-config.gamma * grid) + n_th * -np.expm1(-config.gamma * grid)
+    table = {
+        "t": grid,
+        **{f"P_{m}_oracle": p for m, p in enumerate(pops.T)},
+        **{f"P_{m}_law": p for m, p in enumerate(law.T)},
+        "max_pop_deviation": deviation,
+        "heff_fock_mean": heff_mean,
+        "exact_fock_mean": exact_mean,
+        "oracle_fock_mean": n * survived + np.sum(bath_occ * np.abs(coeffs.absorption) ** 2, -1),
+        "divergence": heff_mean - exact_mean,
+    }
+    return _report(table, meta={"summary": {"max_population_deviation": float(np.max(deviation))}})
 
 
 _SCENARIO_RUNNERS: dict[str, Callable[[ScenarioConfig], RunReport]] = {

@@ -23,6 +23,7 @@ from .errors import AsymptoticRegimeError, InfiniteOccupationError
 from .propagator import PROVENANCE_ORACLE, PropagatorCoefficients, SystemMode
 
 SHORT_TIME_WINDOW = 0.1
+_MC_BLOCK_BYTES = 1 << 20  # complex branch values per Monte Carlo block: 16 B per sample and time
 
 METHOD_DISCRETE = "discrete_sum"
 METHOD_CLOSED = "closed_form"
@@ -30,17 +31,22 @@ METHOD_CLOSED = "closed_form"
 
 @dataclass(frozen=True)
 class ThermalFactor:
-    """Temperature enhancement of the conditional state normalization (>= 1)."""
+    """Temperature enhancement of the conditional state normalization (>= 1), per time."""
 
-    value: float
-    t: float
+    value: float | np.ndarray
+    t: float | np.ndarray
     method: str
 
     def __post_init__(self) -> None:
         if self.method not in (METHOD_DISCRETE, METHOD_CLOSED):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.value < 1.0 - 1e-12:
+        if np.any(np.asarray(self.value) < 1.0 - 1e-12):
             raise ValueError(f"thermal factor must be at least 1 (got {self.value})")
+
+
+def _thermal_weight(occupations: np.ndarray, coeffs: PropagatorCoefficients):
+    """sum_j n_j |absorption_j|^2, per time."""
+    return np.sum(occupations * np.abs(coeffs.absorption) ** 2, axis=-1)[()]
 
 
 def thermal_factor_discrete(
@@ -52,19 +58,19 @@ def thermal_factor_discrete(
     """Mode-resolved enhancement: 1 + sum_j n_j |absorption_j|^2."""
     if coeffs.n_modes != bath.n_modes:
         raise ValueError("coefficients and bath disagree on the mode count")
-    occupations = thermal.occupations(bath)
-    value = 1.0 + float(np.sum(occupations * np.abs(coeffs.absorption) ** 2))
+    value = 1.0 + _thermal_weight(thermal.occupations(bath), coeffs)
     return ThermalFactor(value=value, t=coeffs.t, method=METHOD_DISCRETE)
 
 
-def thermal_factor_closed(n_th: float, gamma: float, t: float) -> ThermalFactor:
+def thermal_factor_closed(n_th: float, gamma: float, t) -> ThermalFactor:
     """Slow-varying-bath closed form: 1 + n_th (1 - exp(-gamma t))."""
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("time must be nonnegative")
     if n_th < 0:
         raise ValueError("n_th must be nonnegative")
-    value = 1.0 + n_th * -math.expm1(-gamma * t)
-    return ThermalFactor(value=value, t=float(t), method=METHOD_CLOSED)
+    value = 1.0 + n_th * -np.expm1(-gamma * t)
+    return ThermalFactor(value=value[()], t=t[()], method=METHOD_CLOSED)
 
 
 def conditional_wavefunction(
@@ -81,17 +87,16 @@ def conditional_wavefunction(
     return inv_sqrt, label
 
 
-def conditional_mean_number(
-    alpha: complex, survival_amplitude: complex, phi: ThermalFactor
-) -> float:
+def conditional_mean_number(alpha: complex, survival_amplitude, phi: ThermalFactor):
     """Mean excitation number of the sub-normalized conditional state.
 
     Equals |alpha|^2 |(survival - 1) phi^(-1) + phi^(-1/2)|^2, i.e. the squared
-    label of :func:`conditional_wavefunction` times its squared weight.
+    label of :func:`conditional_wavefunction` times its squared weight; one
+    value per time when the survival amplitudes and ``phi`` span a grid.
     """
-    inv = 1.0 / phi.value
-    inner = (complex(survival_amplitude) - 1.0) * inv + math.sqrt(inv)
-    return float(abs(alpha) ** 2 * abs(inner) ** 2)
+    inv = 1.0 / np.asarray(phi.value)
+    inner = (np.asarray(survival_amplitude, dtype=complex) - 1.0) * inv + np.sqrt(inv)
+    return (abs(alpha) ** 2 * np.abs(inner) ** 2)[()]
 
 
 def high_temperature_mean_number(
@@ -234,9 +239,9 @@ def sample_thermal_bath(
     """Draw ``count`` thermal label vectors, one complex Gaussian per mode.
 
     Mode j has independent real and imaginary parts of variance n_j / 2, so
-    E|lambda_j|^2 = n_j. Each sample uses its own spawned substream of the
-    seeded generator, which makes the set reproducible regardless of how a
-    caller partitions the work.
+    E|lambda_j|^2 = n_j. One generator seeded with ``seed`` draws all
+    2 * count * N normals at once; they are viewed as complex labels and
+    scaled in place, so the set costs one (count, N) complex array.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1 (got {count})")
@@ -244,26 +249,22 @@ def sample_thermal_bath(
         raise InfiniteOccupationError(
             "infinite variance: beta = 0 gives divergent thermal occupations"
         )
-    occupations = thermal.occupations(bath)
-    scale = np.sqrt(occupations / 2.0)
-    children = np.random.SeedSequence(seed).spawn(count)
-    samples = np.empty((count, bath.n_modes), dtype=complex)
-    for i, child in enumerate(children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        parts = rng.standard_normal((2, bath.n_modes))
-        samples[i] = scale * (parts[0] + 1j * parts[1])
+    scale = np.sqrt(thermal.occupations(bath) / 2.0)
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal((count, 2 * bath.n_modes)).view(complex)
+    samples *= scale
     return ThermalSampleSet(samples=samples, seed=seed, beta=thermal.beta)
 
 
 @dataclass(frozen=True)
 class GaussianMoments:
-    """First and second moments of the system mode: <b> and <b^dag b>."""
+    """First and second moments of the system mode, <b> and <b^dag b>, per time."""
 
-    mean_amplitude: complex
-    occupation: float
+    mean_amplitude: complex | np.ndarray
+    occupation: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.occupation < abs(self.mean_amplitude) ** 2 - 1e-9:
+        if np.any(self.occupation < np.abs(self.mean_amplitude) ** 2 - 1e-9):
             raise ValueError("occupation cannot fall below the squared mean amplitude")
 
 
@@ -285,6 +286,8 @@ def monte_carlo_moments(
     Each sample is a joint coherent state, so its evolved system branch is the
     coherent label alpha * survival + sum_j lambda_j absorption_j and
     contributes |label|^2 to the occupation with no within-branch correction.
+    On a grid, each block of times is one (times, modes) @ (modes, samples)
+    product of about ``_MC_BLOCK_BYTES``, which bounds memory on long grids.
     """
     if samples.samples.shape[1] != coeffs.n_modes:
         raise ValueError("sample set and coefficients disagree on the mode count")
@@ -292,23 +295,31 @@ def monte_carlo_moments(
         raise ValueError("sample set was drawn at a different temperature")
 
     count = samples.count
-    branch = complex(alpha) * coeffs.survival + samples.samples @ coeffs.absorption
+    shape = np.shape(coeffs.survival)
+    offsets = complex(alpha) * np.reshape(coeffs.survival, (-1, 1))
+    absorption = coeffs.absorption.reshape(offsets.size, -1)
+    mean_amplitude = np.empty(offsets.size, dtype=complex)
+    occupation, occ_var, spread_sq = np.empty((3, offsets.size))
+    step = max(1, _MC_BLOCK_BYTES // (16 * count))
+    for start in range(0, offsets.size, step):
+        rows = slice(start, start + step)
+        branch = absorption[rows] @ samples.samples.T
+        branch += offsets[rows]
+        mean_amplitude[rows] = branch.mean(axis=1)
+        occ = np.abs(branch) ** 2
+        occupation[rows] = occ.mean(axis=1)
+        occ_var[rows] = occ.var(axis=1)
+        branch -= mean_amplitude[rows, None]
+        spread_sq[rows] = np.mean(np.abs(branch) ** 2, axis=1)
 
-    mean_amplitude = complex(np.mean(branch))
-    occ_samples = np.abs(branch) ** 2
-    occupation = float(np.mean(occ_samples))
-
-    if count > 1:
-        spread_sq = float(np.mean(np.abs(branch - mean_amplitude) ** 2)) * count / (count - 1)
-        err_mean = math.sqrt(spread_sq / count)
-        err_occ = float(np.std(occ_samples, ddof=1)) / math.sqrt(count)
-    else:
-        err_mean = math.inf
-        err_occ = math.inf
+    # Standard errors of the two sample means, with the unbiased (count - 1) variance.
+    errors = np.sqrt(np.stack([spread_sq, occ_var]) / max(count - 1, 1))
+    if count == 1:
+        errors[:] = math.inf
     # mean(|x|^2) >= |mean(x)|^2 holds for any sample, so the moment invariant
     # is automatic here.
-    moments = GaussianMoments(mean_amplitude=mean_amplitude, occupation=occupation)
-    return moments, MomentErrors(mean_amplitude=err_mean, occupation=err_occ)
+    moments = GaussianMoments(mean_amplitude.reshape(shape)[()], occupation.reshape(shape)[()])
+    return moments, MomentErrors(*(e.reshape(shape)[()] for e in errors))
 
 
 def exact_thermal_moments(
@@ -329,8 +340,5 @@ def exact_thermal_moments(
     if coeffs.n_modes != bath.n_modes:
         raise ValueError("coefficients and bath disagree on the mode count")
     mean_amplitude = complex(alpha) * coeffs.survival
-    occupations = thermal.occupations(bath)
-    occupation = abs(mean_amplitude) ** 2 + float(
-        np.sum(occupations * np.abs(coeffs.absorption) ** 2)
-    )
+    occupation = np.abs(mean_amplitude) ** 2 + _thermal_weight(thermal.occupations(bath), coeffs)
     return GaussianMoments(mean_amplitude=mean_amplitude, occupation=occupation)

@@ -68,13 +68,11 @@ class TestAcceptance:
 
     def test_02_dissipation_relation(self, wwa_coefficients, wwa_grid):
         """Broadband regime: |u|^2 and the transfer sum track the exponential law."""
-        dev_survival = max(
-            abs(abs(c.survival) ** 2 - math.exp(-GAMMA * t))
-            for c, t in zip(wwa_coefficients, wwa_grid)
+        dev_survival = np.max(
+            np.abs(np.abs(wwa_coefficients.survival) ** 2 - np.exp(-GAMMA * wwa_grid))
         )
-        dev_transfer = max(
-            abs(dissipation_sum(c) - -math.expm1(-GAMMA * t))
-            for c, t in zip(wwa_coefficients, wwa_grid)
+        dev_transfer = np.max(
+            np.abs(dissipation_sum(wwa_coefficients) + np.expm1(-GAMMA * wwa_grid))
         )
         _report(
             "criterion 2 (dissipation relation)",
@@ -149,14 +147,13 @@ class TestAcceptance:
         bath = discretize_bath(spec, 4000)
         system = SystemMode(omega_b)
         propagator = ExactPropagator(system, bath)
-        all_coeffs = propagator.evaluate(np.linspace(0.0, 5.0, 21))
+        coeffs = propagator.evaluate(np.linspace(0.0, 5.0, 21))
         worst = 0.0
         for beta_omega in (0.1, 1.0, 10.0):
             thermal = ThermalSpec.for_system(beta_omega / omega_b, omega_b)
-            for coeffs in all_coeffs:
-                phi_d = thermal_factor_discrete(system, bath, thermal, coeffs)
-                phi_c = thermal_factor_closed(thermal.n_th, GAMMA, coeffs.t)
-                worst = max(worst, abs(phi_d.value - phi_c.value) / phi_c.value)
+            phi_d = thermal_factor_discrete(system, bath, thermal, coeffs)
+            phi_c = thermal_factor_closed(thermal.n_th, GAMMA, coeffs.t)
+            worst = max(worst, np.max(np.abs(phi_d.value - phi_c.value) / phi_c.value))
         _report(
             "criterion 6 (thermal factor)",
             worst <= 2e-2,

@@ -1,6 +1,7 @@
 """Zero-temperature decay laws validated against the dense Fock-space oracle."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,6 +61,16 @@ class TestFockPopulations:
             assert float(np.sum(dist.probs)) == pytest.approx(1.0, abs=1e-12)
             assert dist.mean == pytest.approx(n * p, abs=1e-10)
             assert dist.variance == pytest.approx(n * p * (1 - p), abs=1e-10)
+
+    def test_matches_exact_rational_binomials(self):
+        """Log-space law against exact rational arithmetic at n = 60, to 1e-13 relative."""
+        n = 60
+        survivals = [0.0, 0.01, 0.1, 0.37, 0.5, 0.93, 1.0]
+        probs = fock_populations(n, np.array(survivals)).probs
+        for row, p in zip(probs, survivals):
+            q = Fraction(p)
+            exact = [float(math.comb(n, m) * q**m * (1 - q) ** (n - m)) for m in range(n + 1)]
+            assert np.allclose(row, exact, rtol=1e-13, atol=0.0)
 
     def test_rejects_bad_survival(self):
         with pytest.raises(ValueError):

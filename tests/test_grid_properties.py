@@ -1,0 +1,146 @@
+"""Property tests: every law evaluated on a time grid equals its per-time result.
+
+The formula functions broadcast over the leading time axis of grid-shaped
+``PropagatorCoefficients``; row i of a grid result must match the same
+function applied to the coefficients at time i alone, to 1e-13.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boson_decay import (
+    ExactPropagator,
+    SpectralDensitySpec,
+    SystemMode,
+    ThermalSpec,
+    analytic_survival,
+    coherent_decay,
+    conditional_mean_number,
+    discretize_bath,
+    dissipation_sum,
+    exact_thermal_moments,
+    excited_bath_evolution,
+    fock_populations,
+    monte_carlo_moments,
+    sample_thermal_bath,
+    thermal_factor_closed,
+    thermal_factor_discrete,
+    unitarity_defect,
+)
+from boson_decay.thermal import _MC_BLOCK_BYTES
+
+TOL = 1e-13
+MC_SAMPLES = 1 << 15  # two times per Monte Carlo block, so grids of 3+ times span blocks
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def small_runs(draw, min_times=1):
+    """A random small bath with its propagator, a thermal spec and a time grid."""
+    omega_b = draw(st.floats(5.0, 20.0, **finite))
+    spec = SpectralDensitySpec(
+        gamma=draw(st.floats(0.2, 2.0, **finite)),
+        band_center=omega_b + draw(st.floats(-0.5, 0.5, **finite)),
+        half_bandwidth=draw(st.floats(0.5, 4.0, **finite)),
+    )
+    system = SystemMode(omega_b)
+    bath = discretize_bath(spec, draw(st.integers(1, 6)))
+    thermal = ThermalSpec.for_system(draw(st.floats(0.05, 3.0, **finite)) / omega_b, omega_b)
+    times = np.array(draw(st.lists(st.floats(0.0, 5.0, **finite), min_size=min_times, max_size=8)))
+    alpha = complex(draw(st.floats(-2.0, 2.0, **finite)), draw(st.floats(-2.0, 2.0, **finite)))
+    return system, bath, ExactPropagator(system, bath), thermal, times, alpha
+
+
+def _rows_match(grid_values, per_time_values):
+    np.testing.assert_allclose(grid_values, np.array(per_time_values), rtol=TOL, atol=TOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_runs())
+def test_propagator_laws_match_per_time(run):
+    system, bath, propagator, thermal, times, alpha = run
+    grid = propagator.evaluate(times)
+    single = [propagator.coefficients(t) for t in times]
+    assert grid.survival.shape == times.shape
+    assert grid.absorption.shape == times.shape + (bath.n_modes,)
+    _rows_match(grid.survival, [c.survival for c in single])
+    _rows_match(grid.absorption, [c.absorption for c in single])
+    _rows_match(dissipation_sum(grid), [dissipation_sum(c) for c in single])
+    _rows_match(unitarity_defect(grid), [unitarity_defect(c) for c in single])
+    gamma = bath.spec.gamma
+    _rows_match(
+        analytic_survival(system, gamma, times),
+        [analytic_survival(system, gamma, t) for t in times],
+    )
+    label, mean = coherent_decay(alpha, grid.survival)
+    per_time = [coherent_decay(alpha, c.survival) for c in single]
+    _rows_match(label, [x[0] for x in per_time])
+    _rows_match(mean, [x[1] for x in per_time])
+    lambdas = np.zeros(bath.n_modes, dtype=complex)
+    lambdas[-1] = 0.5 - 0.25j
+    labels = excited_bath_evolution(alpha, lambdas, grid)
+    per_time = [excited_bath_evolution(alpha, lambdas, c) for c in single]
+    _rows_match(labels.system_label, [x.system_label for x in per_time])
+    _rows_match(labels.bath_labels, [x.bath_labels for x in per_time])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_runs())
+def test_thermal_laws_match_per_time(run):
+    system, bath, propagator, thermal, times, alpha = run
+    grid = propagator.evaluate(times)
+    single = [propagator.coefficients(t) for t in times]
+    gamma = bath.spec.gamma
+    _rows_match(
+        thermal_factor_discrete(system, bath, thermal, grid).value,
+        [thermal_factor_discrete(system, bath, thermal, c).value for c in single],
+    )
+    phi = thermal_factor_closed(thermal.n_th, gamma, times)
+    phis = [thermal_factor_closed(thermal.n_th, gamma, t) for t in times]
+    _rows_match(phi.value, [p.value for p in phis])
+    survival = analytic_survival(system, gamma, times)
+    _rows_match(
+        conditional_mean_number(alpha, survival, phi),
+        [conditional_mean_number(alpha, u, p) for u, p in zip(survival, phis)],
+    )
+    exact = exact_thermal_moments(alpha, bath, thermal, grid)
+    per_time = [exact_thermal_moments(alpha, bath, thermal, c) for c in single]
+    _rows_match(exact.mean_amplitude, [m.mean_amplitude for m in per_time])
+    _rows_match(exact.occupation, [m.occupation for m in per_time])
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_runs(min_times=3), st.integers(0, 2**32 - 1))
+def test_monte_carlo_matches_per_time_across_blocks(run, seed):
+    system, bath, propagator, thermal, times, alpha = run
+    assert _MC_BLOCK_BYTES // (16 * MC_SAMPLES) < times.size  # more than one block
+    samples = sample_thermal_bath(bath, thermal, MC_SAMPLES, seed)
+    moments, errors = monte_carlo_moments(
+        alpha, system, bath, thermal, propagator.evaluate(times), samples
+    )
+    per_time = [
+        monte_carlo_moments(alpha, system, bath, thermal, propagator.coefficients(t), samples)
+        for t in times
+    ]
+    _rows_match(moments.mean_amplitude, [m.mean_amplitude for m, _ in per_time])
+    _rows_match(moments.occupation, [m.occupation for m, _ in per_time])
+    _rows_match(errors.mean_amplitude, [e.mean_amplitude for _, e in per_time])
+    _rows_match(errors.occupation, [e.occupation for _, e in per_time])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 500),
+    st.lists(st.floats(0.0, 1.0, **finite), min_size=1, max_size=6),
+)
+def test_binomial_rows_match_per_time_and_sum_to_one(n, probabilities):
+    p = np.array(probabilities)
+    grid = fock_populations(n, p)
+    assert grid.probs.shape == (p.size, n + 1)
+    _rows_match(grid.probs, [fock_populations(n, x).probs for x in p])
+    assert np.all(np.isfinite(grid.probs)) and np.all(grid.probs >= 0.0)
+    assert np.max(np.abs(grid.probs.sum(axis=1) - 1.0)) <= 1e-12
+    np.testing.assert_allclose(grid.mean, n * p, rtol=1e-10, atol=1e-10 * max(n, 1))
+    assert np.all(grid.probs[p == 1.0, -1] == 1.0) and np.all(grid.probs[p == 0.0, 0] == 1.0)

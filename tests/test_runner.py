@@ -301,6 +301,20 @@ class TestCli:
         assert record["error"] == "ConfigError"
         assert "n_steps" in record["message"]
 
+    def test_large_fock_n_is_finite_and_normalized(self, tmp_path):
+        """The binomial law no longer overflows at fock_n = 2000."""
+        out = tmp_path / "fock.csv"
+        result = self._run(
+            "--scenario", "fock-decay", "--gamma", "1", "--omega-b", "1", "--fock-n", "2000",
+            "--t-max", "1", "--n-steps", "3", "--output", str(out),
+        )
+        assert result.returncode == 0, result.stderr
+        report = report_from_csv(out.read_text())
+        assert len(report.rows) == 3
+        for row in report.rows:
+            assert all(math.isfinite(x) for x in row)
+            assert abs(math.fsum(row[1:]) - 1.0) <= 1e-12
+
     def test_dump_bath(self, tmp_path):
         cfg = tmp_path / "w.cfg"
         cfg.write_text(WWA_TEXT.replace("n_modes = 400", "n_modes = 20"))
