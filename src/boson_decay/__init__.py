@@ -41,7 +41,6 @@ from .decay import (
 from .errors import (
     AsymptoticRegimeError,
     ConfigError,
-    CrossBlockRequiredError,
     InfiniteOccupationError,
     ResourceLimitError,
     TruncationError,
@@ -55,7 +54,6 @@ from .propagator import (
     analytic_propagator,
     analytic_survival,
     dissipation_sum,
-    exact_propagator,
     single_particle_hamiltonian,
     unitarity_defect,
 )

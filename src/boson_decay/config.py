@@ -23,27 +23,28 @@ SCENARIOS = (
 
 _BATH_SCENARIOS = ("excited-bath", "thermal", "wwa-validate", "oracle-compare")
 
-# key -> (type, default); ... means required (possibly per scenario).
-_SCHEMA: dict[str, tuple[type, Any]] = {
-    "scenario": (str, ...),
-    "gamma": (float, ...),
-    "omega_b": (float, ...),
-    "t_max": (float, ...),
-    "n_steps": (int, ...),
-    "n_modes": (int, None),
-    "half_bandwidth": (float, None),
-    "band_center": (float, None),
-    "beta": (float, None),
-    "fock_n": (int, None),
-    "alpha_re": (float, 1.0),
-    "alpha_im": (float, 0.0),
-    "samples": (int, None),
-    "seed": (int, None),
-    "excited_mode": (int, 0),
-    "lambda_re": (float, 0.0),
-    "lambda_im": (float, 0.0),
-    "output": (str, "-"),
-    "format": (str, "csv"),
+# key -> (type, default, help); ... means required (possibly per scenario).
+# The command line offers every key as --key-with-dashes.
+SCHEMA: dict[str, tuple[type, Any, str]] = {
+    "scenario": (str, ..., f"one of {', '.join(SCENARIOS)}"),
+    "gamma": (float, ..., "energy damping rate"),
+    "omega_b": (float, ..., "system mode frequency"),
+    "t_max": (float, ..., "end of the time grid"),
+    "n_steps": (int, ..., "number of grid points"),
+    "n_modes": (int, None, "bath discretization size"),
+    "half_bandwidth": (float, None, "bath band half-width"),
+    "band_center": (float, None, "bath band center (defaults to omega_b)"),
+    "beta": (float, None, "inverse temperature"),
+    "fock_n": (int, None, "initial excitation number"),
+    "alpha_re": (float, 1.0, "initial label, real part"),
+    "alpha_im": (float, 0.0, "initial label, imaginary part"),
+    "samples": (int, None, "monte carlo sample count"),
+    "seed": (int, None, "monte carlo seed"),
+    "excited_mode": (int, 0, "index of the excited bath mode"),
+    "lambda_re": (float, 0.0, "excited bath label, real part"),
+    "lambda_im": (float, 0.0, "excited bath label, imaginary part"),
+    "output": (str, "-", "output path ('-' for stdout)"),
+    "format": (str, "csv", "csv or json"),
 }
 
 
@@ -82,7 +83,7 @@ class ScenarioConfig:
 
     def as_dict(self) -> dict[str, Any]:
         """Effective key-value view (defaults included), for the report metadata."""
-        return {key: getattr(self, key) for key in _SCHEMA}
+        return {key: getattr(self, key) for key in SCHEMA}
 
 
 def parse_document(text: str) -> dict[str, str]:
@@ -95,7 +96,7 @@ def parse_document(text: str) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value' (got {stripped!r})")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCHEMA:
+        if key not in SCHEMA:
             raise ConfigError(f"unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"duplicate key {key!r}")
@@ -105,19 +106,26 @@ def parse_document(text: str) -> dict[str, str]:
     return raw
 
 
+def _to_int(value: Any) -> int:
+    """Integer strings parse exactly; other values must be integral floats."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    as_float = float(value)
+    if as_float != int(as_float):
+        raise ValueError
+    return int(as_float)
+
+
 def _coerce(key: str, value: Any) -> Any:
-    kind, _ = _SCHEMA[key]
+    kind = SCHEMA[key][0]
     if value is None:
         return value
     if not isinstance(value, kind):
         try:
-            if kind is int:
-                as_float = float(value)
-                if as_float != int(as_float):
-                    raise ValueError
-                value = int(as_float)
-            else:
-                value = kind(value)
+            value = _to_int(value) if kind is int else kind(value)
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"key {key!r} expects {kind.__name__} (got {value!r})") from None
     # beta = inf is the zero-temperature limit; every other float must be finite.
@@ -130,18 +138,18 @@ def build_config(values: dict[str, Any], overrides: dict[str, Any] | None = None
     """Merge document values and flag overrides, apply defaults, validate."""
     merged: dict[str, Any] = {}
     for key, value in values.items():
-        if key not in _SCHEMA:
+        if key not in SCHEMA:
             raise ConfigError(f"unknown key {key!r}")
         merged[key] = _coerce(key, value)
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _SCHEMA:
+        if key not in SCHEMA:
             raise ConfigError(f"unknown key {key!r}")
         merged[key] = _coerce(key, value)
 
     defaults_applied = []
-    for key, (_, default) in _SCHEMA.items():
+    for key, (_, default, _) in SCHEMA.items():
         if key in merged:
             continue
         if default is ...:

@@ -16,8 +16,8 @@ from typing import Union
 import numpy as np
 
 from .bath import DiscreteBath
-from .errors import CrossBlockRequiredError, ResourceLimitError, TruncationError
-from .propagator import PropagatorCoefficients, SystemMode
+from .errors import ResourceLimitError, TruncationError
+from .propagator import ExactPropagator, SystemMode, spectral_evolution
 
 _MAX_ORACLE_BATH_MODES = 4
 _MAX_ORACLE_DIMENSION = 200_000
@@ -180,45 +180,32 @@ def coherent_decay_time(gamma: float) -> float:
 
 @dataclass(frozen=True)
 class JointCoherentLabels:
-    """Coherent labels of the system and every bath mode after evolution."""
+    """Coherent labels of the system and every bath mode after evolution.
 
-    system_label: complex
+    ``system_label`` has the time shape (() at one time, (T,) on a grid) and
+    ``bath_labels`` adds the mode axis.
+    """
+
+    system_label: complex | np.ndarray
     bath_labels: np.ndarray
 
-    def total_norm_sq(self) -> float:
-        return float(abs(self.system_label) ** 2 + np.sum(np.abs(self.bath_labels) ** 2))
+    def total_norm_sq(self):
+        """Squared norm of the joint label vector, per time."""
+        return (np.abs(self.system_label) ** 2 + np.sum(np.abs(self.bath_labels) ** 2, -1))[()]
 
 
 def excited_bath_evolution(
-    alpha: complex, lambdas, coeffs: PropagatorCoefficients
+    alpha: complex, lambdas, propagator: ExactPropagator, times
 ) -> JointCoherentLabels:
     """Map initial coherent labels (system alpha, bath lambdas) through the propagator.
 
-    A product of coherent states stays a product of coherent states; the labels
-    transform with the same linear map as the mode operators. With the bath
-    block present the map is exact (and exactly norm-preserving for oracle
-    coefficients). Without it, at most one bath label may be nonzero and the
-    bath labels keep only their free phase, dropping bath-to-bath feeding.
-    Grid coefficients give one system label per time and bath labels of
-    shape (T, N).
+    A product of coherent states stays a product of coherent states; the label
+    vector evolves with the single-excitation unitary, ``unitary(t) @ [alpha,
+    lambdas]``. The map is exact and norm-preserving for any number of
+    excited bath modes, at one time or over a grid.
     """
-    lambdas = np.asarray(lambdas, dtype=complex)
-    if lambdas.shape != (coeffs.n_modes,):
-        raise ValueError("need exactly one bath label per mode")
-    system_label = (alpha * coeffs.survival + coeffs.absorption @ lambdas)[()]
-    if coeffs.bath_block is not None:
-        bath_labels = alpha * coeffs.absorption + coeffs.bath_block @ lambdas
-    else:
-        excited = np.flatnonzero(lambdas)
-        if excited.size > 1:
-            raise CrossBlockRequiredError(
-                "cross-block required: propagating two or more excited bath modes "
-                "needs coefficients computed with the bath-to-bath block"
-            )
-        free_phase = np.exp(-1j * np.multiply.outer(coeffs.t, coeffs.bath_omegas[excited]))
-        bath_labels = alpha * coeffs.absorption
-        bath_labels[..., excited] += lambdas[excited] * free_phase
-    return JointCoherentLabels(system_label=system_label, bath_labels=bath_labels)
+    joint = propagator.propagate(np.concatenate(([alpha], lambdas)), times)
+    return JointCoherentLabels(system_label=joint[..., 0][()], bath_labels=joint[..., 1:])
 
 
 # --------------------------------------------------------------------------
@@ -227,44 +214,48 @@ def excited_bath_evolution(
 
 @dataclass(frozen=True)
 class DensityMatrixFock:
-    """Reduced system density matrix in the number basis (dimension n_max + 1)."""
+    """Reduced system density matrix in the number basis (dimension n_max + 1).
+
+    ``entries`` has shape (d, d) at one time or (T, d, d) over a grid; every
+    property then has the time shape.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=complex)
         object.__setattr__(self, "entries", entries)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        if entries.ndim < 2 or entries.shape[-1] != entries.shape[-2]:
             raise ValueError("density matrix must be square")
 
     @property
     def dim(self) -> int:
-        return int(self.entries.shape[0])
+        return int(self.entries.shape[-1])
 
     @property
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
+    def trace(self):
+        return np.trace(self.entries, axis1=-2, axis2=-1).real[()]
 
     @property
     def populations(self) -> np.ndarray:
-        return np.diag(self.entries).real.copy()
+        return np.diagonal(self.entries, axis1=-2, axis2=-1).real.copy()
 
     @property
-    def mean_number(self) -> float:
-        return float(np.dot(np.arange(self.dim), self.populations))
+    def mean_number(self):
+        return (self.populations @ np.arange(self.dim))[()]
 
     @property
-    def purity(self) -> float:
-        return float(np.trace(self.entries @ self.entries).real)
+    def purity(self):
+        return np.trace(self.entries @ self.entries, axis1=-2, axis2=-1).real[()]
 
-    def fidelity_with_coherent(self, label: complex) -> float:
+    def fidelity_with_coherent(self, label: complex):
         """<label| rho |label> with |label> truncated to this dimension."""
         amps = coherent_amplitudes(label, self.dim - 1)
-        return float((np.conj(amps) @ self.entries @ amps).real)
+        return (np.conj(amps) @ self.entries @ amps).real[()]
 
-    def max_offdiagonal(self) -> float:
-        off = self.entries - np.diag(np.diag(self.entries))
-        return float(np.max(np.abs(off))) if self.dim > 1 else 0.0
+    def max_offdiagonal(self):
+        off = np.abs(self.entries) * ~np.eye(self.dim, dtype=bool)
+        return np.max(off, axis=(-2, -1))[()]
 
 
 # --------------------------------------------------------------------------
@@ -366,9 +357,8 @@ class FockSpaceOracle:
                 h[i2, i] = amp
         return h
 
-    def _initial_sector_vectors(self, initial: OpenSystemState) -> dict[int, np.ndarray]:
-        """Joint amplitudes of ``initial`` (system) x vacuum (bath), by sector."""
-        vacuum = (0,) * self.bath.n_modes
+    def _initial_amplitudes(self, initial: OpenSystemState) -> dict[int, complex]:
+        """Normalized amplitude of |m> (system) x vacuum (bath) in ``initial``, by sector m."""
         if isinstance(initial, FockState):
             if initial.n > self.n_max:
                 raise ValueError(
@@ -398,31 +388,35 @@ class FockSpaceOracle:
                 f"(tolerance {_TRACE_DEFECT_TOL:.0e}); raise n_max"
             )
 
-        vectors: dict[int, np.ndarray] = {}
         norm = math.sqrt(exact_norm_sq)
-        for m, amp in system_amps.items():
-            if amp == 0:
-                continue
-            sector = self._sectors[m]
-            vec = np.zeros(len(sector["basis"]), dtype=complex)
-            vec[sector["index"][(m,) + vacuum]] = amp / norm
-            vectors[m] = vec
-        return vectors
+        return {m: amp / norm for m, amp in system_amps.items() if amp != 0}
 
-    def reduced_density(self, initial: OpenSystemState, t: float) -> DensityMatrixFock:
-        """Evolve ``initial`` (bath in vacuum) to time ``t`` and trace out the bath."""
-        if t < 0:
-            raise ValueError("time must be nonnegative")
-        vectors = self._initial_sector_vectors(initial)
-        table = np.zeros((self.n_max + 1, len(self._bath_strings)), dtype=complex)
-        for k, vec in vectors.items():
-            sector = self._sectors[k]
+    def reduced_density(self, initial: OpenSystemState, times) -> DensityMatrixFock:
+        """Evolve ``initial`` (bath in vacuum) over ``times`` and trace out the bath.
+
+        ``times`` is one time or a grid; the result has the time shape plus
+        (n_max + 1, n_max + 1). Each occupied sector is evolved over the whole
+        grid in one :func:`spectral_evolution` call. The partial-trace table
+        (system occupation x bath string) is then filled one time at a time:
+        an occupation pair fixes the sector, so no entry is written twice, and
+        the table is never held for the whole grid.
+        """
+        times = np.asarray(times, dtype=float)
+        vacuum = (0,) * self.bath.n_modes
+        evolved = []
+        for m, amp in self._initial_amplitudes(initial).items():
+            sector = self._sectors[m]
             v = sector["eigenvectors"]
-            phases = np.exp(-1j * sector["eigenvalues"] * t)
-            evolved = v @ (phases * (v.T @ vec))
-            np.add.at(table, (sector["system_occ"], sector["bath_cols"]), evolved)
-        rho = table @ table.conj().T
-        return DensityMatrixFock(entries=rho)
+            components = amp * v[sector["index"][(m,) + vacuum]]
+            states = spectral_evolution(sector["eigenvalues"], v, components, times)
+            evolved.append((sector["system_occ"], sector["bath_cols"], states.reshape(-1, len(v))))
+        table = np.zeros((self.n_max + 1, len(self._bath_strings)), dtype=complex)
+        rho = np.empty((times.size,) + (self.n_max + 1,) * 2, dtype=complex)
+        for i in range(times.size):
+            for system_occ, bath_cols, states in evolved:
+                table[system_occ, bath_cols] = states[i]
+            rho[i] = table @ table.conj().T
+        return DensityMatrixFock(entries=rho.reshape(times.shape + rho.shape[1:]))
 
 
 def full_fock_oracle(

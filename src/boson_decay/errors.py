@@ -9,10 +9,6 @@ class InfiniteOccupationError(ValueError):
     """Raised when a thermal occupation diverges (beta = 0 at finite frequency)."""
 
 
-class CrossBlockRequiredError(ValueError):
-    """Raised when propagating multiple bath excitations without the bath-to-bath block."""
-
-
 class ResourceLimitError(ValueError):
     """Raised when a dense Fock-space computation would exceed the documented size limits."""
 

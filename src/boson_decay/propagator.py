@@ -9,7 +9,7 @@ every requested time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +39,7 @@ class PropagatorCoefficients:
     there. Couplings are real, so ``absorption[..., j]`` is also the reverse
     amplitude (initial system operator appearing in evolved bath operator j).
     ``t`` and ``survival`` share the time shape: () at one time, (T,) on a
-    grid, where ``absorption`` has shape (T, N). ``bath_block[j, s]``, kept
-    only on request at one time, is the full bath-to-bath map including its
-    free-phase diagonal.
+    grid, where ``absorption`` has shape (T, N).
     """
 
     t: float | np.ndarray
@@ -49,7 +47,6 @@ class PropagatorCoefficients:
     absorption: np.ndarray
     bath_omegas: np.ndarray
     provenance: str
-    bath_block: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.provenance not in (PROVENANCE_ANALYTIC, PROVENANCE_ORACLE):
@@ -57,8 +54,6 @@ class PropagatorCoefficients:
         n = self.bath_omegas.size
         if self.absorption.shape != np.shape(self.survival) + (n,):
             raise ValueError("absorption must have one entry per bath mode and time")
-        if self.bath_block is not None and self.bath_block.shape != (n, n):
-            raise ValueError("bath block must be square with one row per bath mode")
         if np.any(np.abs(self.survival) > 1.0 + 1e-9):
             raise ValueError("survival amplitude cannot exceed unit magnitude")
 
@@ -133,12 +128,41 @@ def single_particle_hamiltonian(system: SystemMode, bath: DiscreteBath) -> np.nd
     return h
 
 
+def _phases(times, eigenvalues: np.ndarray) -> np.ndarray:
+    """exp(-i t lambda_k): the shape of ``times`` plus one axis over eigenvalues."""
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
+        raise ValueError("time must be nonnegative")
+    return np.exp(-1j * np.multiply.outer(times, eigenvalues))
+
+
+def spectral_evolution(
+    eigenvalues: np.ndarray, eigenvectors: np.ndarray, components: np.ndarray, times
+) -> np.ndarray:
+    """exp(-i H t) x over ``times`` for a real symmetric H = V diag(lambda) V^T.
+
+    ``components`` is V^T x, shape (d,). The phased components
+    exp(-i lambda t) * V^T x at every time are contracted with V^T as their
+    real and imaginary parts, two real matrix products, so the real
+    eigenvector matrix is never copied to complex. The result has the shape
+    of ``times`` plus (d,); peak memory is about 40 T d bytes for T times.
+    """
+    times = np.asarray(times, dtype=float)
+    weighted = _phases(times.reshape(-1), eigenvalues)
+    weighted *= components
+    v_t = eigenvectors.T
+    evolved = np.empty(weighted.shape, dtype=complex)
+    evolved.real = weighted.real @ v_t
+    evolved.imag = weighted.imag @ v_t
+    return evolved.reshape(times.shape + (-1,))
+
+
 class ExactPropagator:
     """Exact finite-bath propagator from one symmetric eigendecomposition.
 
-    The decomposition is computed once per (system, bath) pair; evaluating the
-    coefficients over a whole time grid then costs two real matrix products,
-    and the optional bath-to-bath block one matrix product per time.
+    The decomposition is computed once per (system, bath) pair; evolving any
+    single-excitation vector over a whole time grid then costs two real
+    matrix products (:func:`spectral_evolution`).
     """
 
     def __init__(self, system: SystemMode, bath: DiscreteBath):
@@ -147,37 +171,40 @@ class ExactPropagator:
         h = single_particle_hamiltonian(system, bath)
         self._eigenvalues, self._eigenvectors = np.linalg.eigh(h)
 
-    def _phases(self, times) -> np.ndarray:
-        """exp(-i t lambda_k): the shape of ``times`` plus one axis over eigenvalues."""
-        times = np.asarray(times, dtype=float)
-        if np.any(times < 0):
-            raise ValueError("time must be nonnegative")
-        return np.exp(-1j * np.multiply.outer(times, self._eigenvalues))
-
     def unitary(self, t: float) -> np.ndarray:
         """Full (N+1) x (N+1) single-excitation evolution matrix."""
         v = self._eigenvectors
-        return (v * self._phases(t)) @ v.T
+        return (v * _phases(t, self._eigenvalues)) @ v.T
+
+    def propagate(self, x, times) -> np.ndarray:
+        """``unitary(t) @ x`` for every time in ``times``: shape of ``times`` plus (N+1,).
+
+        Entry 0 of ``x`` belongs to the system mode and entries 1..N to the
+        bath modes. ``V^T x`` is formed from the real and imaginary parts of
+        ``x``, so the eigenvector matrix stays real.
+        """
+        x = np.asarray(x, dtype=complex)
+        if x.shape != (self.bath.n_modes + 1,):
+            raise ValueError("need one amplitude for the system and one per bath mode")
+        v = self._eigenvectors
+        components = x.real @ v + 1j * (x.imag @ v)
+        return spectral_evolution(self._eigenvalues, v, components, times)
 
     def evaluate(self, times) -> PropagatorCoefficients:
         """Coefficients over ``times`` (one time or a grid), from one contraction.
 
-        Row 0 of the evolution matrix at all T times is
-        ``(phases * V[0]) @ V.T``, computed as its real and imaginary parts so
-        the real eigenvector matrix is never copied to complex. The arrowhead
-        matrix is real symmetric, so the evolution matrix is complex symmetric
-        and row 0 also serves as column 0. On a grid the result carries
-        ``t`` and ``survival`` of shape (T,) and ``absorption`` of shape
-        (T, N), a view into one (T, N+1) array; peak memory is about
-        40 T (N+1) bytes. A scalar time gives scalar ``t`` and ``survival``.
+        Row 0 of the evolution matrix is the evolved system vector, whose
+        spectral components are ``V[0]``. The arrowhead matrix is real
+        symmetric, so the evolution matrix is complex symmetric and row 0 also
+        serves as column 0. On a grid the result carries ``t`` and
+        ``survival`` of shape (T,) and ``absorption`` of shape (T, N), a view
+        into one (T, N+1) array. A scalar time gives scalar ``t`` and
+        ``survival``.
         """
         times = np.asarray(times, dtype=float)
-        weighted = self._phases(times.reshape(-1)) * self._eigenvectors[0]
-        v_t = self._eigenvectors.T
-        rows = np.empty(weighted.shape, dtype=complex)
-        rows.real = weighted.real @ v_t
-        rows.imag = weighted.imag @ v_t
-        rows = rows.reshape(times.shape + (-1,))
+        rows = spectral_evolution(
+            self._eigenvalues, self._eigenvectors, self._eigenvectors[0], times
+        )
         return PropagatorCoefficients(
             t=times[()],
             survival=rows[..., 0][()],
@@ -185,22 +212,6 @@ class ExactPropagator:
             bath_omegas=self.bath.omegas,
             provenance=PROVENANCE_ORACLE,
         )
-
-    def coefficients(self, t: float, include_bath_block: bool = False) -> PropagatorCoefficients:
-        """Coefficients at one time, optionally with the bath-to-bath block."""
-        coeffs = self.evaluate(t)
-        if not include_bath_block:
-            return coeffs
-        v = self._eigenvectors[1:]
-        block = (v * self._phases(coeffs.t)) @ v.T
-        return replace(coeffs, bath_block=block)
-
-
-def exact_propagator(
-    system: SystemMode, bath: DiscreteBath, t: float, include_bath_block: bool = False
-) -> PropagatorCoefficients:
-    """One-shot oracle evaluation; build :class:`ExactPropagator` for many times."""
-    return ExactPropagator(system, bath).coefficients(t, include_bath_block=include_bath_block)
 
 
 def dissipation_sum(coeffs: PropagatorCoefficients):

@@ -107,7 +107,7 @@ def _run_excited_bath(config: ScenarioConfig) -> RunReport:
     lambdas = np.zeros(bath.n_modes, dtype=complex)
     lambdas[config.excited_mode] = config.excited_label
     grid = _time_grid(config)
-    mu = excited_bath_evolution(config.alpha, lambdas, propagator.evaluate(grid)).system_label
+    mu = excited_bath_evolution(config.alpha, lambdas, propagator, grid).system_label
     return _report(_coherent_table(grid, mu))
 
 
@@ -123,11 +123,11 @@ def _run_thermal(config: ScenarioConfig) -> RunReport:
     phi_c = thermal_factor_closed(thermal.n_th, config.gamma, grid)
     survival = analytic_survival(system, config.gamma, grid)
     heff_mean = abs(alpha) ** 2 * np.exp(-(thermal.n_th + 1.0) * config.gamma * grid)
-    mc, errors = monte_carlo_moments(alpha, system, bath, thermal, coeffs, samples)
+    mc, errors = monte_carlo_moments(alpha, thermal, coeffs, samples)
     return _report(
         {
             "t": grid,
-            "phi_discrete": thermal_factor_discrete(system, bath, thermal, coeffs).value,
+            "phi_discrete": thermal_factor_discrete(bath, thermal, coeffs).value,
             "phi_closed": phi_c.value,
             "paper_mean_number": conditional_mean_number(alpha, survival, phi_c),
             "heff_mean_number": heff_mean,
@@ -179,8 +179,7 @@ def _run_oracle_compare(config: ScenarioConfig) -> RunReport:
     coeffs = ExactPropagator(system, bath).evaluate(grid)
     survived = np.abs(coeffs.survival) ** 2
     law = fock_populations(n, np.minimum(survived, 1.0)).probs
-    # The dense oracle is the reference implementation: one evaluation per time.
-    pops = np.array([oracle.reduced_density(FockState(n), t).populations for t in grid])
+    pops = oracle.reduced_density(FockState(n), grid).populations
     deviation = np.max(np.abs(pops - law), axis=1)
     heff_mean = n * np.exp(-(n_th + n) * config.gamma * grid)
     exact_mean = n * np.exp(-config.gamma * grid) + n_th * -np.expm1(-config.gamma * grid)

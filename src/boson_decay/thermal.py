@@ -20,7 +20,7 @@ from .decay import (
     default_fock_cutoff,
 )
 from .errors import AsymptoticRegimeError, InfiniteOccupationError
-from .propagator import PROVENANCE_ORACLE, PropagatorCoefficients, SystemMode
+from .propagator import PROVENANCE_ORACLE, PropagatorCoefficients
 
 SHORT_TIME_WINDOW = 0.1
 _MC_BLOCK_BYTES = 1 << 20  # complex branch values per Monte Carlo block: 16 B per sample and time
@@ -34,7 +34,6 @@ class ThermalFactor:
     """Temperature enhancement of the conditional state normalization (>= 1), per time."""
 
     value: float | np.ndarray
-    t: float | np.ndarray
     method: str
 
     def __post_init__(self) -> None:
@@ -50,16 +49,13 @@ def _thermal_weight(occupations: np.ndarray, coeffs: PropagatorCoefficients):
 
 
 def thermal_factor_discrete(
-    system: SystemMode,
-    bath: DiscreteBath,
-    thermal: ThermalSpec,
-    coeffs: PropagatorCoefficients,
+    bath: DiscreteBath, thermal: ThermalSpec, coeffs: PropagatorCoefficients
 ) -> ThermalFactor:
     """Mode-resolved enhancement: 1 + sum_j n_j |absorption_j|^2."""
     if coeffs.n_modes != bath.n_modes:
         raise ValueError("coefficients and bath disagree on the mode count")
     value = 1.0 + _thermal_weight(thermal.occupations(bath), coeffs)
-    return ThermalFactor(value=value, t=coeffs.t, method=METHOD_DISCRETE)
+    return ThermalFactor(value=value, method=METHOD_DISCRETE)
 
 
 def thermal_factor_closed(n_th: float, gamma: float, t) -> ThermalFactor:
@@ -70,7 +66,7 @@ def thermal_factor_closed(n_th: float, gamma: float, t) -> ThermalFactor:
     if n_th < 0:
         raise ValueError("n_th must be nonnegative")
     value = 1.0 + n_th * -np.expm1(-gamma * t)
-    return ThermalFactor(value=value[()], t=t[()], method=METHOD_CLOSED)
+    return ThermalFactor(value=value[()], method=METHOD_CLOSED)
 
 
 def conditional_wavefunction(
@@ -275,8 +271,6 @@ class MomentErrors(NamedTuple):
 
 def monte_carlo_moments(
     alpha: complex,
-    system: SystemMode,
-    bath: DiscreteBath,
     thermal: ThermalSpec,
     coeffs: PropagatorCoefficients,
     samples: ThermalSampleSet,

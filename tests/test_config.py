@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from boson_decay import ConfigError, parse_config
+from boson_decay import ConfigError, cli, parse_config
 from boson_decay.cli import main
+from boson_decay.config import SCHEMA
 
 MINIMAL_FOCK = """
 scenario = fock-decay
@@ -200,7 +201,71 @@ class TestBoundary:
         assert "t_max" in record["message"]
 
 
+COHERENT_FLAGS = [
+    "--scenario", "coherent-decay", "--gamma", "1", "--omega-b", "50", "--t-max", "2",
+    "--n-steps", "5",
+]
+
+
+def _error_record(capsys) -> dict:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+class TestCliFlags:
+    """Flags are the schema keys; their raw strings are coerced exactly as in a file."""
+
+    def test_every_schema_key_is_a_flag(self):
+        options = {
+            option for action in cli._build_parser()._actions for option in action.option_strings
+        }
+        assert {f"--{key.replace('_', '-')}" for key in SCHEMA} <= options
+
+    @pytest.mark.parametrize(
+        "flag, value, match",
+        [
+            ("--n-steps", "3.5", "'n_steps' expects int"),
+            ("--gamma", "abc", "'gamma' expects float"),
+            ("--scenario", "bogus", "unknown scenario 'bogus'"),
+        ],
+    )
+    def test_bad_flag_gives_config_error_record(self, capsys, flag, value, match):
+        assert main(COHERENT_FLAGS + [flag, value]) == 1
+        record = _error_record(capsys)
+        assert record["error"] == "ConfigError"
+        assert match in record["message"]
+
+    def test_integral_float_flag_behaves_as_in_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL_FOCK.replace("n_steps = 100", "n_steps = 3.0"))
+        assert main(["--config", str(cfg)]) == 0
+        from_file = capsys.readouterr().out
+        flags = ["--scenario", "fock-decay", "--gamma", "1.0", "--omega-b", "100"]
+        assert main(flags + ["--fock-n", "2", "--t-max", "5", "--n-steps", "3.0"]) == 0
+        from_flags = capsys.readouterr().out
+        assert from_flags == from_file
+        assert len(from_flags.splitlines()) == 4
+
+    def test_dump_bath_checked_before_the_run(self, capsys, monkeypatch, tmp_path):
+        def run_scenario(config):
+            raise AssertionError("the scenario ran before --dump-bath was checked")
+
+        monkeypatch.setattr(cli, "run_scenario", run_scenario)
+        bath_path = tmp_path / "bath.csv"
+        assert main(COHERENT_FLAGS + ["--dump-bath", str(bath_path)]) == 1
+        record = _error_record(capsys)
+        assert record["error"] == "ConfigError"
+        assert "dump-bath requires n_modes and half_bandwidth" in record["message"]
+        assert not bath_path.exists()
+
+
 class TestOverrides:
+    def test_integer_strings_parse_exactly(self):
+        seed = 2**53 + 1  # not representable as a float
+        config = parse_config(MINIMAL_FOCK, overrides={"seed": str(seed)})
+        assert config.seed == seed
+
     def test_flags_override_document(self):
         config = parse_config(MINIMAL_FOCK, overrides={"gamma": 2.5, "fock_n": 3})
         assert config.gamma == 2.5

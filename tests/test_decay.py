@@ -9,7 +9,6 @@ import pytest
 from boson_decay import (
     CoherentState,
     CoherentSuperposition,
-    CrossBlockRequiredError,
     DiscreteBath,
     ExactPropagator,
     FockSpaceOracle,
@@ -145,43 +144,50 @@ class TestCoherentOverlap:
 
 class TestExcitedBathEvolution:
     def test_vacuum_bath_reduces_to_plain_decay(self, small_propagator, small_bath):
-        coeffs = small_propagator.coefficients(0.8)
-        labels = excited_bath_evolution(1.5, np.zeros(small_bath.n_modes), coeffs)
+        coeffs = small_propagator.evaluate(0.8)
+        labels = excited_bath_evolution(1.5, np.zeros(small_bath.n_modes), small_propagator, 0.8)
         assert labels.system_label == pytest.approx(1.5 * coeffs.survival, rel=1e-14)
         assert np.allclose(labels.bath_labels, 1.5 * coeffs.absorption, atol=1e-14)
 
-    def test_identity_at_time_zero(self, small_propagator, small_bath):
-        coeffs = small_propagator.coefficients(0.0, include_bath_block=True)
+    def test_identity_at_time_zero(self, small_propagator):
         lambdas = np.array([0.0, 0.4 - 0.1j, 0.0])
-        labels = excited_bath_evolution(0.0, lambdas, coeffs)
+        labels = excited_bath_evolution(0.0, lambdas, small_propagator, 0.0)
         assert labels.system_label == pytest.approx(0.0, abs=1e-13)
         assert np.allclose(labels.bath_labels, lambdas, atol=1e-13)
 
     def test_norm_conserved_with_full_block(self, small_propagator, small_bath):
         thermal = ThermalSpec.for_system(0.05, 10.0)
         lambdas = sample_thermal_bath(small_bath, thermal, 1, seed=5).samples[0]
-        coeffs = small_propagator.coefficients(1.7, include_bath_block=True)
-        labels = excited_bath_evolution(1.0, lambdas, coeffs)
+        labels = excited_bath_evolution(1.0, lambdas, small_propagator, 1.7)
         before = 1.0 + float(np.sum(np.abs(lambdas) ** 2))
         assert labels.total_norm_sq() == pytest.approx(before, abs=1e-10)
 
-    def test_two_excited_modes_need_cross_block(self, small_propagator):
-        coeffs = small_propagator.coefficients(0.5)
-        with pytest.raises(CrossBlockRequiredError, match="cross-block required"):
-            excited_bath_evolution(0.0, np.array([0.1, 0.1, 0.0]), coeffs)
-
-    def test_single_excited_mode_system_label_exact_without_block(self, small_propagator):
-        with_block = small_propagator.coefficients(1.2, include_bath_block=True)
-        without = small_propagator.coefficients(1.2)
-        lambdas = np.array([0.0, 0.6 + 0.2j, 0.0])
-        a = excited_bath_evolution(0.9, lambdas, with_block)
-        b = excited_bath_evolution(0.9, lambdas, without)
-        assert a.system_label == pytest.approx(b.system_label, rel=1e-13)
+    @pytest.mark.parametrize("excited", ["one", "all"])
+    @pytest.mark.parametrize("n_modes", [3, 40])
+    def test_grid_labels_match_unitary(self, small_system, n_modes, excited):
+        """Joint labels on a grid equal unitary(t) @ [alpha, lambdas] and keep their norm."""
+        spec = SpectralDensitySpec(gamma=GAMMA, band_center=10.0, half_bandwidth=2.0)
+        propagator = ExactPropagator(small_system, discretize_bath(spec, n_modes))
+        rng = np.random.default_rng(n_modes)
+        lambdas = rng.normal(0.0, 0.5, n_modes) + 1j * rng.normal(0.0, 0.5, n_modes)
+        if excited == "one":
+            lambdas[np.arange(n_modes) != n_modes // 2] = 0.0
+        alpha = 0.7 - 0.3j
+        times = np.linspace(0.0, 6.0, 13)
+        labels = excited_bath_evolution(alpha, lambdas, propagator, times)
+        assert labels.system_label.shape == times.shape
+        assert labels.bath_labels.shape == times.shape + (n_modes,)
+        joint = np.concatenate(([alpha], lambdas))
+        for i, t in enumerate(times):
+            expected = propagator.unitary(t) @ joint
+            assert abs(labels.system_label[i] - expected[0]) <= 1e-13
+            assert np.max(np.abs(labels.bath_labels[i] - expected[1:])) <= 1e-13
+        norm_sq = float(np.sum(np.abs(joint) ** 2))
+        assert np.max(np.abs(labels.total_norm_sq() - norm_sq)) <= 1e-12
 
     def test_rejects_wrong_length(self, small_propagator):
-        coeffs = small_propagator.coefficients(0.5)
         with pytest.raises(ValueError):
-            excited_bath_evolution(0.0, np.zeros(2), coeffs)
+            excited_bath_evolution(0.0, np.zeros(2), small_propagator, 0.5)
 
 
 class TestFockSpaceOracle:
@@ -203,7 +209,7 @@ class TestFockSpaceOracle:
         propagator = ExactPropagator(small_system, bath)
         oracle = FockSpaceOracle(small_system, bath, n_max=n)
         for t in np.linspace(0.0, 4.0, 6):
-            survived = abs(propagator.coefficients(t).survival) ** 2
+            survived = abs(propagator.evaluate(t).survival) ** 2
             law = fock_populations(n, min(survived, 1.0))
             rho = oracle.reduced_density(FockState(n), t)
             assert np.max(np.abs(rho.populations - law.probs)) < 1e-8
@@ -215,7 +221,7 @@ class TestFockSpaceOracle:
 
     def test_coherent_state_stays_coherent(self, small_system, small_bath, small_propagator):
         t = 0.9
-        label = 1.0 * small_propagator.coefficients(t).survival
+        label = 1.0 * small_propagator.evaluate(t).survival
         rho = full_fock_oracle(small_system, small_bath, CoherentState(1.0), t)
         assert rho.trace == pytest.approx(1.0, abs=1e-8)
         assert rho.purity >= 1.0 - 1e-6

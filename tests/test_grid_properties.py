@@ -2,7 +2,9 @@
 
 The formula functions broadcast over the leading time axis of grid-shaped
 ``PropagatorCoefficients``; row i of a grid result must match the same
-function applied to the coefficients at time i alone, to 1e-13.
+function applied to the coefficients at time i alone, to 1e-13. The dense
+Fock-space oracle evaluated on a grid must match a per-time reference built
+from the explicit sector unitaries, to 1e-12.
 """
 
 import numpy as np
@@ -10,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boson_decay import (
+    CoherentState,
+    CoherentSuperposition,
+    DensityMatrixFock,
     ExactPropagator,
+    FockSpaceOracle,
+    FockState,
     SpectralDensitySpec,
     SystemMode,
     ThermalSpec,
@@ -62,7 +69,7 @@ def _rows_match(grid_values, per_time_values):
 def test_propagator_laws_match_per_time(run):
     system, bath, propagator, thermal, times, alpha = run
     grid = propagator.evaluate(times)
-    single = [propagator.coefficients(t) for t in times]
+    single = [propagator.evaluate(t) for t in times]
     assert grid.survival.shape == times.shape
     assert grid.absorption.shape == times.shape + (bath.n_modes,)
     _rows_match(grid.survival, [c.survival for c in single])
@@ -80,8 +87,8 @@ def test_propagator_laws_match_per_time(run):
     _rows_match(mean, [x[1] for x in per_time])
     lambdas = np.zeros(bath.n_modes, dtype=complex)
     lambdas[-1] = 0.5 - 0.25j
-    labels = excited_bath_evolution(alpha, lambdas, grid)
-    per_time = [excited_bath_evolution(alpha, lambdas, c) for c in single]
+    labels = excited_bath_evolution(alpha, lambdas, propagator, times)
+    per_time = [excited_bath_evolution(alpha, lambdas, propagator, t) for t in times]
     _rows_match(labels.system_label, [x.system_label for x in per_time])
     _rows_match(labels.bath_labels, [x.bath_labels for x in per_time])
 
@@ -91,11 +98,11 @@ def test_propagator_laws_match_per_time(run):
 def test_thermal_laws_match_per_time(run):
     system, bath, propagator, thermal, times, alpha = run
     grid = propagator.evaluate(times)
-    single = [propagator.coefficients(t) for t in times]
+    single = [propagator.evaluate(t) for t in times]
     gamma = bath.spec.gamma
     _rows_match(
-        thermal_factor_discrete(system, bath, thermal, grid).value,
-        [thermal_factor_discrete(system, bath, thermal, c).value for c in single],
+        thermal_factor_discrete(bath, thermal, grid).value,
+        [thermal_factor_discrete(bath, thermal, c).value for c in single],
     )
     phi = thermal_factor_closed(thermal.n_th, gamma, times)
     phis = [thermal_factor_closed(thermal.n_th, gamma, t) for t in times]
@@ -117,13 +124,9 @@ def test_monte_carlo_matches_per_time_across_blocks(run, seed):
     system, bath, propagator, thermal, times, alpha = run
     assert _MC_BLOCK_BYTES // (16 * MC_SAMPLES) < times.size  # more than one block
     samples = sample_thermal_bath(bath, thermal, MC_SAMPLES, seed)
-    moments, errors = monte_carlo_moments(
-        alpha, system, bath, thermal, propagator.evaluate(times), samples
-    )
-    per_time = [
-        monte_carlo_moments(alpha, system, bath, thermal, propagator.coefficients(t), samples)
-        for t in times
-    ]
+    grid = propagator.evaluate(times)
+    moments, errors = monte_carlo_moments(alpha, thermal, grid, samples)
+    per_time = [monte_carlo_moments(alpha, thermal, propagator.evaluate(t), samples) for t in times]
     _rows_match(moments.mean_amplitude, [m.mean_amplitude for m, _ in per_time])
     _rows_match(moments.occupation, [m.occupation for m, _ in per_time])
     _rows_match(errors.mean_amplitude, [e.mean_amplitude for _, e in per_time])
@@ -144,3 +147,58 @@ def test_binomial_rows_match_per_time_and_sum_to_one(n, probabilities):
     assert np.max(np.abs(grid.probs.sum(axis=1) - 1.0)) <= 1e-12
     np.testing.assert_allclose(grid.mean, n * p, rtol=1e-10, atol=1e-10 * max(n, 1))
     assert np.all(grid.probs[p == 1.0, -1] == 1.0) and np.all(grid.probs[p == 0.0, 0] == 1.0)
+
+
+@st.composite
+def oracle_runs(draw):
+    """A random bath of at most three modes, an initial state, the oracle and a time grid."""
+    omega_b = draw(st.floats(5.0, 20.0, **finite))
+    spec = SpectralDensitySpec(
+        gamma=draw(st.floats(0.2, 2.0, **finite)),
+        band_center=omega_b + draw(st.floats(-0.5, 0.5, **finite)),
+        half_bandwidth=draw(st.floats(0.5, 4.0, **finite)),
+    )
+    bath = discretize_bath(spec, draw(st.integers(1, 3)))
+    small = st.floats(-0.2, 0.2, **finite)
+    labels = st.builds(complex, small, small)
+    kind = draw(st.sampled_from(["fock", "coherent", "superposition"]))
+    if kind == "fock":
+        n = draw(st.integers(0, 4))
+        initial, n_max = FockState(n), n + draw(st.integers(0, 2))
+    elif kind == "coherent":
+        initial, n_max = CoherentState(draw(labels)), 6
+    else:
+        terms = ((1.0, draw(labels)), (draw(labels), draw(labels)))
+        initial, n_max = CoherentSuperposition(terms), 6
+    times = np.array(draw(st.lists(st.floats(0.0, 5.0, **finite), min_size=1, max_size=6)))
+    return FockSpaceOracle(SystemMode(omega_b), bath, n_max), initial, times
+
+
+def _reference_density(oracle, initial, t):
+    """Reduced state at one time from the explicit sector unitaries (v e^{-i lambda t}) v^T."""
+    vacuum = (0,) * oracle.bath.n_modes
+    table = np.zeros((oracle.n_max + 1, len(oracle._bath_strings)), dtype=complex)
+    for m, amp in oracle._initial_amplitudes(initial).items():
+        sector = oracle._sectors[m]
+        v = sector["eigenvectors"]
+        vec = np.zeros(len(v), dtype=complex)
+        vec[sector["index"][(m,) + vacuum]] = amp
+        evolved = (v * np.exp(-1j * sector["eigenvalues"] * t)) @ v.T @ vec
+        np.add.at(table, (sector["system_occ"], sector["bath_cols"]), evolved)
+    return DensityMatrixFock(entries=table @ table.conj().T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_runs())
+def test_oracle_grid_matches_per_time_sector_unitaries(run):
+    oracle, initial, times = run
+    rho = oracle.reduced_density(initial, times)
+    per_time = [_reference_density(oracle, initial, t) for t in times]
+    assert rho.entries.shape == times.shape + (oracle.n_max + 1,) * 2
+    for name in ("entries", "populations", "trace", "mean_number", "purity"):
+        np.testing.assert_allclose(
+            getattr(rho, name), [getattr(r, name) for r in per_time], rtol=0.0, atol=1e-12
+        )
+    np.testing.assert_allclose(
+        rho.max_offdiagonal(), [r.max_offdiagonal() for r in per_time], rtol=0.0, atol=1e-12
+    )

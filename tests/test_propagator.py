@@ -17,7 +17,6 @@ from boson_decay import (
     analytic_survival,
     discretize_bath,
     dissipation_sum,
-    exact_propagator,
     single_particle_hamiltonian,
     unitarity_defect,
 )
@@ -110,7 +109,7 @@ class TestSingleParticleHamiltonian:
 
 class TestExactPropagator:
     def test_identity_at_zero(self, small_propagator):
-        coeffs = small_propagator.coefficients(0.0)
+        coeffs = small_propagator.evaluate(0.0)
         assert coeffs.survival == pytest.approx(1.0, abs=1e-14)
         assert np.max(np.abs(coeffs.absorption)) < 1e-14
 
@@ -119,7 +118,7 @@ class TestExactPropagator:
         system, bath = rabi_pair
         propagator = ExactPropagator(system, bath)
         for t in (0.2, 0.9, 1.7):
-            u = propagator.coefficients(t).survival
+            u = propagator.evaluate(t).survival
             assert abs(u) ** 2 == pytest.approx(math.cos(math.sqrt(2.0) * t) ** 2, abs=1e-12)
 
     @pytest.mark.parametrize("n_modes", [1, 10, 100])
@@ -134,7 +133,7 @@ class TestExactPropagator:
 
     def test_row_unitarity(self, small_propagator):
         for t in np.linspace(0.0, 6.0, 7):
-            assert unitarity_defect(small_propagator.coefficients(t)) < 1e-10
+            assert unitarity_defect(small_propagator.evaluate(t)) < 1e-10
 
     def test_group_property(self):
         spec = SpectralDensitySpec(gamma=GAMMA, band_center=10.0, half_bandwidth=3.0)
@@ -143,23 +142,9 @@ class TestExactPropagator:
         product = propagator.unitary(0.7) @ propagator.unitary(1.9)
         assert np.max(np.abs(product - propagator.unitary(2.6))) < 1e-9
 
-    def test_one_shot_wrapper_matches_class(self, small_system, small_bath):
-        a = exact_propagator(small_system, small_bath, 1.1)
-        b = ExactPropagator(small_system, small_bath).coefficients(1.1)
-        assert a.survival == b.survival
-        assert np.array_equal(a.absorption, b.absorption)
-
-    def test_bath_block_on_request(self, small_system, small_bath):
-        coeffs = exact_propagator(small_system, small_bath, 0.5, include_bath_block=True)
-        assert coeffs.bath_block is not None
-        assert coeffs.bath_block.shape == (3, 3)
-        full = ExactPropagator(small_system, small_bath).unitary(0.5)
-        assert np.allclose(coeffs.bath_block, full[1:, 1:], atol=1e-14)
-        assert exact_propagator(small_system, small_bath, 0.5).bath_block is None
-
     def test_rejects_negative_time(self, small_propagator):
         with pytest.raises(ValueError):
-            small_propagator.coefficients(-1.0)
+            small_propagator.evaluate(-1.0)
 
 
 class TestEvaluate:
@@ -177,7 +162,7 @@ class TestEvaluate:
             assert np.max(np.abs(coeffs.absorption[i] - row[1:])) <= 1e-13
 
     def test_single_time_matches_batch_bit_for_bit(self, small_propagator):
-        single = small_propagator.coefficients(1.3)
+        single = small_propagator.evaluate(1.3)
         batched = small_propagator.evaluate([1.3])
         assert single.t == batched.t[0]
         assert single.survival == batched.survival[0]
@@ -191,18 +176,18 @@ class TestEvaluate:
 
 class TestDissipationAndDefect:
     def test_zero_at_time_zero(self, small_propagator):
-        assert dissipation_sum(small_propagator.coefficients(0.0)) < 1e-28
+        assert dissipation_sum(small_propagator.evaluate(0.0)) < 1e-28
 
     def test_complements_survival_for_oracle(self, small_propagator):
         for t in (0.3, 1.2, 4.0):
-            coeffs = small_propagator.coefficients(t)
+            coeffs = small_propagator.evaluate(t)
             assert dissipation_sum(coeffs) == pytest.approx(
                 1.0 - abs(coeffs.survival) ** 2, abs=1e-10
             )
 
     def test_wwa_dissipation_value(self, wwa_propagator):
         """Broadband regime: transferred weight tracks 1 - exp(-gamma t)."""
-        coeffs = wwa_propagator.coefficients(1.0)
+        coeffs = wwa_propagator.evaluate(1.0)
         assert dissipation_sum(coeffs) == pytest.approx(1.0 - math.exp(-1.0), abs=2e-2)
 
     def test_closed_form_identity_is_exact(self):
@@ -235,7 +220,7 @@ class TestBroadbandConvergence:
             propagator = ExactPropagator(system, discretize_bath(spec, n_modes))
             defects.append(
                 max(
-                    abs(abs(propagator.coefficients(t).survival) ** 2 - math.exp(-GAMMA * t))
+                    abs(abs(propagator.evaluate(t).survival) ** 2 - math.exp(-GAMMA * t))
                     for t in grid
                 )
             )
@@ -247,7 +232,7 @@ class TestBroadbandConvergence:
         j0 = int(np.argmin(np.abs(wwa_bath.omegas - wwa_system.omega_b)))
         window = slice(j0 - 10, j0 + 11)
         for t in (0.5, 1.0, 3.0):
-            oracle = wwa_propagator.coefficients(t)
+            oracle = wwa_propagator.evaluate(t)
             closed = analytic_propagator(wwa_system, GAMMA, wwa_bath, t)
             oracle_sq = np.abs(oracle.absorption[window]) ** 2
             closed_sq = np.abs(closed.absorption[window]) ** 2

@@ -50,8 +50,8 @@ class TestThermalFactor:
 
     def test_discrete_is_one_at_time_zero(self, thermal_system, thermal_bath, thermal_propagator):
         thermal = ThermalSpec.for_system(1e-3, thermal_system.omega_b)
-        coeffs = thermal_propagator.coefficients(0.0)
-        phi = thermal_factor_discrete(thermal_system, thermal_bath, thermal, coeffs)
+        coeffs = thermal_propagator.evaluate(0.0)
+        phi = thermal_factor_discrete(thermal_bath, thermal, coeffs)
         assert phi.value == pytest.approx(1.0, abs=1e-12)
         assert phi.method == METHOD_DISCRETE
 
@@ -59,8 +59,8 @@ class TestThermalFactor:
         self, thermal_system, thermal_bath, thermal_propagator
     ):
         thermal = ThermalSpec.for_system(math.inf, thermal_system.omega_b)
-        coeffs = thermal_propagator.coefficients(2.0)
-        phi = thermal_factor_discrete(thermal_system, thermal_bath, thermal, coeffs)
+        coeffs = thermal_propagator.evaluate(2.0)
+        phi = thermal_factor_discrete(thermal_bath, thermal, coeffs)
         assert phi.value == 1.0
 
     def test_discrete_matches_closed_form_in_regime(
@@ -70,8 +70,8 @@ class TestThermalFactor:
         beta = 1.0 / thermal_system.omega_b
         thermal = ThermalSpec.for_system(beta, thermal_system.omega_b)
         for t in np.linspace(0.0, 5.0, 11):
-            coeffs = thermal_propagator.coefficients(t)
-            phi_d = thermal_factor_discrete(thermal_system, thermal_bath, thermal, coeffs)
+            coeffs = thermal_propagator.evaluate(t)
+            phi_d = thermal_factor_discrete(thermal_bath, thermal, coeffs)
             phi_c = thermal_factor_closed(thermal.n_th, GAMMA, t)
             assert abs(phi_d.value - phi_c.value) / phi_c.value <= 2e-2
 
@@ -81,20 +81,18 @@ class TestThermalFactor:
         """n_th = 1 at gamma t = 1: the factor sits near 2 - exp(-1)."""
         beta = math.log(2.0) / thermal_system.omega_b
         thermal = ThermalSpec.for_system(beta, thermal_system.omega_b)
-        coeffs = thermal_propagator.coefficients(1.0)
-        phi = thermal_factor_discrete(thermal_system, thermal_bath, thermal, coeffs)
+        coeffs = thermal_propagator.evaluate(1.0)
+        phi = thermal_factor_discrete(thermal_bath, thermal, coeffs)
         assert phi.value == pytest.approx(2.0 - math.exp(-1.0), abs=2e-2)
 
     def test_rejects_value_below_one(self):
         with pytest.raises(ValueError):
-            ThermalFactor(value=0.5, t=0.0, method=METHOD_CLOSED)
+            ThermalFactor(value=0.5, method=METHOD_CLOSED)
 
     def test_rejects_mode_count_mismatch(self, thermal_system, thermal_bath, small_propagator):
         thermal = ThermalSpec.for_system(1.0, thermal_system.omega_b)
         with pytest.raises(ValueError, match="mode count"):
-            thermal_factor_discrete(
-                thermal_system, thermal_bath, thermal, small_propagator.coefficients(0.1)
-            )
+            thermal_factor_discrete(thermal_bath, thermal, small_propagator.evaluate(0.1))
 
 
 class TestConditionalWavefunction:
@@ -112,7 +110,7 @@ class TestConditionalWavefunction:
         assert label == pytest.approx(0.4 - 0.9j)
 
     def test_long_time_large_factor(self):
-        phi = ThermalFactor(value=2.0, t=50.0, method=METHOD_CLOSED)
+        phi = ThermalFactor(value=2.0, method=METHOD_CLOSED)
         weight, label = conditional_wavefunction(1.0, 0.0, phi)
         assert weight == pytest.approx(2 ** -0.5, rel=1e-14)
         assert label == pytest.approx(1.0 - 2 ** -0.5, rel=1e-14)
@@ -352,72 +350,56 @@ def setup(thermal_bath):
 
 
 class TestMonteCarloMoments:
-    def test_time_zero_is_exact(self, setup, thermal_system, thermal_bath, thermal_propagator):
+    def test_time_zero_is_exact(self, setup, thermal_propagator):
         thermal, samples = setup
-        coeffs = thermal_propagator.coefficients(0.0)
-        moments, _ = monte_carlo_moments(
-            1.5, thermal_system, thermal_bath, thermal, coeffs, samples
-        )
+        coeffs = thermal_propagator.evaluate(0.0)
+        moments, _ = monte_carlo_moments(1.5, thermal, coeffs, samples)
         assert moments.mean_amplitude == pytest.approx(1.5, abs=1e-12)
         assert moments.occupation == pytest.approx(2.25, abs=1e-12)
 
-    def test_matches_exact_moments_within_errors(
-        self, setup, thermal_system, thermal_bath, thermal_propagator
-    ):
+    def test_matches_exact_moments_within_errors(self, setup, thermal_bath, thermal_propagator):
         thermal, samples = setup
         for t in (0.5, 2.0):
-            coeffs = thermal_propagator.coefficients(t)
-            mc, errors = monte_carlo_moments(
-                1.0, thermal_system, thermal_bath, thermal, coeffs, samples
-            )
+            coeffs = thermal_propagator.evaluate(t)
+            mc, errors = monte_carlo_moments(1.0, thermal, coeffs, samples)
             exact = exact_thermal_moments(1.0, thermal_bath, thermal, coeffs)
             assert abs(mc.occupation - exact.occupation) <= 3.0 * errors.occupation
             assert abs(mc.mean_amplitude - exact.mean_amplitude) <= 3.0 * errors.mean_amplitude
 
-    def test_vacuum_bath_limit(self, thermal_system, thermal_bath, thermal_propagator):
+    def test_vacuum_bath_limit(self, thermal_bath, thermal_propagator):
         cold = ThermalSpec.for_system(math.inf, 800.0)
         samples = sample_thermal_bath(thermal_bath, cold, 16, seed=3)
-        coeffs = thermal_propagator.coefficients(1.0)
-        moments, _ = monte_carlo_moments(
-            2.0, thermal_system, thermal_bath, cold, coeffs, samples
-        )
+        coeffs = thermal_propagator.evaluate(1.0)
+        moments, _ = monte_carlo_moments(2.0, cold, coeffs, samples)
         assert moments.mean_amplitude == pytest.approx(2.0 * coeffs.survival, rel=1e-12)
         assert moments.occupation == pytest.approx(abs(2.0 * coeffs.survival) ** 2, rel=1e-12)
 
-    def test_branch_labels_match_per_sample_evolution(
-        self, setup, thermal_system, thermal_bath, thermal_propagator
-    ):
+    def test_branch_labels_match_per_sample_evolution(self, setup, thermal_propagator):
         """The vectorized estimator uses exactly the per-sample label map."""
         thermal, samples = setup
-        coeffs = thermal_propagator.coefficients(0.8, include_bath_block=True)
+        coeffs = thermal_propagator.evaluate(0.8)
         count = 5
         expected = [
-            excited_bath_evolution(1.0, samples.samples[i], coeffs).system_label
+            excited_bath_evolution(1.0, samples.samples[i], thermal_propagator, 0.8).system_label
             for i in range(count)
         ]
         branch = 1.0 * coeffs.survival + samples.samples[:count] @ coeffs.absorption
         assert np.allclose(branch, expected, atol=1e-13)
 
-    def test_rejects_temperature_mismatch(
-        self, setup, thermal_system, thermal_bath, thermal_propagator
-    ):
+    def test_rejects_temperature_mismatch(self, setup, thermal_propagator):
         _, samples = setup
         other = ThermalSpec.for_system(5e-4, 800.0)
-        coeffs = thermal_propagator.coefficients(0.5)
+        coeffs = thermal_propagator.evaluate(0.5)
         with pytest.raises(ValueError, match="temperature"):
-            monte_carlo_moments(1.0, thermal_system, thermal_bath, other, coeffs, samples)
+            monte_carlo_moments(1.0, other, coeffs, samples)
 
-    def test_standard_error_scales_as_inverse_sqrt(
-        self, thermal_system, thermal_bath, thermal_propagator
-    ):
+    def test_standard_error_scales_as_inverse_sqrt(self, thermal_bath, thermal_propagator):
         thermal = ThermalSpec.for_system(math.log(2.0) / 800.0, 800.0)
-        coeffs = thermal_propagator.coefficients(1.0)
+        coeffs = thermal_propagator.evaluate(1.0)
         scaled = []
         for count in (100, 1000, 10000):
             samples = sample_thermal_bath(thermal_bath, thermal, count, seed=7)
-            _, errors = monte_carlo_moments(
-                1.0, thermal_system, thermal_bath, thermal, coeffs, samples
-            )
+            _, errors = monte_carlo_moments(1.0, thermal, coeffs, samples)
             scaled.append(errors.occupation * math.sqrt(count))
         assert max(scaled) / min(scaled) < 1.5
 
@@ -425,7 +407,7 @@ class TestMonteCarloMoments:
 class TestExactThermalMoments:
     def test_time_zero(self, thermal_bath, thermal_propagator):
         thermal = ThermalSpec.for_system(2e-3, 800.0)
-        coeffs = thermal_propagator.coefficients(0.0)
+        coeffs = thermal_propagator.evaluate(0.0)
         moments = exact_thermal_moments(0.5 + 0.5j, thermal_bath, thermal, coeffs)
         assert moments.mean_amplitude == pytest.approx(0.5 + 0.5j, abs=1e-12)
         assert moments.occupation == pytest.approx(0.5, abs=1e-10)
@@ -433,21 +415,21 @@ class TestExactThermalMoments:
     def test_equilibrates_to_resonant_occupation(self, thermal_bath, thermal_propagator):
         """With no drive the occupation relaxes toward n_th (within the 2% regime)."""
         thermal = ThermalSpec.for_system(math.log(2.0) / 800.0, 800.0)
-        coeffs = thermal_propagator.coefficients(5.0)
+        coeffs = thermal_propagator.evaluate(5.0)
         moments = exact_thermal_moments(0.0, thermal_bath, thermal, coeffs)
         target = thermal.n_th * -math.expm1(-GAMMA * 5.0)
         assert abs(moments.occupation - target) / target < 2e-2
 
     def test_zero_temperature_reduces_to_coherent_decay(self, thermal_bath, thermal_propagator):
         cold = ThermalSpec.for_system(math.inf, 800.0)
-        coeffs = thermal_propagator.coefficients(1.0)
+        coeffs = thermal_propagator.evaluate(1.0)
         moments = exact_thermal_moments(2.0, thermal_bath, cold, coeffs)
         assert moments.occupation == pytest.approx(abs(2.0 * coeffs.survival) ** 2, rel=1e-12)
 
     def test_occupation_dominates_mean_field(self, thermal_bath, thermal_propagator):
         thermal = ThermalSpec.for_system(1.5e-3, 800.0)
         for t in np.linspace(0.0, 4.0, 9):
-            coeffs = thermal_propagator.coefficients(t)
+            coeffs = thermal_propagator.evaluate(t)
             moments = exact_thermal_moments(1.1, thermal_bath, thermal, coeffs)
             assert moments.occupation >= abs(moments.mean_amplitude) ** 2 - 1e-12
 
