@@ -22,6 +22,10 @@ SCENARIOS = (
 )
 
 _BATH_SCENARIOS = ("excited-bath", "thermal", "wwa-validate", "oracle-compare")
+_FOCK_SCENARIOS = ("fock-decay", "oracle-compare")
+
+# A run whose largest arrays are estimated above this many bytes is rejected.
+MEMORY_LIMIT_BYTES = 4 * 2**30
 
 # key -> (type, default, help); ... means required (possibly per scenario).
 # The command line offers every key as --key-with-dashes.
@@ -186,7 +190,7 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> None:
     if merged["n_steps"] < 2:
         raise ConfigError(f"n_steps must be at least 2 (got {merged['n_steps']})")
 
-    if scenario in ("fock-decay", "oracle-compare"):
+    if scenario in _FOCK_SCENARIOS:
         _require(merged, "fock_n", scenario)
         if merged["fock_n"] < 0:
             raise ConfigError(f"fock_n must be nonnegative (got {merged['fock_n']})")
@@ -236,3 +240,30 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> None:
                 f"excited_mode must index a bath mode in [0, {merged['n_modes'] - 1}] "
                 f"(got {merged['excited_mode']})"
             )
+
+    estimate = _estimated_bytes(merged)
+    if estimate > MEMORY_LIMIT_BYTES:
+        raise ConfigError(
+            f"run needs about {estimate / 2**30:.3g} GiB for its largest arrays, over the "
+            f"{MEMORY_LIMIT_BYTES / 2**30:.3g} GiB limit (lower n_modes, n_steps, samples or fock_n)"
+        )
+
+
+def _estimated_bytes(merged: dict[str, Any]) -> int:
+    """Bytes of a validated run's largest arrays, from its sizes alone (exact integers).
+
+    Bath runs hold the (N+1)^2 propagator eigenvectors and about 40 bytes per
+    grid point and mode while evaluating the grid; thermal runs hold one
+    complex sample per draw and mode. Every report stacks its columns and
+    turns them into rows of Python floats, about 48 bytes per cell: at most
+    8 columns, plus two per Fock level in a Fock scenario.
+    """
+    scenario, steps = merged["scenario"], merged["n_steps"]
+    estimate = 0
+    if scenario in _BATH_SCENARIOS:
+        modes = merged["n_modes"] + 1
+        estimate += 8 * modes**2 + 40 * steps * modes
+    if scenario == "thermal":
+        estimate += 16 * merged["samples"] * merged["n_modes"]
+    levels = merged["fock_n"] + 1 if scenario in _FOCK_SCENARIOS else 0
+    return estimate + 48 * steps * (8 + 2 * levels)

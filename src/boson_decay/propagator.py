@@ -3,12 +3,13 @@
 The annihilation operator of the system mode evolves into a linear combination
 of the initial system and bath operators. The closed forms below hold in the
 broadband (flat, wide-bath) regime; the oracle realizes the same coefficients
-exactly at finite mode count via one Hermitian eigendecomposition, reused for
-every requested time.
+exactly at finite mode count via one eigendecomposition of the arrowhead
+single-excitation Hamiltonian, reused for every requested time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +129,208 @@ def single_particle_hamiltonian(system: SystemMode, bath: DiscreteBath) -> np.nd
     return h
 
 
+_EPS = np.finfo(float).eps
+_ROOT_BLOCK = 128  # roots solved together: every temporary is O(_ROOT_BLOCK * N)
+_MAX_ROOT_STEPS = 64
+
+
+def _pole_gaps(poles: np.ndarray, origin: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """lambda_k - omega_j for roots lambda_k = omega_origin + tau, shape (k, j).
+
+    Formed as (omega_origin - omega_j) + tau, never from the rounded
+    lambda_k: a root next to its origin pole keeps its full relative
+    distance to it, which is what keeps the eigenvectors orthogonal.
+    """
+    gaps = poles[origin][:, None] - poles
+    gaps += tau[:, None]
+    return gaps
+
+
+def _secular_block(apex, poles, sq_couplings, ks, lower, upper):
+    """Origin pole index and offset tau of the secular roots ``ks`` (one block).
+
+    Root 0 lies in (lower, omega_0), root k in (omega_{k-1}, omega_k) and root
+    N in (omega_{N-1}, upper); lower and upper lie strictly beyond the outer
+    roots. An interior root is solved as an offset from the nearer pole of
+    its bracket, found from the sign of the secular function at the midpoint;
+    the outer roots from the pole that closes their bracket. Each step fits
+    the secular function g(x) = omega_o - apex + x + sum_j c_j^2 / (delta_j - x)
+    (delta_j = omega_j - omega_o) by a rational model that matches g and g' at
+    x and keeps the bracket poles: c + b_L/(delta_L - y) + b_R/(delta_R - y)
+    inside the band, y + c + b/(delta - y) for an outer root. Its zero is the
+    root of a quadratic; a step leaving the current bracket is replaced by
+    bisection. A root stops once |g| is within the rounding error of its
+    evaluation, its step no longer moves it, or its bracket has collapsed.
+    """
+    m = poles.size
+    bottom, top = ks == 0, ks == m
+    below = poles[np.maximum(ks - 1, 0)]
+    above = poles[np.minimum(ks, m - 1)]
+    half_gap = 0.5 * (above - below)
+    origin = np.clip(ks - 1, 0, m - 1)
+    lo = np.where(bottom, lower - poles[0], 0.0)
+    hi = np.where(top, upper - poles[-1], np.where(bottom, 0.0, half_gap))
+    x = np.where(bottom, 0.5 * lo, np.where(top, 0.5 * hi, half_gap))
+    tau = np.empty(ks.size)
+    active = np.arange(ks.size)
+    # Pole j is left of root k for j < k; only columns ks[0] <= j < ks[-1] differ by row.
+    band = slice(ks[0], ks[-1])
+    band_left = np.arange(ks[0], ks[-1]) < ks[:, None]
+    for step in range(_MAX_ROOT_STEPS):
+        k, o = ks[active], origin[active]
+        is_bottom, is_top = bottom[active], top[active]
+        inv = _pole_gaps(poles, o, x)
+        np.divide(1.0, inv, out=inv)  # 1 / (x - delta_j)
+        terms = -sq_couplings * inv  # c_j^2 / (delta_j - x)
+        inv *= terms  # minus the slope of each term
+        left_mask = band_left[active]
+        total, slope = terms.sum(axis=1), -inv.sum(axis=1)
+        psi = terms[:, : band.start].sum(axis=1) + np.sum(terms[:, band] * left_mask, axis=1)
+        psi_slope = -inv[:, : band.start].sum(axis=1) - np.sum(inv[:, band] * left_mask, axis=1)
+        shift = poles[o] - apex
+        g = shift + x + total
+        rounding = np.abs(shift) + np.abs(x) + (total - 2.0 * psi)
+        done = np.abs(g) <= 8.0 * _EPS * rounding
+        if step == 0:
+            # g < 0 at the midpoint: the root lies nearer the upper pole.
+            flip = ~(is_bottom | is_top) & (g < 0)
+            origin[active[flip]] = k[flip]
+            o = origin[active]
+            x[flip] -= 2.0 * half_gap[active[flip]]
+            lo[flip], hi[flip] = x[flip], 0.0
+        hi = np.where(g > 0, x, hi)
+        lo = np.where(g > 0, lo, x)
+
+        p = np.where(is_bottom, 0.0, below[active] - poles[o] - x)
+        q = np.where(is_top, 0.0, above[active] - poles[o] - x)
+        g_slope = 1.0 + slope
+        outer = is_bottom | is_top
+        s = p + q  # an outer root has one bracket pole, at s
+        c = np.where(outer, 1.0, g - psi_slope * p - (slope - psi_slope + 1.0) * q)
+        a = np.where(outer, s * g_slope - g, s * g - p * q * g_slope)
+        b = np.where(outer, -g * s, p * q * g)
+        w = a + np.copysign(np.sqrt(np.maximum(a * a - 4.0 * c * b, 0.0)), a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            near, far = 2.0 * b / w, w / (2.0 * c)
+        p = np.where(is_bottom, -np.inf, p)
+        q = np.where(is_top, np.inf, q)
+        nxt = x + np.where((p < near) & (near < q), near, far)
+        nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
+        done |= (nxt == x) | (hi - lo <= 4.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
+        tau[active[done]] = x[done]
+        keep = ~done
+        active, x, lo, hi = active[keep], nxt[keep], lo[keep], hi[keep]
+        if active.size == 0:
+            break
+    tau[active] = x
+    return origin, tau
+
+
+def _deflate(poles: np.ndarray, couplings: np.ndarray):
+    """Zero every coupling that moves no eigenvalue by more than eps ||H|| (||H|| < 1 here).
+
+    A coupling below eps is dropped: its pole is an eigenvalue, with a bath
+    unit vector. Two coupled poles closer than eps are rotated so that one
+    mode carries their joint coupling and the other none (as LAPACK's
+    ``dlaed2`` does); the rotated-away off-diagonal entry is below eps / 2.
+    Returns the new poles and couplings and the rotations (i, j, cos, sin)
+    in the order applied.
+    """
+    couplings = np.where(couplings > _EPS, couplings, 0.0)
+    rotations = []
+    coupled = np.flatnonzero(couplings)
+    if coupled.size and np.any(np.diff(poles[coupled]) <= _EPS):
+        poles = poles.copy()
+        last = coupled[0]
+        for j in coupled[1:]:
+            if poles[j] - poles[last] > _EPS:
+                last = j
+                continue
+            r = math.hypot(couplings[last], couplings[j])
+            cos, sin = couplings[last] / r, couplings[j] / r
+            poles[last], poles[j] = (
+                cos * cos * poles[last] + sin * sin * poles[j],
+                sin * sin * poles[last] + cos * cos * poles[j],
+            )
+            couplings[last], couplings[j] = r, 0.0
+            rotations.append((last, j, cos, sin))
+    return poles, couplings, rotations
+
+
+def _arrowhead_eigh(apex: float, poles: np.ndarray, couplings: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors (columns) of an arrowhead matrix.
+
+    The matrix is [[apex, c^T], [c, diag(poles)]] with strictly ascending
+    poles and nonnegative couplings c. Its eigenvalues are the N+1 roots of
+    the secular equation lambda - apex - sum_j c_j^2 / (lambda - omega_j) = 0,
+    one per interlacing bracket (:func:`_secular_block`). The couplings are
+    then recomputed from the computed roots by the Loewner formula
+    c_j^2 = prod_k |lambda_k - omega_j| / prod_{i != j} |omega_i - omega_j|,
+    so the roots are the exact eigenvalues of a nearby arrowhead matrix, and
+    eigenvector k is [1, c_j / (lambda_k - omega_j)] normalized (Gu and
+    Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172). Deflated poles
+    (:func:`_deflate`) are eigenvalues with their own eigenvectors. Time is
+    O(N^2) and memory one (N+1)^2 eigenvector matrix plus O(_ROOT_BLOCK N)
+    temporaries; the dense matrix is never formed.
+    """
+    n = poles.size
+    # Scale by a power of two near ||H|| (exact), so nothing under- or overflows.
+    scale = max(abs(apex), abs(poles[0]), abs(poles[-1])) + float(np.linalg.norm(couplings))
+    factor = np.ldexp(1.0, -np.frexp(scale)[1])
+    apex = apex * factor
+    poles, couplings, rotations = _deflate(poles * factor, couplings * factor)
+    coupled = couplings > 0
+    if not coupled.any():  # diagonal matrix
+        diagonal = np.concatenate(([apex], poles))
+        order = np.argsort(diagonal, kind="stable")
+        return diagonal[order] / factor, np.eye(n + 1)[:, order]
+    d, c = poles[coupled], couplings[coupled]
+    m = d.size
+    sq = c * c
+    spread = 2.0 * float(np.linalg.norm(c))
+    lower, upper = min(apex, d[0]) - spread, max(apex, d[-1]) + spread
+    blocks = [np.arange(s, min(s + _ROOT_BLOCK, m + 1)) for s in range(0, m + 1, _ROOT_BLOCK)]
+
+    origin, tau = np.empty(m + 1, dtype=int), np.empty(m + 1)
+    # Loewner product with root k paired to pole k-1 (k <= j) or pole k (k > j), so
+    # every ratio lies in (0, 1]; roots 0 and N stay unpaired.
+    loewner = np.ones(m)
+    js = np.arange(m)
+    for ks in blocks:
+        origin[ks], tau[ks] = _secular_block(apex, d, sq, ks, lower, upper)
+        paired = np.where(
+            ks[:, None] <= js, d[np.maximum(ks - 1, 0)][:, None], d[np.minimum(ks, m - 1)][:, None]
+        )
+        paired -= d
+        paired[(ks == 0) | (ks == m)] = 1.0
+        loewner *= np.prod(np.abs(_pole_gaps(d, origin[ks], tau[ks]) / paired), axis=0)
+    c_hat = np.sqrt(loewner)
+    roots = d[origin] + tau
+
+    # Merge the deflated poles into the ascending order (ties: root first).
+    free_rows = 1 + np.flatnonzero(~coupled)
+    free_rows = free_rows[np.argsort(poles[free_rows - 1], kind="stable")]
+    free = poles[free_rows - 1]
+    root_at = np.arange(m + 1) + np.searchsorted(free, roots)
+    free_at = np.arange(free.size) + np.searchsorted(roots, free, side="right")
+    eigenvalues = np.empty(n + 1)
+    eigenvalues[root_at], eigenvalues[free_at] = roots, free
+    bath_rows = 1 + np.flatnonzero(coupled)
+    vt = np.zeros((n + 1, n + 1))
+    vt[free_at, free_rows] = 1.0
+    for ks in blocks:
+        vector = c_hat / _pole_gaps(d, origin[ks], tau[ks])
+        inv_norm = 1.0 / np.sqrt(1.0 + np.sum(vector * vector, axis=1))
+        vector *= inv_norm[:, None]
+        vt[root_at[ks, None], bath_rows] = vector
+        vt[root_at[ks], 0] = inv_norm
+    for i, j, cos, sin in reversed(rotations):  # back to the bath modes
+        rotated_i = vt[:, 1 + i].copy()
+        vt[:, 1 + i] = cos * rotated_i - sin * vt[:, 1 + j]
+        vt[:, 1 + j] = sin * rotated_i + cos * vt[:, 1 + j]
+    return eigenvalues / factor, vt.T
+
+
 def _phases(times, eigenvalues: np.ndarray) -> np.ndarray:
     """exp(-i t lambda_k): the shape of ``times`` plus one axis over eigenvalues."""
     times = np.asarray(times, dtype=float)
@@ -158,18 +361,20 @@ def spectral_evolution(
 
 
 class ExactPropagator:
-    """Exact finite-bath propagator from one symmetric eigendecomposition.
+    """Exact finite-bath propagator from one arrowhead eigendecomposition.
 
-    The decomposition is computed once per (system, bath) pair; evolving any
-    single-excitation vector over a whole time grid then costs two real
-    matrix products (:func:`spectral_evolution`).
+    The decomposition (:func:`_arrowhead_eigh`: O(N^2) time, the dense
+    Hamiltonian never formed) is computed once per (system, bath) pair;
+    evolving any single-excitation vector over a whole time grid then costs
+    two real matrix products (:func:`spectral_evolution`).
     """
 
     def __init__(self, system: SystemMode, bath: DiscreteBath):
         self.system = system
         self.bath = bath
-        h = single_particle_hamiltonian(system, bath)
-        self._eigenvalues, self._eigenvectors = np.linalg.eigh(h)
+        self._eigenvalues, self._eigenvectors = _arrowhead_eigh(
+            system.omega_b, bath.omegas, bath.xis
+        )
 
     def unitary(self, t: float) -> np.ndarray:
         """Full (N+1) x (N+1) single-excitation evolution matrix."""

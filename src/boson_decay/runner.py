@@ -78,6 +78,11 @@ def _report(table: dict[str, np.ndarray], meta: dict[str, Any] | None = None) ->
     return RunReport(columns=list(table), rows=rows, meta=meta or {})
 
 
+def _unitarity_diagnostics(defect: np.ndarray) -> dict[str, Any]:
+    """Numerical health of a propagator run: its worst |u|^2 + sum |v_j|^2 - 1."""
+    return {"diagnostics": {"max_unitarity_defect": float(np.max(defect))}}
+
+
 def _run_fock_decay(config: ScenarioConfig) -> RunReport:
     grid = _time_grid(config)
     probs = fock_populations(config.fock_n, np.exp(-config.gamma * grid)).probs
@@ -107,8 +112,13 @@ def _run_excited_bath(config: ScenarioConfig) -> RunReport:
     lambdas = np.zeros(bath.n_modes, dtype=complex)
     lambdas[config.excited_mode] = config.excited_label
     grid = _time_grid(config)
-    mu = excited_bath_evolution(config.alpha, lambdas, propagator, grid).system_label
-    return _report(_coherent_table(grid, mu))
+    labels = excited_bath_evolution(config.alpha, lambdas, propagator, grid)
+    initial_norm_sq = abs(config.alpha) ** 2 + abs(config.excited_label) ** 2
+    norm_defect = np.max(np.abs(labels.total_norm_sq() - initial_norm_sq))
+    return _report(
+        _coherent_table(grid, labels.system_label),
+        meta={"diagnostics": {"max_norm_defect": float(norm_defect)}},
+    )
 
 
 def _run_thermal(config: ScenarioConfig) -> RunReport:
@@ -116,7 +126,6 @@ def _run_thermal(config: ScenarioConfig) -> RunReport:
     bath = scenario_bath(config)
     thermal = ThermalSpec.for_system(config.beta, config.omega_b)
     grid = _time_grid(config)
-    # Decompose before sampling: the eigh workspace would otherwise sit on top of the samples.
     coeffs = ExactPropagator(system, bath).evaluate(grid)
     samples = sample_thermal_bath(bath, thermal, config.samples, config.seed)
     alpha = config.alpha
@@ -134,7 +143,8 @@ def _run_thermal(config: ScenarioConfig) -> RunReport:
             "oracle_occupation": exact_thermal_moments(alpha, bath, thermal, coeffs).occupation,
             "mc_occupation": mc.occupation,
             "mc_stderr": errors.occupation,
-        }
+        },
+        meta=_unitarity_diagnostics(unitarity_defect(coeffs)),
     )
 
 
@@ -153,15 +163,16 @@ def _run_wwa_validate(config: ScenarioConfig) -> RunReport:
             max_survival_dev <= WWA_TOLERANCE and max_dissipation_dev <= WWA_TOLERANCE
         ),
     }
+    defect = unitarity_defect(coeffs)
     table = {
         "t": grid,
         "re_u": coeffs.survival.real,
         "im_u": coeffs.survival.imag,
         "abs_u_sq": survived,
         "sum_abs_v_sq": dissipated,
-        "unitarity_defect": unitarity_defect(coeffs),
+        "unitarity_defect": defect,
     }
-    return _report(table, meta={"summary": summary})
+    return _report(table, meta={"summary": summary, **_unitarity_diagnostics(defect)})
 
 
 def _run_oracle_compare(config: ScenarioConfig) -> RunReport:
@@ -193,7 +204,13 @@ def _run_oracle_compare(config: ScenarioConfig) -> RunReport:
         "oracle_fock_mean": n * survived + np.sum(bath_occ * np.abs(coeffs.absorption) ** 2, -1),
         "divergence": heff_mean - exact_mean,
     }
-    return _report(table, meta={"summary": {"max_population_deviation": float(np.max(deviation))}})
+    return _report(
+        table,
+        meta={
+            "summary": {"max_population_deviation": float(np.max(deviation))},
+            **_unitarity_diagnostics(unitarity_defect(coeffs)),
+        },
+    )
 
 
 _SCENARIO_RUNNERS: dict[str, Callable[[ScenarioConfig], RunReport]] = {

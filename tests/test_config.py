@@ -2,12 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from boson_decay import ConfigError, cli, parse_config
 from boson_decay.cli import main
-from boson_decay.config import SCHEMA
+from boson_decay.config import MEMORY_LIMIT_BYTES, SCHEMA, _estimated_bytes
 
 MINIMAL_FOCK = """
 scenario = fock-decay
@@ -199,6 +200,77 @@ class TestBoundary:
         record = json.loads(lines[0])
         assert record["error"] == "ConfigError"
         assert "t_max" in record["message"]
+
+
+BENCHMARK_CONFIGS = {
+    "wwa-2000x201": WWA_BASE.replace("n_modes = 50", "n_modes = 2000").replace(
+        "n_steps = 10", "n_steps = 201"
+    ),
+    "thermal-800x1e4": THERMAL_BASE.replace("n_modes = 100", "n_modes = 800").replace(
+        "samples = 50", "samples = 10000"
+    )
+    + f"beta = {math.log(2.0) / 800.0}\n",
+    "oracle-fock10": WWA_BASE.replace("wwa-validate", "oracle-compare").replace(
+        "n_modes = 50", "n_modes = 4"
+    )
+    + "fock_n = 10\nbeta = 0.2\n",
+    "fock-laws-200x2001": MINIMAL_FOCK.replace("fock_n = 2", "fock_n = 200").replace(
+        "n_steps = 100", "n_steps = 2001"
+    ),
+}
+
+
+class TestResourceGuard:
+    """Runs whose arrays would not fit stop at the config with the estimate named."""
+
+    @pytest.mark.parametrize(
+        "base, overrides",
+        [
+            (WWA_BASE, {"n_modes": 10_000_000}),
+            (THERMAL_BASE, {"n_modes": 1000, "samples": 1_000_000, "beta": 0.001}),
+            (MINIMAL_FOCK, {"fock_n": 10_000, "n_steps": 10_000}),
+            (WWA_BASE, {"n_steps": 10_000_000}),
+        ],
+        ids=["n_modes", "samples-x-n_modes", "n_steps-x-fock_n", "n_steps-x-n_modes"],
+    )
+    def test_oversize_rejected_without_allocating(self, base, overrides):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"about [0-9.e+]+ GiB .* over the 4 GiB limit"):
+                parse_config(base, overrides=overrides)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "base, overrides",
+        [
+            (THERMAL_BASE, {"n_modes": 1000, "samples": 1000, "beta": 0.001}),
+            (MINIMAL_FOCK, {"fock_n": 10, "n_steps": 10_000}),
+        ],
+        ids=["samples", "fock_n"],
+    )
+    def test_same_sizes_below_limit_pass(self, base, overrides):
+        parse_config(base, overrides=overrides)
+
+    @pytest.mark.parametrize("name", list(BENCHMARK_CONFIGS))
+    def test_benchmark_configs_pass(self, name):
+        config = parse_config(BENCHMARK_CONFIGS[name])
+        assert _estimated_bytes(config.as_dict()) < MEMORY_LIMIT_BYTES / 16
+
+    def test_cli_reports_oversize_run(self, capsys):
+        code = main(
+            [
+                "--scenario", "wwa-validate", "--gamma", "1", "--omega-b", "100",
+                "--half-bandwidth", "20", "--t-max", "5", "--n-steps", "201",
+                "--n-modes", "10000000",
+            ]
+        )
+        assert code == 1
+        record = _error_record(capsys)
+        assert record["error"] == "ConfigError"
+        assert "GiB" in record["message"]
 
 
 COHERENT_FLAGS = [

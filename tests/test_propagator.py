@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boson_decay import (
     BathMode,
+    DiscreteBath,
     ExactPropagator,
     PropagatorCoefficients,
     SpectralDensitySpec,
@@ -145,6 +148,121 @@ class TestExactPropagator:
     def test_rejects_negative_time(self, small_propagator):
         with pytest.raises(ValueError):
             small_propagator.evaluate(-1.0)
+
+
+def _bath(omegas, xis) -> DiscreteBath:
+    """A bath with the given modes, on a band that just contains them."""
+    omegas = np.asarray(omegas, dtype=float)
+    center = 0.5 * (omegas[0] + omegas[-1])
+    half = 0.5 * (omegas[-1] - omegas[0]) + 1e-3 * max(1.0, abs(center))
+    spec = SpectralDensitySpec(gamma=GAMMA, band_center=center, half_bandwidth=half)
+    return DiscreteBath(omegas=omegas, xis=np.asarray(xis, dtype=float), spec=spec)
+
+
+def _assert_matches_dense_eigh(system, bath):
+    """The propagator's decomposition against dense eigh of the arrowhead matrix.
+
+    Eigenvalues within 1e-13 ||H||, ||V^T V - I|| <= 1e-12 and
+    ||H V - V diag(lambda)|| <= 1e-13 ||H|| (spectral norms), all entries finite.
+    """
+    propagator = ExactPropagator(system, bath)
+    lam, v = propagator._eigenvalues, propagator._eigenvectors
+    h = single_particle_hamiltonian(system, bath)
+    h_norm = np.linalg.norm(h, 2)
+    assert np.all(np.isfinite(lam)) and np.all(np.isfinite(v))
+    assert v.shape == h.shape
+    assert np.max(np.abs(lam - np.linalg.eigh(h)[0])) <= 1e-13 * h_norm
+    assert np.linalg.norm(v.T @ v - np.eye(len(lam)), 2) <= 1e-12
+    assert np.linalg.norm(h @ v - v * lam, 2) <= 1e-13 * h_norm
+
+
+_CLOSE = np.sort(np.concatenate([np.linspace(5.0, 15.0, 10) * f for f in (1.0, 1.0 + 1e-12)]))
+_MIXED = np.linspace(1.0, 9.0, 30)
+_MIXED_XIS = np.full(30, 0.3)
+_MIXED_XIS[[2, 17]] = 0.0
+_MIXED_XIS[[5, 21]] = 1e-12
+_MIXED_XIS[[9, 29]] = 1e-170
+_WIDE = np.linspace(0.0, 10.0, 40)
+
+SOLVER_CASES = {
+    "midpoint-1": (20.0, discretize_bath(SpectralDensitySpec(GAMMA, 20.0, 5.0), 1)),
+    "midpoint-2": (20.0, discretize_bath(SpectralDensitySpec(GAMMA, 20.0, 5.0), 2)),
+    "midpoint-40": (21.3, discretize_bath(SpectralDensitySpec(GAMMA, 20.0, 5.0), 40)),
+    "pairs-1e-12": (10.0, _bath(_CLOSE, np.full(20, 0.2))),
+    "pairs-1e-12-weak": (10.0, _bath(_CLOSE, np.full(20, 1e-7))),
+    "couplings-0-1e-12-1e-170": (5.0, _bath(_MIXED, _MIXED_XIS)),
+    "on-coupled-mode": (_MIXED[12], _bath(_MIXED, _MIXED_XIS)),
+    "on-uncoupled-mode": (_MIXED[17], _bath(_MIXED, _MIXED_XIS)),
+    "all-uncoupled": (5.0, _bath(_MIXED, np.zeros(30))),
+    "far-below": (1.0, _bath(np.linspace(500.0, 510.0, 10), np.full(10, 0.5))),
+    "strong-100x-spacing": (5.0, _bath(_WIDE, np.full(40, 100.0 * (_WIDE[1] - _WIDE[0])))),
+    "poles-within-eps": (
+        1.5,
+        _bath([0.0, 1e-300, 2e-300, 1.0, 5.0, np.nextafter(5.0, 6.0)], np.full(6, 0.3)),
+    ),
+    "tiny-clustered": (
+        5e-100,
+        _bath(5e-100 * (1.0 + 1e-12 * np.arange(1, 41)), np.full(40, 1e-103)),
+    ),
+}
+
+
+class TestArrowheadSolver:
+    """The secular-equation eigensolver of ExactPropagator against dense eigh."""
+
+    @pytest.mark.parametrize("case", list(SOLVER_CASES))
+    def test_matches_dense_eigh(self, case):
+        omega_b, bath = SOLVER_CASES[case]
+        _assert_matches_dense_eigh(SystemMode(omega_b), bath)
+
+    def test_resonant_single_mode(self):
+        """Roots omega_b -+ xi sit on the bound min(omega_b, omega_1) - |xi|.
+
+        The outer brackets must end strictly beyond that bound.
+        """
+        system = SystemMode(100.0)
+        bath = _bath([100.0], [math.sqrt(2.0)])
+        _assert_matches_dense_eigh(system, bath)
+        lam = ExactPropagator(system, bath)._eigenvalues
+        assert np.max(np.abs(lam - (100.0 + np.array([-1.0, 1.0]) * math.sqrt(2.0)))) <= 1e-13
+
+    def test_top_root_far_above_band(self):
+        """omega_b = 1e3 over a band [0, 10]: the top root needs its whole outer interval."""
+        system = SystemMode(1e3)
+        bath = _bath(np.linspace(0.0, 10.0, 10), np.full(10, 0.5))
+        _assert_matches_dense_eigh(system, bath)
+        top = ExactPropagator(system, bath)._eigenvalues[-1]
+        secular = top - 1e3 - np.sum(bath.xis**2 / (top - bath.omegas))
+        assert top > 1e3 and abs(secular) <= 1e-13 * top
+
+    def test_wwa_fixture_matches_dense_eigh(self, wwa_propagator, wwa_system, wwa_bath):
+        """N = 2000: eigenvalues within 1e-12 ||H|| and ||V^T V - I|| <= 1e-11."""
+        h = single_particle_hamiltonian(wwa_system, wwa_bath)
+        lam, v = wwa_propagator._eigenvalues, wwa_propagator._eigenvectors
+        h_norm = np.max(np.abs(lam))
+        assert np.max(np.abs(lam - np.linalg.eigvalsh(h))) <= 1e-12 * h_norm
+        assert np.max(np.abs(v.T @ v - np.eye(len(lam)))) <= 1e-11
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n, unique=True),
+                st.lists(
+                    st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 1e-12, 1e-170])),
+                    min_size=n,
+                    max_size=n,
+                ),
+                st.floats(0.1, 20.0),
+            )
+        )
+    )
+    def test_random_baths_match_dense_eigh(self, drawn):
+        omegas, xis, omega_b = drawn
+        order = np.argsort(omegas)
+        _assert_matches_dense_eigh(
+            SystemMode(omega_b), _bath(np.array(omegas)[order], np.array(xis)[order])
+        )
 
 
 class TestEvaluate:

@@ -200,6 +200,23 @@ class TestOracleCompareScenario:
         assert magnitudes == sorted(magnitudes)
 
 
+class TestDiagnostics:
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (WWA_TEXT, "max_unitarity_defect"),
+            (THERMAL_TEXT, "max_unitarity_defect"),
+            (ORACLE_TEXT, "max_unitarity_defect"),
+            (EXCITED_TEXT, "max_norm_defect"),
+        ],
+        ids=["wwa-validate", "thermal", "oracle-compare", "excited-bath"],
+    )
+    def test_propagator_reports_carry_numerical_health(self, text, key):
+        meta = run_scenario(parse_config(text)).meta
+        assert list(meta["diagnostics"]) == [key]
+        assert 0.0 <= meta["diagnostics"][key] <= 1e-10
+
+
 class TestSerialization:
     @pytest.fixture()
     def report(self):
