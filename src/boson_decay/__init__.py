@@ -50,7 +50,6 @@ from .propagator import (
     PropagatorCoefficients,
     SystemMode,
     analytic_absorption,
-    analytic_emission,
     analytic_propagator,
     analytic_survival,
     dissipation_sum,

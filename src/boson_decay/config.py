@@ -252,17 +252,19 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> None:
 def _estimated_bytes(merged: dict[str, Any]) -> int:
     """Bytes of a validated run's largest arrays, from its sizes alone (exact integers).
 
-    Bath runs hold the (N+1)^2 propagator eigenvectors and about 40 bytes per
-    grid point and mode while evaluating the grid; thermal runs hold one
-    complex sample per draw and mode. Every report stacks its columns and
-    turns them into rows of Python floats, about 48 bytes per cell: at most
-    8 columns, plus two per Fock level in a Fock scenario.
+    Bath runs hold about 4 KiB per mode while the propagator solves for its
+    eigenvalues (a few (128, N+1) float blocks; the eigenvectors are never
+    stored) and about 40 bytes per grid point and mode while evaluating the
+    grid; thermal runs hold one complex sample per draw and mode. Every
+    report stacks its columns and turns them into rows of Python floats,
+    about 48 bytes per cell: at most 8 columns, plus two per Fock level in a
+    Fock scenario.
     """
     scenario, steps = merged["scenario"], merged["n_steps"]
     estimate = 0
     if scenario in _BATH_SCENARIOS:
         modes = merged["n_modes"] + 1
-        estimate += 8 * modes**2 + 40 * steps * modes
+        estimate += 4096 * modes + 40 * steps * modes
     if scenario == "thermal":
         estimate += 16 * merged["samples"] * merged["n_modes"]
     levels = merged["fock_n"] + 1 if scenario in _FOCK_SCENARIOS else 0

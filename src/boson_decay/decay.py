@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Union
+from typing import Any, Union
 
 import numpy as np
 
@@ -284,9 +284,10 @@ class FockSpaceOracle:
 
     Intended for small baths (N <= 4) as a first-principles check of the
     combinatorial decay laws. The basis is organized by total excitation
-    number; one Hermitian eigendecomposition per occupied sector is cached and
-    reused across all requested times. The partial trace over the bath is
-    taken by grouping joint amplitudes by their bath occupation string.
+    number; a sector is diagonalized only when an initial state occupies it
+    (a Fock state occupies one), then cached and reused for every time. The
+    partial trace over the bath is taken by grouping joint amplitudes by
+    their bath occupation string.
     """
 
     def __init__(self, system: SystemMode, bath: DiscreteBath, n_max: int):
@@ -309,26 +310,23 @@ class FockSpaceOracle:
 
         # Bath occupation strings index the columns of the partial-trace table.
         self._bath_strings: dict[tuple[int, ...], int] = {}
-        self._sectors = []
-        for k in range(n_max + 1):
-            basis = _sector_basis(bath.n_modes, k)
+        self._sectors: dict[int, dict[str, Any]] = {}
+
+    def _sector(self, k: int) -> dict[str, Any]:
+        """The sector of total excitation k, diagonalized on first use and cached."""
+        if k not in self._sectors:
+            basis = _sector_basis(self.bath.n_modes, k)
             index = {occ: i for i, occ in enumerate(basis)}
-            h = self._sector_hamiltonian(basis, index)
-            eigenvalues, eigenvectors = np.linalg.eigh(h)
-            system_occ = np.array([occ[0] for occ in basis])
-            bath_cols = np.empty(len(basis), dtype=int)
-            for i, occ in enumerate(basis):
-                bath_cols[i] = self._bath_string_index(occ[1:])
-            self._sectors.append(
-                {
-                    "basis": basis,
-                    "index": index,
-                    "eigenvalues": eigenvalues,
-                    "eigenvectors": eigenvectors,
-                    "system_occ": system_occ,
-                    "bath_cols": bath_cols,
-                }
-            )
+            eigenvalues, eigenvectors = np.linalg.eigh(self._sector_hamiltonian(basis, index))
+            self._sectors[k] = {
+                "basis": basis,
+                "index": index,
+                "eigenvalues": eigenvalues,
+                "eigenvectors": eigenvectors,
+                "system_occ": np.array([occ[0] for occ in basis]),
+                "bath_cols": np.array([self._bath_string_index(occ[1:]) for occ in basis]),
+            }
+        return self._sectors[k]
 
     def _bath_string_index(self, string: tuple[int, ...]) -> int:
         if string not in self._bath_strings:
@@ -405,7 +403,7 @@ class FockSpaceOracle:
         vacuum = (0,) * self.bath.n_modes
         evolved = []
         for m, amp in self._initial_amplitudes(initial).items():
-            sector = self._sectors[m]
+            sector = self._sector(m)
             v = sector["eigenvectors"]
             components = amp * v[sector["index"][(m,) + vacuum]]
             states = spectral_evolution(sector["eigenvalues"], v, components, times)

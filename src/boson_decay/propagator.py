@@ -4,7 +4,9 @@ The annihilation operator of the system mode evolves into a linear combination
 of the initial system and bath operators. The closed forms below hold in the
 broadband (flat, wide-bath) regime; the oracle realizes the same coefficients
 exactly at finite mode count via one eigendecomposition of the arrowhead
-single-excitation Hamiltonian, reused for every requested time.
+single-excitation Hamiltonian, reused for every requested time. The
+decomposition is kept as O(N) numbers and evaluated matrix-free, so a grid of
+T times takes O(T N + 128 N) memory.
 """
 
 from __future__ import annotations
@@ -84,18 +86,6 @@ def analytic_absorption(system: SystemMode, gamma: float, mode: BathMode, t: flo
         raise ValueError("time must be nonnegative")
     kernel = _transfer_kernel(system, gamma, np.asarray([mode.omega], dtype=float), t)
     return complex(mode.xi * kernel[0])
-
-
-def analytic_emission(system: SystemMode, gamma: float, mode: BathMode, t: float) -> complex:
-    """Closed-form amplitude for the system excitation to appear in one bath mode.
-
-    Identical to :func:`analytic_absorption` up to conjugation of the coupling;
-    couplings are real here, so the two coincide exactly.
-    """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    kernel = _transfer_kernel(system, gamma, np.asarray([mode.omega], dtype=float), t)
-    return complex(np.conj(mode.xi) * kernel[0])
 
 
 def analytic_propagator(
@@ -257,21 +247,140 @@ def _deflate(poles: np.ndarray, couplings: np.ndarray):
     return poles, couplings, rotations
 
 
-def _arrowhead_eigh(apex: float, poles: np.ndarray, couplings: np.ndarray):
-    """Eigenvalues (ascending) and eigenvectors (columns) of an arrowhead matrix.
+@dataclass(frozen=True)
+class ArrowheadSpectrum:
+    """Eigendecomposition of an arrowhead matrix, held in O(N) numbers.
 
-    The matrix is [[apex, c^T], [c, diag(poles)]] with strictly ascending
-    poles and nonnegative couplings c. Its eigenvalues are the N+1 roots of
-    the secular equation lambda - apex - sum_j c_j^2 / (lambda - omega_j) = 0,
-    one per interlacing bracket (:func:`_secular_block`). The couplings are
-    then recomputed from the computed roots by the Loewner formula
+    Root k of the secular equation is kept as its origin pole and offset
+    ``tau`` (:func:`_secular_block`), so every gap lambda_k - omega_j is
+    formed to full relative accuracy (:func:`_pole_gaps`). With the
+    recomputed couplings ``c_hat`` these fix eigenvector k as
+    ``inv_norm[k] * [1, c_hat_j / (lambda_k - omega_j)]`` over the system row
+    and ``bath_rows``; it is never stored. ``poles``, ``tau`` and ``c_hat``
+    are in the solver's power-of-two scale, which cancels in every ratio;
+    ``roots`` and ``free`` are eigenvalues in the matrix's own units. Each of
+    ``free_rows`` (deflated modes, and the system row when nothing couples)
+    is an eigenvector by itself. Both hold in the basis reached by
+    ``rotations``: (i, j, cos, sin) on bath modes i and j, in the order applied.
+    """
+
+    dim: int
+    roots: np.ndarray
+    origin: np.ndarray
+    tau: np.ndarray
+    poles: np.ndarray
+    c_hat: np.ndarray
+    inv_norm: np.ndarray
+    bath_rows: np.ndarray
+    free_rows: np.ndarray
+    free: np.ndarray
+    rotations: tuple
+
+    @property
+    def _order(self) -> np.ndarray:
+        """Roots, then free eigenvalues, sorted ascending (ties: root first)."""
+        return np.argsort(np.concatenate((self.roots, self.free)), kind="stable")
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """All ``dim`` eigenvalues, ascending."""
+        return np.concatenate((self.roots, self.free))[self._order]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """V_0k^2 over ``eigenvalues``: the system mode's share of each eigenvector.
+
+        They sum to one (the sum rule of the system's spectral density).
+        """
+        return np.concatenate((self.inv_norm**2, (self.free_rows == 0) * 1.0))[self._order]
+
+    def _blocks(self) -> list[slice]:
+        return [slice(s, s + _ROOT_BLOCK) for s in range(0, self.roots.size, _ROOT_BLOCK)]
+
+    def _cauchy(self, ks: slice) -> np.ndarray:
+        """1 / (lambda_k - omega_j) for the roots ``ks`` and every coupled pole j."""
+        gaps = _pole_gaps(self.poles, self.origin[ks], self.tau[ks])
+        return np.divide(1.0, gaps, out=gaps)
+
+    def _rotate(self, a: np.ndarray, back: bool) -> None:
+        """Apply the rotations to the last axis of ``a`` in place, or undo them."""
+        for i, j, cos, sin in reversed(self.rotations) if back else self.rotations:
+            sin = -sin if back else sin
+            a_i, a_j = a[..., 1 + i].copy(), a[..., 1 + j]
+            a[..., 1 + i] = cos * a_i + sin * a_j
+            a[..., 1 + j] = cos * a_j - sin * a_i
+
+    def vectors(self) -> np.ndarray:
+        """The dense eigenvector matrix, one column per entry of ``eigenvalues``.
+
+        It takes (N+1)^2 memory, so only checks and the dense
+        :meth:`ExactPropagator.unitary` build it; :meth:`evolve` never does.
+        """
+        column = np.empty(self.dim, dtype=int)
+        column[self._order] = np.arange(self.dim)
+        root_column, free_column = np.split(column, [self.roots.size])
+        v = np.zeros((self.dim, self.dim))
+        v[self.free_rows, free_column] = 1.0
+        for ks in self._blocks():
+            v[0, root_column[ks]] = self.inv_norm[ks]
+            vector = self._cauchy(ks) * self.c_hat
+            v[self.bath_rows[:, None], root_column[ks]] = vector.T * self.inv_norm[ks]
+        self._rotate(v.T, back=True)
+        return v
+
+    def evolve(self, x: np.ndarray, times) -> np.ndarray:
+        """exp(-i H t) x for every time in ``times``: the shape of ``times`` plus (dim,).
+
+        The components V^T x, the phases and the contraction with V are
+        formed one block of 128 roots at a time from the Cauchy matrix
+        C_kj = 1 / (lambda_k - omega_j): component k is
+        ``inv_norm[k] * (x_0 + sum_j c_hat_j x_j C_kj)``, the system row sums
+        ``inv_norm[k] * exp(-i lambda_k t) * component_k`` over the roots and
+        bath row j is ``c_hat_j`` times the same sum weighted by C_kj, taken
+        as one real matrix product per block of the stacked real and
+        imaginary parts. Free rows keep their own phase.
+        Memory is O(T N + 128 N) for T times; no (N+1)^2 array is formed.
+        """
+        times = np.asarray(times, dtype=float)
+        flat = times.reshape(-1)
+        x = np.array(x, dtype=complex)
+        self._rotate(x, back=False)
+        free_phases = _phases(flat, self.free)
+        y = self.c_hat * x[self.bath_rows]
+        system = np.zeros(flat.size, dtype=complex)
+        bath = np.zeros((2 * flat.size, self.poles.size))  # real parts, then imaginary
+        for ks in self._blocks():
+            cauchy = self._cauchy(ks)
+            components = x[0] + cauchy @ y.real + 1j * (cauchy @ y.imag)
+            phased = _phases(flat, self.roots[ks])
+            phased *= self.inv_norm[ks] ** 2 * components
+            system += phased.sum(axis=1)
+            bath += np.concatenate((phased.real, phased.imag)) @ cauchy
+        bath *= self.c_hat
+        out = np.empty((flat.size, self.dim), dtype=complex)
+        out[:, 0] = system
+        out.real[:, self.bath_rows], out.imag[:, self.bath_rows] = np.split(bath, 2)
+        # Last: with nothing coupled, the system row is free and has no roots.
+        out[:, self.free_rows] = free_phases * x[self.free_rows]
+        self._rotate(out, back=True)
+        return out.reshape(times.shape + (-1,))
+
+
+def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -> ArrowheadSpectrum:
+    """Spectrum of the arrowhead matrix [[apex, c^T], [c, diag(poles)]].
+
+    The poles ascend strictly and the couplings c are nonnegative. The
+    eigenvalues are the roots of the secular equation
+    lambda - apex - sum_j c_j^2 / (lambda - omega_j) = 0, one per
+    interlacing bracket (:func:`_secular_block`). The couplings are then
+    recomputed from the computed roots by the Loewner formula
     c_j^2 = prod_k |lambda_k - omega_j| / prod_{i != j} |omega_i - omega_j|,
-    so the roots are the exact eigenvalues of a nearby arrowhead matrix, and
-    eigenvector k is [1, c_j / (lambda_k - omega_j)] normalized (Gu and
+    so the roots are the exact eigenvalues of a nearby arrowhead matrix,
+    whose eigenvector k is [1, c_j / (lambda_k - omega_j)] normalized (Gu and
     Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172). Deflated poles
     (:func:`_deflate`) are eigenvalues with their own eigenvectors. Time is
-    O(N^2) and memory one (N+1)^2 eigenvector matrix plus O(_ROOT_BLOCK N)
-    temporaries; the dense matrix is never formed.
+    O(N^2); memory is O(N) for the result and O(_ROOT_BLOCK N) for
+    temporaries, as neither the matrix nor its eigenvectors are formed.
     """
     n = poles.size
     # Scale by a power of two near ||H|| (exact), so nothing under- or overflows.
@@ -280,10 +389,21 @@ def _arrowhead_eigh(apex: float, poles: np.ndarray, couplings: np.ndarray):
     apex = apex * factor
     poles, couplings, rotations = _deflate(poles * factor, couplings * factor)
     coupled = couplings > 0
-    if not coupled.any():  # diagonal matrix
-        diagonal = np.concatenate(([apex], poles))
-        order = np.argsort(diagonal, kind="stable")
-        return diagonal[order] / factor, np.eye(n + 1)[:, order]
+    if not coupled.any():  # diagonal matrix: every row is an eigenvector
+        empty = np.empty(0)
+        return ArrowheadSpectrum(
+            dim=n + 1,
+            roots=empty,
+            origin=np.empty(0, dtype=int),
+            tau=empty,
+            poles=empty,
+            c_hat=empty,
+            inv_norm=empty,
+            bath_rows=np.empty(0, dtype=int),
+            free_rows=np.arange(n + 1),
+            free=np.concatenate(([apex], poles)) / factor,
+            rotations=(),
+        )
     d, c = poles[coupled], couplings[coupled]
     m = d.size
     sq = c * c
@@ -305,30 +425,24 @@ def _arrowhead_eigh(apex: float, poles: np.ndarray, couplings: np.ndarray):
         paired[(ks == 0) | (ks == m)] = 1.0
         loewner *= np.prod(np.abs(_pole_gaps(d, origin[ks], tau[ks]) / paired), axis=0)
     c_hat = np.sqrt(loewner)
-    roots = d[origin] + tau
-
-    # Merge the deflated poles into the ascending order (ties: root first).
-    free_rows = 1 + np.flatnonzero(~coupled)
-    free_rows = free_rows[np.argsort(poles[free_rows - 1], kind="stable")]
-    free = poles[free_rows - 1]
-    root_at = np.arange(m + 1) + np.searchsorted(free, roots)
-    free_at = np.arange(free.size) + np.searchsorted(roots, free, side="right")
-    eigenvalues = np.empty(n + 1)
-    eigenvalues[root_at], eigenvalues[free_at] = roots, free
-    bath_rows = 1 + np.flatnonzero(coupled)
-    vt = np.zeros((n + 1, n + 1))
-    vt[free_at, free_rows] = 1.0
+    inv_norm = np.empty(m + 1)
     for ks in blocks:
         vector = c_hat / _pole_gaps(d, origin[ks], tau[ks])
-        inv_norm = 1.0 / np.sqrt(1.0 + np.sum(vector * vector, axis=1))
-        vector *= inv_norm[:, None]
-        vt[root_at[ks, None], bath_rows] = vector
-        vt[root_at[ks], 0] = inv_norm
-    for i, j, cos, sin in reversed(rotations):  # back to the bath modes
-        rotated_i = vt[:, 1 + i].copy()
-        vt[:, 1 + i] = cos * rotated_i - sin * vt[:, 1 + j]
-        vt[:, 1 + j] = sin * rotated_i + cos * vt[:, 1 + j]
-    return eigenvalues / factor, vt.T
+        inv_norm[ks] = 1.0 / np.sqrt(1.0 + np.sum(vector * vector, axis=1))
+    free_rows = 1 + np.flatnonzero(~coupled)
+    return ArrowheadSpectrum(
+        dim=n + 1,
+        roots=(d[origin] + tau) / factor,
+        origin=origin,
+        tau=tau,
+        poles=d,
+        c_hat=c_hat,
+        inv_norm=inv_norm,
+        bath_rows=1 + np.flatnonzero(coupled),
+        free_rows=free_rows,
+        free=poles[free_rows - 1] / factor,
+        rotations=tuple(rotations),
+    )
 
 
 def _phases(times, eigenvalues: np.ndarray) -> np.ndarray:
@@ -363,53 +477,58 @@ def spectral_evolution(
 class ExactPropagator:
     """Exact finite-bath propagator from one arrowhead eigendecomposition.
 
-    The decomposition (:func:`_arrowhead_eigh`: O(N^2) time, the dense
-    Hamiltonian never formed) is computed once per (system, bath) pair;
-    evolving any single-excitation vector over a whole time grid then costs
-    two real matrix products (:func:`spectral_evolution`).
+    The decomposition (:func:`_arrowhead_spectrum`: O(N^2) time, the dense
+    Hamiltonian never formed) is computed once per (system, bath) pair and
+    kept as O(N) numbers in ``spectrum``. Evolving any single-excitation
+    vector over T times then costs O(T N^2) time, in one real matrix product
+    per block of 128 eigenvalues, and O(T N + 128 N) memory
+    (:meth:`ArrowheadSpectrum.evolve`): the (N+1)^2 eigenvector matrix is
+    never stored.
     """
 
     def __init__(self, system: SystemMode, bath: DiscreteBath):
         self.system = system
         self.bath = bath
-        self._eigenvalues, self._eigenvectors = _arrowhead_eigh(
-            system.omega_b, bath.omegas, bath.xis
-        )
+        self.spectrum = _arrowhead_spectrum(system.omega_b, bath.omegas, bath.xis)
 
     def unitary(self, t: float) -> np.ndarray:
-        """Full (N+1) x (N+1) single-excitation evolution matrix."""
-        v = self._eigenvectors
-        return (v * _phases(t, self._eigenvalues)) @ v.T
+        """Full (N+1) x (N+1) single-excitation evolution matrix.
+
+        Dense, so it builds the eigenvectors V (:meth:`ArrowheadSpectrum.vectors`)
+        and forms ``(V cos) V^T - i (V sin) V^T`` as two real matrix products.
+        """
+        v = self.spectrum.vectors()
+        phases = _phases(t, self.spectrum.eigenvalues)
+        u = np.empty(v.shape, dtype=complex)
+        u.real = (v * phases.real) @ v.T
+        u.imag = (v * phases.imag) @ v.T
+        return u
 
     def propagate(self, x, times) -> np.ndarray:
         """``unitary(t) @ x`` for every time in ``times``: shape of ``times`` plus (N+1,).
 
         Entry 0 of ``x`` belongs to the system mode and entries 1..N to the
-        bath modes. ``V^T x`` is formed from the real and imaginary parts of
-        ``x``, so the eigenvector matrix stays real.
+        bath modes.
         """
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.bath.n_modes + 1,):
             raise ValueError("need one amplitude for the system and one per bath mode")
-        v = self._eigenvectors
-        components = x.real @ v + 1j * (x.imag @ v)
-        return spectral_evolution(self._eigenvalues, v, components, times)
+        return self.spectrum.evolve(x, times)
 
     def evaluate(self, times) -> PropagatorCoefficients:
-        """Coefficients over ``times`` (one time or a grid), from one contraction.
+        """Coefficients over ``times`` (one time or a grid), from one evolution.
 
-        Row 0 of the evolution matrix is the evolved system vector, whose
-        spectral components are ``V[0]``. The arrowhead matrix is real
-        symmetric, so the evolution matrix is complex symmetric and row 0 also
-        serves as column 0. On a grid the result carries ``t`` and
-        ``survival`` of shape (T,) and ``absorption`` of shape (T, N), a view
-        into one (T, N+1) array. A scalar time gives scalar ``t`` and
-        ``survival``.
+        Row 0 of the evolution matrix is the evolved system vector. The
+        arrowhead matrix is real symmetric, so the evolution matrix is
+        complex symmetric and row 0 also serves as column 0. On a grid the
+        result carries ``t`` and ``survival`` of shape (T,) and
+        ``absorption`` of shape (T, N), a view into one (T, N+1) array. A
+        scalar time gives scalar ``t`` and ``survival``.
         """
         times = np.asarray(times, dtype=float)
-        rows = spectral_evolution(
-            self._eigenvalues, self._eigenvectors, self._eigenvectors[0], times
-        )
+        system_vector = np.zeros(self.bath.n_modes + 1, dtype=complex)
+        system_vector[0] = 1.0
+        rows = self.spectrum.evolve(system_vector, times)
         return PropagatorCoefficients(
             t=times[()],
             survival=rows[..., 0][()],

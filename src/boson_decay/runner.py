@@ -78,9 +78,19 @@ def _report(table: dict[str, np.ndarray], meta: dict[str, Any] | None = None) ->
     return RunReport(columns=list(table), rows=rows, meta=meta or {})
 
 
-def _unitarity_diagnostics(defect: np.ndarray) -> dict[str, Any]:
-    """Numerical health of a propagator run: its worst |u|^2 + sum |v_j|^2 - 1."""
-    return {"diagnostics": {"max_unitarity_defect": float(np.max(defect))}}
+def _propagator_diagnostics(propagator: ExactPropagator, defect: np.ndarray) -> dict[str, Any]:
+    """Numerical health of a propagator run.
+
+    Its worst |u|^2 + sum |v_j|^2 - 1 over the grid, and the sum-rule
+    residual |sum_k V_0k^2 - 1| of the system's spectral weights.
+    """
+    weights = propagator.spectrum.weights
+    return {
+        "diagnostics": {
+            "max_unitarity_defect": float(np.max(defect)),
+            "sum_rule_residual": float(abs(np.sum(weights) - 1.0)),
+        }
+    }
 
 
 def _run_fock_decay(config: ScenarioConfig) -> RunReport:
@@ -126,7 +136,8 @@ def _run_thermal(config: ScenarioConfig) -> RunReport:
     bath = scenario_bath(config)
     thermal = ThermalSpec.for_system(config.beta, config.omega_b)
     grid = _time_grid(config)
-    coeffs = ExactPropagator(system, bath).evaluate(grid)
+    propagator = ExactPropagator(system, bath)
+    coeffs = propagator.evaluate(grid)
     samples = sample_thermal_bath(bath, thermal, config.samples, config.seed)
     alpha = config.alpha
     phi_c = thermal_factor_closed(thermal.n_th, config.gamma, grid)
@@ -144,13 +155,14 @@ def _run_thermal(config: ScenarioConfig) -> RunReport:
             "mc_occupation": mc.occupation,
             "mc_stderr": errors.occupation,
         },
-        meta=_unitarity_diagnostics(unitarity_defect(coeffs)),
+        meta=_propagator_diagnostics(propagator, unitarity_defect(coeffs)),
     )
 
 
 def _run_wwa_validate(config: ScenarioConfig) -> RunReport:
     grid = _time_grid(config)
-    coeffs = ExactPropagator(_system(config), scenario_bath(config)).evaluate(grid)
+    propagator = ExactPropagator(_system(config), scenario_bath(config))
+    coeffs = propagator.evaluate(grid)
     survived = np.abs(coeffs.survival) ** 2
     dissipated = dissipation_sum(coeffs)
     max_survival_dev = float(np.max(np.abs(survived - np.exp(-config.gamma * grid))))
@@ -172,7 +184,7 @@ def _run_wwa_validate(config: ScenarioConfig) -> RunReport:
         "sum_abs_v_sq": dissipated,
         "unitarity_defect": defect,
     }
-    return _report(table, meta={"summary": summary, **_unitarity_diagnostics(defect)})
+    return _report(table, meta={"summary": summary, **_propagator_diagnostics(propagator, defect)})
 
 
 def _run_oracle_compare(config: ScenarioConfig) -> RunReport:
@@ -187,7 +199,8 @@ def _run_oracle_compare(config: ScenarioConfig) -> RunReport:
         n_th = thermal.n_th
         bath_occ = thermal.occupations(bath)
     grid = _time_grid(config)
-    coeffs = ExactPropagator(system, bath).evaluate(grid)
+    propagator = ExactPropagator(system, bath)
+    coeffs = propagator.evaluate(grid)
     survived = np.abs(coeffs.survival) ** 2
     law = fock_populations(n, np.minimum(survived, 1.0)).probs
     pops = oracle.reduced_density(FockState(n), grid).populations
@@ -208,7 +221,7 @@ def _run_oracle_compare(config: ScenarioConfig) -> RunReport:
         table,
         meta={
             "summary": {"max_population_deviation": float(np.max(deviation))},
-            **_unitarity_diagnostics(unitarity_defect(coeffs)),
+            **_propagator_diagnostics(propagator, unitarity_defect(coeffs)),
         },
     )
 

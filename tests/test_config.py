@@ -248,8 +248,9 @@ class TestResourceGuard:
         [
             (THERMAL_BASE, {"n_modes": 1000, "samples": 1000, "beta": 0.001}),
             (MINIMAL_FOCK, {"fock_n": 10, "n_steps": 10_000}),
+            (WWA_BASE, {"n_modes": 30_000, "n_steps": 21}),
         ],
-        ids=["samples", "fock_n"],
+        ids=["samples", "fock_n", "n_modes"],
     )
     def test_same_sizes_below_limit_pass(self, base, overrides):
         parse_config(base, overrides=overrides)

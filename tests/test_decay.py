@@ -214,6 +214,14 @@ class TestFockSpaceOracle:
             rho = oracle.reduced_density(FockState(n), t)
             assert np.max(np.abs(rho.populations - law.probs)) < 1e-8
 
+    def test_fock_input_builds_one_sector(self, small_system, small_bath):
+        """A Fock state occupies one excitation sector, so only that one is diagonalized."""
+        oracle = FockSpaceOracle(small_system, small_bath, n_max=4)
+        assert not oracle._sectors
+        oracle.reduced_density(FockState(3), [0.0, 1.0])
+        oracle.reduced_density(FockState(3), 2.0)
+        assert list(oracle._sectors) == [3]
+
     def test_fock_reduced_state_is_diagonal(self, small_system, small_bath):
         rho = full_fock_oracle(small_system, small_bath, FockState(3), 1.3)
         assert rho.max_offdiagonal() < 1e-10

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from boson_decay import parse_config, run_scenario
+from boson_decay import build_config, parse_config, run_scenario
 from boson_decay.runner import (
     emit_report,
     report_from_csv,
@@ -200,21 +200,50 @@ class TestOracleCompareScenario:
         assert magnitudes == sorted(magnitudes)
 
 
+PROPAGATOR_KEYS = ["max_unitarity_defect", "sum_rule_residual"]
+
+# The bath scenarios of the benchmark workloads. The sum rule depends on the
+# system and bath only, so the thermal one draws 100 samples, not 10000.
+BENCHMARK_BATH_CONFIGS = {
+    "wwa-2000x201": {
+        "scenario": "wwa-validate", "gamma": 1.0, "omega_b": 100.0, "band_center": 100.0,
+        "half_bandwidth": 20.0, "n_modes": 2000, "n_steps": 201, "t_max": 5.0,
+    },
+    "thermal-800x1e4": {
+        "scenario": "thermal", "gamma": 1.0, "omega_b": 800.0, "band_center": 800.0,
+        "half_bandwidth": 80.0, "n_modes": 800, "samples": 100, "seed": 1, "n_steps": 21,
+        "t_max": 5.0, "beta": math.log(2.0) / 800.0,
+    },
+    "oracle-fock10": {
+        "scenario": "oracle-compare", "gamma": 1.0, "omega_b": 100.0, "band_center": 100.0,
+        "half_bandwidth": 20.0, "n_modes": 4, "fock_n": 10, "beta": 0.2, "n_steps": 201,
+        "t_max": 5.0,
+    },
+}
+
+
 class TestDiagnostics:
     @pytest.mark.parametrize(
-        "text, key",
+        "text, keys",
         [
-            (WWA_TEXT, "max_unitarity_defect"),
-            (THERMAL_TEXT, "max_unitarity_defect"),
-            (ORACLE_TEXT, "max_unitarity_defect"),
-            (EXCITED_TEXT, "max_norm_defect"),
+            (WWA_TEXT, PROPAGATOR_KEYS),
+            (THERMAL_TEXT, PROPAGATOR_KEYS),
+            (ORACLE_TEXT, PROPAGATOR_KEYS),
+            (EXCITED_TEXT, ["max_norm_defect"]),
         ],
         ids=["wwa-validate", "thermal", "oracle-compare", "excited-bath"],
     )
-    def test_propagator_reports_carry_numerical_health(self, text, key):
+    def test_propagator_reports_carry_numerical_health(self, text, keys):
         meta = run_scenario(parse_config(text)).meta
-        assert list(meta["diagnostics"]) == [key]
-        assert 0.0 <= meta["diagnostics"][key] <= 1e-10
+        assert list(meta["diagnostics"]) == keys
+        for key in keys:
+            assert 0.0 <= meta["diagnostics"][key] <= 1e-10
+
+    @pytest.mark.parametrize("name", list(BENCHMARK_BATH_CONFIGS))
+    def test_sum_rule_at_benchmark_configs(self, name):
+        """|sum_k V_0k^2 - 1| of the benchmark baths is at most 1e-12."""
+        meta = run_scenario(build_config(BENCHMARK_BATH_CONFIGS[name])).meta
+        assert 0.0 <= meta["diagnostics"]["sum_rule_residual"] <= 1e-12
 
 
 class TestSerialization:
