@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .errors import ConfigError
+from .thermal import MC_BLOCK_BYTES
 
 SCENARIOS = (
     "fock-decay",
@@ -255,7 +256,8 @@ def _estimated_bytes(merged: dict[str, Any]) -> int:
     Bath runs hold about 4 KiB per mode while the propagator solves for its
     eigenvalues (a few (128, N+1) float blocks; the eigenvectors are never
     stored) and about 40 bytes per grid point and mode while evaluating the
-    grid; thermal runs hold one complex sample per draw and mode. Every
+    grid; thermal runs stream their samples, holding about three Monte Carlo
+    blocks of ``MC_BLOCK_BYTES`` whatever the sample count. Every
     report stacks its columns and turns them into rows of Python floats,
     about 48 bytes per cell: at most 8 columns, plus two per Fock level in a
     Fock scenario.
@@ -266,6 +268,6 @@ def _estimated_bytes(merged: dict[str, Any]) -> int:
         modes = merged["n_modes"] + 1
         estimate += 4096 * modes + 40 * steps * modes
     if scenario == "thermal":
-        estimate += 16 * merged["samples"] * merged["n_modes"]
+        estimate += 3 * MC_BLOCK_BYTES
     levels = merged["fock_n"] + 1 if scenario in _FOCK_SCENARIOS else 0
     return estimate + 48 * steps * (8 + 2 * levels)

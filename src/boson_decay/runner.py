@@ -144,6 +144,12 @@ def _run_thermal(config: ScenarioConfig) -> RunReport:
     survival = analytic_survival(system, config.gamma, grid)
     heff_mean = abs(alpha) ** 2 * np.exp(-(thermal.n_th + 1.0) * config.gamma * grid)
     mc, errors = monte_carlo_moments(alpha, thermal, coeffs, samples)
+    oracle = exact_thermal_moments(alpha, bath, thermal, coeffs).occupation
+    meta = _propagator_diagnostics(propagator, unitarity_defect(coeffs))
+    # Rows whose branches all coincide (t = 0) have a stderr of rounding size only.
+    resolved = errors.occupation > 1e-12
+    z = np.abs(mc.occupation - oracle)[resolved] / errors.occupation[resolved]
+    meta["diagnostics"]["max_mc_z_score"] = float(np.max(z, initial=0.0))
     return _report(
         {
             "t": grid,
@@ -151,11 +157,11 @@ def _run_thermal(config: ScenarioConfig) -> RunReport:
             "phi_closed": phi_c.value,
             "paper_mean_number": conditional_mean_number(alpha, survival, phi_c),
             "heff_mean_number": heff_mean,
-            "oracle_occupation": exact_thermal_moments(alpha, bath, thermal, coeffs).occupation,
+            "oracle_occupation": oracle,
             "mc_occupation": mc.occupation,
             "mc_stderr": errors.occupation,
         },
-        meta=_propagator_diagnostics(propagator, unitarity_defect(coeffs)),
+        meta=meta,
     )
 
 

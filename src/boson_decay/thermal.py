@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from .errors import AsymptoticRegimeError, InfiniteOccupationError
 from .propagator import PROVENANCE_ORACLE, PropagatorCoefficients
 
 SHORT_TIME_WINDOW = 0.1
-_MC_BLOCK_BYTES = 1 << 20  # complex branch values per Monte Carlo block: 16 B per sample and time
+# Bytes of one Monte Carlo block: its (rows, N) samples and its (T, rows) branch values.
+MC_BLOCK_BYTES = 2 << 20
 
 METHOD_DISCRETE = "discrete_sum"
 METHOD_CLOSED = "closed_form"
@@ -212,44 +213,76 @@ class EffectiveHamiltonian:
 
 @dataclass(frozen=True)
 class ThermalSampleSet:
-    """I.i.d. coherent-label vectors drawn from the thermal phase-space weight."""
+    """I.i.d. coherent-label vectors drawn from the thermal phase-space weight.
 
-    samples: np.ndarray
+    The set is a replayable stream, not a stored array: it holds the per-mode
+    scale sqrt(n_j / 2), the sample count, the seed and the temperature, and
+    :meth:`blocks` redraws the labels from ``np.random.default_rng(seed)``
+    each time it is iterated. Its memory is O(N) however many samples it has.
+    """
+
+    scale: np.ndarray
+    count: int
     seed: int
     beta: float
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=complex)
-        object.__setattr__(self, "samples", samples)
-        if samples.ndim != 2:
-            raise ValueError("samples must be a (count, n_modes) array")
+        scale = np.asarray(self.scale, dtype=float)
+        object.__setattr__(self, "scale", scale)
+        if scale.ndim != 1:
+            raise ValueError("scale must be a (n_modes,) array")
+        if self.count < 1:
+            raise ValueError(f"count must be at least 1 (got {self.count})")
 
     @property
-    def count(self) -> int:
-        return int(self.samples.shape[0])
+    def n_modes(self) -> int:
+        return int(self.scale.size)
+
+    def blocks(self, rows: int | None = None) -> Iterator[np.ndarray]:
+        """Yield the samples in order as (rows, N) complex blocks; the last may be shorter.
+
+        Every block comes from one generator seeded with ``seed``, drawing
+        2 * rows * N normals at a time. Chunked draws consume the generator
+        exactly as one (count, 2N) draw does, so the values do not depend on
+        ``rows`` (default: the block size for a single time).
+        """
+        if rows is None:
+            rows = _block_rows(self.n_modes, 1)
+        if rows < 1:
+            raise ValueError(f"rows must be at least 1 (got {rows})")
+        rng = np.random.default_rng(self.seed)
+        for start in range(0, self.count, rows):
+            block = rng.standard_normal((min(rows, self.count - start), 2 * self.n_modes))
+            block = block.view(complex)
+            block *= self.scale
+            yield block
+
+    @property
+    def samples(self) -> np.ndarray:
+        """All samples as one (count, N) complex array; for small sets and tests."""
+        return np.concatenate(list(self.blocks()))
+
+
+def _block_rows(n_modes: int, n_times: int) -> int:
+    """Samples per Monte Carlo block: a (rows, N) block and a (T, rows) branch fit the budget."""
+    return max(1, MC_BLOCK_BYTES // (16 * max(n_modes, n_times)))
 
 
 def sample_thermal_bath(
     bath: DiscreteBath, thermal: ThermalSpec, count: int, seed: int
 ) -> ThermalSampleSet:
-    """Draw ``count`` thermal label vectors, one complex Gaussian per mode.
+    """The stream of ``count`` thermal label vectors, one complex Gaussian per mode.
 
     Mode j has independent real and imaginary parts of variance n_j / 2, so
-    E|lambda_j|^2 = n_j. One generator seeded with ``seed`` draws all
-    2 * count * N normals at once; they are viewed as complex labels and
-    scaled in place, so the set costs one (count, N) complex array.
+    E|lambda_j|^2 = n_j. Nothing is drawn here: the set stores the per-mode
+    scale and the seed, and its blocks are drawn when they are consumed.
     """
-    if count < 1:
-        raise ValueError(f"count must be at least 1 (got {count})")
     if thermal.beta == 0:
         raise InfiniteOccupationError(
             "infinite variance: beta = 0 gives divergent thermal occupations"
         )
     scale = np.sqrt(thermal.occupations(bath) / 2.0)
-    rng = np.random.default_rng(seed)
-    samples = rng.standard_normal((count, 2 * bath.n_modes)).view(complex)
-    samples *= scale
-    return ThermalSampleSet(samples=samples, seed=seed, beta=thermal.beta)
+    return ThermalSampleSet(scale=scale, count=count, seed=seed, beta=thermal.beta)
 
 
 @dataclass(frozen=True)
@@ -280,10 +313,13 @@ def monte_carlo_moments(
     Each sample is a joint coherent state, so its evolved system branch is the
     coherent label alpha * survival + sum_j lambda_j absorption_j and
     contributes |label|^2 to the occupation with no within-branch correction.
-    On a grid, each block of times is one (times, modes) @ (modes, samples)
-    product of about ``_MC_BLOCK_BYTES``, which bounds memory on long grids.
+    The samples are streamed: each block is one (T, N) @ (N, rows) product,
+    and the per-time means and sums of squared deviations of the blocks are
+    merged pairwise (Chan, Golub and LeVeque). Block and branch both stay
+    within ``MC_BLOCK_BYTES``, so memory is O(T * N + MC_BLOCK_BYTES) for any
+    sample count.
     """
-    if samples.samples.shape[1] != coeffs.n_modes:
+    if samples.n_modes != coeffs.n_modes:
         raise ValueError("sample set and coefficients disagree on the mode count")
     if abs(samples.beta - thermal.beta) > 1e-12 * max(1.0, abs(thermal.beta)):
         raise ValueError("sample set was drawn at a different temperature")
@@ -292,22 +328,30 @@ def monte_carlo_moments(
     shape = np.shape(coeffs.survival)
     offsets = complex(alpha) * np.reshape(coeffs.survival, (-1, 1))
     absorption = coeffs.absorption.reshape(offsets.size, -1)
-    mean_amplitude = np.empty(offsets.size, dtype=complex)
-    occupation, occ_var, spread_sq = np.empty((3, offsets.size))
-    step = max(1, _MC_BLOCK_BYTES // (16 * count))
-    for start in range(0, offsets.size, step):
-        rows = slice(start, start + step)
-        branch = absorption[rows] @ samples.samples.T
-        branch += offsets[rows]
-        mean_amplitude[rows] = branch.mean(axis=1)
+    # Running per-time statistics of the samples seen so far; merging the
+    # first block into these zeros reproduces the block's own exactly.
+    mean_amplitude = np.zeros(offsets.size, dtype=complex)
+    occupation, spread_m2, occ_m2 = np.zeros((3, offsets.size))
+    seen = 0
+    for block in samples.blocks(_block_rows(samples.n_modes, offsets.size)):
+        branch = absorption @ block.T
+        branch += offsets
+        rows = branch.shape[1]
+        total = seen + rows
+        pair_weight = seen * rows / total
+        block_mean = branch.mean(axis=1)
         occ = np.abs(branch) ** 2
-        occupation[rows] = occ.mean(axis=1)
-        occ_var[rows] = occ.var(axis=1)
-        branch -= mean_amplitude[rows, None]
-        spread_sq[rows] = np.mean(np.abs(branch) ** 2, axis=1)
+        delta_occ = occ.mean(axis=1) - occupation
+        occ_m2 += occ.var(axis=1) * rows + delta_occ**2 * pair_weight
+        occupation += delta_occ * (rows / total)
+        branch -= block_mean[:, None]
+        delta = block_mean - mean_amplitude
+        spread_m2 += np.sum(np.abs(branch) ** 2, axis=1) + np.abs(delta) ** 2 * pair_weight
+        mean_amplitude += delta * (rows / total)
+        seen = total
 
     # Standard errors of the two sample means, with the unbiased (count - 1) variance.
-    errors = np.sqrt(np.stack([spread_sq, occ_var]) / max(count - 1, 1))
+    errors = np.sqrt(np.stack([spread_m2, occ_m2]) / count / max(count - 1, 1))
     if count == 1:
         errors[:] = math.inf
     # mean(|x|^2) >= |mean(x)|^2 holds for any sample, so the moment invariant

@@ -227,11 +227,10 @@ class TestResourceGuard:
         "base, overrides",
         [
             (WWA_BASE, {"n_modes": 10_000_000}),
-            (THERMAL_BASE, {"n_modes": 1000, "samples": 1_000_000, "beta": 0.001}),
             (MINIMAL_FOCK, {"fock_n": 10_000, "n_steps": 10_000}),
             (WWA_BASE, {"n_steps": 10_000_000}),
         ],
-        ids=["n_modes", "samples-x-n_modes", "n_steps-x-fock_n", "n_steps-x-n_modes"],
+        ids=["n_modes", "n_steps-x-fock_n", "n_steps-x-n_modes"],
     )
     def test_oversize_rejected_without_allocating(self, base, overrides):
         tracemalloc.start()
@@ -249,8 +248,10 @@ class TestResourceGuard:
             (THERMAL_BASE, {"n_modes": 1000, "samples": 1000, "beta": 0.001}),
             (MINIMAL_FOCK, {"fock_n": 10, "n_steps": 10_000}),
             (WWA_BASE, {"n_modes": 30_000, "n_steps": 21}),
+            (THERMAL_BASE, {"n_modes": 1000, "samples": 1_000_000, "beta": 0.001}),
+            (THERMAL_BASE, {"n_modes": 800, "samples": 1_000_000, "beta": 0.001}),
         ],
-        ids=["samples", "fock_n", "n_modes"],
+        ids=["samples", "fock_n", "n_modes", "samples-x-n_modes", "samples-x-800-modes"],
     )
     def test_same_sizes_below_limit_pass(self, base, overrides):
         parse_config(base, overrides=overrides)

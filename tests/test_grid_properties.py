@@ -7,6 +7,8 @@ Fock-space oracle evaluated on a grid must match a per-time reference built
 from the explicit sector unitaries, to 1e-12.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,10 +37,11 @@ from boson_decay import (
     thermal_factor_discrete,
     unitarity_defect,
 )
-from boson_decay.thermal import _MC_BLOCK_BYTES
+from boson_decay import thermal as thermal_module
 
 TOL = 1e-13
-MC_SAMPLES = 1 << 15  # two times per Monte Carlo block, so grids of 3+ times span blocks
+MC_SAMPLES = 1 << 15
+MC_TEST_BLOCK_BYTES = 1 << 16  # at most 4096 samples per block: every estimate spans 8+ blocks
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -122,11 +125,14 @@ def test_thermal_laws_match_per_time(run):
 @given(small_runs(min_times=3), st.integers(0, 2**32 - 1))
 def test_monte_carlo_matches_per_time_across_blocks(run, seed):
     system, bath, propagator, thermal, times, alpha = run
-    assert _MC_BLOCK_BYTES // (16 * MC_SAMPLES) < times.size  # more than one block
     samples = sample_thermal_bath(bath, thermal, MC_SAMPLES, seed)
     grid = propagator.evaluate(times)
-    moments, errors = monte_carlo_moments(alpha, thermal, grid, samples)
-    per_time = [monte_carlo_moments(alpha, thermal, propagator.evaluate(t), samples) for t in times]
+    with mock.patch.object(thermal_module, "MC_BLOCK_BYTES", MC_TEST_BLOCK_BYTES):
+        assert thermal_module._block_rows(bath.n_modes, times.size) < MC_SAMPLES
+        moments, errors = monte_carlo_moments(alpha, thermal, grid, samples)
+        per_time = [
+            monte_carlo_moments(alpha, thermal, propagator.evaluate(t), samples) for t in times
+        ]
     _rows_match(moments.mean_amplitude, [m.mean_amplitude for m, _ in per_time])
     _rows_match(moments.occupation, [m.occupation for m, _ in per_time])
     _rows_match(errors.mean_amplitude, [e.mean_amplitude for _, e in per_time])

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from boson_decay import build_config, parse_config, run_scenario
@@ -224,20 +225,30 @@ BENCHMARK_BATH_CONFIGS = {
 
 class TestDiagnostics:
     @pytest.mark.parametrize(
-        "text, keys",
+        "text, keys, statistics",
         [
-            (WWA_TEXT, PROPAGATOR_KEYS),
-            (THERMAL_TEXT, PROPAGATOR_KEYS),
-            (ORACLE_TEXT, PROPAGATOR_KEYS),
-            (EXCITED_TEXT, ["max_norm_defect"]),
+            (WWA_TEXT, PROPAGATOR_KEYS, []),
+            (THERMAL_TEXT, PROPAGATOR_KEYS, ["max_mc_z_score"]),
+            (ORACLE_TEXT, PROPAGATOR_KEYS, []),
+            (EXCITED_TEXT, ["max_norm_defect"], []),
         ],
         ids=["wwa-validate", "thermal", "oracle-compare", "excited-bath"],
     )
-    def test_propagator_reports_carry_numerical_health(self, text, keys):
+    def test_propagator_reports_carry_numerical_health(self, text, keys, statistics):
+        """Defects and residuals are at most 1e-10; statistics follow them."""
         meta = run_scenario(parse_config(text)).meta
-        assert list(meta["diagnostics"]) == keys
+        assert list(meta["diagnostics"]) == keys + statistics
         for key in keys:
             assert 0.0 <= meta["diagnostics"][key] <= 1e-10
+
+    def test_thermal_z_score_reads_the_resolved_rows(self):
+        """max_mc_z_score is the worst |mc - oracle| / stderr over rows with stderr > 1e-12."""
+        report = run_scenario(parse_config(THERMAL_TEXT))
+        oracle, mc, stderr = np.array(report.rows)[:, 5:8].T
+        assert stderr[0] < 1e-12 < stderr[1:].min()  # t = 0: every branch equals alpha
+        z = report.meta["diagnostics"]["max_mc_z_score"]
+        assert z == np.max(np.abs(mc - oracle)[1:] / stderr[1:])
+        assert 0.0 < z <= 4.0
 
     @pytest.mark.parametrize("name", list(BENCHMARK_BATH_CONFIGS))
     def test_sum_rule_at_benchmark_configs(self, name):

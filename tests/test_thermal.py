@@ -2,6 +2,7 @@
 generator, and Monte Carlo sampling against exact Gaussian moments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,16 @@ from boson_decay import (
     AsymptoticRegimeError,
     CoherentSuperposition,
     EffectiveHamiltonian,
+    ExactPropagator,
     InfiniteOccupationError,
+    SpectralDensitySpec,
     SystemMode,
     ThermalSpec,
     analytic_survival,
     coherent_decay,
     conditional_mean_number,
     conditional_wavefunction,
+    discretize_bath,
     exact_thermal_moments,
     excited_bath_evolution,
     fock_decay_time,
@@ -28,7 +32,7 @@ from boson_decay import (
     thermal_factor_discrete,
 )
 from boson_decay.decay import coherent_amplitudes
-from boson_decay.thermal import METHOD_CLOSED, METHOD_DISCRETE, ThermalFactor
+from boson_decay.thermal import METHOD_CLOSED, METHOD_DISCRETE, ThermalFactor, _block_rows
 
 GAMMA = 1.0
 
@@ -341,6 +345,24 @@ class TestThermalSampling:
         with pytest.raises(ValueError):
             sample_thermal_bath(small_bath, thermal, 0, seed=0)
 
+    @pytest.mark.parametrize("rows", [None, 7, 1000])
+    def test_blocks_replay_one_shot_draw(self, thermal_bath, rows):
+        """Any block size gives the one-shot (count, 2N) draw, bit for bit."""
+        thermal = ThermalSpec.for_system(2e-3, 800.0)
+        count = 1000  # not a multiple of 7 or of the default 163 rows
+        samples = sample_thermal_bath(thermal_bath, thermal, count, seed=11)
+        scale = np.sqrt(thermal.occupations(thermal_bath) / 2.0)
+        expected = np.random.default_rng(11).standard_normal((count, 1600)).view(complex) * scale
+        blocks = list(samples.blocks(rows))
+        assert all(len(b) == (rows or _block_rows(800, 1)) for b in blocks[:-1])
+        assert np.array_equal(np.concatenate(blocks), expected)
+        assert np.array_equal(samples.samples, expected)
+
+    def test_set_holds_no_samples(self, thermal_bath):
+        samples = sample_thermal_bath(thermal_bath, ThermalSpec.for_system(2e-3, 800.0), 10**9, 1)
+        assert samples.count == 10**9
+        assert samples.scale.shape == (800,)
+
 
 @pytest.fixture(scope="module")
 def setup(thermal_bath):
@@ -402,6 +424,75 @@ class TestMonteCarloMoments:
             _, errors = monte_carlo_moments(1.0, thermal, coeffs, samples)
             scaled.append(errors.occupation * math.sqrt(count))
         assert max(scaled) / min(scaled) < 1.5
+
+
+def _whole_array_moments(alpha, coeffs, samples):
+    """Reference estimator: every branch value at once, with numpy's own reductions."""
+    offsets = alpha * np.reshape(coeffs.survival, (-1, 1))
+    branch = coeffs.absorption.reshape(offsets.size, -1) @ samples.samples.T + offsets
+    mean = branch.mean(axis=1)
+    occ = np.abs(branch) ** 2
+    count = samples.count
+    if count == 1:
+        errors = np.full((2, offsets.size), math.inf)
+    else:
+        spread = np.mean(np.abs(branch - mean[:, None]) ** 2, axis=1)
+        errors = np.sqrt(np.stack([spread, occ.var(axis=1)]) / (count - 1))
+    return mean, occ.mean(axis=1), errors
+
+
+class TestStreamedMonteCarlo:
+    """Block-by-block moments equal the whole-array estimate to 1e-13.
+
+    The grids start after t = 0: there every branch equals alpha up to
+    rounding, and a stderr of rounding size has no relative accuracy.
+    """
+
+    TIMES = np.linspace(0.25, 5.0, 20)
+
+    @pytest.mark.parametrize("offset", [None, -1, 1], ids=["count-1", "rows-1", "rows+1"])
+    def test_matches_whole_array(self, thermal_bath, thermal_propagator, offset):
+        thermal = ThermalSpec.for_system(math.log(2.0) / 800.0, 800.0)
+        coeffs = thermal_propagator.evaluate(self.TIMES)
+        count = 1 if offset is None else _block_rows(800, self.TIMES.size) + offset
+        samples = sample_thermal_bath(thermal_bath, thermal, count, seed=17)
+        self._check(1.0 - 0.5j, thermal, coeffs, samples)
+
+    def test_matches_whole_array_on_long_grid(self):
+        """T > N: the branch, not the block, bounds the rows."""
+        system = SystemMode(omega_b=20.0)
+        spec = SpectralDensitySpec(gamma=GAMMA, band_center=20.0, half_bandwidth=4.0)
+        bath = discretize_bath(spec, 20)
+        thermal = ThermalSpec.for_system(0.05, 20.0)
+        times = np.linspace(0.1, 4.0, 60)
+        rows = _block_rows(bath.n_modes, times.size)
+        assert rows == _block_rows(times.size, 1) < _block_rows(bath.n_modes, 1)
+        samples = sample_thermal_bath(bath, thermal, 2 * rows + 3, seed=3)
+        self._check(0.7, thermal, ExactPropagator(system, bath).evaluate(times), samples)
+
+    @staticmethod
+    def _check(alpha, thermal, coeffs, samples):
+        moments, errors = monte_carlo_moments(alpha, thermal, coeffs, samples)
+        mean, occupation, reference_errors = _whole_array_moments(alpha, coeffs, samples)
+        np.testing.assert_allclose(moments.mean_amplitude, mean, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(moments.occupation, occupation, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(np.stack(errors), reference_errors, rtol=1e-13, atol=0)
+
+    def test_memory_stays_below_the_sample_array(self):
+        """M=2e4, N=400: materialized, the samples alone would be 128 MB."""
+        system = SystemMode(omega_b=800.0)
+        spec = SpectralDensitySpec(gamma=GAMMA, band_center=800.0, half_bandwidth=80.0)
+        bath = discretize_bath(spec, 400)
+        thermal = ThermalSpec.for_system(math.log(2.0) / 800.0, 800.0)
+        coeffs = ExactPropagator(system, bath).evaluate(np.linspace(0.0, 5.0, 21))
+        samples = sample_thermal_bath(bath, thermal, 20_000, seed=5)
+        tracemalloc.start()
+        try:
+            monte_carlo_moments(1.0, thermal, coeffs, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestExactThermalMoments:
