@@ -258,9 +258,11 @@ def _estimated_bytes(merged: dict[str, Any]) -> int:
     stored) and about 40 bytes per grid point and mode while evaluating the
     grid; thermal runs stream their samples, holding about three Monte Carlo
     blocks of ``MC_BLOCK_BYTES`` whatever the sample count. Every
-    report stacks its columns and turns them into rows of Python floats,
-    about 48 bytes per cell: at most 8 columns, plus two per Fock level in a
-    Fock scenario.
+    report holds its columns stacked into one float64 table, and the
+    binomial law of a Fock scenario holds (T, n+1) temporaries while it is
+    evaluated; 48 bytes per cell covers both, at most 8 columns plus two
+    per Fock level. CSV is formatted in fixed blocks of rows, so its text
+    is not counted.
     """
     scenario, steps = merged["scenario"], merged["n_steps"]
     estimate = 0

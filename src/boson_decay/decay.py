@@ -134,9 +134,14 @@ def fock_populations(n: int, survival) -> PopulationDistribution:
     log_comb = np.array([math.log(math.comb(n, k)) for k in range(n + 1)])
     p = p[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        kept = np.where(m > 0, m * np.log(p), 0.0)
-        lost = np.where(m < n, (n - m) * np.log1p(-p), 0.0)
-    return PopulationDistribution(probs=np.exp(log_comb + kept + lost))
+        kept = m * np.log(p)
+        lost = (n - m) * np.log1p(-p)
+    kept[..., 0] = 0.0
+    lost[..., n] = 0.0
+    # In place, in the operand order of exp(log_comb + kept + lost): same bits.
+    kept += log_comb
+    kept += lost
+    return PopulationDistribution(probs=np.exp(kept, out=kept))
 
 
 def fock_survival(n: int, gamma: float, t: float) -> float:

@@ -1,18 +1,22 @@
 """Scenario execution and deterministic report emission.
 
 Each scenario evaluates its laws as arrays over a uniform time grid and
-stacks the named columns once into one row per grid point; columns follow
+stacks the named columns once into one (T, C) float64 table; columns follow
 the per-module CSV schemas. CSV artifacts contain only the table (so
-identical runs are byte-identical); metadata travels in the JSON format or
-in a ``.meta.json`` sidecar next to a CSV file.
+identical runs are byte-identical) and are formatted and written in blocks
+of ``_CSV_BLOCK_ROWS`` rows, so a report never exists as one string or as
+one list of Python floats; metadata travels in the JSON format or in a
+``.meta.json`` sidecar next to a CSV file.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -44,14 +48,22 @@ from .thermal import (
 
 WWA_TOLERANCE = 2e-2
 
+# Rows formatted per CSV block: bounds the Python floats and text held at once.
+_CSV_BLOCK_ROWS = 64
+
 
 @dataclass
 class RunReport:
-    """Per-time-point records plus a metadata block echoing the run setup."""
+    """A (T, C) float64 table, one row per time point, plus a metadata block."""
 
     columns: list[str]
-    rows: list[list[float]]
+    table: np.ndarray
     meta: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def rows(self) -> list[list[float]]:
+        """The table as nested lists of Python floats (a fresh copy per access)."""
+        return self.table.tolist()
 
 
 def _time_grid(config: ScenarioConfig) -> np.ndarray:
@@ -73,9 +85,9 @@ def scenario_bath(config: ScenarioConfig) -> DiscreteBath:
 
 
 def _report(table: dict[str, np.ndarray], meta: dict[str, Any] | None = None) -> RunReport:
-    """One row per time from named per-time columns, stacked once into floats."""
-    rows = np.column_stack(list(table.values())).tolist()
-    return RunReport(columns=list(table), rows=rows, meta=meta or {})
+    """One row per time from named per-time columns, stacked once into a float table."""
+    stacked = np.column_stack(list(table.values()))
+    return RunReport(columns=list(table), table=stacked, meta=meta or {})
 
 
 def _propagator_diagnostics(propagator: ExactPropagator, defect: np.ndarray) -> dict[str, Any]:
@@ -257,47 +269,76 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         "elapsed_seconds": elapsed,
         **report.meta,
     }
-    if len(report.rows) != config.n_steps:
-        raise AssertionError("report row count must equal n_steps")
+    if report.table.shape != (config.n_steps, len(report.columns)):
+        raise AssertionError("report table must have n_steps rows and one column per name")
     return report
+
+
+def _csv_blocks(report: RunReport) -> Iterator[str]:
+    """The CSV text: the header line, then one string per block of rows.
+
+    ``repr`` of a float from ``tolist`` is its shortest round-trip form, so
+    every cell reads back to the same float64.
+    """
+    yield ",".join(report.columns) + "\n"
+    table = report.table
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        block = table[start : start + _CSV_BLOCK_ROWS].tolist()
+        yield "".join(",".join(map(repr, row)) + "\n" for row in block)
+
+
+def _json_payload(report: RunReport) -> dict[str, Any]:
+    return {"meta": report.meta, "columns": report.columns, "rows": report.rows}
 
 
 def report_to_csv(report: RunReport) -> str:
     """Full round-trip float precision, one header line, no metadata."""
-    lines = [",".join(report.columns)]
-    for row in report.rows:
-        lines.append(",".join(repr(float(value)) for value in row))
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_blocks(report))
 
 
 def report_to_json(report: RunReport) -> str:
-    payload = {"meta": report.meta, "columns": report.columns, "rows": report.rows}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_json_payload(report), indent=2, sort_keys=True) + "\n"
+
+
+def _table(rows: list[list[Any]], columns: list[str]) -> np.ndarray:
+    """A (len(rows), len(columns)) float table; ``float`` parses each cell."""
+    table = np.array([[float(cell) for cell in row] for row in rows], dtype=float)
+    return table.reshape(len(rows), len(columns))
 
 
 def report_from_csv(text: str) -> RunReport:
     lines = [line for line in text.splitlines() if line]
     columns = lines[0].split(",")
-    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
-    return RunReport(columns=columns, rows=rows)
+    rows = [line.split(",") for line in lines[1:]]
+    return RunReport(columns=columns, table=_table(rows, columns))
 
 
 def report_from_json(text: str) -> RunReport:
     payload = json.loads(text)
+    columns = list(payload["columns"])
     return RunReport(
-        columns=list(payload["columns"]),
-        rows=[[float(cell) for cell in row] for row in payload["rows"]],
+        columns=columns,
+        table=_table(payload["rows"], columns),
         meta=payload.get("meta", {}),
     )
 
 
+def _write_into(handle: TextIO, report: RunReport, fmt: str) -> None:
+    """Write the report as 'csv' or 'json' to ``handle`` without building it whole."""
+    if fmt == "csv":
+        handle.writelines(_csv_blocks(report))
+    elif fmt == "json":
+        json.dump(_json_payload(report), handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+
+
 def emit_report(report: RunReport, fmt: str) -> str:
     """Serialize a report as 'csv' (table only) or 'json' (rows plus meta)."""
-    if fmt == "csv":
-        return report_to_csv(report)
-    if fmt == "json":
-        return report_to_json(report)
-    raise ValueError(f"unknown format {fmt!r}")
+    buffer = io.StringIO()
+    _write_into(buffer, report, fmt)
+    return buffer.getvalue()
 
 
 def write_report(report: RunReport, config: ScenarioConfig) -> str | None:
@@ -306,13 +347,12 @@ def write_report(report: RunReport, config: ScenarioConfig) -> str | None:
     Returns the path written, or None when streaming to stdout. CSV files get
     a ``<path>.meta.json`` sidecar carrying the metadata block.
     """
-    serialized = emit_report(report, config.format)
     if config.output == "-":
-        print(serialized, end="")
+        _write_into(sys.stdout, report, config.format)
         return None
     try:
         with open(config.output, "w", encoding="utf-8") as handle:
-            handle.write(serialized)
+            _write_into(handle, report, config.format)
         if config.format == "csv":
             sidecar = config.output + ".meta.json"
             with open(sidecar, "w", encoding="utf-8") as handle:

@@ -1,16 +1,24 @@
 """Scenario execution, report schemas, serialization, and the CLI surface."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from boson_decay import build_config, parse_config, run_scenario
+from boson_decay import RunReport, build_config, parse_config, run_scenario
 from boson_decay.runner import (
+    _CSV_BLOCK_ROWS,
     emit_report,
     report_from_csv,
     report_from_json,
@@ -310,6 +318,85 @@ class TestSerialization:
             write_report(report, config)
 
 
+# Cells whose shortest repr switches notation or sign: the streamed writer must
+# format them exactly as repr(float(value)) does.
+SPECIAL_CELLS = [-0.0, 5e-324, 1e16, 1e-05, math.inf, -math.inf]
+BLOCK_EDGE_ROWS = [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1]
+STDOUT_CONFIG = build_config(
+    {"scenario": "fock-decay", "gamma": 1.0, "omega_b": 1.0, "fock_n": 1, "t_max": 1.0,
+     "n_steps": 2}
+)
+
+
+@st.composite
+def float_tables(draw):
+    rows = draw(st.sampled_from(BLOCK_EDGE_ROWS))
+    cols = draw(st.integers(1, 4))
+    cells = st.one_of(st.sampled_from(SPECIAL_CELLS), st.floats(width=64))
+    table = draw(arrays(np.float64, (rows, cols), elements=cells))
+    return RunReport(columns=[f"c{j}" for j in range(cols)], table=table)
+
+
+def _reference_csv(report):
+    """The per-cell CSV formatter the block-streamed writer must reproduce."""
+    lines = [",".join(report.columns)]
+    for row in report.table:
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _stdout_of(report, config):
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert write_report(report, config) is None
+    return buffer.getvalue()
+
+
+class TestStreamedWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(report=float_tables())
+    def test_streamed_csv_equals_per_cell_repr(self, report):
+        expected = _reference_csv(report)
+        assert report_to_csv(report) == expected
+        assert emit_report(report, "csv") == expected
+        assert _stdout_of(report, STDOUT_CONFIG) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(report=float_tables())
+    def test_csv_json_csv_round_trip_is_bytewise(self, report):
+        csv_text = report_to_csv(report)
+        back = report_to_csv(report_from_json(report_to_json(report_from_csv(csv_text))))
+        assert back == csv_text
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_bytes_equal_file_bytes(self, tmp_path, fmt):
+        """One report written to stdout and to a file gives the same bytes.
+
+        In process, because the metadata of two runs differs in its wall clock.
+        """
+        config = parse_config(FOCK_TEXT, overrides={"format": fmt, "fock_n": 40})
+        report = run_scenario(config)
+        path = tmp_path / f"fock.{fmt}"
+        write_report(report, dataclasses.replace(config, output=str(path)))
+        assert _stdout_of(report, config).encode("utf-8") == path.read_bytes()
+        assert path.read_text() == emit_report(report, fmt)
+
+    def test_write_peak_memory_is_a_few_tables(self, tmp_path):
+        """Traced peak of a fock-decay run and its CSV write is at most 6x the table."""
+        config = build_config(
+            {"scenario": "fock-decay", "gamma": 1.0, "omega_b": 1.0, "fock_n": 100,
+             "t_max": 5.0, "n_steps": 1001, "output": str(tmp_path / "fock.csv")}
+        )
+        table_bytes = 8 * 1001 * (100 + 2)
+        tracemalloc.start()
+        try:
+            write_report(run_scenario(config), config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * table_bytes
+
+
 class TestCli:
     def _run(self, *args, env_extra=None):
         env = dict(os.environ)
@@ -371,6 +458,19 @@ class TestCli:
         for row in report.rows:
             assert all(math.isfinite(x) for x in row)
             assert abs(math.fsum(row[1:]) - 1.0) <= 1e-12
+
+    def test_stdout_matches_output_file(self, tmp_path):
+        """The CSV streamed to stdout is byte-identical to the file of the same run."""
+        out = tmp_path / "fock.csv"
+        flags = ["--scenario", "fock-decay", "--gamma", "1", "--omega-b", "1", "--fock-n", "50",
+                 "--t-max", "5", "--n-steps", "501"]
+        to_file = self._run(*flags, "--output", str(out))
+        to_stdout = subprocess.run(
+            [sys.executable, "-m", "boson_decay.cli", *flags, "--output", "-"],
+            capture_output=True,
+        )
+        assert to_file.returncode == 0 and to_stdout.returncode == 0
+        assert to_stdout.stdout == out.read_bytes()
 
     def test_dump_bath(self, tmp_path):
         cfg = tmp_path / "w.cfg"
