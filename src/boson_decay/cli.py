@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bath import write_bath_csv
@@ -63,6 +64,12 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps({"summary": summary}), file=sys.stderr)
         if path is not None:
             print(f"wrote {path}", file=sys.stderr)
+    except BrokenPipeError as exc:
+        # The stdout reader closed early. Point stdout at devnull so the
+        # interpreter's final flush of what is still buffered cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(_error_record(exc), file=sys.stderr)
+        return 1
     except Exception as exc:  # single-line machine-readable error record
         print(_error_record(exc), file=sys.stderr)
         return 1

@@ -52,13 +52,22 @@ WWA_TOLERANCE = 2e-2
 _CSV_BLOCK_ROWS = 64
 
 
-@dataclass
+@dataclass(eq=False)
 class RunReport:
     """A (T, C) float64 table, one row per time point, plus a metadata block."""
 
     columns: list[str]
     table: np.ndarray
     meta: dict[str, Any] = field(default_factory=dict)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RunReport):
+            return NotImplemented
+        return (
+            self.columns == other.columns
+            and np.array_equal(self.table, other.table)
+            and self.meta == other.meta
+        )
 
     @property
     def rows(self) -> list[list[float]]:
@@ -291,15 +300,6 @@ def _json_payload(report: RunReport) -> dict[str, Any]:
     return {"meta": report.meta, "columns": report.columns, "rows": report.rows}
 
 
-def report_to_csv(report: RunReport) -> str:
-    """Full round-trip float precision, one header line, no metadata."""
-    return "".join(_csv_blocks(report))
-
-
-def report_to_json(report: RunReport) -> str:
-    return json.dumps(_json_payload(report), indent=2, sort_keys=True) + "\n"
-
-
 def _table(rows: list[list[Any]], columns: list[str]) -> np.ndarray:
     """A (len(rows), len(columns)) float table; ``float`` parses each cell."""
     table = np.array([[float(cell) for cell in row] for row in rows], dtype=float)
@@ -341,6 +341,15 @@ def emit_report(report: RunReport, fmt: str) -> str:
     return buffer.getvalue()
 
 
+def report_to_csv(report: RunReport) -> str:
+    """Full round-trip float precision, one header line, no metadata."""
+    return emit_report(report, "csv")
+
+
+def report_to_json(report: RunReport) -> str:
+    return emit_report(report, "json")
+
+
 def write_report(report: RunReport, config: ScenarioConfig) -> str | None:
     """Write the serialized report to the configured destination.
 
@@ -349,6 +358,7 @@ def write_report(report: RunReport, config: ScenarioConfig) -> str | None:
     """
     if config.output == "-":
         _write_into(sys.stdout, report, config.format)
+        sys.stdout.flush()  # a reader that closed early fails here, not at exit
         return None
     try:
         with open(config.output, "w", encoding="utf-8") as handle:

@@ -286,6 +286,13 @@ class TestSerialization:
         assert payload["columns"][0] == "t"
         assert len(payload["rows"]) == 11
 
+    def test_reports_compare_by_value(self, report):
+        copy = RunReport(columns=list(report.columns), table=report.table.copy(),
+                         meta=dict(report.meta))
+        assert copy == report
+        copy.table[-1, -1] += 1.0
+        assert (copy == report) is False
+
     def test_emit_report_dispatch(self, report):
         assert emit_report(report, "csv").startswith("t,")
         assert emit_report(report, "json").startswith("{")
@@ -459,18 +466,28 @@ class TestCli:
             assert all(math.isfinite(x) for x in row)
             assert abs(math.fsum(row[1:]) - 1.0) <= 1e-12
 
-    def test_stdout_matches_output_file(self, tmp_path):
-        """The CSV streamed to stdout is byte-identical to the file of the same run."""
-        out = tmp_path / "fock.csv"
+    def test_reader_closing_stdout_early_exits_1_with_error_record(self):
+        """A stdout reader that stops after 100 bytes gets a clean exit 1 and JSON record.
+
+        The CSV (about 500 kB) is far larger than a pipe's buffer, so the
+        writer meets the closed pipe while the run is still writing.
+        """
         flags = ["--scenario", "fock-decay", "--gamma", "1", "--omega-b", "1", "--fock-n", "50",
-                 "--t-max", "5", "--n-steps", "501"]
-        to_file = self._run(*flags, "--output", str(out))
-        to_stdout = subprocess.run(
-            [sys.executable, "-m", "boson_decay.cli", *flags, "--output", "-"],
-            capture_output=True,
+                 "--t-max", "5", "--n-steps", "501", "--output", "-"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "boson_decay.cli", *flags],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
         )
-        assert to_file.returncode == 0 and to_stdout.returncode == 0
-        assert to_stdout.stdout == out.read_bytes()
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert head.startswith(b"t,P_0,P_1,")
+        lines = [line for line in stderr.splitlines() if line]
+        assert json.loads(lines[-1])["error"] == "BrokenPipeError"
+        assert "Exception ignored" not in stderr
 
     def test_dump_bath(self, tmp_path):
         cfg = tmp_path / "w.cfg"
