@@ -8,7 +8,6 @@ rates) live side by side with exact finite-bath oracles that validate them.
 __version__ = "0.1.0"
 
 from .bath import (
-    BathMode,
     DiscreteBath,
     SpectralDensitySpec,
     ThermalSpec,
@@ -49,7 +48,6 @@ from .propagator import (
     ExactPropagator,
     PropagatorCoefficients,
     SystemMode,
-    analytic_absorption,
     analytic_propagator,
     analytic_survival,
     dissipation_sum,
@@ -70,6 +68,7 @@ from .thermal import (
     sample_thermal_bath,
     thermal_factor_closed,
     thermal_factor_discrete,
+    thermal_mean_number,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -60,14 +60,6 @@ def spectral_density(spec: SpectralDensitySpec, omega):
 
 
 @dataclass(frozen=True)
-class BathMode:
-    """One bath oscillator: frequency and (real, nonnegative) coupling strength."""
-
-    omega: float
-    xi: float
-
-
-@dataclass(frozen=True)
 class DiscreteBath:
     """Finite set of bath modes realizing a coupling density.
 
@@ -103,10 +95,6 @@ class DiscreteBath:
     def n_modes(self) -> int:
         return int(self.omegas.size)
 
-    @property
-    def modes(self) -> tuple[BathMode, ...]:
-        return tuple(BathMode(float(w), float(x)) for w, x in zip(self.omegas, self.xis))
-
     def coupling_sum(self) -> float:
         """Total squared coupling; matches the band integral for midpoint grids."""
         return float(np.sum(self.xis**2))
@@ -136,19 +124,20 @@ def thermal_occupation(beta: float, omega):
     """Bose-Einstein occupation 1 / (exp(beta*omega) - 1).
 
     ``beta = 0`` diverges at any finite frequency and is rejected;
-    ``beta = inf`` gives zero occupation.
+    ``beta = inf`` is the vacuum, zero occupation at every frequency. A finite
+    ``beta`` needs positive frequencies.
     """
     if beta < 0:
         raise ValueError(f"beta must be nonnegative (got {beta})")
     omega_arr = np.asarray(omega, dtype=float)
-    if np.any(omega_arr <= 0):
+    if math.isinf(beta):
+        value = np.zeros_like(omega_arr)
+    elif np.any(omega_arr <= 0):
         raise ValueError("thermal occupation requires positive frequencies")
-    if beta == 0:
+    elif beta == 0:
         raise InfiniteOccupationError(
             "infinite occupation: beta = 0 gives a divergent Bose-Einstein factor"
         )
-    if math.isinf(beta):
-        value = np.zeros_like(omega_arr)
     else:
         with np.errstate(over="ignore"):  # exp overflow legitimately means zero occupation
             value = 1.0 / np.expm1(beta * omega_arr)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bath import DiscreteBath
 from .errors import ResourceLimitError, TruncationError
-from .propagator import ExactPropagator, SystemMode, spectral_evolution
+from .propagator import ExactPropagator, SystemMode, as_times, spectral_evolution
 
 _MAX_ORACLE_BATH_MODES = 4
 _MAX_ORACLE_DIMENSION = 200_000
@@ -144,13 +144,11 @@ def fock_populations(n: int, survival) -> PopulationDistribution:
     return PopulationDistribution(probs=np.exp(kept, out=kept))
 
 
-def fock_survival(n: int, gamma: float, t: float) -> float:
-    """Probability of retaining all ``n`` excitations: exp(-n gamma t)."""
+def fock_survival(n: int, gamma: float, t):
+    """Probability of retaining all ``n`` excitations, exp(-n gamma t), at time(s) ``t``."""
     if n < 0:
         raise ValueError("excitation number must be nonnegative")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return math.exp(-n * gamma * t)
+    return np.exp(-n * gamma * as_times(t))[()]
 
 
 def fock_decay_time(n: int, gamma: float) -> float:
@@ -194,9 +192,14 @@ class JointCoherentLabels:
     system_label: complex | np.ndarray
     bath_labels: np.ndarray
 
+    @property
+    def mean_number(self):
+        """Mean excitation number of the system, |system label|^2, per time."""
+        return np.abs(self.system_label) ** 2
+
     def total_norm_sq(self):
         """Squared norm of the joint label vector, per time."""
-        return (np.abs(self.system_label) ** 2 + np.sum(np.abs(self.bath_labels) ** 2, -1))[()]
+        return (self.mean_number + np.sum(np.abs(self.bath_labels) ** 2, -1))[()]
 
 
 def excited_bath_evolution(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathMode, DiscreteBath
+from .bath import DiscreteBath
 
 PROVENANCE_ANALYTIC = "analytic"
 PROVENANCE_ORACLE = "oracle"
@@ -65,39 +65,39 @@ class PropagatorCoefficients:
         return int(self.bath_omegas.size)
 
 
-def analytic_survival(system: SystemMode, gamma: float, t):
-    """Broadband closed form for the system self-amplitude at time(s) ``t``: damped rotation."""
+def as_times(t) -> np.ndarray:
+    """One time or a grid of times as a float array; negative times are rejected."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("time must be nonnegative")
+    return t
+
+
+def analytic_survival(system: SystemMode, gamma: float, t):
+    """Broadband closed form for the system self-amplitude at time(s) ``t``: damped rotation."""
+    t = as_times(t)
     return (np.exp(-0.5 * gamma * t) * np.exp(-1j * system.omega_b * t))[()]
 
 
-def _transfer_kernel(system: SystemMode, gamma: float, omegas: np.ndarray, t: float) -> np.ndarray:
-    """Common factor of the system-bath transfer amplitudes (coupling stripped)."""
-    detuning = system.omega_b - omegas
-    numerator = np.exp(-0.5 * gamma * t) * np.exp(-1j * detuning * t) - 1.0
-    return np.exp(-1j * omegas * t) * numerator / (detuning - 0.5j * gamma)
-
-
-def analytic_absorption(system: SystemMode, gamma: float, mode: BathMode, t: float) -> complex:
-    """Closed-form amplitude for one bath excitation to appear in the system."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    kernel = _transfer_kernel(system, gamma, np.asarray([mode.omega], dtype=float), t)
-    return complex(mode.xi * kernel[0])
-
-
 def analytic_propagator(
-    system: SystemMode, gamma: float, bath: DiscreteBath, t: float
+    system: SystemMode, gamma: float, bath: DiscreteBath, t
 ) -> PropagatorCoefficients:
-    """Assemble broadband closed-form coefficients for every mode of ``bath``."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    """Broadband closed-form coefficients for every mode of ``bath`` at time(s) ``t``.
+
+    Bath mode j reaches the system with amplitude
+    xi_j e^{-i omega_j t} (e^{-(gamma/2 + i Delta_j) t} - 1) / (Delta_j - i gamma/2),
+    Delta_j = omega_b - omega_j. On a grid ``absorption`` has shape (T, N),
+    as from :meth:`ExactPropagator.evaluate`.
+    """
+    survival = analytic_survival(system, gamma, t)
+    t = as_times(t)[..., None]
+    detuning = system.omega_b - bath.omegas
+    numerator = np.exp(-0.5 * gamma * t) * np.exp(-1j * detuning * t) - 1.0
+    kernel = np.exp(-1j * bath.omegas * t) * numerator / (detuning - 0.5j * gamma)
     return PropagatorCoefficients(
-        t=float(t),
-        survival=analytic_survival(system, gamma, t),
-        absorption=bath.xis * _transfer_kernel(system, gamma, bath.omegas, t),
+        t=t[..., 0][()],
+        survival=survival,
+        absorption=bath.xis * kernel,
         bath_omegas=bath.omegas,
         provenance=PROVENANCE_ANALYTIC,
     )
@@ -447,10 +447,7 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
 
 def _phases(times, eigenvalues: np.ndarray) -> np.ndarray:
     """exp(-i t lambda_k): the shape of ``times`` plus one axis over eigenvalues."""
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("time must be nonnegative")
-    return np.exp(-1j * np.multiply.outer(times, eigenvalues))
+    return np.exp(-1j * np.multiply.outer(as_times(times), eigenvalues))
 
 
 def spectral_evolution(
@@ -538,9 +535,17 @@ class ExactPropagator:
         )
 
 
-def dissipation_sum(coeffs: PropagatorCoefficients):
-    """Total probability transferred into the bath, summed over modes, per time."""
-    return np.sum(np.abs(coeffs.absorption) ** 2, axis=-1)[()]
+def dissipation_sum(coeffs: PropagatorCoefficients, occupations=None):
+    """sum_j n_j |absorption_j|^2, per time.
+
+    With every n_j = 1 (no ``occupations``) this is the total probability
+    transferred into the bath; with the thermal occupations of the bath modes
+    it is the thermal population they feed into the system.
+    """
+    weights = np.abs(coeffs.absorption) ** 2
+    if occupations is not None:
+        weights *= occupations
+    return np.sum(weights, axis=-1)[()]
 
 
 def unitarity_defect(coeffs: PropagatorCoefficients):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ from .decay import (
     coherent_decay,
     excited_bath_evolution,
     fock_populations,
+    fock_survival,
 )
 from .propagator import (
     ExactPropagator,
@@ -38,12 +40,14 @@ from .propagator import (
     unitarity_defect,
 )
 from .thermal import (
+    EffectiveHamiltonian,
     conditional_mean_number,
     exact_thermal_moments,
     monte_carlo_moments,
     sample_thermal_bath,
     thermal_factor_closed,
     thermal_factor_discrete,
+    thermal_mean_number,
 )
 
 WWA_TOLERANCE = 2e-2
@@ -116,15 +120,15 @@ def _propagator_diagnostics(propagator: ExactPropagator, defect: np.ndarray) -> 
 
 def _run_fock_decay(config: ScenarioConfig) -> RunReport:
     grid = _time_grid(config)
-    probs = fock_populations(config.fock_n, np.exp(-config.gamma * grid)).probs
+    probs = fock_populations(config.fock_n, fock_survival(1, config.gamma, grid)).probs
     return _report({"t": grid, **{f"P_{m}": p for m, p in enumerate(probs.T)}})
 
 
-def _coherent_table(grid: np.ndarray, label: np.ndarray) -> dict[str, np.ndarray]:
+def _coherent_table(grid: np.ndarray, label: np.ndarray, mean_number) -> dict[str, np.ndarray]:
     """Columns of a system that stays in a pure coherent state with ``label``."""
     return {
         "t": grid,
-        "mean_number": np.abs(label) ** 2,
+        "mean_number": mean_number,
         "re_label": label.real,
         "im_label": label.imag,
         "purity": np.ones_like(grid),
@@ -134,7 +138,7 @@ def _coherent_table(grid: np.ndarray, label: np.ndarray) -> dict[str, np.ndarray
 def _run_coherent_decay(config: ScenarioConfig) -> RunReport:
     grid = _time_grid(config)
     survival = analytic_survival(_system(config), config.gamma, grid)
-    return _report(_coherent_table(grid, coherent_decay(config.alpha, survival)[0]))
+    return _report(_coherent_table(grid, *coherent_decay(config.alpha, survival)))
 
 
 def _run_excited_bath(config: ScenarioConfig) -> RunReport:
@@ -147,7 +151,7 @@ def _run_excited_bath(config: ScenarioConfig) -> RunReport:
     initial_norm_sq = abs(config.alpha) ** 2 + abs(config.excited_label) ** 2
     norm_defect = np.max(np.abs(labels.total_norm_sq() - initial_norm_sq))
     return _report(
-        _coherent_table(grid, labels.system_label),
+        _coherent_table(grid, labels.system_label, labels.mean_number),
         meta={"diagnostics": {"max_norm_defect": float(norm_defect)}},
     )
 
@@ -163,7 +167,7 @@ def _run_thermal(config: ScenarioConfig) -> RunReport:
     alpha = config.alpha
     phi_c = thermal_factor_closed(thermal.n_th, config.gamma, grid)
     survival = analytic_survival(system, config.gamma, grid)
-    heff_mean = abs(alpha) ** 2 * np.exp(-(thermal.n_th + 1.0) * config.gamma * grid)
+    heff = EffectiveHamiltonian(config.omega_b, config.gamma, thermal.n_th)
     mc, errors = monte_carlo_moments(alpha, thermal, coeffs, samples)
     oracle = exact_thermal_moments(alpha, bath, thermal, coeffs).occupation
     meta = _propagator_diagnostics(propagator, unitarity_defect(coeffs))
@@ -177,7 +181,7 @@ def _run_thermal(config: ScenarioConfig) -> RunReport:
             "phi_discrete": thermal_factor_discrete(bath, thermal, coeffs).value,
             "phi_closed": phi_c.value,
             "paper_mean_number": conditional_mean_number(alpha, survival, phi_c),
-            "heff_mean_number": heff_mean,
+            "heff_mean_number": heff.evolve_coherent(alpha, grid).mean_number,
             "oracle_occupation": oracle,
             "mc_occupation": mc.occupation,
             "mc_stderr": errors.occupation,
@@ -192,8 +196,11 @@ def _run_wwa_validate(config: ScenarioConfig) -> RunReport:
     coeffs = propagator.evaluate(grid)
     survived = np.abs(coeffs.survival) ** 2
     dissipated = dissipation_sum(coeffs)
-    max_survival_dev = float(np.max(np.abs(survived - np.exp(-config.gamma * grid))))
-    max_dissipation_dev = float(np.max(np.abs(dissipated + np.expm1(-config.gamma * grid))))
+    # The broadband laws: e^{-gamma t} retained, 1 - e^{-gamma t} transferred.
+    retained = fock_survival(1, config.gamma, grid)
+    transferred = thermal_mean_number(0.0, 1.0, config.gamma, grid)
+    max_survival_dev = float(np.max(np.abs(survived - retained)))
+    max_dissipation_dev = float(np.max(np.abs(dissipated - transferred)))
     summary = {
         "max_abs_u_sq_deviation": max_survival_dev,
         "max_sum_abs_v_sq_deviation": max_dissipation_dev,
@@ -219,12 +226,10 @@ def _run_oracle_compare(config: ScenarioConfig) -> RunReport:
     bath = scenario_bath(config)
     n = config.fock_n
     oracle = FockSpaceOracle(system, bath, n_max=n)
-    n_th = 0.0
-    bath_occ = np.zeros(bath.n_modes)
-    if config.beta is not None:
-        thermal = ThermalSpec.for_system(config.beta, config.omega_b)
-        n_th = thermal.n_th
-        bath_occ = thermal.occupations(bath)
+    # No beta is zero temperature: n_th = 0 and a vacuum bath.
+    thermal = ThermalSpec.for_system(
+        config.beta if config.beta is not None else math.inf, config.omega_b
+    )
     grid = _time_grid(config)
     propagator = ExactPropagator(system, bath)
     coeffs = propagator.evaluate(grid)
@@ -232,8 +237,9 @@ def _run_oracle_compare(config: ScenarioConfig) -> RunReport:
     law = fock_populations(n, np.minimum(survived, 1.0)).probs
     pops = oracle.reduced_density(FockState(n), grid).populations
     deviation = np.max(np.abs(pops - law), axis=1)
-    heff_mean = n * np.exp(-(n_th + n) * config.gamma * grid)
-    exact_mean = n * np.exp(-config.gamma * grid) + n_th * -np.expm1(-config.gamma * grid)
+    heff = EffectiveHamiltonian(config.omega_b, config.gamma, thermal.n_th)
+    heff_mean = heff.evolve_fock(n, grid).mean_number
+    exact_mean = thermal_mean_number(n, thermal.n_th, config.gamma, grid)
     table = {
         "t": grid,
         **{f"P_{m}_oracle": p for m, p in enumerate(pops.T)},
@@ -241,7 +247,7 @@ def _run_oracle_compare(config: ScenarioConfig) -> RunReport:
         "max_pop_deviation": deviation,
         "heff_fock_mean": heff_mean,
         "exact_fock_mean": exact_mean,
-        "oracle_fock_mean": n * survived + np.sum(bath_occ * np.abs(coeffs.absorption) ** 2, -1),
+        "oracle_fock_mean": n * survived + dissipation_sum(coeffs, thermal.occupations(bath)),
         "divergence": heff_mean - exact_mean,
     }
     return _report(
@@ -339,15 +345,6 @@ def emit_report(report: RunReport, fmt: str) -> str:
     buffer = io.StringIO()
     _write_into(buffer, report, fmt)
     return buffer.getvalue()
-
-
-def report_to_csv(report: RunReport) -> str:
-    """Full round-trip float precision, one header line, no metadata."""
-    return emit_report(report, "csv")
-
-
-def report_to_json(report: RunReport) -> str:
-    return emit_report(report, "json")
 
 
 def write_report(report: RunReport, config: ScenarioConfig) -> str | None:

@@ -20,14 +20,11 @@ from .decay import (
     default_fock_cutoff,
 )
 from .errors import AsymptoticRegimeError, InfiniteOccupationError
-from .propagator import PROVENANCE_ORACLE, PropagatorCoefficients
+from .propagator import PROVENANCE_ORACLE, PropagatorCoefficients, as_times, dissipation_sum
 
 SHORT_TIME_WINDOW = 0.1
 # Bytes of one Monte Carlo block: its (rows, N) samples and its (T, rows) branch values.
 MC_BLOCK_BYTES = 2 << 20
-
-METHOD_DISCRETE = "discrete_sum"
-METHOD_CLOSED = "closed_form"
 
 
 @dataclass(frozen=True)
@@ -35,18 +32,10 @@ class ThermalFactor:
     """Temperature enhancement of the conditional state normalization (>= 1), per time."""
 
     value: float | np.ndarray
-    method: str
 
     def __post_init__(self) -> None:
-        if self.method not in (METHOD_DISCRETE, METHOD_CLOSED):
-            raise ValueError(f"unknown method {self.method!r}")
         if np.any(np.asarray(self.value) < 1.0 - 1e-12):
             raise ValueError(f"thermal factor must be at least 1 (got {self.value})")
-
-
-def _thermal_weight(occupations: np.ndarray, coeffs: PropagatorCoefficients):
-    """sum_j n_j |absorption_j|^2, per time."""
-    return np.sum(occupations * np.abs(coeffs.absorption) ** 2, axis=-1)[()]
 
 
 def thermal_factor_discrete(
@@ -55,33 +44,46 @@ def thermal_factor_discrete(
     """Mode-resolved enhancement: 1 + sum_j n_j |absorption_j|^2."""
     if coeffs.n_modes != bath.n_modes:
         raise ValueError("coefficients and bath disagree on the mode count")
-    value = 1.0 + _thermal_weight(thermal.occupations(bath), coeffs)
-    return ThermalFactor(value=value, method=METHOD_DISCRETE)
+    return ThermalFactor(value=1.0 + dissipation_sum(coeffs, thermal.occupations(bath)))
+
+
+def thermal_mean_number(n0: float, n_th: float, gamma: float, t):
+    """Broadband mean excitation number n0 e^{-gamma t} + n_th (1 - e^{-gamma t}), per time.
+
+    The system starts with mean number ``n0`` and relaxes towards the bath's
+    occupation ``n_th`` at its frequency; with n0 = 0 and n_th = 1 it is the
+    broadband law of the transferred probability :func:`dissipation_sum`.
+    """
+    t = as_times(t)
+    if n_th < 0:
+        raise ValueError("n_th must be nonnegative")
+    return (n0 * np.exp(-gamma * t) + n_th * -np.expm1(-gamma * t))[()]
 
 
 def thermal_factor_closed(n_th: float, gamma: float, t) -> ThermalFactor:
     """Slow-varying-bath closed form: 1 + n_th (1 - exp(-gamma t))."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("time must be nonnegative")
-    if n_th < 0:
-        raise ValueError("n_th must be nonnegative")
-    value = 1.0 + n_th * -np.expm1(-gamma * t)
-    return ThermalFactor(value=value[()], method=METHOD_CLOSED)
+    return ThermalFactor(value=1.0 + thermal_mean_number(0.0, n_th, gamma, t))
 
 
-def conditional_wavefunction(
-    alpha: complex, survival_amplitude: complex, phi: ThermalFactor
-) -> tuple[float, complex]:
-    """Sub-normalized conditional coherent state at finite temperature.
+def _array(alpha: complex) -> np.ndarray:
+    """``alpha`` as a 0-d array, so that its products round alike at one time and on a grid.
+
+    numpy's product of two complex scalars rounds differently from its array loops.
+    """
+    return np.asarray(alpha, dtype=complex)
+
+
+def conditional_wavefunction(alpha: complex, survival_amplitude, phi: ThermalFactor):
+    """Sub-normalized conditional coherent state at finite temperature, per time.
 
     Returns ``(weight, label)`` with weight = phi^(-1/2) and
     label = alpha ((survival - 1) phi^(-1/2) + 1). At phi = 1 this reduces to
     the zero-temperature contraction alpha * survival.
     """
-    inv_sqrt = 1.0 / math.sqrt(phi.value)
-    label = complex(alpha) * ((complex(survival_amplitude) - 1.0) * inv_sqrt + 1.0)
-    return inv_sqrt, label
+    inv_sqrt = 1.0 / np.sqrt(phi.value)
+    u = np.asarray(survival_amplitude, dtype=complex)
+    label = _array(alpha) * ((u - 1.0) * inv_sqrt + 1.0)
+    return inv_sqrt[()], label[()]
 
 
 def conditional_mean_number(alpha: complex, survival_amplitude, phi: ThermalFactor):
@@ -116,15 +118,15 @@ def high_temperature_mean_number(
 
 
 class FockEvolution(NamedTuple):
-    amplitude: complex
-    mean_number: float
+    amplitude: complex | np.ndarray
+    mean_number: float | np.ndarray
     decay_time: float
 
 
 class CoherentEvolution(NamedTuple):
-    weight: float
-    label: complex
-    mean_number: float
+    weight: float | np.ndarray
+    label: complex | np.ndarray
+    mean_number: float | np.ndarray
     decay_time: float
 
 
@@ -134,6 +136,8 @@ class EffectiveHamiltonian:
 
     Acts diagonally in the number basis: a state with m excitations picks up
     the phase exp(-i m omega_b t) and the damping exp(-(m + n_th) gamma t / 2).
+    The Fock and coherent laws take one time or a grid, and their amplitudes,
+    weights, labels and mean numbers then have the shape of the times.
     """
 
     omega_b: float
@@ -146,27 +150,25 @@ class EffectiveHamiltonian:
         if self.n_th < 0:
             raise ValueError(f"n_th must be nonnegative (got {self.n_th})")
 
-    def evolve_fock(self, n: int, t: float) -> FockEvolution:
+    def evolve_fock(self, n: int, t) -> FockEvolution:
         """Closed-form number-state evolution and its decay time 1/((n_th + n) gamma)."""
         if n < 0:
             raise ValueError("excitation number must be nonnegative")
-        if t < 0:
-            raise ValueError("time must be nonnegative")
+        t = as_times(t)
         rate = (self.n_th + n) * self.gamma
-        amplitude = np.exp(-1j * n * self.omega_b * t) * math.exp(-0.5 * rate * t)
-        mean_number = n * math.exp(-rate * t)
+        amplitude = np.exp(-1j * n * self.omega_b * t) * np.exp(-0.5 * rate * t)
+        mean_number = n * np.exp(-rate * t)
         decay_time = math.inf if rate == 0 else 1.0 / rate
-        return FockEvolution(complex(amplitude), float(mean_number), decay_time)
+        return FockEvolution(amplitude[()], mean_number[()], decay_time)
 
-    def evolve_coherent(self, alpha: complex, t: float) -> CoherentEvolution:
+    def evolve_coherent(self, alpha: complex, t) -> CoherentEvolution:
         """Closed-form coherent-state evolution and its decay time 1/((n_th + 1) gamma)."""
-        if t < 0:
-            raise ValueError("time must be nonnegative")
-        weight = math.exp(-0.5 * self.n_th * self.gamma * t)
-        label = complex(alpha) * np.exp(-1j * (self.omega_b - 0.5j * self.gamma) * t)
-        mean_number = abs(alpha) ** 2 * math.exp(-(self.n_th + 1.0) * self.gamma * t)
+        t = as_times(t)
+        weight = np.exp(-0.5 * self.n_th * self.gamma * t)
+        label = _array(alpha) * np.exp(-1j * (self.omega_b - 0.5j * self.gamma) * t)
+        mean_number = abs(alpha) ** 2 * np.exp(-(self.n_th + 1.0) * self.gamma * t)
         decay_time = 1.0 / ((self.n_th + 1.0) * self.gamma)
-        return CoherentEvolution(weight, complex(label), float(mean_number), decay_time)
+        return CoherentEvolution(weight[()], label[()], mean_number[()], decay_time)
 
     def evolve_superposition(
         self, state: CoherentSuperposition, t: float, n_max: int | None = None
@@ -378,5 +380,5 @@ def exact_thermal_moments(
     if coeffs.n_modes != bath.n_modes:
         raise ValueError("coefficients and bath disagree on the mode count")
     mean_amplitude = complex(alpha) * coeffs.survival
-    occupation = np.abs(mean_amplitude) ** 2 + _thermal_weight(thermal.occupations(bath), coeffs)
+    occupation = np.abs(mean_amplitude) ** 2 + dissipation_sum(coeffs, thermal.occupations(bath))
     return GaussianMoments(mean_amplitude=mean_amplitude, occupation=occupation)

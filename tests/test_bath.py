@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from boson_decay import (
-    BathMode,
     DiscreteBath,
     InfiniteOccupationError,
     SpectralDensitySpec,
@@ -76,14 +75,6 @@ class TestDiscretizeBath:
         spec = SpectralDensitySpec(gamma=1.0, band_center=0.0, half_bandwidth=1.0)
         with pytest.raises(ValueError):
             discretize_bath(spec, 0)
-
-    def test_modes_view(self):
-        spec = SpectralDensitySpec(gamma=1.0, band_center=5.0, half_bandwidth=1.0)
-        bath = discretize_bath(spec, 4)
-        modes = bath.modes
-        assert len(modes) == 4
-        assert isinstance(modes[0], BathMode)
-        assert modes[0].omega < modes[-1].omega
 
 
 class TestDiscreteBathValidation:

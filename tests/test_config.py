@@ -5,8 +5,10 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from boson_decay import ConfigError, cli, parse_config
+from boson_decay import SCENARIOS, ConfigError, build_config, cli, parse_config
 from boson_decay.cli import main
 from boson_decay.config import MEMORY_LIMIT_BYTES, SCHEMA, _estimated_bytes
 
@@ -362,3 +364,58 @@ class TestOverrides:
         effective = config.as_dict()
         assert effective["scenario"] == "fock-decay"
         assert set(effective) >= {"gamma", "omega_b", "t_max", "n_steps", "output", "format"}
+
+
+def _positive(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw):
+    """Key-value documents that every scenario accepts: required keys plus optional extras."""
+    scenario = draw(st.sampled_from(SCENARIOS))
+    omega_b = draw(_positive(1e-3, 1e3))
+    values = {
+        "scenario": scenario,
+        "gamma": draw(_positive(1e-6, 1e3)),
+        "omega_b": omega_b,
+        "t_max": draw(_positive(1e-6, 1e3)),
+        "n_steps": draw(st.integers(2, 50)),
+    }
+    optional = {
+        "alpha_re": st.floats(-10, 10), "alpha_im": st.floats(-10, 10),
+        "lambda_re": st.floats(-10, 10), "lambda_im": st.floats(-10, 10),
+        "seed": st.integers(-(2**40), 2**40), "format": st.sampled_from(["csv", "json"]),
+        "output": st.sampled_from(["-", "out.csv", "a b/c.json"]),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
+        values[key] = draw(optional[key])
+    if scenario in ("fock-decay", "oracle-compare"):
+        values["fock_n"] = draw(st.integers(0, 20))
+    if scenario in ("excited-bath", "thermal", "wwa-validate", "oracle-compare"):
+        values["n_modes"] = draw(st.integers(1, 4 if scenario == "oracle-compare" else 60))
+        center = draw(st.one_of(st.none(), _positive(1e-3, 1e3)))
+        if center is not None:
+            values["band_center"] = center
+        # At most half the center: every mode stays above zero frequency, as beta needs.
+        values["half_bandwidth"] = draw(_positive(1e-6, 0.5)) * (center or omega_b)
+        if scenario == "excited-bath":
+            values["excited_mode"] = draw(st.integers(0, values["n_modes"] - 1))
+    if scenario == "thermal" or draw(st.booleans()):
+        values["beta"] = draw(st.one_of(_positive(1e-6, 1e3), st.just(math.inf)))
+    if scenario == "thermal":
+        values["samples"] = draw(st.integers(1, 1000))
+        values["seed"] = draw(st.integers(0, 2**32))
+    return values
+
+
+class TestEffectiveDictProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(valid_configs())
+    def test_as_dict_is_a_fixed_point(self, values):
+        """Building from the non-None entries of as_dict() gives as_dict() back exactly."""
+        effective = build_config(values).as_dict()
+        given_back = {key: value for key, value in effective.items() if value is not None}
+        assert build_config(given_back).as_dict() == effective
+        document = "".join(f"{key} = {value}\n" for key, value in given_back.items())
+        assert parse_config(document).as_dict() == effective

@@ -2,7 +2,8 @@
 
 The formula functions broadcast over the leading time axis of grid-shaped
 ``PropagatorCoefficients``; row i of a grid result must match the same
-function applied to the coefficients at time i alone, to 1e-13. The dense
+function applied to the coefficients at time i alone, to 1e-13. The closed
+forms of the time alone must match their per-time results bit for bit. The dense
 Fock-space oracle evaluated on a grid must match a per-time reference built
 from the explicit sector unitaries, to 1e-12.
 """
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from boson_decay import (
     CoherentState,
+    EffectiveHamiltonian,
     CoherentSuperposition,
     DensityMatrixFock,
     ExactPropagator,
@@ -23,18 +25,22 @@ from boson_decay import (
     SpectralDensitySpec,
     SystemMode,
     ThermalSpec,
+    analytic_propagator,
     analytic_survival,
     coherent_decay,
     conditional_mean_number,
+    conditional_wavefunction,
     discretize_bath,
     dissipation_sum,
     exact_thermal_moments,
     excited_bath_evolution,
     fock_populations,
+    fock_survival,
     monte_carlo_moments,
     sample_thermal_bath,
     thermal_factor_closed,
     thermal_factor_discrete,
+    thermal_mean_number,
     unitarity_defect,
 )
 from boson_decay import thermal as thermal_module
@@ -119,6 +125,43 @@ def test_thermal_laws_match_per_time(run):
     per_time = [exact_thermal_moments(alpha, bath, thermal, c) for c in single]
     _rows_match(exact.mean_amplitude, [m.mean_amplitude for m in per_time])
     _rows_match(exact.occupation, [m.occupation for m in per_time])
+
+
+def _rows_equal(grid_values, per_time_values):
+    assert np.array_equal(grid_values, np.array(per_time_values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_runs(), st.integers(0, 40))
+def test_closed_forms_match_per_time_bitwise(run, n):
+    """The laws of time alone give, at each time of a grid, the bits of that time alone."""
+    system, bath, _, thermal, times, alpha = run
+    gamma, n_th = bath.spec.gamma, thermal.n_th
+    _rows_equal(fock_survival(n, gamma, times), [fock_survival(n, gamma, t) for t in times])
+    _rows_equal(
+        thermal_mean_number(n, n_th, gamma, times),
+        [thermal_mean_number(n, n_th, gamma, t) for t in times],
+    )
+    heff = EffectiveHamiltonian(system.omega_b, gamma, n_th)
+    for law, state in ((heff.evolve_fock, n), (heff.evolve_coherent, alpha)):
+        grid, per_time = law(state, times), [law(state, t) for t in times]
+        for index in range(len(grid) - 1):  # every field but the time-independent decay_time
+            _rows_equal(grid[index], [x[index] for x in per_time])
+        assert grid.decay_time == per_time[0].decay_time
+    phi = thermal_factor_closed(n_th, gamma, times)
+    survival = analytic_survival(system, gamma, times)
+    weight, label = conditional_wavefunction(alpha, survival, phi)
+    per_time = [
+        conditional_wavefunction(alpha, u, thermal_factor_closed(n_th, gamma, t))
+        for u, t in zip(survival, times)
+    ]
+    _rows_equal(weight, [x[0] for x in per_time])
+    _rows_equal(label, [x[1] for x in per_time])
+    closed = analytic_propagator(system, gamma, bath, times)
+    per_time = [analytic_propagator(system, gamma, bath, t) for t in times]
+    assert closed.absorption.shape == times.shape + (bath.n_modes,)
+    _rows_equal(closed.survival, [c.survival for c in per_time])
+    _rows_equal(closed.absorption, [c.absorption for c in per_time])
 
 
 @settings(max_examples=15, deadline=None)

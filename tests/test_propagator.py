@@ -9,13 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boson_decay import (
-    BathMode,
     DiscreteBath,
     ExactPropagator,
     PropagatorCoefficients,
     SpectralDensitySpec,
     SystemMode,
-    analytic_absorption,
     analytic_propagator,
     analytic_survival,
     discretize_bath,
@@ -55,34 +53,42 @@ class TestAnalyticSurvival:
             analytic_survival(SystemMode(1.0), GAMMA, -0.1)
 
 
+def _one_mode(omega: float, xi: float) -> DiscreteBath:
+    """A bath of the single mode (omega, xi)."""
+    spec = SpectralDensitySpec(gamma=GAMMA, band_center=omega, half_bandwidth=1.0)
+    return DiscreteBath(omegas=np.array([omega]), xis=np.array([xi]), spec=spec)
+
+
+def _transfer(system: SystemMode, omega: float, xi: float, t: float) -> complex:
+    """Closed-form amplitude for one bath excitation (omega, xi) to appear in the system."""
+    return analytic_propagator(system, GAMMA, _one_mode(omega, xi), t).absorption[0]
+
+
 class TestAnalyticTransfer:
     def test_vanishes_at_zero(self):
-        mode = BathMode(omega=4.0, xi=0.3)
-        assert analytic_absorption(SystemMode(5.0), GAMMA, mode, 0.0) == 0.0
+        assert _transfer(SystemMode(5.0), 4.0, 0.3, 0.0) == 0.0
 
     def test_resonant_long_time_magnitude(self):
         """On resonance the magnitude saturates at xi / (gamma / 2)."""
-        system = SystemMode(5.0)
-        mode = BathMode(omega=5.0, xi=1.0)
-        v = analytic_absorption(system, GAMMA, mode, 80.0)
+        v = _transfer(SystemMode(5.0), 5.0, 1.0, 80.0)
         assert abs(v) == pytest.approx(2.0, rel=1e-12)
 
     def test_finite_off_resonance(self):
-        mode = BathMode(omega=1.0, xi=0.5)
-        v = analytic_absorption(SystemMode(9.0), GAMMA, mode, 2.0)
+        v = _transfer(SystemMode(9.0), 1.0, 0.5, 2.0)
         assert np.isfinite(v.real) and np.isfinite(v.imag)
 
 
 class TestAnalyticPropagator:
     def test_matches_scalar_functions(self):
+        """Each mode's amplitude is its one-mode amplitude; the survival is analytic_survival."""
         spec = SpectralDensitySpec(gamma=GAMMA, band_center=10.0, half_bandwidth=3.0)
         bath = discretize_bath(spec, 7)
         system = SystemMode(10.0)
         coeffs = analytic_propagator(system, GAMMA, bath, 0.9)
         assert coeffs.provenance == "analytic"
-        for j, mode in enumerate(bath.modes):
+        for j, (omega, xi) in enumerate(zip(bath.omegas, bath.xis)):
             assert coeffs.absorption[j] == pytest.approx(
-                analytic_absorption(system, GAMMA, mode, 0.9), rel=1e-14
+                _transfer(system, omega, xi, 0.9), rel=1e-14
             )
         assert coeffs.survival == pytest.approx(analytic_survival(system, GAMMA, 0.9))
 

@@ -22,8 +22,6 @@ from boson_decay.runner import (
     emit_report,
     report_from_csv,
     report_from_json,
-    report_to_csv,
-    report_to_json,
     write_report,
 )
 
@@ -162,14 +160,6 @@ class TestThermalScenario:
             oracle, mc, stderr = row[5], row[6], row[7]
             assert abs(mc - oracle) <= 4.0 * stderr
 
-    def test_thread_cap_does_not_change_bytes(self, monkeypatch):
-        config = parse_config(THERMAL_TEXT)
-        outputs = []
-        for cap in ("1", "3"):
-            monkeypatch.setenv("BOSON_DECAY_THREADS", cap)
-            outputs.append(report_to_csv(run_scenario(config)))
-        assert outputs[0] == outputs[1]
-
 
 class TestWwaScenario:
     def test_summary_reports_pass(self):
@@ -271,17 +261,17 @@ class TestSerialization:
         return run_scenario(parse_config(FOCK_TEXT))
 
     def test_csv_json_csv_round_trip_is_bitwise(self, report):
-        csv_text = report_to_csv(report)
-        as_json = report_to_json(report_from_csv(csv_text))
-        back = report_to_csv(report_from_json(as_json))
+        csv_text = emit_report(report, "csv")
+        as_json = emit_report(report_from_csv(csv_text), "json")
+        back = emit_report(report_from_json(as_json), "csv")
         assert back == csv_text
 
     def test_csv_floats_round_trip(self, report):
-        parsed = report_from_csv(report_to_csv(report))
+        parsed = report_from_csv(emit_report(report, "csv"))
         assert parsed.rows == [[float(x) for x in row] for row in report.rows]
 
     def test_json_carries_meta(self, report):
-        payload = json.loads(report_to_json(report))
+        payload = json.loads(emit_report(report, "json"))
         assert payload["meta"]["config"]["scenario"] == "fock-decay"
         assert payload["columns"][0] == "t"
         assert len(payload["rows"]) == 11
@@ -364,15 +354,14 @@ class TestStreamedWriter:
     @given(report=float_tables())
     def test_streamed_csv_equals_per_cell_repr(self, report):
         expected = _reference_csv(report)
-        assert report_to_csv(report) == expected
         assert emit_report(report, "csv") == expected
         assert _stdout_of(report, STDOUT_CONFIG) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(report=float_tables())
     def test_csv_json_csv_round_trip_is_bytewise(self, report):
-        csv_text = report_to_csv(report)
-        back = report_to_csv(report_from_json(report_to_json(report_from_csv(csv_text))))
+        csv_text = emit_report(report, "csv")
+        back = emit_report(report_from_json(emit_report(report_from_csv(csv_text), "json")), "csv")
         assert back == csv_text
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])

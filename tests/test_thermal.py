@@ -32,7 +32,7 @@ from boson_decay import (
     thermal_factor_discrete,
 )
 from boson_decay.decay import coherent_amplitudes
-from boson_decay.thermal import METHOD_CLOSED, METHOD_DISCRETE, ThermalFactor, _block_rows
+from boson_decay.thermal import ThermalFactor, _block_rows
 
 GAMMA = 1.0
 
@@ -57,7 +57,6 @@ class TestThermalFactor:
         coeffs = thermal_propagator.evaluate(0.0)
         phi = thermal_factor_discrete(thermal_bath, thermal, coeffs)
         assert phi.value == pytest.approx(1.0, abs=1e-12)
-        assert phi.method == METHOD_DISCRETE
 
     def test_discrete_is_one_at_zero_temperature(
         self, thermal_system, thermal_bath, thermal_propagator
@@ -91,7 +90,7 @@ class TestThermalFactor:
 
     def test_rejects_value_below_one(self):
         with pytest.raises(ValueError):
-            ThermalFactor(value=0.5, method=METHOD_CLOSED)
+            ThermalFactor(value=0.5)
 
     def test_rejects_mode_count_mismatch(self, thermal_system, thermal_bath, small_propagator):
         thermal = ThermalSpec.for_system(1.0, thermal_system.omega_b)
@@ -114,7 +113,7 @@ class TestConditionalWavefunction:
         assert label == pytest.approx(0.4 - 0.9j)
 
     def test_long_time_large_factor(self):
-        phi = ThermalFactor(value=2.0, method=METHOD_CLOSED)
+        phi = ThermalFactor(value=2.0)
         weight, label = conditional_wavefunction(1.0, 0.0, phi)
         assert weight == pytest.approx(2 ** -0.5, rel=1e-14)
         assert label == pytest.approx(1.0 - 2 ** -0.5, rel=1e-14)
