@@ -34,11 +34,8 @@ from .decay import (
     fock_decay_time,
     fock_populations,
     fock_survival,
-    full_fock_oracle,
-    ground_state_invariance_check,
 )
 from .errors import (
-    AsymptoticRegimeError,
     ConfigError,
     InfiniteOccupationError,
     ResourceLimitError,
@@ -51,7 +48,6 @@ from .propagator import (
     analytic_propagator,
     analytic_survival,
     dissipation_sum,
-    single_particle_hamiltonian,
     unitarity_defect,
 )
 from .runner import RunReport, emit_report, run_scenario, write_report
@@ -63,7 +59,6 @@ from .thermal import (
     conditional_mean_number,
     conditional_wavefunction,
     exact_thermal_moments,
-    high_temperature_mean_number,
     monte_carlo_moments,
     sample_thermal_bath,
     thermal_factor_closed,

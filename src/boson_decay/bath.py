@@ -71,7 +71,6 @@ class DiscreteBath:
     omegas: np.ndarray
     xis: np.ndarray
     spec: SpectralDensitySpec
-    scheme: str = "midpoint"
 
     def __post_init__(self) -> None:
         omegas = np.asarray(self.omegas, dtype=float)

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
+from .decay import _MAX_ORACLE_BATH_MODES
 from .errors import ConfigError
 from .thermal import MC_BLOCK_BYTES
 
@@ -209,10 +210,10 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> None:
             merged["band_center"] = merged["omega_b"]
             defaults_applied.append("band_center")
 
-    if scenario == "oracle-compare" and merged["n_modes"] > 4:
+    if scenario == "oracle-compare" and merged["n_modes"] > _MAX_ORACLE_BATH_MODES:
         raise ConfigError(
-            f"oracle-compare runs the dense oracle and allows at most 4 modes "
-            f"(got {merged['n_modes']})"
+            f"oracle-compare runs the dense oracle and allows at most "
+            f"{_MAX_ORACLE_BATH_MODES} modes (got {merged['n_modes']})"
         )
 
     if scenario == "thermal":
@@ -262,7 +263,13 @@ def _estimated_bytes(merged: dict[str, Any]) -> int:
     binomial law of a Fock scenario holds (T, n+1) temporaries while it is
     evaluated; 48 bytes per cell covers both, at most 8 columns plus two
     per Fock level. CSV is formatted in fixed blocks of rows, so its text
-    is not counted.
+    is not counted. The oracle of ``oracle-compare`` diagonalizes the dense
+    Hamiltonian of its one excitation sector, of dimension d = C(fock_n + N, N):
+    the matrix, the eigensolver's copy and 2 d^2 workspace, and the
+    eigenvectors take about 40 d^2 bytes. Evolving the sector over the grid
+    takes about 40 bytes per grid point and sector state, its partial-trace
+    table 16 bytes per sector state and Fock level, and the reduced density
+    16 bytes per grid point and pair of Fock levels.
     """
     scenario, steps = merged["scenario"], merged["n_steps"]
     estimate = 0
@@ -271,5 +278,9 @@ def _estimated_bytes(merged: dict[str, Any]) -> int:
         estimate += 4096 * modes + 40 * steps * modes
     if scenario == "thermal":
         estimate += 3 * MC_BLOCK_BYTES
+    if scenario == "oracle-compare":
+        levels = merged["fock_n"] + 1
+        sector = math.comb(merged["fock_n"] + merged["n_modes"], merged["n_modes"])
+        estimate += 40 * sector * (sector + steps) + 16 * levels * (sector + steps * levels)
     levels = merged["fock_n"] + 1 if scenario in _FOCK_SCENARIOS else 0
     return estimate + 48 * steps * (8 + 2 * levels)

@@ -20,7 +20,6 @@ from .errors import ResourceLimitError, TruncationError
 from .propagator import ExactPropagator, SystemMode, as_times, spectral_evolution
 
 _MAX_ORACLE_BATH_MODES = 4
-_MAX_ORACLE_DIMENSION = 200_000
 _TRACE_DEFECT_TOL = 1e-6
 
 
@@ -67,6 +66,13 @@ class CoherentSuperposition:
             for cl, al in self.terms:
                 total += np.conj(ck) * cl * coherent_overlap(ak, al)
         return math.sqrt(max(total.real, 0.0))
+
+    def amplitudes(self, n_max: int) -> np.ndarray:
+        """Unnormalized number-basis amplitudes sum_k C_k <m|alpha_k>, m = 0..n_max."""
+        amps = np.zeros(n_max + 1, dtype=complex)
+        for weight, label in self.terms:
+            amps += weight * coherent_amplitudes(label, n_max)
+        return amps
 
 
 OpenSystemState = Union[FockState, CoherentState, CoherentSuperposition]
@@ -306,12 +312,6 @@ class FockSpaceOracle:
             )
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
-        dimension = (n_max + 1) ** (bath.n_modes + 1)
-        if dimension > _MAX_ORACLE_DIMENSION:
-            raise ResourceLimitError(
-                f"truncated product basis of size {dimension} exceeds the "
-                f"{_MAX_ORACLE_DIMENSION} limit"
-            )
         self.system = system
         self.bath = bath
         self.n_max = n_max
@@ -378,9 +378,7 @@ class FockSpaceOracle:
             system_amps = {m: amps[m] for m in range(self.n_max + 1)}
             exact_norm_sq = 1.0
         elif isinstance(initial, CoherentSuperposition):
-            amps = np.zeros(self.n_max + 1, dtype=complex)
-            for weight, label in initial.terms:
-                amps += weight * coherent_amplitudes(label, self.n_max)
+            amps = initial.amplitudes(self.n_max)
             system_amps = {m: amps[m] for m in range(self.n_max + 1)}
             exact_norm_sq = initial.norm() ** 2
         else:
@@ -423,34 +421,3 @@ class FockSpaceOracle:
                 table[system_occ, bath_cols] = states[i]
             rho[i] = table @ table.conj().T
         return DensityMatrixFock(entries=rho.reshape(times.shape + rho.shape[1:]))
-
-
-def full_fock_oracle(
-    system: SystemMode,
-    bath: DiscreteBath,
-    initial: OpenSystemState,
-    t: float,
-    n_max: int | None = None,
-) -> DensityMatrixFock:
-    """One-shot dense-oracle reduced density matrix.
-
-    ``n_max`` defaults to the exact excitation count for Fock inputs and to a
-    Poisson-tail-safe cutoff for coherent inputs.
-    """
-    if n_max is None:
-        if isinstance(initial, FockState):
-            n_max = initial.n
-        elif isinstance(initial, CoherentState):
-            n_max = default_fock_cutoff(abs(initial.alpha))
-        elif isinstance(initial, CoherentSuperposition):
-            n_max = default_fock_cutoff(max(abs(a) for _, a in initial.terms))
-        else:
-            raise TypeError(f"unsupported initial state {type(initial).__name__}")
-    return FockSpaceOracle(system, bath, n_max).reduced_density(initial, t)
-
-
-def ground_state_invariance_check(system: SystemMode, bath: DiscreteBath, t: float) -> bool:
-    """Verify that the joint vacuum is an exact fixed point of the evolution."""
-    rho = FockSpaceOracle(system, bath, n_max=1).reduced_density(FockState(0), t)
-    fidelity = rho.populations[0]
-    return bool(abs(fidelity - 1.0) <= 1e-10 and rho.max_offdiagonal() <= 1e-10)

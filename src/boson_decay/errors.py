@@ -15,7 +15,3 @@ class ResourceLimitError(ValueError):
 
 class TruncationError(RuntimeError):
     """Raised when a truncated Fock basis drops more norm than the tolerance allows."""
-
-
-class AsymptoticRegimeError(ValueError):
-    """Raised when an asymptotic formula is evaluated outside its validity domain."""

@@ -48,21 +48,19 @@ class PropagatorCoefficients:
     t: float | np.ndarray
     survival: complex | np.ndarray
     absorption: np.ndarray
-    bath_omegas: np.ndarray
     provenance: str
 
     def __post_init__(self) -> None:
         if self.provenance not in (PROVENANCE_ANALYTIC, PROVENANCE_ORACLE):
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        n = self.bath_omegas.size
-        if self.absorption.shape != np.shape(self.survival) + (n,):
+        if self.absorption.ndim < 1 or self.absorption.shape[:-1] != np.shape(self.survival):
             raise ValueError("absorption must have one entry per bath mode and time")
         if np.any(np.abs(self.survival) > 1.0 + 1e-9):
             raise ValueError("survival amplitude cannot exceed unit magnitude")
 
     @property
     def n_modes(self) -> int:
-        return int(self.bath_omegas.size)
+        return int(self.absorption.shape[-1])
 
 
 def as_times(t) -> np.ndarray:
@@ -98,25 +96,8 @@ def analytic_propagator(
         t=t[..., 0][()],
         survival=survival,
         absorption=bath.xis * kernel,
-        bath_omegas=bath.omegas,
         provenance=PROVENANCE_ANALYTIC,
     )
-
-
-def single_particle_hamiltonian(system: SystemMode, bath: DiscreteBath) -> np.ndarray:
-    """Arrowhead matrix of mode frequencies and couplings.
-
-    Row/column 0 is the system mode; rows 1..N are the bath modes. The
-    excitation-conserving interaction leaves all bath-bath couplings zero.
-    """
-    n = bath.n_modes
-    h = np.zeros((n + 1, n + 1))
-    h[0, 0] = system.omega_b
-    idx = np.arange(1, n + 1)
-    h[idx, idx] = bath.omegas
-    h[0, 1:] = bath.xis
-    h[1:, 0] = bath.xis
-    return h
 
 
 _EPS = np.finfo(float).eps
@@ -530,7 +511,6 @@ class ExactPropagator:
             t=times[()],
             survival=rows[..., 0][()],
             absorption=rows[..., 1:],
-            bath_omegas=self.bath.omegas,
             provenance=PROVENANCE_ORACLE,
         )
 

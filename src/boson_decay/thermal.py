@@ -13,13 +13,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .bath import DiscreteBath, ThermalSpec
-from .decay import (
-    CoherentSuperposition,
-    DensityMatrixFock,
-    coherent_amplitudes,
-    default_fock_cutoff,
-)
-from .errors import AsymptoticRegimeError, InfiniteOccupationError
+from .decay import CoherentSuperposition, DensityMatrixFock, default_fock_cutoff
+from .errors import InfiniteOccupationError
 from .propagator import PROVENANCE_ORACLE, PropagatorCoefficients, as_times, dissipation_sum
 
 SHORT_TIME_WINDOW = 0.1
@@ -98,29 +93,10 @@ def conditional_mean_number(alpha: complex, survival_amplitude, phi: ThermalFact
     return (abs(alpha) ** 2 * np.abs(inner) ** 2)[()]
 
 
-def high_temperature_mean_number(
-    alpha: complex, beta: float, omega_b: float, gamma: float, t: float
-) -> float:
-    """High-temperature asymptote |alpha|^2 beta omega_b / (1 - exp(-gamma t)).
-
-    Only meaningful where the enhancement factor is large; evaluation is
-    rejected below phi = 10 because the formula diverges as t -> 0.
-    """
-    if beta <= 0:
-        raise InfiniteOccupationError("the high-temperature asymptote needs finite beta > 0")
-    n_th = 1.0 / math.expm1(beta * omega_b)
-    phi = thermal_factor_closed(n_th, gamma, t)
-    if phi.value < 10.0:
-        raise AsymptoticRegimeError(
-            f"outside asymptotic regime: enhancement factor {phi.value:.3g} < 10"
-        )
-    return float(abs(alpha) ** 2 * beta * omega_b / -math.expm1(-gamma * t))
-
-
 class FockEvolution(NamedTuple):
     amplitude: complex | np.ndarray
     mean_number: float | np.ndarray
-    decay_time: float
+    decay_time: float | np.ndarray
 
 
 class CoherentEvolution(NamedTuple):
@@ -136,8 +112,8 @@ class EffectiveHamiltonian:
 
     Acts diagonally in the number basis: a state with m excitations picks up
     the phase exp(-i m omega_b t) and the damping exp(-(m + n_th) gamma t / 2).
-    The Fock and coherent laws take one time or a grid, and their amplitudes,
-    weights, labels and mean numbers then have the shape of the times.
+    Every law takes one time or a grid, and its amplitudes, weights, labels,
+    mean numbers and density matrices then carry the shape of the times.
     """
 
     omega_b: float
@@ -150,15 +126,20 @@ class EffectiveHamiltonian:
         if self.n_th < 0:
             raise ValueError(f"n_th must be nonnegative (got {self.n_th})")
 
-    def evolve_fock(self, n: int, t) -> FockEvolution:
-        """Closed-form number-state evolution and its decay time 1/((n_th + n) gamma)."""
-        if n < 0:
+    def evolve_fock(self, n, t) -> FockEvolution:
+        """Closed-form number-state evolution and its decay time 1/((n_th + n) gamma).
+
+        ``n`` may be an integer array; it broadcasts against ``t`` as numpy
+        operands do, and a scalar ``n`` gives a float ``decay_time``.
+        """
+        if np.any(np.asarray(n) < 0):
             raise ValueError("excitation number must be nonnegative")
         t = as_times(t)
         rate = (self.n_th + n) * self.gamma
         amplitude = np.exp(-1j * n * self.omega_b * t) * np.exp(-0.5 * rate * t)
         mean_number = n * np.exp(-rate * t)
-        decay_time = math.inf if rate == 0 else 1.0 / rate
+        with np.errstate(divide="ignore"):
+            decay_time = np.divide(1.0, rate)  # infinite where nothing decays
         return FockEvolution(amplitude[()], mean_number[()], decay_time)
 
     def evolve_coherent(self, alpha: complex, t) -> CoherentEvolution:
@@ -171,42 +152,36 @@ class EffectiveHamiltonian:
         return CoherentEvolution(weight[()], label[()], mean_number[()], decay_time)
 
     def evolve_superposition(
-        self, state: CoherentSuperposition, t: float, n_max: int | None = None
-    ) -> tuple[DensityMatrixFock, float]:
-        """Evolve a coherent superposition in a truncated number basis.
+        self, state: CoherentSuperposition, t, n_max: int | None = None
+    ) -> tuple[DensityMatrixFock, float | np.ndarray]:
+        """Evolve a coherent superposition in a truncated number basis, per time.
 
-        The generator is applied exactly to the number-basis amplitudes of the
-        normalized input. Because it is non-Hermitian the norm leaks; the
-        returned matrix is renormalized to unit trace and the pre-normalization
-        trace (the leaked norm) is returned alongside.
+        Number state m of the normalized input picks up
+        ``evolve_fock(m, t).amplitude``. Because the generator is
+        non-Hermitian the norm leaks; the returned matrix is renormalized to
+        unit trace and the pre-normalization trace (the leaked norm) is
+        returned alongside. On a grid of T times the entries have shape
+        (T, d, d) and the pre-trace shape (T,).
         """
-        if t < 0:
-            raise ValueError("time must be nonnegative")
-        if self.gamma * t > SHORT_TIME_WINDOW:
+        t = as_times(t)
+        if np.any(self.gamma * t > SHORT_TIME_WINDOW):
             warnings.warn(
                 "effective-Hamiltonian evolution requested beyond its short-time "
-                f"window (gamma*t = {self.gamma * t:.3g} > {SHORT_TIME_WINDOW})",
+                f"window (gamma*t = {self.gamma * np.max(t):.3g} > {SHORT_TIME_WINDOW})",
                 stacklevel=2,
             )
         if n_max is None:
             n_max = default_fock_cutoff(max(abs(a) for _, a in state.terms))
-        amps = np.zeros(n_max + 1, dtype=complex)
-        for weight, label in state.terms:
-            amps += weight * coherent_amplitudes(label, n_max)
-        amps /= state.norm()
+        amps = state.amplitudes(n_max) / state.norm()
         truncated = float(np.sum(np.abs(amps) ** 2))
         if abs(truncated - 1.0) > 1e-6:
             raise ValueError(
                 f"truncated basis keeps only {truncated:.8f} of the initial norm; raise n_max"
             )
-        m = np.arange(n_max + 1)
-        factors = np.exp(-1j * m * self.omega_b * t) * np.exp(
-            -0.5 * (m + self.n_th) * self.gamma * t
-        )
-        evolved = amps * factors
-        pre_trace = float(np.sum(np.abs(evolved) ** 2))
-        rho = np.outer(evolved, np.conj(evolved)) / pre_trace
-        return DensityMatrixFock(entries=rho), pre_trace
+        evolved = amps * self.evolve_fock(np.arange(n_max + 1), t[..., None]).amplitude
+        pre_trace = np.sum(np.abs(evolved) ** 2, axis=-1)
+        rho = evolved[..., :, None] * np.conj(evolved[..., None, :]) / pre_trace[..., None, None]
+        return DensityMatrixFock(entries=rho), pre_trace[()]
 
 
 # --------------------------------------------------------------------------

@@ -231,8 +231,14 @@ class TestResourceGuard:
             (WWA_BASE, {"n_modes": 10_000_000}),
             (MINIMAL_FOCK, {"fock_n": 10_000, "n_steps": 10_000}),
             (WWA_BASE, {"n_steps": 10_000_000}),
+            (BENCHMARK_CONFIGS["oracle-fock10"], {"fock_n": 30}),
+            (BENCHMARK_CONFIGS["oracle-fock10"], {"fock_n": 11, "n_steps": 100_000}),
+            (BENCHMARK_CONFIGS["oracle-fock10"], {"n_modes": 1, "fock_n": 2000, "n_steps": 201}),
         ],
-        ids=["n_modes", "n_steps-x-fock_n", "n_steps-x-n_modes"],
+        ids=[
+            "n_modes", "n_steps-x-fock_n", "n_steps-x-n_modes", "oracle-sector",
+            "oracle-sector-x-n_steps", "oracle-density",
+        ],
     )
     def test_oversize_rejected_without_allocating(self, base, overrides):
         tracemalloc.start()
@@ -262,6 +268,20 @@ class TestResourceGuard:
     def test_benchmark_configs_pass(self, name):
         config = parse_config(BENCHMARK_CONFIGS[name])
         assert _estimated_bytes(config.as_dict()) < MEMORY_LIMIT_BYTES / 16
+
+    def test_oracle_guard_counts_the_sector_not_the_product_basis(self, capsys, tmp_path):
+        """fock_n = 11 at N = 4: one sector of dimension C(15, 4) = 1365, not 12^5 states."""
+        output = tmp_path / "oracle.csv"
+        code = main(
+            [
+                "--scenario", "oracle-compare", "--gamma", "1", "--omega-b", "100",
+                "--n-modes", "4", "--half-bandwidth", "20", "--fock-n", "11", "--t-max", "5",
+                "--n-steps", "201", "--output", str(output),
+            ]
+        )
+        assert code == 0
+        summary = json.loads(capsys.readouterr().err.splitlines()[0])["summary"]
+        assert summary["max_population_deviation"] <= 1e-8
 
     def test_cli_reports_oversize_run(self, capsys):
         code = main(
@@ -391,7 +411,8 @@ def valid_configs(draw):
     for key in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
         values[key] = draw(optional[key])
     if scenario in ("fock-decay", "oracle-compare"):
-        values["fock_n"] = draw(st.integers(0, 20))
+        # At N = 4 the oracle's fock_n = 20 sector needs 4.2 GiB; fock_n = 19 needs 2.9.
+        values["fock_n"] = draw(st.integers(0, 19 if scenario == "oracle-compare" else 20))
     if scenario in ("excited-bath", "thermal", "wwa-validate", "oracle-compare"):
         values["n_modes"] = draw(st.integers(1, 4 if scenario == "oracle-compare" else 60))
         center = draw(st.one_of(st.none(), _positive(1e-3, 1e3)))

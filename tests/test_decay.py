@@ -26,13 +26,33 @@ from boson_decay import (
     fock_decay_time,
     fock_populations,
     fock_survival,
-    full_fock_oracle,
-    ground_state_invariance_check,
     sample_thermal_bath,
 )
 from boson_decay.decay import coherent_amplitudes, default_fock_cutoff
 
 GAMMA = 1.0
+
+
+def _full_fock_oracle(system, bath, initial, t, n_max=None):
+    """The oracle's reduced state at ``t``, truncated at ``n_max``.
+
+    ``n_max`` defaults to the excitation number of a Fock input and to a
+    Poisson-tail-safe cutoff for coherent inputs.
+    """
+    if n_max is None:
+        if isinstance(initial, FockState):
+            n_max = initial.n
+        elif isinstance(initial, CoherentState):
+            n_max = default_fock_cutoff(abs(initial.alpha))
+        else:
+            n_max = default_fock_cutoff(max(abs(a) for _, a in initial.terms))
+    return FockSpaceOracle(system, bath, n_max).reduced_density(initial, t)
+
+
+def _ground_state_invariance_check(system, bath, t) -> bool:
+    """Whether the joint vacuum is a fixed point of the evolution at ``t``."""
+    rho = FockSpaceOracle(system, bath, n_max=1).reduced_density(FockState(0), t)
+    return bool(abs(rho.populations[0] - 1.0) <= 1e-10 and rho.max_offdiagonal() <= 1e-10)
 
 
 class TestFockPopulations:
@@ -192,12 +212,12 @@ class TestExcitedBathEvolution:
 
 class TestFockSpaceOracle:
     def test_initial_state_reproduced_at_time_zero(self, small_system, small_bath):
-        rho = full_fock_oracle(small_system, small_bath, FockState(2), 0.0)
+        rho = _full_fock_oracle(small_system, small_bath, FockState(2), 0.0)
         expected = np.zeros((3, 3))
         expected[2, 2] = 1.0
         assert np.allclose(rho.entries, expected, atol=1e-14)
 
-        rho_c = full_fock_oracle(small_system, small_bath, CoherentState(0.8), 0.0)
+        rho_c = _full_fock_oracle(small_system, small_bath, CoherentState(0.8), 0.0)
         amps = coherent_amplitudes(0.8, rho_c.dim - 1)
         assert np.allclose(rho_c.entries, np.outer(amps, amps.conj()), atol=1e-12)
 
@@ -223,43 +243,43 @@ class TestFockSpaceOracle:
         assert list(oracle._sectors) == [3]
 
     def test_fock_reduced_state_is_diagonal(self, small_system, small_bath):
-        rho = full_fock_oracle(small_system, small_bath, FockState(3), 1.3)
+        rho = _full_fock_oracle(small_system, small_bath, FockState(3), 1.3)
         assert rho.max_offdiagonal() < 1e-10
         assert rho.trace == pytest.approx(1.0, abs=1e-10)
 
     def test_coherent_state_stays_coherent(self, small_system, small_bath, small_propagator):
         t = 0.9
         label = 1.0 * small_propagator.evaluate(t).survival
-        rho = full_fock_oracle(small_system, small_bath, CoherentState(1.0), t)
+        rho = _full_fock_oracle(small_system, small_bath, CoherentState(1.0), t)
         assert rho.trace == pytest.approx(1.0, abs=1e-8)
         assert rho.purity >= 1.0 - 1e-6
         assert rho.fidelity_with_coherent(label) >= 1.0 - 1e-6
         assert rho.mean_number == pytest.approx(abs(label) ** 2, abs=1e-6)
 
     def test_reduced_matrix_is_physical(self, small_system, small_bath):
-        rho = full_fock_oracle(small_system, small_bath, CoherentState(0.9 + 0.4j), 1.1)
+        rho = _full_fock_oracle(small_system, small_bath, CoherentState(0.9 + 0.4j), 1.1)
         assert np.max(np.abs(rho.entries - rho.entries.conj().T)) < 1e-10
         assert np.min(np.linalg.eigvalsh(rho.entries)) > -1e-8
 
     def test_superposition_initial_state(self, small_system, small_bath):
         cat = CoherentSuperposition(((1.0, 1.2), (1.0, -1.2)))
-        rho = full_fock_oracle(small_system, small_bath, cat, 0.0)
+        rho = _full_fock_oracle(small_system, small_bath, cat, 0.0)
         amps = coherent_amplitudes(1.2, rho.dim - 1) + coherent_amplitudes(-1.2, rho.dim - 1)
         amps = amps / np.linalg.norm(amps)
         assert np.allclose(rho.entries, np.outer(amps, amps.conj()), atol=1e-10)
 
     def test_ground_state_invariance(self, small_system, small_bath, rabi_pair):
-        assert ground_state_invariance_check(small_system, small_bath, 3.0)
+        assert _ground_state_invariance_check(small_system, small_bath, 3.0)
         system, bath = rabi_pair
         t_half_rabi = math.pi / (2.0 * math.sqrt(2.0))
-        assert ground_state_invariance_check(system, bath, t_half_rabi)
+        assert _ground_state_invariance_check(system, bath, t_half_rabi)
         spec = SpectralDensitySpec(gamma=GAMMA, band_center=9.0, half_bandwidth=3.0)
         random_bath = DiscreteBath(
             omegas=np.array([7.1, 9.3, 11.2]),
             xis=np.array([0.21, 0.05, 0.33]),
             spec=spec,
         )
-        assert ground_state_invariance_check(SystemMode(9.0), random_bath, 3.0 / GAMMA)
+        assert _ground_state_invariance_check(SystemMode(9.0), random_bath, 3.0 / GAMMA)
 
     def test_rejects_oversized_bath(self, small_system):
         spec = SpectralDensitySpec(gamma=GAMMA, band_center=10.0, half_bandwidth=2.0)
@@ -267,13 +287,9 @@ class TestFockSpaceOracle:
         with pytest.raises(ResourceLimitError, match="at most 4"):
             FockSpaceOracle(small_system, bath, n_max=1)
 
-    def test_rejects_oversized_dimension(self, small_system, small_bath):
-        with pytest.raises(ResourceLimitError, match="exceeds"):
-            FockSpaceOracle(small_system, small_bath, n_max=30)
-
     def test_truncation_defect_is_surfaced(self, small_system, small_bath):
         with pytest.raises(TruncationError, match="raise n_max"):
-            full_fock_oracle(small_system, small_bath, CoherentState(1.0), 0.5, n_max=2)
+            _full_fock_oracle(small_system, small_bath, CoherentState(1.0), 0.5, n_max=2)
 
     def test_fock_state_beyond_truncation_rejected(self, small_system, small_bath):
         with pytest.raises(ValueError, match="cannot represent"):

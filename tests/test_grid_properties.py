@@ -3,14 +3,16 @@
 The formula functions broadcast over the leading time axis of grid-shaped
 ``PropagatorCoefficients``; row i of a grid result must match the same
 function applied to the coefficients at time i alone, to 1e-13. The closed
-forms of the time alone must match their per-time results bit for bit. The dense
-Fock-space oracle evaluated on a grid must match a per-time reference built
-from the explicit sector unitaries, to 1e-12.
+forms of the time alone must match their per-time results bit for bit, and the
+number-basis laws their per-n results too. The dense Fock-space oracle
+evaluated on a grid must match a per-time reference built from the explicit
+sector unitaries, to 1e-12.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,6 +164,29 @@ def test_closed_forms_match_per_time_bitwise(run, n):
     assert closed.absorption.shape == times.shape + (bath.n_modes,)
     _rows_equal(closed.survival, [c.survival for c in per_time])
     _rows_equal(closed.absorption, [c.absorption for c in per_time])
+
+
+@pytest.mark.filterwarnings("ignore:effective-Hamiltonian evolution requested beyond")
+@settings(max_examples=40, deadline=None)
+@given(small_runs(), st.integers(0, 12))
+def test_number_basis_laws_match_per_time_and_per_n_bitwise(run, n_max):
+    """evolve_fock over an array of n gives the bits of each n alone, and
+    evolve_superposition over a grid gives the bits of each time alone."""
+    system, bath, _, thermal, times, alpha = run
+    heff = EffectiveHamiltonian(system.omega_b, bath.spec.gamma, thermal.n_th)
+    ns = np.arange(n_max + 1)
+    fock = heff.evolve_fock(ns, times[:, None])
+    per_n = [heff.evolve_fock(n, times) for n in ns]
+    assert fock.amplitude.shape == times.shape + ns.shape
+    for index in range(len(fock) - 1):  # amplitude and mean number: (T, n) against (n, T)
+        _rows_equal(fock[index].T, [x[index] for x in per_n])
+    _rows_equal(fock.decay_time, [x.decay_time for x in per_n])
+    state = CoherentSuperposition(((1.0, alpha), (0.5j, -alpha)))
+    rho, pre_trace = heff.evolve_superposition(state, times)
+    per_time = [heff.evolve_superposition(state, t) for t in times]
+    assert rho.entries.shape == times.shape + (rho.dim, rho.dim)
+    _rows_equal(rho.entries, [r.entries for r, _ in per_time])
+    _rows_equal(pre_trace, [p for _, p in per_time])
 
 
 @settings(max_examples=15, deadline=None)

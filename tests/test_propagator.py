@@ -18,11 +18,25 @@ from boson_decay import (
     analytic_survival,
     discretize_bath,
     dissipation_sum,
-    single_particle_hamiltonian,
     unitarity_defect,
 )
 
 GAMMA = 1.0
+
+
+def _single_particle_hamiltonian(system, bath):
+    """The dense arrowhead matrix: row/column 0 is the system mode, rows 1..N the bath modes.
+
+    The excitation-conserving interaction leaves all bath-bath couplings zero.
+    """
+    n = bath.n_modes
+    h = np.zeros((n + 1, n + 1))
+    h[0, 0] = system.omega_b
+    idx = np.arange(1, n + 1)
+    h[idx, idx] = bath.omegas
+    h[0, 1:] = bath.xis
+    h[1:, 0] = bath.xis
+    return h
 
 
 class TestAnalyticSurvival:
@@ -97,7 +111,7 @@ class TestSingleParticleHamiltonian:
     def test_arrowhead_structure(self):
         spec = SpectralDensitySpec(gamma=GAMMA, band_center=10.0, half_bandwidth=3.0)
         bath = discretize_bath(spec, 5)
-        h = single_particle_hamiltonian(SystemMode(10.0), bath)
+        h = _single_particle_hamiltonian(SystemMode(10.0), bath)
         assert h.shape == (6, 6)
         assert np.array_equal(h, h.T)
         assert h[0, 0] == 10.0
@@ -166,7 +180,7 @@ def _assert_matches_dense_eigh(system, bath):
     """
     propagator = ExactPropagator(system, bath)
     lam, v = propagator.spectrum.eigenvalues, propagator.spectrum.vectors()
-    h = single_particle_hamiltonian(system, bath)
+    h = _single_particle_hamiltonian(system, bath)
     h_norm = np.linalg.norm(h, 2)
     dense_lam, dense_v = np.linalg.eigh(h)
     assert np.all(np.isfinite(lam)) and np.all(np.isfinite(v))
@@ -246,7 +260,7 @@ class TestArrowheadSolver:
 
     def test_wwa_fixture_matches_dense_eigh(self, wwa_propagator, wwa_system, wwa_bath):
         """N = 2000: eigenvalues within 1e-12 ||H|| and ||V^T V - I|| <= 1e-11."""
-        h = single_particle_hamiltonian(wwa_system, wwa_bath)
+        h = _single_particle_hamiltonian(wwa_system, wwa_bath)
         lam, v = wwa_propagator.spectrum.eigenvalues, wwa_propagator.spectrum.vectors()
         h_norm = np.max(np.abs(lam))
         assert np.max(np.abs(lam - np.linalg.eigvalsh(h))) <= 1e-12 * h_norm
@@ -389,17 +403,15 @@ class TestCoefficientValidation:
                 t=0.0,
                 survival=1.0,
                 absorption=np.zeros(1, dtype=complex),
-                bath_omegas=np.array([1.0]),
                 provenance="guess",
             )
 
     def test_rejects_mismatched_arrays(self):
         with pytest.raises(ValueError):
             PropagatorCoefficients(
-                t=0.0,
-                survival=1.0,
-                absorption=np.zeros(2, dtype=complex),
-                bath_omegas=np.array([1.0]),
+                t=np.zeros(2),
+                survival=np.ones(2),
+                absorption=np.zeros(3, dtype=complex),
                 provenance="oracle",
             )
 
@@ -409,6 +421,5 @@ class TestCoefficientValidation:
                 t=0.0,
                 survival=1.5,
                 absorption=np.zeros(1, dtype=complex),
-                bath_omegas=np.array([1.0]),
                 provenance="oracle",
             )

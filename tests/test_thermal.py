@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from boson_decay import (
-    AsymptoticRegimeError,
     CoherentSuperposition,
     EffectiveHamiltonian,
     ExactPropagator,
@@ -25,7 +24,6 @@ from boson_decay import (
     excited_bath_evolution,
     fock_decay_time,
     fock_survival,
-    high_temperature_mean_number,
     monte_carlo_moments,
     sample_thermal_bath,
     thermal_factor_closed,
@@ -150,7 +148,8 @@ class TestConditionalMeanNumber:
     def test_high_temperature_approaches_inverse_temperature_law(self):
         """The 1/T asymptote is approached as the enhancement factor grows.
 
-        At n_th = 1e3 the neglected interference term still contributes a few
+        The asymptote is |alpha|^2 beta omega_b / (1 - e^{-gamma t}). At
+        n_th = 1e3 the neglected interference term still contributes a few
         percent (computed, phase dependent); by n_th = 1e5 agreement is below
         1%.
         """
@@ -162,19 +161,11 @@ class TestConditionalMeanNumber:
             beta = math.log1p(1.0 / n_th) / system.omega_b
             phi = thermal_factor_closed(n_th, GAMMA, t)
             value = conditional_mean_number(1.3, u, phi)
-            asymptote = high_temperature_mean_number(1.3, beta, system.omega_b, GAMMA, t)
+            asymptote = abs(1.3) ** 2 * beta * system.omega_b / -math.expm1(-GAMMA * t)
             deviations.append(abs(value - asymptote) / asymptote)
         assert deviations[0] < 0.08
         assert deviations[-1] < 1e-2
         assert deviations[0] > deviations[1] > deviations[2]
-
-    def test_high_temperature_guard(self):
-        with pytest.raises(AsymptoticRegimeError, match="outside asymptotic regime"):
-            high_temperature_mean_number(1.0, beta=1.0, omega_b=1.0, gamma=GAMMA, t=1.0)
-
-    def test_high_temperature_needs_finite_beta(self):
-        with pytest.raises(InfiniteOccupationError):
-            high_temperature_mean_number(1.0, beta=0.0, omega_b=1.0, gamma=GAMMA, t=1.0)
 
 
 class TestEffectiveHamiltonian:
