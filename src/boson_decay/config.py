@@ -12,6 +12,7 @@ from typing import Any
 
 from .decay import _MAX_ORACLE_BATH_MODES
 from .errors import ConfigError
+from .propagator import SOLVER_BYTES_PER_MODE
 from .thermal import MC_BLOCK_BYTES
 
 SCENARIOS = (
@@ -254,16 +255,17 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> None:
 def _estimated_bytes(merged: dict[str, Any]) -> int:
     """Bytes of a validated run's largest arrays, from its sizes alone (exact integers).
 
-    Bath runs hold about 4 KiB per mode while the propagator solves for its
-    eigenvalues (a few (128, N+1) float blocks; the eigenvectors are never
-    stored) and about 40 bytes per grid point and mode while evaluating the
-    grid; thermal runs stream their samples, holding about three Monte Carlo
-    blocks of ``MC_BLOCK_BYTES`` whatever the sample count. Every
-    report holds its columns stacked into one float64 table, and the
-    binomial law of a Fock scenario holds (T, n+1) temporaries while it is
-    evaluated; 48 bytes per cell covers both, at most 8 columns plus two
-    per Fock level. CSV is formatted in fixed blocks of rows, so its text
-    is not counted. The oracle of ``oracle-compare`` diagonalizes the dense
+    Bath runs hold ``SOLVER_BYTES_PER_MODE`` (4 KiB) per mode while the
+    propagator solves for its eigenvalues: each of its solver threads reuses
+    two (128, N) float blocks, 2 KiB per mode, and the thread count is capped
+    so that they fit (the eigenvectors are never stored). Evaluating the grid
+    takes about 40 bytes per grid point and mode. Thermal runs stream their
+    samples, holding about three Monte Carlo blocks of ``MC_BLOCK_BYTES``
+    whatever the sample count. Every report holds its columns stacked into
+    one float64 table, and the binomial law of a Fock scenario holds
+    (T, n+1) temporaries while it is evaluated; 48 bytes per cell covers
+    both, at most 8 columns plus two per Fock level. CSV and JSON rows are
+    formatted in fixed blocks of rows, so their text is not counted. The oracle of ``oracle-compare`` diagonalizes the dense
     Hamiltonian of its one excitation sector, of dimension d = C(fock_n + N, N):
     the matrix, the eigensolver's copy and 2 d^2 workspace, and the
     eigenvectors take about 40 d^2 bytes. Evolving the sector over the grid
@@ -275,7 +277,7 @@ def _estimated_bytes(merged: dict[str, Any]) -> int:
     estimate = 0
     if scenario in _BATH_SCENARIOS:
         modes = merged["n_modes"] + 1
-        estimate += 4096 * modes + 40 * steps * modes
+        estimate += SOLVER_BYTES_PER_MODE * modes + 40 * steps * modes
     if scenario == "thermal":
         estimate += 3 * MC_BLOCK_BYTES
     if scenario == "oracle-compare":

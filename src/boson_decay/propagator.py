@@ -12,6 +12,8 @@ T times takes O(T N + 128 N) memory.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,23 +103,104 @@ def analytic_propagator(
 
 
 _EPS = np.finfo(float).eps
-_ROOT_BLOCK = 128  # roots solved together: every temporary is O(_ROOT_BLOCK * N)
+# Roots solved together. Each solver thread holds a workspace of two
+# (_ROOT_BLOCK, N) float arrays, so the solve takes O(W * _ROOT_BLOCK * N)
+# memory on W threads; the root blocks also fix the order of every sum.
+_ROOT_BLOCK = 128
 _MAX_ROOT_STEPS = 64
+# Memory the eigenvalue solve may take per bath mode; the config's size check
+# charges the same figure. It admits two workspaces of 2 * 8 * _ROOT_BLOCK bytes.
+SOLVER_BYTES_PER_MODE = 4096
 
 
-def _pole_gaps(poles: np.ndarray, origin: np.ndarray, tau: np.ndarray) -> np.ndarray:
+def _pole_gaps(
+    poles: np.ndarray, origin: np.ndarray, tau: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """lambda_k - omega_j for roots lambda_k = omega_origin + tau, shape (k, j).
 
     Formed as (omega_origin - omega_j) + tau, never from the rounded
     lambda_k: a root next to its origin pole keeps its full relative
     distance to it, which is what keeps the eigenvectors orthogonal.
+    Written into ``out`` when given.
     """
-    gaps = poles[origin][:, None] - poles
+    gaps = np.subtract(poles[origin][:, None], poles, out=out)
     gaps += tau[:, None]
     return gaps
 
 
-def _secular_block(apex, poles, sq_couplings, ks, lower, upper):
+def _worker_count(blocks: int) -> int:
+    """Solver threads for ``blocks`` root blocks: one per usable CPU, within the memory budget."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    budget = SOLVER_BYTES_PER_MODE // (2 * 8 * _ROOT_BLOCK)
+    return max(1, min(cpus, blocks, budget))
+
+
+def _in_block_order(blocks: list, work, workspaces: list):
+    """Yield ``work(ks, workspace)`` for every block of ``blocks``, in block order.
+
+    With one workspace the blocks run inline. Otherwise one thread per
+    workspace takes the next unclaimed block whenever it is free; numpy
+    releases the interpreter lock inside its loops, so the threads overlap.
+    A thread claims a block only while fewer than two blocks per thread wait
+    to be yielded, which bounds the results held at once. An exception in
+    ``work`` is raised here.
+    """
+    if len(workspaces) == 1:
+        for ks in blocks:
+            yield work(ks, workspaces[0])
+        return
+    ready = threading.Condition()
+    results: dict[int, object] = {}
+    failure: list[BaseException] = []
+    claimed = yielded = 0
+    stop = False
+
+    def run(workspace):
+        nonlocal claimed
+        while True:
+            with ready:
+                ready.wait_for(
+                    lambda: stop or claimed == len(blocks) or claimed - yielded < 2 * len(workspaces)
+                )
+                if stop or claimed == len(blocks):
+                    return
+                index, claimed = claimed, claimed + 1
+            try:
+                result = work(blocks[index], workspace)
+            except BaseException as exc:
+                with ready:
+                    failure.append(exc)
+                    ready.notify_all()
+                return
+            with ready:
+                results[index] = result
+                ready.notify_all()
+
+    threads = [threading.Thread(target=run, args=(w,), daemon=True) for w in workspaces]
+    for thread in threads:
+        thread.start()
+    try:
+        for index in range(len(blocks)):
+            with ready:
+                ready.wait_for(lambda: index in results or failure)
+                if failure:
+                    raise failure[0]
+                result = results.pop(index)
+                yielded = index + 1
+                ready.notify_all()
+            yield result
+    finally:
+        with ready:
+            stop = True
+            ready.notify_all()
+        for thread in threads:
+            thread.join()
+
+
+def _secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
     """Origin pole index and offset tau of the secular roots ``ks`` (one block).
 
     Root 0 lies in (lower, omega_0), root k in (omega_{k-1}, omega_k) and root
@@ -132,8 +215,10 @@ def _secular_block(apex, poles, sq_couplings, ks, lower, upper):
     root of a quadratic; a step leaving the current bracket is replaced by
     bisection. A root stops once |g| is within the rounding error of its
     evaluation, its step no longer moves it, or its bracket has collapsed.
+    The per-pole terms live in ``workspace``, two (_ROOT_BLOCK, N) arrays.
     """
     m = poles.size
+    neg_sq = -sq_couplings
     bottom, top = ks == 0, ks == m
     below = poles[np.maximum(ks - 1, 0)]
     above = poles[np.minimum(ks, m - 1)]
@@ -150,14 +235,17 @@ def _secular_block(apex, poles, sq_couplings, ks, lower, upper):
     for step in range(_MAX_ROOT_STEPS):
         k, o = ks[active], origin[active]
         is_bottom, is_top = bottom[active], top[active]
-        inv = _pole_gaps(poles, o, x)
+        inv = _pole_gaps(poles, o, x, out=workspace[0][: k.size])
         np.divide(1.0, inv, out=inv)  # 1 / (x - delta_j)
-        terms = -sq_couplings * inv  # c_j^2 / (delta_j - x)
+        terms = np.multiply(neg_sq, inv, out=workspace[1][: k.size])  # c_j^2 / (delta_j - x)
         inv *= terms  # minus the slope of each term
         left_mask = band_left[active]
         total, slope = terms.sum(axis=1), -inv.sum(axis=1)
-        psi = terms[:, : band.start].sum(axis=1) + np.sum(terms[:, band] * left_mask, axis=1)
-        psi_slope = -inv[:, : band.start].sum(axis=1) - np.sum(inv[:, band] * left_mask, axis=1)
+        # Keep only the poles left of each root; terms and inv are not read after this.
+        terms[:, band] *= left_mask
+        inv[:, band] *= left_mask
+        psi = terms[:, : band.start].sum(axis=1) + terms[:, band].sum(axis=1)
+        psi_slope = -inv[:, : band.start].sum(axis=1) - inv[:, band].sum(axis=1)
         shift = poles[o] - apex
         g = shift + x + total
         rounding = np.abs(shift) + np.abs(x) + (total - 2.0 * psi)
@@ -359,9 +447,16 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
     so the roots are the exact eigenvalues of a nearby arrowhead matrix,
     whose eigenvector k is [1, c_j / (lambda_k - omega_j)] normalized (Gu and
     Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172). Deflated poles
-    (:func:`_deflate`) are eigenvalues with their own eigenvectors. Time is
-    O(N^2); memory is O(N) for the result and O(_ROOT_BLOCK N) for
-    temporaries, as neither the matrix nor its eigenvectors are formed.
+    (:func:`_deflate`) are eigenvalues with their own eigenvectors.
+
+    Both passes over the root blocks, the roots with their Loewner factors
+    and then the norms, run on W threads (:func:`_worker_count`: one per
+    usable CPU, at most two under ``SOLVER_BYTES_PER_MODE``; inline when
+    W = 1), each reusing a workspace of two (_ROOT_BLOCK, N) float arrays
+    allocated here. The Loewner product is taken in block order on this
+    thread, so every array of the result is bit-identical for any W. Time is
+    O(N^2); memory is O(N) for the result and O(W _ROOT_BLOCK N) for the
+    workspaces, as neither the matrix nor its eigenvectors are formed.
     """
     n = poles.size
     # Scale by a power of two near ||H|| (exact), so nothing under- or overflows.
@@ -391,25 +486,47 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
     spread = 2.0 * float(np.linalg.norm(c))
     lower, upper = min(apex, d[0]) - spread, max(apex, d[-1]) + spread
     blocks = [np.arange(s, min(s + _ROOT_BLOCK, m + 1)) for s in range(0, m + 1, _ROOT_BLOCK)]
-
-    origin, tau = np.empty(m + 1, dtype=int), np.empty(m + 1)
-    # Loewner product with root k paired to pole k-1 (k <= j) or pole k (k > j), so
-    # every ratio lies in (0, 1]; roots 0 and N stay unpaired.
-    loewner = np.ones(m)
+    workspaces = [
+        (np.empty((_ROOT_BLOCK, m)), np.empty((_ROOT_BLOCK, m)))
+        for _ in range(_worker_count(len(blocks)))
+    ]
     js = np.arange(m)
-    for ks in blocks:
-        origin[ks], tau[ks] = _secular_block(apex, d, sq, ks, lower, upper)
-        paired = np.where(
-            ks[:, None] <= js, d[np.maximum(ks - 1, 0)][:, None], d[np.minimum(ks, m - 1)][:, None]
-        )
+
+    def solve(ks, workspace):
+        """The block's roots and its factor of the Loewner product.
+
+        Root k is paired to pole k-1 (k <= j) or pole k (k > j), so every
+        ratio lies in (0, 1]; roots 0 and N stay unpaired.
+        """
+        origin, tau = _secular_block(apex, d, sq, ks, lower, upper, workspace)
+        above = d[np.minimum(ks, m - 1)][:, None]
+        paired = workspace[0][: ks.size]
+        paired[:, : ks[0]] = above
+        paired[:, ks[0] :] = d[np.maximum(ks - 1, 0)][:, None]
+        # Only columns ks[0] <= j < ks[-1] differ by row.
+        band = slice(ks[0], ks[-1])
+        np.copyto(paired[:, band], above, where=ks[:, None] > js[band])
         paired -= d
         paired[(ks == 0) | (ks == m)] = 1.0
-        loewner *= np.prod(np.abs(_pole_gaps(d, origin[ks], tau[ks]) / paired), axis=0)
+        ratio = _pole_gaps(d, origin, tau, out=workspace[1][: ks.size])
+        ratio /= paired
+        np.abs(ratio, out=ratio)
+        return origin, tau, np.prod(ratio, axis=0)
+
+    origin, tau = np.empty(m + 1, dtype=int), np.empty(m + 1)
+    loewner = np.ones(m)
+    for ks, (block_origin, block_tau, ratio) in zip(blocks, _in_block_order(blocks, solve, workspaces)):
+        origin[ks], tau[ks] = block_origin, block_tau
+        loewner *= ratio  # in block order on this thread: the same product for any W
     c_hat = np.sqrt(loewner)
-    inv_norm = np.empty(m + 1)
-    for ks in blocks:
-        vector = c_hat / _pole_gaps(d, origin[ks], tau[ks])
-        inv_norm[ks] = 1.0 / np.sqrt(1.0 + np.sum(vector * vector, axis=1))
+
+    def norms(ks, workspace):
+        vector = _pole_gaps(d, origin[ks], tau[ks], out=workspace[0][: ks.size])
+        np.divide(c_hat, vector, out=vector)
+        vector *= vector
+        return 1.0 / np.sqrt(1.0 + np.sum(vector, axis=1))
+
+    inv_norm = np.concatenate(list(_in_block_order(blocks, norms, workspaces)))
     free_rows = 1 + np.flatnonzero(~coupled)
     return ArrowheadSpectrum(
         dim=n + 1,
@@ -522,7 +639,8 @@ def dissipation_sum(coeffs: PropagatorCoefficients, occupations=None):
     transferred into the bath; with the thermal occupations of the bath modes
     it is the thermal population they feed into the system.
     """
-    weights = np.abs(coeffs.absorption) ** 2
+    weights = np.abs(coeffs.absorption)
+    weights *= weights
     if occupations is not None:
         weights *= occupations
     return np.sum(weights, axis=-1)[()]

@@ -3,10 +3,11 @@
 Each scenario evaluates its laws as arrays over a uniform time grid and
 stacks the named columns once into one (T, C) float64 table; columns follow
 the per-module CSV schemas. CSV artifacts contain only the table (so
-identical runs are byte-identical) and are formatted and written in blocks
-of ``_CSV_BLOCK_ROWS`` rows, so a report never exists as one string or as
-one list of Python floats; metadata travels in the JSON format or in a
-``.meta.json`` sidecar next to a CSV file.
+identical runs are byte-identical). CSV and the rows of JSON are formatted
+and written in blocks of ``_CSV_BLOCK_ROWS`` rows, so a report never exists
+as one string or as one list of Python floats; metadata, including the
+seconds spent in each stage of the run (``meta["timings"]``), travels in
+the JSON format or in a ``.meta.json`` sidecar next to a CSV file.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, TextIO
 
@@ -52,7 +54,7 @@ from .thermal import (
 
 WWA_TOLERANCE = 2e-2
 
-# Rows formatted per CSV block: bounds the Python floats and text held at once.
+# Rows formatted per CSV or JSON block: bounds the Python floats and text held at once.
 _CSV_BLOCK_ROWS = 64
 
 
@@ -77,6 +79,16 @@ class RunReport:
     def rows(self) -> list[list[float]]:
         """The table as nested lists of Python floats (a fresh copy per access)."""
         return self.table.tolist()
+
+
+@contextmanager
+def _stage(timings: dict[str, float], name: str) -> Iterator[None]:
+    """Add the seconds spent in the ``with`` body to ``timings[name]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
 
 
 def _time_grid(config: ScenarioConfig) -> np.ndarray:
@@ -118,7 +130,7 @@ def _propagator_diagnostics(propagator: ExactPropagator, defect: np.ndarray) -> 
     }
 
 
-def _run_fock_decay(config: ScenarioConfig) -> RunReport:
+def _run_fock_decay(config: ScenarioConfig, timings: dict[str, float]) -> RunReport:
     grid = _time_grid(config)
     probs = fock_populations(config.fock_n, fock_survival(1, config.gamma, grid)).probs
     return _report({"t": grid, **{f"P_{m}": p for m, p in enumerate(probs.T)}})
@@ -135,19 +147,22 @@ def _coherent_table(grid: np.ndarray, label: np.ndarray, mean_number) -> dict[st
     }
 
 
-def _run_coherent_decay(config: ScenarioConfig) -> RunReport:
+def _run_coherent_decay(config: ScenarioConfig, timings: dict[str, float]) -> RunReport:
     grid = _time_grid(config)
     survival = analytic_survival(_system(config), config.gamma, grid)
     return _report(_coherent_table(grid, *coherent_decay(config.alpha, survival)))
 
 
-def _run_excited_bath(config: ScenarioConfig) -> RunReport:
-    bath = scenario_bath(config)
-    propagator = ExactPropagator(_system(config), bath)
+def _run_excited_bath(config: ScenarioConfig, timings: dict[str, float]) -> RunReport:
+    with _stage(timings, "bath"):
+        bath = scenario_bath(config)
+    with _stage(timings, "spectrum"):
+        propagator = ExactPropagator(_system(config), bath)
     lambdas = np.zeros(bath.n_modes, dtype=complex)
     lambdas[config.excited_mode] = config.excited_label
     grid = _time_grid(config)
-    labels = excited_bath_evolution(config.alpha, lambdas, propagator, grid)
+    with _stage(timings, "evaluate"):
+        labels = excited_bath_evolution(config.alpha, lambdas, propagator, grid)
     initial_norm_sq = abs(config.alpha) ** 2 + abs(config.excited_label) ** 2
     norm_defect = np.max(np.abs(labels.total_norm_sq() - initial_norm_sq))
     return _report(
@@ -156,19 +171,23 @@ def _run_excited_bath(config: ScenarioConfig) -> RunReport:
     )
 
 
-def _run_thermal(config: ScenarioConfig) -> RunReport:
+def _run_thermal(config: ScenarioConfig, timings: dict[str, float]) -> RunReport:
     system = _system(config)
-    bath = scenario_bath(config)
+    with _stage(timings, "bath"):
+        bath = scenario_bath(config)
     thermal = ThermalSpec.for_system(config.beta, config.omega_b)
     grid = _time_grid(config)
-    propagator = ExactPropagator(system, bath)
-    coeffs = propagator.evaluate(grid)
-    samples = sample_thermal_bath(bath, thermal, config.samples, config.seed)
+    with _stage(timings, "spectrum"):
+        propagator = ExactPropagator(system, bath)
+    with _stage(timings, "evaluate"):
+        coeffs = propagator.evaluate(grid)
     alpha = config.alpha
     phi_c = thermal_factor_closed(thermal.n_th, config.gamma, grid)
     survival = analytic_survival(system, config.gamma, grid)
     heff = EffectiveHamiltonian(config.omega_b, config.gamma, thermal.n_th)
-    mc, errors = monte_carlo_moments(alpha, thermal, coeffs, samples)
+    with _stage(timings, "monte_carlo"):
+        samples = sample_thermal_bath(bath, thermal, config.samples, config.seed)
+        mc, errors = monte_carlo_moments(alpha, thermal, coeffs, samples)
     oracle = exact_thermal_moments(alpha, bath, thermal, coeffs).occupation
     meta = _propagator_diagnostics(propagator, unitarity_defect(coeffs))
     # Rows whose branches all coincide (t = 0) have a stderr of rounding size only.
@@ -190,10 +209,14 @@ def _run_thermal(config: ScenarioConfig) -> RunReport:
     )
 
 
-def _run_wwa_validate(config: ScenarioConfig) -> RunReport:
+def _run_wwa_validate(config: ScenarioConfig, timings: dict[str, float]) -> RunReport:
     grid = _time_grid(config)
-    propagator = ExactPropagator(_system(config), scenario_bath(config))
-    coeffs = propagator.evaluate(grid)
+    with _stage(timings, "bath"):
+        bath = scenario_bath(config)
+    with _stage(timings, "spectrum"):
+        propagator = ExactPropagator(_system(config), bath)
+    with _stage(timings, "evaluate"):
+        coeffs = propagator.evaluate(grid)
     survived = np.abs(coeffs.survival) ** 2
     dissipated = dissipation_sum(coeffs)
     # The broadband laws: e^{-gamma t} retained, 1 - e^{-gamma t} transferred.
@@ -221,9 +244,10 @@ def _run_wwa_validate(config: ScenarioConfig) -> RunReport:
     return _report(table, meta={"summary": summary, **_propagator_diagnostics(propagator, defect)})
 
 
-def _run_oracle_compare(config: ScenarioConfig) -> RunReport:
+def _run_oracle_compare(config: ScenarioConfig, timings: dict[str, float]) -> RunReport:
     system = _system(config)
-    bath = scenario_bath(config)
+    with _stage(timings, "bath"):
+        bath = scenario_bath(config)
     n = config.fock_n
     oracle = FockSpaceOracle(system, bath, n_max=n)
     # No beta is zero temperature: n_th = 0 and a vacuum bath.
@@ -231,11 +255,14 @@ def _run_oracle_compare(config: ScenarioConfig) -> RunReport:
         config.beta if config.beta is not None else math.inf, config.omega_b
     )
     grid = _time_grid(config)
-    propagator = ExactPropagator(system, bath)
-    coeffs = propagator.evaluate(grid)
+    with _stage(timings, "spectrum"):
+        propagator = ExactPropagator(system, bath)
+    with _stage(timings, "evaluate"):
+        coeffs = propagator.evaluate(grid)
     survived = np.abs(coeffs.survival) ** 2
     law = fock_populations(n, np.minimum(survived, 1.0)).probs
-    pops = oracle.reduced_density(FockState(n), grid).populations
+    with _stage(timings, "oracle"):
+        pops = oracle.reduced_density(FockState(n), grid).populations
     deviation = np.max(np.abs(pops - law), axis=1)
     heff = EffectiveHamiltonian(config.omega_b, config.gamma, thermal.n_th)
     heff_mean = heff.evolve_fock(n, grid).mean_number
@@ -259,7 +286,7 @@ def _run_oracle_compare(config: ScenarioConfig) -> RunReport:
     )
 
 
-_SCENARIO_RUNNERS: dict[str, Callable[[ScenarioConfig], RunReport]] = {
+_SCENARIO_RUNNERS: dict[str, Callable[[ScenarioConfig, dict[str, float]], RunReport]] = {
     "fock-decay": _run_fock_decay,
     "coherent-decay": _run_coherent_decay,
     "excited-bath": _run_excited_bath,
@@ -270,10 +297,15 @@ _SCENARIO_RUNNERS: dict[str, Callable[[ScenarioConfig], RunReport]] = {
 
 
 def run_scenario(config: ScenarioConfig) -> RunReport:
-    """Execute one scenario and return its report with full metadata."""
+    """Execute one scenario and return its report with full metadata.
+
+    ``meta["timings"]`` holds the seconds spent in each stage the scenario
+    runs: ``bath``, ``spectrum``, ``evaluate``, ``monte_carlo`` and ``oracle``.
+    """
     started = time.time()
     clock = time.perf_counter()
-    report = _SCENARIO_RUNNERS[config.scenario](config)
+    timings: dict[str, float] = {}
+    report = _SCENARIO_RUNNERS[config.scenario](config, timings)
     elapsed = time.perf_counter() - clock
     report.meta = {
         "config": config.as_dict(),
@@ -282,6 +314,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         "versions": {"boson_decay": __version__, "numpy": np.__version__},
         "wall_clock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
         "elapsed_seconds": elapsed,
+        "timings": timings,
         **report.meta,
     }
     if report.table.shape != (config.n_steps, len(report.columns)):
@@ -302,8 +335,31 @@ def _csv_blocks(report: RunReport) -> Iterator[str]:
         yield "".join(",".join(map(repr, row)) + "\n" for row in block)
 
 
-def _json_payload(report: RunReport) -> dict[str, Any]:
-    return {"meta": report.meta, "columns": report.columns, "rows": report.rows}
+def _json_number(cell: float) -> str:
+    """A float as ``json.dump`` writes it: ``repr``, or NaN and the infinities by name."""
+    if math.isfinite(cell):
+        return repr(cell)
+    return "NaN" if cell != cell else ("Infinity" if cell > 0 else "-Infinity")
+
+
+def _json_blocks(report: RunReport) -> Iterator[str]:
+    """The text of ``json.dump({"columns", "meta", "rows"}, indent=2, sort_keys=True)``.
+
+    The columns and the metadata are dumped whole; the rows, last in key
+    order, follow in blocks of ``_CSV_BLOCK_ROWS`` rows.
+    """
+    head = json.dumps({"columns": report.columns, "meta": report.meta}, indent=2, sort_keys=True)
+    table = report.table
+    if len(table) == 0:
+        yield head[: -len("\n}")] + ',\n  "rows": []\n}'
+        return
+    yield head[: -len("\n}")] + ',\n  "rows": [\n    '
+    cell_sep, row_sep = ",\n      ", "\n    ],\n    [\n      "
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        block = table[start : start + _CSV_BLOCK_ROWS].tolist()
+        rows = row_sep.join(cell_sep.join(map(_json_number, row)) for row in block)
+        yield ("[\n      " if start == 0 else row_sep) + rows
+    yield "\n    ]\n  ]\n}"
 
 
 def _table(rows: list[list[Any]], columns: list[str]) -> np.ndarray:
@@ -334,7 +390,7 @@ def _write_into(handle: TextIO, report: RunReport, fmt: str) -> None:
     if fmt == "csv":
         handle.writelines(_csv_blocks(report))
     elif fmt == "json":
-        json.dump(_json_payload(report), handle, indent=2, sort_keys=True)
+        handle.writelines(_json_blocks(report))
         handle.write("\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")

@@ -233,6 +233,7 @@ class ThermalSampleSet:
             block = block.view(complex)
             block *= self.scale
             yield block
+            del block  # free it before the next draw, which can then reuse its memory
 
     @property
     def samples(self) -> np.ndarray:
@@ -326,6 +327,9 @@ def monte_carlo_moments(
         spread_m2 += np.sum(np.abs(branch) ** 2, axis=1) + np.abs(delta) ** 2 * pair_weight
         mean_amplitude += delta * (rows / total)
         seen = total
+        # Hold no block while the next is drawn: with two alive, the allocator
+        # could grow and trim the heap once per block and fault in fresh pages.
+        del block
 
     # Standard errors of the two sample means, with the unbiased (count - 1) variance.
     errors = np.sqrt(np.stack([spread_m2, occ_m2]) / count / max(count - 1, 1))

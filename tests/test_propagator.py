@@ -1,6 +1,9 @@
 """Closed-form coefficients against the exact finite-bath propagator."""
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,6 +23,7 @@ from boson_decay import (
     dissipation_sum,
     unitarity_defect,
 )
+from boson_decay import propagator
 
 GAMMA = 1.0
 
@@ -286,6 +290,57 @@ class TestArrowheadSolver:
         _assert_matches_dense_eigh(
             SystemMode(omega_b), _bath(np.array(omegas)[order], np.array(xis)[order])
         )
+
+
+class TestSolverThreads:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_spectrum_is_bitwise_equal_for_any_worker_count(
+        self, monkeypatch, workers, wwa_system, wwa_bath, wwa_propagator
+    ):
+        """Roots, offsets, couplings and norms at N = 2000 do not depend on the thread count.
+
+        Three threads switching every microsecond on fewer cores shuffle the
+        order in which the blocks finish.
+        """
+        monkeypatch.setattr(propagator, "_worker_count", lambda blocks: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            spectrum = ExactPropagator(wwa_system, wwa_bath).spectrum
+        finally:
+            sys.setswitchinterval(interval)
+        reference = wwa_propagator.spectrum
+        for name in ("roots", "origin", "tau", "c_hat", "inv_norm"):
+            assert np.array_equal(getattr(spectrum, name), getattr(reference, name)), name
+
+    def test_decomposition_memory_is_its_per_mode_budget(self, wwa_system, wwa_bath):
+        """Traced peak of the N = 2000 decomposition is at most 4096 (N+1) bytes + 1 MiB."""
+        tracemalloc.start()
+        try:
+            ExactPropagator(wwa_system, wwa_bath)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4096 * (wwa_bath.n_modes + 1) + 2**20
+
+    def test_results_come_in_block_order(self):
+        def work(block, workspace):
+            time.sleep(0.01 if block % 3 == 0 else 0.0)  # later blocks finish first
+            return block
+
+        blocks = list(range(12))
+        assert list(propagator._in_block_order(blocks, work, [None] * 3)) == blocks
+
+    def test_worker_error_is_raised_and_threads_end(self):
+        def work(block, workspace):
+            if block == 3:
+                raise ZeroDivisionError("block 3")
+            return block
+
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="block 3"):
+            list(propagator._in_block_order(list(range(10)), work, [None, None]))
+        assert threading.active_count() == before
 
 
 class TestEvaluate:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from boson_decay import RunReport, build_config, parse_config, run_scenario
+from boson_decay import RunReport, build_config, parse_config, propagator, run_scenario
 from boson_decay.runner import (
     _CSV_BLOCK_ROWS,
     emit_report,
@@ -248,6 +248,35 @@ class TestDiagnostics:
         assert z == np.max(np.abs(mc - oracle)[1:] / stderr[1:])
         assert 0.0 < z <= 4.0
 
+    @pytest.mark.parametrize(
+        "text, stages",
+        [
+            (FOCK_TEXT, []),
+            (COHERENT_TEXT, []),
+            (EXCITED_TEXT, ["bath", "spectrum", "evaluate"]),
+            (THERMAL_TEXT, ["bath", "spectrum", "evaluate", "monte_carlo"]),
+            (WWA_TEXT, ["bath", "spectrum", "evaluate"]),
+            (ORACLE_TEXT, ["bath", "spectrum", "evaluate", "oracle"]),
+        ],
+        ids=["fock-decay", "coherent-decay", "excited-bath", "thermal", "wwa-validate",
+             "oracle-compare"],
+    )
+    def test_meta_times_the_stages_each_scenario_runs(self, text, stages):
+        """meta["timings"] names the stages run, in order; together they fit in the run."""
+        meta = run_scenario(parse_config(text)).meta
+        timings = meta["timings"]
+        assert list(timings) == stages
+        assert all(seconds >= 0.0 for seconds in timings.values())
+        assert sum(timings.values()) <= meta["elapsed_seconds"]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_wwa_csv_does_not_depend_on_solver_threads(self, monkeypatch, workers):
+        """The N = 2000 wwa-validate CSV is byte-identical on 1 or 3 solver threads."""
+        config = parse_config(WWA_TEXT, overrides={"n_modes": 2000})
+        expected = emit_report(run_scenario(config), "csv")
+        monkeypatch.setattr(propagator, "_worker_count", lambda blocks: workers)
+        assert emit_report(run_scenario(config), "csv") == expected
+
     @pytest.mark.parametrize("name", list(BENCHMARK_BATH_CONFIGS))
     def test_sum_rule_at_benchmark_configs(self, name):
         """|sum_k V_0k^2 - 1| of the benchmark baths is at most 1e-12."""
@@ -323,6 +352,7 @@ STDOUT_CONFIG = build_config(
     {"scenario": "fock-decay", "gamma": 1.0, "omega_b": 1.0, "fock_n": 1, "t_max": 1.0,
      "n_steps": 2}
 )
+STDOUT_CONFIG_JSON = dataclasses.replace(STDOUT_CONFIG, format="json")
 
 
 @st.composite
@@ -342,6 +372,12 @@ def _reference_csv(report):
     return "\n".join(lines) + "\n"
 
 
+def _reference_json(report):
+    """The one-shot dump the block-streamed JSON writer must reproduce."""
+    payload = {"meta": report.meta, "columns": report.columns, "rows": report.rows}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _stdout_of(report, config):
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
@@ -356,6 +392,22 @@ class TestStreamedWriter:
         expected = _reference_csv(report)
         assert emit_report(report, "csv") == expected
         assert _stdout_of(report, STDOUT_CONFIG) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(report=float_tables())
+    def test_streamed_json_equals_one_shot_dump(self, report):
+        report.meta = {"config": {"scenario": "fock-decay", "beta": None}, "seed": 3}
+        expected = _reference_json(report)
+        assert emit_report(report, "json") == expected
+        assert _stdout_of(report, STDOUT_CONFIG_JSON) == expected
+
+    def test_json_keeps_infinite_stderr_of_a_single_sample(self):
+        """At samples = 1 the Monte Carlo stderr is inf, written as json writes it."""
+        report = run_scenario(parse_config(THERMAL_TEXT, overrides={"samples": 1}))
+        assert np.isinf(report.table[1:, -1]).all()
+        text = emit_report(report, "json")
+        assert text == _reference_json(report)
+        assert "Infinity" in text
 
     @settings(max_examples=60, deadline=None)
     @given(report=float_tables())
@@ -391,6 +443,26 @@ class TestStreamedWriter:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * table_bytes
+
+    def test_json_write_peak_memory_is_a_few_tables(self, tmp_path):
+        """Traced peak of a fock-decay run and its JSON write is at most 3x the table.
+
+        The run alone peaks near 2.2x; a JSON writer that held every row as
+        Python floats reached 5.1x.
+        """
+        config = build_config(
+            {"scenario": "fock-decay", "gamma": 1.0, "omega_b": 1.0, "fock_n": 100,
+             "t_max": 5.0, "n_steps": 1001, "format": "json",
+             "output": str(tmp_path / "fock.json")}
+        )
+        table_bytes = 8 * 1001 * (100 + 2)
+        tracemalloc.start()
+        try:
+            write_report(run_scenario(config), config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * table_bytes
 
 
 class TestCli:

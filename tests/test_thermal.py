@@ -30,7 +30,7 @@ from boson_decay import (
     thermal_factor_discrete,
 )
 from boson_decay.decay import coherent_amplitudes
-from boson_decay.thermal import ThermalFactor, _block_rows
+from boson_decay.thermal import MC_BLOCK_BYTES, ThermalFactor, _block_rows
 
 GAMMA = 1.0
 
@@ -469,7 +469,11 @@ class TestStreamedMonteCarlo:
         np.testing.assert_allclose(np.stack(errors), reference_errors, rtol=1e-13, atol=0)
 
     def test_memory_stays_below_the_sample_array(self):
-        """M=2e4, N=400: materialized, the samples alone would be 128 MB."""
+        """M=2e4, N=400: materialized, the samples alone would be 128 MB.
+
+        One sample block is alive at a time: the peak stays under 1.75 blocks
+        (holding the previous block during the next draw made it 2.5).
+        """
         system = SystemMode(omega_b=800.0)
         spec = SpectralDensitySpec(gamma=GAMMA, band_center=800.0, half_bandwidth=80.0)
         bath = discretize_bath(spec, 400)
@@ -483,6 +487,7 @@ class TestStreamedMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+        assert peak < 1.75 * MC_BLOCK_BYTES
 
 
 class TestExactThermalMoments:
