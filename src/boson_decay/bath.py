@@ -99,6 +99,14 @@ class DiscreteBath:
         return float(np.sum(self.xis**2))
 
 
+def _midpoint_modes(spec: SpectralDensitySpec, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies and couplings of the midpoint grid of :func:`discretize_bath`."""
+    spacing = 2.0 * spec.half_bandwidth / n_modes
+    lo, _ = spec.band
+    omegas = lo + (np.arange(n_modes) + 0.5) * spacing
+    return omegas, np.sqrt(np.atleast_1d(spectral_density(spec, omegas)) * spacing)
+
+
 def discretize_bath(spec: SpectralDensitySpec, n_modes: int) -> DiscreteBath:
     """Realize the flat density with ``n_modes`` midpoint-rule modes.
 
@@ -108,10 +116,7 @@ def discretize_bath(spec: SpectralDensitySpec, n_modes: int) -> DiscreteBath:
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1 (got {n_modes})")
-    spacing = 2.0 * spec.half_bandwidth / n_modes
-    lo, _ = spec.band
-    omegas = lo + (np.arange(n_modes) + 0.5) * spacing
-    xis = np.sqrt(np.atleast_1d(spectral_density(spec, omegas)) * spacing)
+    omegas, xis = _midpoint_modes(spec, n_modes)
     bath = DiscreteBath(omegas=omegas, xis=xis, spec=spec)
     total = bath.coupling_sum()
     if abs(total - spec.integrated_coupling) > _SUM_RULE_RTOL * spec.integrated_coupling:

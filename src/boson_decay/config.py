@@ -10,6 +10,9 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
+from .bath import SpectralDensitySpec, _midpoint_modes
 from .decay import _MAX_ORACLE_BATH_MODES
 from .errors import ConfigError
 from .propagator import SOLVER_BYTES_PER_MODE
@@ -192,6 +195,12 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> None:
         raise ConfigError(f"t_max must be positive (got {merged['t_max']})")
     if merged["n_steps"] < 2:
         raise ConfigError(f"n_steps must be at least 2 (got {merged['n_steps']})")
+    # Every scenario squares the norm of its initial labels alpha and lambda.
+    alpha = abs(complex(merged["alpha_re"], merged["alpha_im"]))
+    label = abs(complex(merged["lambda_re"], merged["lambda_im"]))
+    norm_sq = alpha * alpha + label * label
+    if not math.isfinite(norm_sq):
+        raise ConfigError(f"|alpha|^2 + |lambda|^2 must be a finite float (got {norm_sq})")
 
     if scenario in _FOCK_SCENARIOS:
         _require(merged, "fock_n", scenario)
@@ -222,20 +231,13 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> None:
         _require(merged, "samples", scenario)
     if merged["beta"] is not None and not merged["beta"] > 0:
         raise ConfigError(f"beta must be positive (got {merged['beta']})")
-    if merged["beta"] is not None and scenario in _BATH_SCENARIOS:
-        # Same arithmetic as discretize_bath, so this is exactly its lowest mode.
-        spacing = 2.0 * merged["half_bandwidth"] / merged["n_modes"]
-        lowest = merged["band_center"] - merged["half_bandwidth"] + 0.5 * spacing
-        if not lowest > 0:
-            raise ConfigError(
-                f"thermal occupations need every bath mode above zero frequency "
-                f"(lowest mode at {lowest})"
-            )
     if merged["samples"] is not None:
         if merged["samples"] < 1:
             raise ConfigError(f"samples must be at least 1 (got {merged['samples']})")
         if merged["seed"] is None:
             raise ConfigError("monte carlo sampling requires seed")
+        if merged["seed"] < 0:
+            raise ConfigError(f"seed must be nonnegative (got {merged['seed']})")
 
     if scenario == "excited-bath" and merged["n_modes"] is not None:
         if not 0 <= merged["excited_mode"] < merged["n_modes"]:
@@ -250,6 +252,23 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> None:
             f"run needs about {estimate / 2**30:.3g} GiB for its largest arrays, over the "
             f"{MEMORY_LIMIT_BYTES / 2**30:.3g} GiB limit (lower n_modes, n_steps, samples or fock_n)"
         )
+
+    if scenario in _BATH_SCENARIOS:
+        # discretize_bath's own grid, built once the size check has bounded n_modes;
+        # its overflow is what the check reports, so it is not also warned about.
+        spec = SpectralDensitySpec(merged["gamma"], merged["band_center"], merged["half_bandwidth"])
+        with np.errstate(over="ignore", invalid="ignore"):
+            omegas, xis = _midpoint_modes(spec, merged["n_modes"])
+        if not (np.isfinite(omegas).all() and np.isfinite(xis).all() and np.all(np.diff(omegas) > 0)):
+            raise ConfigError(
+                f"{merged['n_modes']} midpoint modes cannot resolve the band {spec.band} in "
+                "float64 (they need finite, strictly ascending frequencies and finite couplings)"
+            )
+        if merged["beta"] is not None and not omegas[0] > 0:
+            raise ConfigError(
+                f"thermal occupations need every bath mode above zero frequency "
+                f"(lowest mode at {omegas[0]})"
+            )
 
 
 def _estimated_bytes(merged: dict[str, Any]) -> int:

@@ -105,7 +105,8 @@ def analytic_propagator(
 _EPS = np.finfo(float).eps
 # Roots solved together. Each solver thread holds a workspace of two
 # (_ROOT_BLOCK, N) float arrays, so the solve takes O(W * _ROOT_BLOCK * N)
-# memory on W threads; the root blocks also fix the order of every sum.
+# memory on W threads; the root blocks also fix the order of every sum and
+# of the Loewner product, whatever W is.
 _ROOT_BLOCK = 128
 _MAX_ROOT_STEPS = 64
 # Memory the eigenvalue solve may take per bath mode; the config's size check
@@ -113,17 +114,21 @@ _MAX_ROOT_STEPS = 64
 SOLVER_BYTES_PER_MODE = 4096
 
 
+def _root_blocks(count: int) -> list[np.ndarray]:
+    return [np.arange(s, min(s + _ROOT_BLOCK, count)) for s in range(0, count, _ROOT_BLOCK)]
+
+
 def _pole_gaps(
-    poles: np.ndarray, origin: np.ndarray, tau: np.ndarray, out: np.ndarray | None = None
+    poles: np.ndarray, origin: np.ndarray, tau: np.ndarray, out=None, columns=slice(None)
 ) -> np.ndarray:
     """lambda_k - omega_j for roots lambda_k = omega_origin + tau, shape (k, j).
 
     Formed as (omega_origin - omega_j) + tau, never from the rounded
     lambda_k: a root next to its origin pole keeps its full relative
     distance to it, which is what keeps the eigenvectors orthogonal.
-    Written into ``out`` when given.
+    Only the poles j of ``columns`` are taken; written into ``out`` when given.
     """
-    gaps = np.subtract(poles[origin][:, None], poles, out=out)
+    gaps = np.subtract(poles[origin][:, None], poles[columns], out=out)
     gaps += tau[:, None]
     return gaps
 
@@ -138,66 +143,35 @@ def _worker_count(blocks: int) -> int:
     return max(1, min(cpus, blocks, budget))
 
 
-def _in_block_order(blocks: list, work, workspaces: list):
-    """Yield ``work(ks, workspace)`` for every block of ``blocks``, in block order.
+def _on_workers(work, items, workspaces: list) -> None:
+    """Call ``work(item, workspace)`` for every item, on one thread per workspace.
 
-    With one workspace the blocks run inline. Otherwise one thread per
-    workspace takes the next unclaimed block whenever it is free; numpy
-    releases the interpreter lock inside its loops, so the threads overlap.
-    A thread claims a block only while fewer than two blocks per thread wait
-    to be yielded, which bounds the results held at once. An exception in
-    ``work`` is raised here.
+    The calling thread is the first worker; each takes the next item when it
+    is free, and numpy releases the interpreter lock inside its loops, so
+    they overlap. The first exception in ``work`` stops them all and is
+    raised here once every thread has ended.
     """
-    if len(workspaces) == 1:
-        for ks in blocks:
-            yield work(ks, workspaces[0])
-        return
-    ready = threading.Condition()
-    results: dict[int, object] = {}
-    failure: list[BaseException] = []
-    claimed = yielded = 0
-    stop = False
+    items, lock, failures = iter(items), threading.Lock(), []
 
     def run(workspace):
-        nonlocal claimed
-        while True:
-            with ready:
-                ready.wait_for(
-                    lambda: stop or claimed == len(blocks) or claimed - yielded < 2 * len(workspaces)
-                )
-                if stop or claimed == len(blocks):
-                    return
-                index, claimed = claimed, claimed + 1
-            try:
-                result = work(blocks[index], workspace)
-            except BaseException as exc:
-                with ready:
-                    failure.append(exc)
-                    ready.notify_all()
+        while not failures:
+            with lock:
+                item = next(items, None)
+            if item is None:
                 return
-            with ready:
-                results[index] = result
-                ready.notify_all()
+            try:
+                work(item, workspace)
+            except BaseException as exc:
+                failures.append(exc)
 
-    threads = [threading.Thread(target=run, args=(w,), daemon=True) for w in workspaces]
+    threads = [threading.Thread(target=run, args=(w,)) for w in workspaces[1:]]
     for thread in threads:
         thread.start()
-    try:
-        for index in range(len(blocks)):
-            with ready:
-                ready.wait_for(lambda: index in results or failure)
-                if failure:
-                    raise failure[0]
-                result = results.pop(index)
-                yielded = index + 1
-                ready.notify_all()
-            yield result
-    finally:
-        with ready:
-            stop = True
-            ready.notify_all()
-        for thread in threads:
-            thread.join()
+    run(workspaces[0])
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
 
 
 def _secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
@@ -363,10 +337,7 @@ class ArrowheadSpectrum:
         """
         return np.concatenate((self.inv_norm**2, (self.free_rows == 0) * 1.0))[self._order]
 
-    def _blocks(self) -> list[slice]:
-        return [slice(s, s + _ROOT_BLOCK) for s in range(0, self.roots.size, _ROOT_BLOCK)]
-
-    def _cauchy(self, ks: slice) -> np.ndarray:
+    def _cauchy(self, ks: np.ndarray) -> np.ndarray:
         """1 / (lambda_k - omega_j) for the roots ``ks`` and every coupled pole j."""
         gaps = _pole_gaps(self.poles, self.origin[ks], self.tau[ks])
         return np.divide(1.0, gaps, out=gaps)
@@ -390,7 +361,7 @@ class ArrowheadSpectrum:
         root_column, free_column = np.split(column, [self.roots.size])
         v = np.zeros((self.dim, self.dim))
         v[self.free_rows, free_column] = 1.0
-        for ks in self._blocks():
+        for ks in _root_blocks(self.roots.size):
             v[0, root_column[ks]] = self.inv_norm[ks]
             vector = self._cauchy(ks) * self.c_hat
             v[self.bath_rows[:, None], root_column[ks]] = vector.T * self.inv_norm[ks]
@@ -418,7 +389,7 @@ class ArrowheadSpectrum:
         y = self.c_hat * x[self.bath_rows]
         system = np.zeros(flat.size, dtype=complex)
         bath = np.zeros((2 * flat.size, self.poles.size))  # real parts, then imaginary
-        for ks in self._blocks():
+        for ks in _root_blocks(self.roots.size):
             cauchy = self._cauchy(ks)
             components = x[0] + cauchy @ y.real + 1j * (cauchy @ y.imag)
             phased = _phases(flat, self.roots[ks])
@@ -449,12 +420,14 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
     Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172). Deflated poles
     (:func:`_deflate`) are eigenvalues with their own eigenvectors.
 
-    Both passes over the root blocks, the roots with their Loewner factors
-    and then the norms, run on W threads (:func:`_worker_count`: one per
-    usable CPU, at most two under ``SOLVER_BYTES_PER_MODE``; inline when
-    W = 1), each reusing a workspace of two (_ROOT_BLOCK, N) float arrays
-    allocated here. The Loewner product is taken in block order on this
-    thread, so every array of the result is bit-identical for any W. Time is
+    Three passes run on W threads (:func:`_worker_count`: one per usable
+    CPU, at most two under ``SOLVER_BYTES_PER_MODE``) through
+    :func:`_on_workers`, each thread reusing a workspace of two
+    (_ROOT_BLOCK, N) float arrays allocated here, and each pass writes its
+    results in place: the roots and then the norms one root block at a
+    time, and between them the Loewner product over W contiguous chunks of
+    poles. A chunk multiplies in the factor of every root block in block
+    order, so every array of the result is bit-identical for any W. Time is
     O(N^2); memory is O(N) for the result and O(W _ROOT_BLOCK N) for the
     workspaces, as neither the matrix nor its eigenvectors are formed.
     """
@@ -485,48 +458,55 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
     sq = c * c
     spread = 2.0 * float(np.linalg.norm(c))
     lower, upper = min(apex, d[0]) - spread, max(apex, d[-1]) + spread
-    blocks = [np.arange(s, min(s + _ROOT_BLOCK, m + 1)) for s in range(0, m + 1, _ROOT_BLOCK)]
+    blocks = _root_blocks(m + 1)
     workspaces = [
         (np.empty((_ROOT_BLOCK, m)), np.empty((_ROOT_BLOCK, m)))
         for _ in range(_worker_count(len(blocks)))
     ]
-    js = np.arange(m)
+    origin, tau = np.empty(m + 1, dtype=int), np.empty(m + 1)
 
-    def solve(ks, workspace):
-        """The block's roots and its factor of the Loewner product.
+    def roots(ks, workspace):
+        origin[ks], tau[ks] = _secular_block(apex, d, sq, ks, lower, upper, workspace)
+
+    _on_workers(roots, blocks, workspaces)
+    loewner = np.ones(m)
+
+    def loewner_chunk(cols, workspace):
+        """Multiply the Loewner product of the poles ``cols`` by each root block's factor, in order.
 
         Root k is paired to pole k-1 (k <= j) or pole k (k > j), so every
         ratio lies in (0, 1]; roots 0 and N stay unpaired.
         """
-        origin, tau = _secular_block(apex, d, sq, ks, lower, upper, workspace)
-        above = d[np.minimum(ks, m - 1)][:, None]
-        paired = workspace[0][: ks.size]
-        paired[:, : ks[0]] = above
-        paired[:, ks[0] :] = d[np.maximum(ks - 1, 0)][:, None]
-        # Only columns ks[0] <= j < ks[-1] differ by row.
-        band = slice(ks[0], ks[-1])
-        np.copyto(paired[:, band], above, where=ks[:, None] > js[band])
-        paired -= d
-        paired[(ks == 0) | (ks == m)] = 1.0
-        ratio = _pole_gaps(d, origin, tau, out=workspace[1][: ks.size])
-        ratio /= paired
-        np.abs(ratio, out=ratio)
-        return origin, tau, np.prod(ratio, axis=0)
+        js = np.arange(cols.start, cols.stop)
+        for ks in blocks:
+            tile = ks.size * js.size  # contiguous tiles: numpy's loops are slower on strided ones
+            paired, ratio = (w.reshape(-1)[:tile].reshape(ks.size, -1) for w in workspace)
+            above = d[np.minimum(ks, m - 1)][:, None]
+            split = np.clip(ks[0] - cols.start, 0, js.size)
+            paired[:, :split] = above
+            paired[:, split:] = d[np.maximum(ks - 1, 0)][:, None]
+            # Only columns ks[0] <= j < ks[-1] differ by row.
+            band = slice(split, np.clip(ks[-1] - cols.start, 0, js.size))
+            np.copyto(paired[:, band], above, where=ks[:, None] > js[band])
+            paired -= d[cols]
+            paired[(ks == 0) | (ks == m)] = 1.0
+            _pole_gaps(d, origin[ks], tau[ks], out=ratio, columns=cols)
+            ratio /= paired
+            np.abs(ratio, out=ratio)
+            loewner[cols] *= np.prod(ratio, axis=0)
 
-    origin, tau = np.empty(m + 1, dtype=int), np.empty(m + 1)
-    loewner = np.ones(m)
-    for ks, (block_origin, block_tau, ratio) in zip(blocks, _in_block_order(blocks, solve, workspaces)):
-        origin[ks], tau[ks] = block_origin, block_tau
-        loewner *= ratio  # in block order on this thread: the same product for any W
+    width = -(-m // len(workspaces))
+    _on_workers(loewner_chunk, [slice(s, min(s + width, m)) for s in range(0, m, width)], workspaces)
     c_hat = np.sqrt(loewner)
+    inv_norm = np.empty(m + 1)
 
     def norms(ks, workspace):
         vector = _pole_gaps(d, origin[ks], tau[ks], out=workspace[0][: ks.size])
         np.divide(c_hat, vector, out=vector)
         vector *= vector
-        return 1.0 / np.sqrt(1.0 + np.sum(vector, axis=1))
+        inv_norm[ks] = 1.0 / np.sqrt(1.0 + np.sum(vector, axis=1))
 
-    inv_norm = np.concatenate(list(_in_block_order(blocks, norms, workspaces)))
+    _on_workers(norms, blocks, workspaces)
     free_rows = 1 + np.flatnonzero(~coupled)
     return ArrowheadSpectrum(
         dim=n + 1,

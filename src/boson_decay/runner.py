@@ -75,11 +75,6 @@ class RunReport:
             and self.meta == other.meta
         )
 
-    @property
-    def rows(self) -> list[list[float]]:
-        """The table as nested lists of Python floats (a fresh copy per access)."""
-        return self.table.tolist()
-
 
 @contextmanager
 def _stage(timings: dict[str, float], name: str) -> Iterator[None]:

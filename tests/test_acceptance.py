@@ -258,8 +258,8 @@ class TestAcceptance:
         n_th = 1.0 / math.expm1(config.beta * config.omega_b)
         n = config.fock_n
         slope_formula = GAMMA * (n - n_th - n * n_th - n**2)
-        ts = np.array([row[i_t] for row in report.rows])
-        divergence = np.array([row[i_div] for row in report.rows])
+        ts = report.table[:, i_t]
+        divergence = report.table[:, i_div]
         start_ok = abs(divergence[0]) <= 1e-12
         early_slope = np.polyfit(ts[:3], divergence[:3], 1)[0]
         linear_ok = abs(early_slope - slope_formula) / abs(slope_formula) <= 0.05

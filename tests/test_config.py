@@ -167,6 +167,12 @@ class TestBoundary:
             (THERMAL_BASE, {"beta": -math.inf}, "'beta' must be finite"),
             (THERMAL_BASE, {"beta": math.nan}, "'beta' must be finite"),
             (MINIMAL_FOCK, {"n_steps": "inf"}, "expects int"),
+            (THERMAL_BASE + "beta = 0.001\n", {"seed": -1}, "seed must be nonnegative"),
+            (THERMAL_BASE + "beta = 0.001\n", {"alpha_re": 1e200}, r"\|alpha\|\^2 .* finite float"),
+            (WWA_BASE, {"lambda_im": 1e154, "alpha_im": 1e154}, r"\|lambda\|\^2 .* finite"),
+            (WWA_BASE, {"half_bandwidth": 1e-300}, "cannot resolve the band"),
+            (WWA_BASE, {"omega_b": 1e300, "band_center": 1e300}, "cannot resolve the band"),
+            (WWA_BASE, {"gamma": 1e300, "half_bandwidth": 1e300}, "cannot resolve the band"),
         ],
         ids=[
             "t_max-inf",
@@ -177,6 +183,12 @@ class TestBoundary:
             "beta-minus-inf",
             "beta-nan",
             "int-key-inf",
+            "seed-negative",
+            "alpha-squared-overflows",
+            "labels-squared-sum-overflows",
+            "band-below-grid-resolution",
+            "band-beyond-grid-resolution",
+            "couplings-overflow",
         ],
     )
     def test_rejected(self, base, overrides, match):

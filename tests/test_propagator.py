@@ -3,7 +3,6 @@
 import math
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -323,23 +322,49 @@ class TestSolverThreads:
             tracemalloc.stop()
         assert peak <= 4096 * (wwa_bath.n_modes + 1) + 2**20
 
-    def test_results_come_in_block_order(self):
-        def work(block, workspace):
-            time.sleep(0.01 if block % 3 == 0 else 0.0)  # later blocks finish first
-            return block
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_modes", [1, 2, 129, 257])
+    def test_small_spectrum_is_bitwise_equal_for_any_worker_count(
+        self, monkeypatch, n_modes, workers, wwa_system
+    ):
+        """One or a few root blocks, and column chunks that end inside a block's band."""
+        spec = SpectralDensitySpec(gamma=GAMMA, band_center=100.0, half_bandwidth=20.0)
+        bath = discretize_bath(spec, n_modes)
+        reference = ExactPropagator(wwa_system, bath).spectrum
+        monkeypatch.setattr(propagator, "_worker_count", lambda blocks: workers)
+        spectrum = ExactPropagator(wwa_system, bath).spectrum
+        for name in ("roots", "origin", "tau", "c_hat", "inv_norm"):
+            assert np.array_equal(getattr(spectrum, name), getattr(reference, name)), name
 
-        blocks = list(range(12))
-        assert list(propagator._in_block_order(blocks, work, [None] * 3)) == blocks
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_every_item_runs_once(self, workers):
+        """One workspace runs on the calling thread alone; more share the items.
+
+        Switching threads every microsecond makes a lost or repeated take show.
+        """
+        done = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            propagator._on_workers(
+                lambda item, workspace: done.append((item, threading.current_thread())),
+                range(500),
+                [None] * workers,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(item for item, _ in done) == list(range(500))
+        if workers == 1:
+            assert {thread for _, thread in done} == {threading.current_thread()}
 
     def test_worker_error_is_raised_and_threads_end(self):
-        def work(block, workspace):
-            if block == 3:
-                raise ZeroDivisionError("block 3")
-            return block
+        def work(item, workspace):
+            if item == 3:
+                raise ZeroDivisionError("item 3")
 
         before = threading.active_count()
-        with pytest.raises(ZeroDivisionError, match="block 3"):
-            list(propagator._in_block_order(list(range(10)), work, [None, None]))
+        with pytest.raises(ZeroDivisionError, match="item 3"):
+            propagator._on_workers(work, range(10), [None, None])
         assert threading.active_count() == before
 
 

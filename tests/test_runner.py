@@ -97,19 +97,19 @@ class TestFockScenario:
     def test_top_population_is_exponential(self):
         report = run_scenario(parse_config(FOCK_TEXT))
         assert report.columns == ["t", "P_0", "P_1", "P_2"]
-        for row in report.rows:
+        for row in report.table:
             assert row[3] == pytest.approx(math.exp(-2.0 * row[0]), rel=1e-12)
 
     def test_grid_shape(self):
         report = run_scenario(parse_config(FOCK_TEXT))
-        ts = [row[0] for row in report.rows]
+        ts = report.table[:, 0].tolist()
         assert len(ts) == 11
         assert ts == sorted(ts)
         assert ts[0] == 0.0 and ts[-1] == 5.0
 
     def test_rows_are_normalized(self):
         report = run_scenario(parse_config(FOCK_TEXT))
-        for row in report.rows:
+        for row in report.table:
             assert sum(row[1:]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -117,7 +117,7 @@ class TestCoherentScenario:
     def test_mean_number_decays_at_gamma(self):
         report = run_scenario(parse_config(COHERENT_TEXT))
         assert report.columns == ["t", "mean_number", "re_label", "im_label", "purity"]
-        for row in report.rows:
+        for row in report.table:
             assert row[1] == pytest.approx(4.0 * math.exp(-0.5 * row[0]), rel=1e-12)
             assert row[4] == 1.0
 
@@ -125,14 +125,14 @@ class TestCoherentScenario:
 class TestExcitedBathScenario:
     def test_initial_label_is_alpha(self):
         report = run_scenario(parse_config(EXCITED_TEXT))
-        first = report.rows[0]
+        first = report.table[0]
         assert first[2] == pytest.approx(1.0, abs=1e-12)
         assert first[3] == pytest.approx(0.0, abs=1e-12)
 
     def test_bath_excitation_feeds_the_system(self):
         """With alpha = 0 the excited mode alone must populate the system."""
         report = run_scenario(parse_config(EXCITED_TEXT, overrides={"alpha_re": 0.0}))
-        means = [row[1] for row in report.rows]
+        means = report.table[:, 1]
         assert means[0] == pytest.approx(0.0, abs=1e-15)
         assert max(means[1:]) > 1e-4
 
@@ -152,11 +152,11 @@ class TestThermalScenario:
             "mc_stderr",
         ]
         again = run_scenario(config)
-        assert report.rows == again.rows
+        assert np.array_equal(report.table, again.table)
 
     def test_monte_carlo_tracks_oracle(self):
         report = run_scenario(parse_config(THERMAL_TEXT))
-        for row in report.rows[1:]:
+        for row in report.table[1:]:
             oracle, mc, stderr = row[5], row[6], row[7]
             assert abs(mc - oracle) <= 4.0 * stderr
 
@@ -175,7 +175,7 @@ class TestWwaScenario:
         summary = report.meta["summary"]
         assert summary["passed"] is True
         assert summary["max_abs_u_sq_deviation"] <= 2e-2
-        for row in report.rows:
+        for row in report.table:
             assert row[5] <= 1e-10
 
 
@@ -183,7 +183,7 @@ class TestOracleCompareScenario:
     def test_population_deviation_is_tiny(self):
         report = run_scenario(parse_config(ORACLE_TEXT))
         dev_col = report.columns.index("max_pop_deviation")
-        assert max(row[dev_col] for row in report.rows) <= 1e-8
+        assert max(report.table[:, dev_col]) <= 1e-8
 
     def test_divergence_columns(self):
         """The short-time laws differ linearly in time; the report records it."""
@@ -192,10 +192,10 @@ class TestOracleCompareScenario:
         i_heff = cols.index("heff_fock_mean")
         i_exact = cols.index("exact_fock_mean")
         i_div = cols.index("divergence")
-        assert report.rows[0][i_div] == pytest.approx(0.0, abs=1e-12)
-        for row in report.rows:
+        assert report.table[0, i_div] == pytest.approx(0.0, abs=1e-12)
+        for row in report.table:
             assert row[i_div] == pytest.approx(row[i_heff] - row[i_exact], abs=1e-12)
-        magnitudes = [abs(row[i_div]) for row in report.rows]
+        magnitudes = np.abs(report.table[:, i_div]).tolist()
         assert magnitudes == sorted(magnitudes)
 
 
@@ -242,7 +242,7 @@ class TestDiagnostics:
     def test_thermal_z_score_reads_the_resolved_rows(self):
         """max_mc_z_score is the worst |mc - oracle| / stderr over rows with stderr > 1e-12."""
         report = run_scenario(parse_config(THERMAL_TEXT))
-        oracle, mc, stderr = np.array(report.rows)[:, 5:8].T
+        oracle, mc, stderr = report.table[:, 5:8].T
         assert stderr[0] < 1e-12 < stderr[1:].min()  # t = 0: every branch equals alpha
         z = report.meta["diagnostics"]["max_mc_z_score"]
         assert z == np.max(np.abs(mc - oracle)[1:] / stderr[1:])
@@ -297,7 +297,7 @@ class TestSerialization:
 
     def test_csv_floats_round_trip(self, report):
         parsed = report_from_csv(emit_report(report, "csv"))
-        assert parsed.rows == [[float(x) for x in row] for row in report.rows]
+        assert np.array_equal(parsed.table, report.table)
 
     def test_json_carries_meta(self, report):
         payload = json.loads(emit_report(report, "json"))
@@ -374,7 +374,7 @@ def _reference_csv(report):
 
 def _reference_json(report):
     """The one-shot dump the block-streamed JSON writer must reproduce."""
-    payload = {"meta": report.meta, "columns": report.columns, "rows": report.rows}
+    payload = {"meta": report.meta, "columns": report.columns, "rows": report.table.tolist()}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -522,8 +522,8 @@ class TestCli:
         )
         assert result.returncode == 0, result.stderr
         report = report_from_csv(out.read_text())
-        assert len(report.rows) == 3
-        for row in report.rows:
+        assert len(report.table) == 3
+        for row in report.table.tolist():
             assert all(math.isfinite(x) for x in row)
             assert abs(math.fsum(row[1:]) - 1.0) <= 1e-12
 
