@@ -7,12 +7,13 @@ Unknown keys, missing required keys, and out-of-range values are hard errors.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .bath import SpectralDensitySpec, _midpoint_modes
+from .bath import SpectralDensitySpec, _midpoint_modes, thermal_occupation
 from .decay import _MAX_ORACLE_BATH_MODES
 from .errors import ConfigError
 from .propagator import SOLVER_BYTES_PER_MODE
@@ -269,6 +270,29 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> None:
                 f"thermal occupations need every bath mode above zero frequency "
                 f"(lowest mode at {omegas[0]})"
             )
+        if scenario == "thermal":
+            _check_squared_occupations(merged, alpha, omegas)
+
+
+def _check_squared_occupations(merged: dict[str, Any], alpha: float, omegas: np.ndarray) -> None:
+    """Reject a thermal run whose Monte Carlo sums of squared occupations would overflow.
+
+    A sample's occupation |alpha u + sum_j lambda_j v_j|^2 is at most
+    2 |alpha|^2 + 2 sum_j |lambda_j|^2, as |u|^2 + sum_j |v_j|^2 = 1. Each
+    |lambda_j|^2 is n_j / 2 times a sum of two squared normal draws, and
+    numpy's ziggurat draw stays within 14 standard deviations (its tail is
+    r - ln(u) / r with r < 3.7 and u >= 2^-53), so |lambda_j|^2 <= 196 n_j.
+    The moments add up to twice ``samples`` squares of such occupations.
+    """
+    with np.errstate(over="ignore"):
+        occupations = float(np.sum(thermal_occupation(merged["beta"], omegas)))
+    bound = 2.0 * alpha * alpha + 392.0 * occupations
+    limit = math.sqrt(sys.float_info.max / (2.0 * merged["samples"]))
+    if not bound <= limit:
+        raise ConfigError(
+            f"thermal Monte Carlo squares per-sample occupations of up to {bound:.3g}, over the "
+            f"{limit:.3g} that {merged['samples']} samples allow in float64 (lower alpha or raise beta)"
+        )
 
 
 def _estimated_bytes(merged: dict[str, Any]) -> int:

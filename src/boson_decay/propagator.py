@@ -133,14 +133,18 @@ def _pole_gaps(
     return gaps
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, or every CPU where there is none."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
 def _worker_count(blocks: int) -> int:
     """Solver threads for ``blocks`` root blocks: one per usable CPU, within the memory budget."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
     budget = SOLVER_BYTES_PER_MODE // (2 * 8 * _ROOT_BLOCK)
-    return max(1, min(cpus, blocks, budget))
+    return max(1, min(usable_cpus(), blocks, budget))
 
 
 def _on_workers(work, items, workspaces: list) -> None:

@@ -4,10 +4,12 @@ Each scenario evaluates its laws as arrays over a uniform time grid and
 stacks the named columns once into one (T, C) float64 table; columns follow
 the per-module CSV schemas. CSV artifacts contain only the table (so
 identical runs are byte-identical). CSV and the rows of JSON are formatted
-and written in blocks of ``_CSV_BLOCK_ROWS`` rows, so a report never exists
-as one string or as one list of Python floats; metadata, including the
-seconds spent in each stage of the run (``meta["timings"]``), travels in
-the JSON format or in a ``.meta.json`` sidecar next to a CSV file.
+and written in blocks of ``_CSV_BLOCK_ROWS`` rows, shared round-robin by up
+to one process per usable CPU, so a report never exists as one string or as
+one list of Python floats, and its bytes do not depend on the CPU count.
+Metadata, including the seconds spent in each stage of the run
+(``meta["timings"]``), travels in the JSON format or in a ``.meta.json``
+sidecar next to a CSV file.
 """
 
 from __future__ import annotations
@@ -15,11 +17,14 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import signal
+import struct
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, TextIO
+from typing import Any, BinaryIO, Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -40,6 +45,7 @@ from .propagator import (
     analytic_survival,
     dissipation_sum,
     unitarity_defect,
+    usable_cpus,
 )
 from .thermal import (
     EffectiveHamiltonian,
@@ -317,6 +323,89 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     return report
 
 
+def _formatted_blocks(rows: int, format_block: Callable[[int], str]) -> Iterator[str]:
+    """``format_block(start)`` for each block of ``_CSV_BLOCK_ROWS`` of ``rows`` rows, in order.
+
+    Block b is formatted by worker b mod W, W = min(usable CPUs, blocks), or
+    W = 1 where ``os.fork`` is missing. Worker 0 is this process; workers 1
+    to W - 1 are forked children, each sending its blocks through its own
+    pipe (:func:`_fork_formatter`). Blocks are yielded as they are needed, so
+    a child runs at most one block and a pipe's buffer ahead. The text does
+    not depend on W. Every child is killed if still running and reaped before
+    this generator ends, however it ends.
+    """
+    starts = range(0, rows, _CSV_BLOCK_ROWS)
+    workers = min(usable_cpus(), len(starts)) if hasattr(os, "fork") else 1
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for worker in range(1, workers):
+            children.append(_fork_formatter(starts[worker::workers], format_block))
+        for index, start in enumerate(starts):
+            worker = index % workers
+            yield format_block(start) if worker == 0 else _receive(children[worker - 1][1])
+    finally:
+        for pid, reader in children:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)  # harmless once a child has sent its last block
+            os.waitpid(pid, 0)
+
+
+def _fork_formatter(starts: range, format_block: Callable[[int], str]) -> tuple[int, BinaryIO]:
+    """Fork a child that sends ``format_block(start)`` for each start; its pid and pipe.
+
+    Each block goes as a signed 8-byte length and the UTF-8 text; a failure
+    goes as the negated length of its message. The child leaves through
+    ``os._exit`` on every path, so it never flushes a stream it inherited.
+    It is forked, not spawned, so that it reads the table where it lies
+    instead of importing numpy and receiving a pickled copy. Forking a
+    process with threads (OpenBLAS keeps a pool) is safe here: the child only
+    slices the table and formats and writes text, taking no lock that
+    another thread could have held at the fork apart from malloc's and the
+    interpreter's, which are reset in the child.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            for start in starts:
+                payload = format_block(start).encode("utf-8")
+                _send(write_fd, struct.pack("<q", len(payload)) + payload)
+            code = 0
+        except BaseException as exc:
+            message = f"{type(exc).__name__}: {exc}".encode("utf-8")
+            _send(write_fd, struct.pack("<q", -len(message)) + message)
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _send(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _receive(reader: BinaryIO) -> str:
+    """The next block a :func:`_fork_formatter` child sent; its failure as a ``RuntimeError``."""
+    head = reader.read(8)
+    if len(head) == 8:
+        size = struct.unpack("<q", head)[0]
+        body = reader.read(abs(size))
+        if len(body) == abs(size):
+            if size < 0:
+                raise RuntimeError(f"report formatting process failed: {body.decode('utf-8')}")
+            return body.decode("utf-8")
+    raise RuntimeError("a report formatting process ended before sending its rows")
+
+
 def _csv_blocks(report: RunReport) -> Iterator[str]:
     """The CSV text: the header line, then one string per block of rows.
 
@@ -325,9 +414,12 @@ def _csv_blocks(report: RunReport) -> Iterator[str]:
     """
     yield ",".join(report.columns) + "\n"
     table = report.table
-    for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[start : start + _CSV_BLOCK_ROWS].tolist()
-        yield "".join(",".join(map(repr, row)) + "\n" for row in block)
+
+    def block(start: int) -> str:
+        rows = table[start : start + _CSV_BLOCK_ROWS].tolist()
+        return "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+    yield from _formatted_blocks(len(table), block)
 
 
 def _json_number(cell: float) -> str:
@@ -350,10 +442,13 @@ def _json_blocks(report: RunReport) -> Iterator[str]:
         return
     yield head[: -len("\n}")] + ',\n  "rows": [\n    '
     cell_sep, row_sep = ",\n      ", "\n    ],\n    [\n      "
-    for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[start : start + _CSV_BLOCK_ROWS].tolist()
-        rows = row_sep.join(cell_sep.join(map(_json_number, row)) for row in block)
-        yield ("[\n      " if start == 0 else row_sep) + rows
+
+    def block(start: int) -> str:
+        rows = table[start : start + _CSV_BLOCK_ROWS].tolist()
+        text = row_sep.join(cell_sep.join(map(_json_number, row)) for row in rows)
+        return ("[\n      " if start == 0 else row_sep) + text
+
+    yield from _formatted_blocks(len(table), block)
     yield "\n    ]\n  ]\n}"
 
 
@@ -382,13 +477,13 @@ def report_from_json(text: str) -> RunReport:
 
 def _write_into(handle: TextIO, report: RunReport, fmt: str) -> None:
     """Write the report as 'csv' or 'json' to ``handle`` without building it whole."""
-    if fmt == "csv":
-        handle.writelines(_csv_blocks(report))
-    elif fmt == "json":
-        handle.writelines(_json_blocks(report))
-        handle.write("\n")
-    else:
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
+    # Closed on any exit, so that the formatting processes are reaped before this returns.
+    with closing(_csv_blocks(report) if fmt == "csv" else _json_blocks(report)) as blocks:
+        handle.writelines(blocks)
+    if fmt == "json":
+        handle.write("\n")
 
 
 def emit_report(report: RunReport, fmt: str) -> str:

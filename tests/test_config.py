@@ -153,6 +153,21 @@ n_steps = 10
 """
 
 
+# A small thermal run; with beta = 1e-300, or with alpha = 1e154, its Monte Carlo
+# squares overflow (it exited 0 with NaN stderr rows, or 1 with a ValueError).
+THERMAL_CLI = """
+scenario = thermal
+gamma = 1
+omega_b = 100
+half_bandwidth = 20
+n_modes = 5
+samples = 10
+seed = 1
+t_max = 1
+n_steps = 3
+"""
+
+
 class TestBoundary:
     """Non-finite and unphysical values stop at the config, not deep in a solver."""
 
@@ -173,6 +188,8 @@ class TestBoundary:
             (WWA_BASE, {"half_bandwidth": 1e-300}, "cannot resolve the band"),
             (WWA_BASE, {"omega_b": 1e300, "band_center": 1e300}, "cannot resolve the band"),
             (WWA_BASE, {"gamma": 1e300, "half_bandwidth": 1e300}, "cannot resolve the band"),
+            (THERMAL_CLI, {"beta": 1e-300}, "squares per-sample occupations"),
+            (THERMAL_CLI, {"beta": 1.0, "alpha_re": 1e154}, "squares per-sample occupations"),
         ],
         ids=[
             "t_max-inf",
@@ -189,6 +206,8 @@ class TestBoundary:
             "band-below-grid-resolution",
             "band-beyond-grid-resolution",
             "couplings-overflow",
+            "thermal-occupations-squared-overflow",
+            "thermal-alpha-fourth-power-overflows",
         ],
     )
     def test_rejected(self, base, overrides, match):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boson_decay import (
     CoherentState,
@@ -208,6 +210,44 @@ class TestExcitedBathEvolution:
     def test_rejects_wrong_length(self, small_propagator):
         with pytest.raises(ValueError):
             excited_bath_evolution(0.0, np.zeros(2), small_propagator, 0.5)
+
+
+@st.composite
+def norm_runs(draw):
+    """A random bath of at most three modes, a Fock or coherent input with k <= 4, a few times.
+
+    Returns the oracle, the input, the times, and the input's norm kept by
+    the truncation at n_max: 1 for a Fock state, the Poisson weight of
+    k <= n_max (within 1e-6 of 1) for a coherent state.
+    """
+    finite = dict(allow_nan=False, allow_infinity=False)
+    omega_b = draw(st.floats(5.0, 20.0, **finite))
+    spec = SpectralDensitySpec(
+        gamma=draw(st.floats(0.2, 2.0, **finite)),
+        band_center=omega_b + draw(st.floats(-1.0, 1.0, **finite)),
+        half_bandwidth=draw(st.floats(0.5, 4.0, **finite)),
+    )
+    bath = discretize_bath(spec, draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        n_max = draw(st.integers(0, 4))
+        initial, kept = FockState(draw(st.integers(0, n_max))), 1.0
+    else:
+        part = st.floats(-0.25, 0.25, **finite)
+        n_max, label = 4, complex(draw(part), draw(part))
+        initial = CoherentState(label)
+        kept = float(np.sum(np.abs(coherent_amplitudes(label, n_max)) ** 2))
+    times = np.array(draw(st.lists(st.floats(0.0, 10.0, **finite), min_size=1, max_size=4)))
+    return FockSpaceOracle(SystemMode(omega_b), bath, n_max), initial, times, kept
+
+
+@settings(max_examples=100, deadline=None)
+@given(norm_runs())
+def test_oracle_conserves_norm(run):
+    """The reduced state keeps the input's norm to 1e-12; no population is below -1e-15."""
+    oracle, initial, times, kept = run
+    rho = oracle.reduced_density(initial, times)
+    assert np.max(np.abs(rho.trace - kept)) <= 1e-12
+    assert np.min(rho.populations) >= -1e-15
 
 
 class TestFockSpaceOracle:

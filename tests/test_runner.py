@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from boson_decay import RunReport, build_config, parse_config, propagator, run_scenario
+from boson_decay import RunReport, build_config, parse_config, propagator, run_scenario, runner
+from boson_decay.cli import main
 from boson_decay.runner import (
     _CSV_BLOCK_ROWS,
     emit_report,
@@ -463,6 +464,122 @@ class TestStreamedWriter:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * table_bytes
+
+
+# Tables around the block edges, and one that gives each worker several blocks.
+FORMATTER_ROWS = [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
+                  2 * _CSV_BLOCK_ROWS + 1, 8 * _CSV_BLOCK_ROWS + 5]
+
+
+def _special_report(rows):
+    """Random cells of many magnitudes; every fifth row, and the last, holds SPECIAL_CELLS."""
+    table = np.random.default_rng(rows).standard_normal((rows, 7)) * 10.0 ** np.arange(-9, 12, 3)
+    specials = [math.nan, *SPECIAL_CELLS]
+    table[::5] = specials
+    table[-1:] = specials[::-1]
+    return RunReport(columns=[f"c{j}" for j in range(7)], table=table, meta={"seed": rows})
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """Count the processes the writer forks."""
+    count = []
+    fork = os.fork
+
+    def counted():
+        count.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return count
+
+
+class TestFormattingProcesses:
+    """Rows are formatted on W processes, W = min(usable CPUs, blocks); bytes never depend on W."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("rows", FORMATTER_ROWS)
+    def test_bytes_do_not_depend_on_worker_count(self, monkeypatch, forks, rows, workers):
+        report = _special_report(rows)
+        expected = (_reference_csv(report), _reference_json(report))
+        monkeypatch.setattr(runner, "usable_cpus", lambda: workers)
+        assert (emit_report(report, "csv"), emit_report(report, "json")) == expected
+        blocks = -(-rows // _CSV_BLOCK_ROWS)
+        assert len(forks) == 2 * max(min(workers, blocks) - 1, 0)
+        _assert_no_child_process()
+
+    def test_one_process_where_fork_is_missing(self, monkeypatch):
+        report = _special_report(2 * _CSV_BLOCK_ROWS + 1)
+        monkeypatch.setattr(runner, "usable_cpus", lambda: 3)
+        monkeypatch.delattr(os, "fork")
+        assert emit_report(report, "csv") == _reference_csv(report)
+        assert emit_report(report, "json") == _reference_json(report)
+
+    def test_consumer_that_stops_leaves_no_child(self, monkeypatch):
+        """A stdout that breaks after the header gets BrokenPipeError; the children are reaped."""
+
+        class BreakingPipe(io.StringIO):
+            def write(self, text):
+                if self.tell():
+                    raise BrokenPipeError("reader closed")
+                return super().write(text)
+
+        report = _special_report(40 * _CSV_BLOCK_ROWS)
+        monkeypatch.setattr(runner, "usable_cpus", lambda: 3)
+        for config in (STDOUT_CONFIG, STDOUT_CONFIG_JSON):
+            with contextlib.redirect_stdout(BreakingPipe()), pytest.raises(BrokenPipeError):
+                write_report(report, config)
+            _assert_no_child_process()
+
+    @pytest.fixture()
+    def failing_child(self, monkeypatch, request):
+        """Make every forked formatter raise, or end without sending anything."""
+        parent = os.getpid()
+        monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+        if request.param == "raises":
+            def failing_repr(cell):
+                if os.getpid() != parent:
+                    raise ValueError("cell cannot be formatted")
+                return repr(cell)
+
+            monkeypatch.setattr(runner, "repr", failing_repr, raising=False)
+            return "report formatting process failed: ValueError: cell cannot be formatted"
+        send = runner._send
+
+        def dying_send(fd, data):
+            if os.getpid() != parent:
+                os._exit(0)
+            send(fd, data)
+
+        monkeypatch.setattr(runner, "_send", dying_send)
+        return "ended before sending its rows"
+
+    @pytest.mark.parametrize("failing_child", ["raises", "ends-early"], indirect=True)
+    def test_failing_child_fails_the_write(self, failing_child):
+        report = _special_report(4 * _CSV_BLOCK_ROWS)
+        with pytest.raises(RuntimeError, match=failing_child):
+            emit_report(report, "csv")
+        _assert_no_child_process()
+
+    @pytest.mark.parametrize("failing_child", ["raises", "ends-early"], indirect=True)
+    def test_cli_exits_1_with_one_error_record(self, tmp_path, capsys, failing_child):
+        code = main(
+            ["--scenario", "fock-decay", "--gamma", "1", "--omega-b", "1", "--fock-n", "3",
+             "--t-max", "1", "--n-steps", "300", "--output", str(tmp_path / "fock.csv")]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "RuntimeError"
+        assert failing_child in record["message"]
+        _assert_no_child_process()
 
 
 class TestCli:
