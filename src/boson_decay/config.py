@@ -254,6 +254,7 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> None:
             f"{MEMORY_LIMIT_BYTES / 2**30:.3g} GiB limit (lower n_modes, n_steps, samples or fock_n)"
         )
 
+    frequency = merged["omega_b"]  # the fastest rotation the run evaluates
     if scenario in _BATH_SCENARIOS:
         # discretize_bath's own grid, built once the size check has bounded n_modes;
         # its overflow is what the check reports, so it is not also warned about.
@@ -272,6 +273,20 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> None:
             )
         if scenario == "thermal":
             _check_squared_occupations(merged, alpha, omegas)
+        # Each row's diagonal plus its couplings bounds the bath Hamiltonian's eigenvalues.
+        with np.errstate(over="ignore"):
+            frequency = max(
+                frequency + float(np.sum(np.abs(xis))), float(np.max(np.abs(omegas) + np.abs(xis)))
+            )
+
+    if scenario != "fock-decay":  # the Fock laws alone rotate no phase
+        if scenario == "oracle-compare":
+            frequency *= max(merged["fock_n"], 1)  # the oracle rotates fock_n excitations at once
+        if not math.isfinite(frequency * merged["t_max"]):
+            raise ConfigError(
+                f"phases omega t overflow float64: frequencies up to {frequency:.3g} over "
+                f"t_max = {merged['t_max']:.3g} (lower omega_b, the band or t_max)"
+            )
 
 
 def _check_squared_occupations(merged: dict[str, Any], alpha: float, omegas: np.ndarray) -> None:

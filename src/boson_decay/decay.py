@@ -154,7 +154,8 @@ def fock_survival(n: int, gamma: float, t):
     """Probability of retaining all ``n`` excitations, exp(-n gamma t), at time(s) ``t``."""
     if n < 0:
         raise ValueError("excitation number must be nonnegative")
-    return np.exp(-n * gamma * as_times(t))[()]
+    with np.errstate(over="ignore"):  # an exponent past float64 is -inf, and exp(-inf) = 0
+        return np.exp(-n * gamma * as_times(t))[()]
 
 
 def fock_decay_time(n: int, gamma: float) -> float:

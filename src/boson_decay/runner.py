@@ -4,9 +4,9 @@ Each scenario evaluates its laws as arrays over a uniform time grid and
 stacks the named columns once into one (T, C) float64 table; columns follow
 the per-module CSV schemas. CSV artifacts contain only the table (so
 identical runs are byte-identical). CSV and the rows of JSON are formatted
-and written in blocks of ``_CSV_BLOCK_ROWS`` rows, shared round-robin by up
-to one process per usable CPU, so a report never exists as one string or as
-one list of Python floats, and its bytes do not depend on the CPU count.
+by one vectorized kernel (:mod:`boson_decay.floatrepr`) and written in
+blocks of at most ``_BLOCK_CELLS`` cells, so a report never exists as one
+string; every cell is the text ``repr`` gives.
 Metadata, including the seconds spent in each stage of the run
 (``meta["timings"]``), travels in the JSON format or in a ``.meta.json``
 sidecar next to a CSV file.
@@ -17,14 +17,11 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
-import signal
-import struct
 import sys
 import time
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, BinaryIO, Callable, Iterator, TextIO
+from typing import Any, Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -39,13 +36,13 @@ from .decay import (
     fock_populations,
     fock_survival,
 )
+from .floatrepr import format_rows
 from .propagator import (
     ExactPropagator,
     SystemMode,
     analytic_survival,
     dissipation_sum,
     unitarity_defect,
-    usable_cpus,
 )
 from .thermal import (
     EffectiveHamiltonian,
@@ -60,8 +57,8 @@ from .thermal import (
 
 WWA_TOLERANCE = 2e-2
 
-# Rows formatted per CSV or JSON block: bounds the Python floats and text held at once.
-_CSV_BLOCK_ROWS = 64
+# Cells formatted per CSV or JSON block: bounds the scratch arrays and text held at once.
+_BLOCK_CELLS = 4096
 
 
 @dataclass(eq=False)
@@ -323,132 +320,46 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     return report
 
 
-def _formatted_blocks(rows: int, format_block: Callable[[int], str]) -> Iterator[str]:
-    """``format_block(start)`` for each block of ``_CSV_BLOCK_ROWS`` of ``rows`` rows, in order.
+def _text_blocks(
+    table: np.ndarray, cell_sep: bytes, row_sep: bytes, names: tuple[bytes, bytes]
+) -> Iterator[str]:
+    """The rows of ``table`` as text, in blocks of whole rows of at most ``_BLOCK_CELLS`` cells.
 
-    Block b is formatted by worker b mod W, W = min(usable CPUs, blocks), or
-    W = 1 where ``os.fork`` is missing. Worker 0 is this process; workers 1
-    to W - 1 are forked children, each sending its blocks through its own
-    pipe (:func:`_fork_formatter`). Blocks are yielded as they are needed, so
-    a child runs at most one block and a pipe's buffer ahead. The text does
-    not depend on W. Every child is killed if still running and reaped before
-    this generator ends, however it ends.
+    A block holds one row at least. Each cell is written as ``repr`` writes
+    it (:func:`~boson_decay.floatrepr.format_rows`), followed by
+    ``cell_sep``, or by ``row_sep`` at the end of its row.
     """
-    starts = range(0, rows, _CSV_BLOCK_ROWS)
-    workers = min(usable_cpus(), len(starts)) if hasattr(os, "fork") else 1
-    children: list[tuple[int, BinaryIO]] = []
-    try:
-        for worker in range(1, workers):
-            children.append(_fork_formatter(starts[worker::workers], format_block))
-        for index, start in enumerate(starts):
-            worker = index % workers
-            yield format_block(start) if worker == 0 else _receive(children[worker - 1][1])
-    finally:
-        for pid, reader in children:
-            reader.close()
-            os.kill(pid, signal.SIGKILL)  # harmless once a child has sent its last block
-            os.waitpid(pid, 0)
-
-
-def _fork_formatter(starts: range, format_block: Callable[[int], str]) -> tuple[int, BinaryIO]:
-    """Fork a child that sends ``format_block(start)`` for each start; its pid and pipe.
-
-    Each block goes as a signed 8-byte length and the UTF-8 text; a failure
-    goes as the negated length of its message. The child leaves through
-    ``os._exit`` on every path, so it never flushes a stream it inherited.
-    It is forked, not spawned, so that it reads the table where it lies
-    instead of importing numpy and receiving a pickled copy. Forking a
-    process with threads (OpenBLAS keeps a pool) is safe here: the child only
-    slices the table and formats and writes text, taking no lock that
-    another thread could have held at the fork apart from malloc's and the
-    interpreter's, which are reset in the child.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            for start in starts:
-                payload = format_block(start).encode("utf-8")
-                _send(write_fd, struct.pack("<q", len(payload)) + payload)
-            code = 0
-        except BaseException as exc:
-            message = f"{type(exc).__name__}: {exc}".encode("utf-8")
-            _send(write_fd, struct.pack("<q", -len(message)) + message)
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
-
-
-def _send(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _receive(reader: BinaryIO) -> str:
-    """The next block a :func:`_fork_formatter` child sent; its failure as a ``RuntimeError``."""
-    head = reader.read(8)
-    if len(head) == 8:
-        size = struct.unpack("<q", head)[0]
-        body = reader.read(abs(size))
-        if len(body) == abs(size):
-            if size < 0:
-                raise RuntimeError(f"report formatting process failed: {body.decode('utf-8')}")
-            return body.decode("utf-8")
-    raise RuntimeError("a report formatting process ended before sending its rows")
+    rows = max(1, _BLOCK_CELLS // table.shape[1])
+    for start in range(0, len(table), rows):
+        yield format_rows(table[start : start + rows], cell_sep, row_sep, names).decode("ascii")
 
 
 def _csv_blocks(report: RunReport) -> Iterator[str]:
-    """The CSV text: the header line, then one string per block of rows.
+    """The CSV text: the header line, then the rows in blocks.
 
-    ``repr`` of a float from ``tolist`` is its shortest round-trip form, so
-    every cell reads back to the same float64.
+    Each cell is the shortest text that reads back to the same float64,
+    byte for byte what ``repr`` gives.
     """
     yield ",".join(report.columns) + "\n"
-    table = report.table
-
-    def block(start: int) -> str:
-        rows = table[start : start + _CSV_BLOCK_ROWS].tolist()
-        return "".join(",".join(map(repr, row)) + "\n" for row in rows)
-
-    yield from _formatted_blocks(len(table), block)
-
-
-def _json_number(cell: float) -> str:
-    """A float as ``json.dump`` writes it: ``repr``, or NaN and the infinities by name."""
-    if math.isfinite(cell):
-        return repr(cell)
-    return "NaN" if cell != cell else ("Infinity" if cell > 0 else "-Infinity")
+    yield from _text_blocks(report.table, b",", b"\n", (b"nan", b"inf"))
 
 
 def _json_blocks(report: RunReport) -> Iterator[str]:
     """The text of ``json.dump({"columns", "meta", "rows"}, indent=2, sort_keys=True)``.
 
     The columns and the metadata are dumped whole; the rows, last in key
-    order, follow in blocks of ``_CSV_BLOCK_ROWS`` rows.
+    order, follow in blocks. Cells are written as ``json.dump`` writes
+    them: ``repr``, or NaN and the infinities by name.
     """
     head = json.dumps({"columns": report.columns, "meta": report.meta}, indent=2, sort_keys=True)
     table = report.table
     if len(table) == 0:
         yield head[: -len("\n}")] + ',\n  "rows": []\n}'
         return
-    yield head[: -len("\n}")] + ',\n  "rows": [\n    '
-    cell_sep, row_sep = ",\n      ", "\n    ],\n    [\n      "
-
-    def block(start: int) -> str:
-        rows = table[start : start + _CSV_BLOCK_ROWS].tolist()
-        text = row_sep.join(cell_sep.join(map(_json_number, row)) for row in rows)
-        return ("[\n      " if start == 0 else row_sep) + text
-
-    yield from _formatted_blocks(len(table), block)
+    yield head[: -len("\n}")] + ',\n  "rows": [\n    [\n      '
+    cell_sep, names = b",\n      ", (b"NaN", b"Infinity")
+    yield from _text_blocks(table[:-1], cell_sep, b"\n    ],\n    [\n      ", names)
+    yield from _text_blocks(table[-1:], cell_sep, b"", names)
     yield "\n    ]\n  ]\n}"
 
 
@@ -479,9 +390,7 @@ def _write_into(handle: TextIO, report: RunReport, fmt: str) -> None:
     """Write the report as 'csv' or 'json' to ``handle`` without building it whole."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    # Closed on any exit, so that the formatting processes are reaped before this returns.
-    with closing(_csv_blocks(report) if fmt == "csv" else _json_blocks(report)) as blocks:
-        handle.writelines(blocks)
+    handle.writelines(_csv_blocks(report) if fmt == "csv" else _json_blocks(report))
     if fmt == "json":
         handle.write("\n")
 

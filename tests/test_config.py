@@ -3,14 +3,17 @@
 import json
 import math
 import tracemalloc
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boson_decay import SCENARIOS, ConfigError, build_config, cli, parse_config
+from boson_decay import SCENARIOS, ConfigError, build_config, cli, parse_config, run_scenario
 from boson_decay.cli import main
 from boson_decay.config import MEMORY_LIMIT_BYTES, SCHEMA, _estimated_bytes
+from boson_decay.runner import report_from_csv
 
 MINIMAL_FOCK = """
 scenario = fock-decay
@@ -233,6 +236,57 @@ class TestBoundary:
         record = json.loads(lines[0])
         assert record["error"] == "ConfigError"
         assert "t_max" in record["message"]
+
+
+# Runs at the edges of float64: phases omega t_max past it ("phase"), just inside
+# it ("phase-edge"), decay exponents gamma t_max past it ("decay"), and long grids.
+EXTREME_FLAGS = {
+    "phase": ["--omega-b", "1e300", "--half-bandwidth", "1e299", "--gamma", "1", "--t-max", "1e10"],
+    "phase-edge": ["--omega-b", "1e150", "--half-bandwidth", "1e149", "--gamma", "1",
+                   "--t-max", "1e158"],
+    "decay": ["--omega-b", "1", "--half-bandwidth", "0.5", "--gamma", "1e300", "--t-max", "1e10"],
+    "long": ["--omega-b", "10", "--half-bandwidth", "4", "--gamma", "1", "--t-max", "1e300"],
+}
+SCENARIO_FLAGS = {
+    "fock-decay": ["--fock-n", "3"],
+    "coherent-decay": [],
+    "excited-bath": ["--n-modes", "3", "--lambda-re", "0.5"],
+    "thermal": ["--n-modes", "3", "--beta", "1", "--samples", "10", "--seed", "1"],
+    "wwa-validate": ["--n-modes", "3"],
+    "oracle-compare": ["--n-modes", "3", "--fock-n", "2", "--beta", "1"],
+}
+
+
+class TestFiniteRows:
+    """A run either stops at the config or writes finite cells only.
+
+    With at least two Monte Carlo samples: at one sample the thermal stderr is
+    infinite by design.
+    """
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("extreme", EXTREME_FLAGS)
+    def test_no_run_exits_0_with_a_non_finite_cell(self, capsys, tmp_path, scenario, extreme):
+        path = tmp_path / "run.csv"
+        code = main(["--scenario", scenario, *EXTREME_FLAGS[extreme], *SCENARIO_FLAGS[scenario],
+                     "--n-steps", "3", "--output", str(path)])
+        if code == 0:
+            assert np.isfinite(report_from_csv(path.read_text()).table).all()
+        else:
+            assert _error_record(capsys)["error"] == "ConfigError"
+        if extreme == "phase":
+            assert code == (0 if scenario == "fock-decay" else 1)
+
+    def test_fock_law_past_float64_warns_nothing(self):
+        """gamma t past float64 is the -inf exponent of exp(-gamma t), not an overflow."""
+        config = build_config(
+            {"scenario": "fock-decay", "gamma": 1e308, "omega_b": 1.0, "fock_n": 2,
+             "t_max": 1e10, "n_steps": 3}
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = run_scenario(config).table
+        assert table[1:].tolist() == [[5e9, 1.0, 0.0, 0.0], [1e10, 1.0, 0.0, 0.0]]
 
 
 BENCHMARK_CONFIGS = {

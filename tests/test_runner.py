@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from boson_decay import RunReport, build_config, parse_config, propagator, run_scenario, runner
+from boson_decay import RunReport, build_config, parse_config, propagator, run_scenario
 from boson_decay.cli import main
 from boson_decay.runner import (
-    _CSV_BLOCK_ROWS,
+    _BLOCK_CELLS,
     emit_report,
     report_from_csv,
     report_from_json,
@@ -348,7 +348,6 @@ class TestSerialization:
 # Cells whose shortest repr switches notation or sign: the streamed writer must
 # format them exactly as repr(float(value)) does.
 SPECIAL_CELLS = [-0.0, 5e-324, 1e16, 1e-05, math.inf, -math.inf]
-BLOCK_EDGE_ROWS = [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1]
 STDOUT_CONFIG = build_config(
     {"scenario": "fock-decay", "gamma": 1.0, "omega_b": 1.0, "fock_n": 1, "t_max": 1.0,
      "n_steps": 2}
@@ -358,8 +357,9 @@ STDOUT_CONFIG_JSON = dataclasses.replace(STDOUT_CONFIG, format="json")
 
 @st.composite
 def float_tables(draw):
-    rows = draw(st.sampled_from(BLOCK_EDGE_ROWS))
     cols = draw(st.integers(1, 4))
+    block = _BLOCK_CELLS // cols  # rows per block
+    rows = draw(st.sampled_from([0, 1, block - 1, block, block + 1]))
     cells = st.one_of(st.sampled_from(SPECIAL_CELLS), st.floats(width=64))
     table = draw(arrays(np.float64, (rows, cols), elements=cells))
     return RunReport(columns=[f"c{j}" for j in range(cols)], table=table)
@@ -466,9 +466,10 @@ class TestStreamedWriter:
         assert peak <= 3 * table_bytes
 
 
-# Tables around the block edges, and one that gives each worker several blocks.
-FORMATTER_ROWS = [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
-                  2 * _CSV_BLOCK_ROWS + 1, 8 * _CSV_BLOCK_ROWS + 5]
+# Rows per block of a 7-column table, and tables around its block edges and of several blocks.
+SPECIAL_BLOCK = _BLOCK_CELLS // 7
+FORMATTER_ROWS = [0, 1, SPECIAL_BLOCK - 1, SPECIAL_BLOCK, SPECIAL_BLOCK + 1,
+                  2 * SPECIAL_BLOCK + 1, 8 * SPECIAL_BLOCK + 5]
 
 
 def _special_report(rows):
@@ -480,48 +481,17 @@ def _special_report(rows):
     return RunReport(columns=[f"c{j}" for j in range(7)], table=table, meta={"seed": rows})
 
 
-def _assert_no_child_process():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+class TestBlockWriter:
+    """Rows are formatted in this process, in blocks of at most _BLOCK_CELLS cells."""
 
-
-@pytest.fixture()
-def forks(monkeypatch):
-    """Count the processes the writer forks."""
-    count = []
-    fork = os.fork
-
-    def counted():
-        count.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return count
-
-
-class TestFormattingProcesses:
-    """Rows are formatted on W processes, W = min(usable CPUs, blocks); bytes never depend on W."""
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("rows", FORMATTER_ROWS)
-    def test_bytes_do_not_depend_on_worker_count(self, monkeypatch, forks, rows, workers):
+    def test_bytes_equal_the_per_cell_reference(self, rows):
         report = _special_report(rows)
-        expected = (_reference_csv(report), _reference_json(report))
-        monkeypatch.setattr(runner, "usable_cpus", lambda: workers)
-        assert (emit_report(report, "csv"), emit_report(report, "json")) == expected
-        blocks = -(-rows // _CSV_BLOCK_ROWS)
-        assert len(forks) == 2 * max(min(workers, blocks) - 1, 0)
-        _assert_no_child_process()
-
-    def test_one_process_where_fork_is_missing(self, monkeypatch):
-        report = _special_report(2 * _CSV_BLOCK_ROWS + 1)
-        monkeypatch.setattr(runner, "usable_cpus", lambda: 3)
-        monkeypatch.delattr(os, "fork")
         assert emit_report(report, "csv") == _reference_csv(report)
         assert emit_report(report, "json") == _reference_json(report)
 
-    def test_consumer_that_stops_leaves_no_child(self, monkeypatch):
-        """A stdout that breaks after the header gets BrokenPipeError; the children are reaped."""
+    def test_consumer_that_stops_gets_broken_pipe(self):
+        """A stdout that breaks after the header gets BrokenPipeError, and no process is left."""
 
         class BreakingPipe(io.StringIO):
             def write(self, text):
@@ -529,57 +499,12 @@ class TestFormattingProcesses:
                     raise BrokenPipeError("reader closed")
                 return super().write(text)
 
-        report = _special_report(40 * _CSV_BLOCK_ROWS)
-        monkeypatch.setattr(runner, "usable_cpus", lambda: 3)
+        report = _special_report(40 * SPECIAL_BLOCK)
         for config in (STDOUT_CONFIG, STDOUT_CONFIG_JSON):
             with contextlib.redirect_stdout(BreakingPipe()), pytest.raises(BrokenPipeError):
                 write_report(report, config)
-            _assert_no_child_process()
-
-    @pytest.fixture()
-    def failing_child(self, monkeypatch, request):
-        """Make every forked formatter raise, or end without sending anything."""
-        parent = os.getpid()
-        monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
-        if request.param == "raises":
-            def failing_repr(cell):
-                if os.getpid() != parent:
-                    raise ValueError("cell cannot be formatted")
-                return repr(cell)
-
-            monkeypatch.setattr(runner, "repr", failing_repr, raising=False)
-            return "report formatting process failed: ValueError: cell cannot be formatted"
-        send = runner._send
-
-        def dying_send(fd, data):
-            if os.getpid() != parent:
-                os._exit(0)
-            send(fd, data)
-
-        monkeypatch.setattr(runner, "_send", dying_send)
-        return "ended before sending its rows"
-
-    @pytest.mark.parametrize("failing_child", ["raises", "ends-early"], indirect=True)
-    def test_failing_child_fails_the_write(self, failing_child):
-        report = _special_report(4 * _CSV_BLOCK_ROWS)
-        with pytest.raises(RuntimeError, match=failing_child):
-            emit_report(report, "csv")
-        _assert_no_child_process()
-
-    @pytest.mark.parametrize("failing_child", ["raises", "ends-early"], indirect=True)
-    def test_cli_exits_1_with_one_error_record(self, tmp_path, capsys, failing_child):
-        code = main(
-            ["--scenario", "fock-decay", "--gamma", "1", "--omega-b", "1", "--fock-n", "3",
-             "--t-max", "1", "--n-steps", "300", "--output", str(tmp_path / "fock.csv")]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        record = json.loads(lines[0])
-        assert record["error"] == "RuntimeError"
-        assert failing_child in record["message"]
-        _assert_no_child_process()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
 
 
 class TestCli:
