@@ -17,7 +17,7 @@ from .bath import SpectralDensitySpec, _midpoint_modes, thermal_occupation
 from .decay import _MAX_ORACLE_BATH_MODES
 from .errors import ConfigError
 from .propagator import SOLVER_BYTES_PER_MODE
-from .thermal import MC_BLOCK_BYTES
+from .thermal import MC_BLOCK_BYTES, _rank
 
 SCENARIOS = (
     "fock-decay",
@@ -292,16 +292,25 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> None:
 def _check_squared_occupations(merged: dict[str, Any], alpha: float, omegas: np.ndarray) -> None:
     """Reject a thermal run whose Monte Carlo sums of squared occupations would overflow.
 
-    A sample's occupation |alpha u + sum_j lambda_j v_j|^2 is at most
-    2 |alpha|^2 + 2 sum_j |lambda_j|^2, as |u|^2 + sum_j |v_j|^2 = 1. Each
-    |lambda_j|^2 is n_j / 2 times a sum of two squared normal draws, and
-    numpy's ziggurat draw stays within 14 standard deviations (its tail is
-    r - ln(u) / r with r < 3.7 and u >= 2^-53), so |lambda_j|^2 <= 196 n_j.
-    The moments add up to twice ``samples`` squares of such occupations.
+    A sample's occupation |alpha u_t + (L z)_t|^2 is at most
+    2 |alpha|^2 + 2 |(L z)_t|^2, where L is the (T, r) branch factor and z
+    holds 2r normal draws taken as r complex numbers. numpy's ziggurat draw
+    stays within 14 standard deviations (its tail is r - ln(u) / r with
+    r < 3.7 and u >= 2^-53), so |z_i|^2 <= 392. Drawn directly, L is
+    A diag(sqrt(n / 2)) and (L z)_t = sum_j lambda_j v_j(t) with
+    |lambda_j|^2 <= 196 n_j, so by Cauchy-Schwarz and
+    |u|^2 + sum_j |v_j|^2 = 1 the occupation is at most
+    2 |alpha|^2 + 392 sum_j n_j. A factored L has r <= T columns and
+    |L_t|^2 = K_tt / 2 <= max_j n_j / 2, so |(L z)_t|^2 <= |L_t|^2 |z|^2
+    bounds it by 2 |alpha|^2 + 392 r max_j n_j instead, with r from the
+    Monte Carlo's own rule. The moments add up to twice ``samples`` squares
+    of such occupations.
     """
+    rank = _rank(merged["samples"], merged["n_modes"], merged["n_steps"])
     with np.errstate(over="ignore"):
-        occupations = float(np.sum(thermal_occupation(merged["beta"], omegas)))
-    bound = 2.0 * alpha * alpha + 392.0 * occupations
+        occupations = thermal_occupation(merged["beta"], omegas)
+        spread = np.sum(occupations) if rank == merged["n_modes"] else rank * np.max(occupations)
+    bound = 2.0 * alpha * alpha + 392.0 * float(spread)
     limit = math.sqrt(sys.float_info.max / (2.0 * merged["samples"]))
     if not bound <= limit:
         raise ConfigError(
@@ -318,12 +327,16 @@ def _estimated_bytes(merged: dict[str, Any]) -> int:
     two (128, N) float blocks, 2 KiB per mode, and the thread count is capped
     so that they fit (the eigenvectors are never stored). Evaluating the grid
     takes about 40 bytes per grid point and mode. Thermal runs stream their
-    samples, holding about three Monte Carlo blocks of ``MC_BLOCK_BYTES``
-    whatever the sample count. Every report holds its columns stacked into
-    one float64 table, and the binomial law of a Fock scenario holds
-    (T, n+1) temporaries while it is evaluated; 48 bytes per cell covers
-    both, at most 8 columns plus two per Fock level. CSV and JSON rows are
-    formatted in fixed blocks of rows, so their text is not counted. The oracle of ``oracle-compare`` diagonalizes the dense
+    samples: the Monte Carlo holds the (T, N) absorption array weighted by
+    the occupations (16 N T bytes), where it factors the branch covariance
+    also the T x T Gram and one more T x T array at a time (a chunk's
+    product, a rank-one update or the factor; 16 T^2 bytes each), and at
+    most two blocks of ``MC_BLOCK_BYTES`` whatever the sample count. Every report
+    holds its columns stacked into one float64 table, and the binomial law of
+    a Fock scenario holds (T, n+1) temporaries while it is evaluated; 48
+    bytes per cell covers both, at most 8 columns plus two per Fock level.
+    CSV and JSON rows are formatted in fixed blocks of rows, so their text is
+    not counted. The oracle of ``oracle-compare`` diagonalizes the dense
     Hamiltonian of its one excitation sector, of dimension d = C(fock_n + N, N):
     the matrix, the eigensolver's copy and 2 d^2 workspace, and the
     eigenvectors take about 40 d^2 bytes. Evolving the sector over the grid
@@ -337,7 +350,9 @@ def _estimated_bytes(merged: dict[str, Any]) -> int:
         modes = merged["n_modes"] + 1
         estimate += SOLVER_BYTES_PER_MODE * modes + 40 * steps * modes
     if scenario == "thermal":
-        estimate += 3 * MC_BLOCK_BYTES
+        n = merged["n_modes"]
+        gram = 32 * steps * steps if _rank(merged["samples"], n, steps) < n else 0
+        estimate += 16 * steps * n + gram + 2 * MC_BLOCK_BYTES
     if scenario == "oracle-compare":
         levels = merged["fock_n"] + 1
         sector = math.comb(merged["fock_n"] + merged["n_modes"], merged["n_modes"])

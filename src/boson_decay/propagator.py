@@ -76,7 +76,9 @@ def as_times(t) -> np.ndarray:
 def analytic_survival(system: SystemMode, gamma: float, t):
     """Broadband closed form for the system self-amplitude at time(s) ``t``: damped rotation."""
     t = as_times(t)
-    return (np.exp(-0.5 * gamma * t) * np.exp(-1j * system.omega_b * t))[()]
+    with np.errstate(over="ignore"):  # gamma t past float64 is the -inf exponent
+        damping = np.exp(-0.5 * gamma * t)
+    return (damping * np.exp(-1j * system.omega_b * t))[()]
 
 
 def analytic_propagator(
@@ -133,18 +135,17 @@ def _pole_gaps(
     return gaps
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set, or every CPU where there is none."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
 def _worker_count(blocks: int) -> int:
-    """Solver threads for ``blocks`` root blocks: one per usable CPU, within the memory budget."""
+    """Solver threads for ``blocks`` root blocks: one per usable CPU, within the memory budget.
+
+    The usable CPUs are this process's affinity set, or every CPU where there is none.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
     budget = SOLVER_BYTES_PER_MODE // (2 * 8 * _ROOT_BLOCK)
-    return max(1, min(usable_cpus(), blocks, budget))
+    return max(1, min(cpus, blocks, budget))
 
 
 def _on_workers(work, items, workspaces: list) -> None:

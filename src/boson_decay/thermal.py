@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,13 @@ from .errors import InfiniteOccupationError
 from .propagator import PROVENANCE_ORACLE, PropagatorCoefficients, as_times, dissipation_sum
 
 SHORT_TIME_WINDOW = 0.1
-# Bytes of one Monte Carlo block: its (rows, N) samples and its (T, rows) branch values.
+# Bytes of one Monte Carlo block: its (rows, r) normal draws and its (T, rows) branch values.
 MC_BLOCK_BYTES = 2 << 20
+# Longest inner dimension of one BLAS product. OpenBLAS cuts a longer one into blocks
+# whose boundaries depend on its thread count, which changes the rounding (with OpenBLAS
+# 0.3.31 on x86-64 a complex product of 193 terms already rounds differently on one
+# thread than on two); products this short round alike on any count.
+_PRODUCT_TERMS = 128
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,9 @@ def thermal_mean_number(n0: float, n_th: float, gamma: float, t):
     t = as_times(t)
     if n_th < 0:
         raise ValueError("n_th must be nonnegative")
-    return (n0 * np.exp(-gamma * t) + n_th * -np.expm1(-gamma * t))[()]
+    with np.errstate(over="ignore"):  # gamma t past float64 is the -inf exponent
+        exponent = -gamma * t
+    return (n0 * np.exp(exponent) + n_th * -np.expm1(exponent))[()]
 
 
 def thermal_factor_closed(n_th: float, gamma: float, t) -> ThermalFactor:
@@ -136,8 +143,11 @@ class EffectiveHamiltonian:
             raise ValueError("excitation number must be nonnegative")
         t = as_times(t)
         rate = (self.n_th + n) * self.gamma
-        amplitude = np.exp(-1j * n * self.omega_b * t) * np.exp(-0.5 * rate * t)
-        mean_number = n * np.exp(-rate * t)
+        with np.errstate(over="ignore"):  # rate t past float64 is the -inf exponent
+            damping = np.exp(-0.5 * rate * t)
+            survival = np.exp(-rate * t)
+        amplitude = np.exp(-1j * n * self.omega_b * t) * damping
+        mean_number = n * survival
         with np.errstate(divide="ignore"):
             decay_time = np.divide(1.0, rate)  # infinite where nothing decays
         return FockEvolution(amplitude[()], mean_number[()], decay_time)
@@ -145,9 +155,11 @@ class EffectiveHamiltonian:
     def evolve_coherent(self, alpha: complex, t) -> CoherentEvolution:
         """Closed-form coherent-state evolution and its decay time 1/((n_th + 1) gamma)."""
         t = as_times(t)
-        weight = np.exp(-0.5 * self.n_th * self.gamma * t)
-        label = _array(alpha) * np.exp(-1j * (self.omega_b - 0.5j * self.gamma) * t)
-        mean_number = abs(alpha) ** 2 * np.exp(-(self.n_th + 1.0) * self.gamma * t)
+        with np.errstate(over="ignore"):  # gamma t past float64 is the -inf exponent
+            weight = np.exp(-0.5 * self.n_th * self.gamma * t)
+            damping = np.exp(-0.5 * self.gamma * t)
+            mean_number = abs(alpha) ** 2 * np.exp(-(self.n_th + 1.0) * self.gamma * t)
+        label = _array(alpha) * (damping * np.exp(-1j * self.omega_b * t))
         decay_time = 1.0 / ((self.n_th + 1.0) * self.gamma)
         return CoherentEvolution(weight[()], label[()], mean_number[()], decay_time)
 
@@ -190,12 +202,13 @@ class EffectiveHamiltonian:
 
 @dataclass(frozen=True)
 class ThermalSampleSet:
-    """I.i.d. coherent-label vectors drawn from the thermal phase-space weight.
+    """A seeded stream of i.i.d. thermal label vectors, lambda_j ~ CN(0, n_j).
 
-    The set is a replayable stream, not a stored array: it holds the per-mode
-    scale sqrt(n_j / 2), the sample count, the seed and the temperature, and
-    :meth:`blocks` redraws the labels from ``np.random.default_rng(seed)``
-    each time it is iterated. Its memory is O(N) however many samples it has.
+    The set holds no samples: it keeps the per-mode scale sqrt(n_j / 2), the
+    sample count, the seed and the temperature, and
+    :func:`monte_carlo_moments` draws the system branches these labels induce
+    from ``np.random.default_rng(seed)``. Its memory is O(N) however many
+    samples it has.
     """
 
     scale: np.ndarray
@@ -215,35 +228,88 @@ class ThermalSampleSet:
     def n_modes(self) -> int:
         return int(self.scale.size)
 
-    def blocks(self, rows: int | None = None) -> Iterator[np.ndarray]:
-        """Yield the samples in order as (rows, N) complex blocks; the last may be shorter.
 
-        Every block comes from one generator seeded with ``seed``, drawing
-        2 * rows * N normals at a time. Chunked draws consume the generator
-        exactly as one (count, 2N) draw does, so the values do not depend on
-        ``rows`` (default: the block size for a single time).
-        """
-        if rows is None:
-            rows = _block_rows(self.n_modes, 1)
-        if rows < 1:
-            raise ValueError(f"rows must be at least 1 (got {rows})")
-        rng = np.random.default_rng(self.seed)
-        for start in range(0, self.count, rows):
-            block = rng.standard_normal((min(rows, self.count - start), 2 * self.n_modes))
-            block = block.view(complex)
-            block *= self.scale
-            yield block
-            del block  # free it before the next draw, which can then reuse its memory
-
-    @property
-    def samples(self) -> np.ndarray:
-        """All samples as one (count, N) complex array; for small sets and tests."""
-        return np.concatenate(list(self.blocks()))
+def _block_rows(rank: int, n_times: int) -> int:
+    """Samples per Monte Carlo block: its (rows, r) draws and (T, rows) branch fit the budget."""
+    return max(1, MC_BLOCK_BYTES // (16 * (rank + n_times)))
 
 
-def _block_rows(n_modes: int, n_times: int) -> int:
-    """Samples per Monte Carlo block: a (rows, N) block and a (T, rows) branch fit the budget."""
-    return max(1, MC_BLOCK_BYTES // (16 * max(n_modes, n_times)))
+def _rank(count: int, n_modes: int, n_times: int) -> int:
+    """Most columns r of the Monte Carlo factor for ``count`` samples of N modes at T times.
+
+    Drawn directly, each sample costs 2N normals and a T x N product, and
+    r = N. The Gram of the branch covariance costs as much as T samples'
+    products, so it is factored only for more samples than grid times, and
+    only where T < N leaves columns to save; then r <= T.
+    """
+    return n_times if n_times < min(n_modes, count) else n_modes
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` as a sum of products over fixed chunks of the inner dimension, added in order.
+
+    The result has the same bits for any number of BLAS threads.
+    """
+    out = a[:, :_PRODUCT_TERMS] @ b[:_PRODUCT_TERMS]
+    for start in range(_PRODUCT_TERMS, a.shape[1], _PRODUCT_TERMS):
+        out += a[:, start : start + _PRODUCT_TERMS] @ b[start : start + _PRODUCT_TERMS]
+    return out
+
+
+def _gram_factor(weighted: np.ndarray) -> np.ndarray:
+    """A (T, k) factor L with L L^H = K, the Gram ``weighted @ weighted^H`` of a (T, N) array.
+
+    K is summed over the fixed chunks of modes of :func:`_product` and then
+    factored in place by a right-looking Cholesky with diagonal pivoting,
+    written as elementwise numpy updates: LAPACK's factorizations round
+    differently with the number of threads, these updates do not. Each step
+    takes the largest remaining pivot. Once that is at rounding level,
+    T eps max_t K_tt, the factor stops: every entry of the remaining Schur
+    complement is then that small too, so L L^H = K to about
+    T eps max_t K_tt, and k is the numerical rank of K, at most min(N, T).
+    (Without pivoting, a numerically singular K, as on a fine grid or at
+    nearly repeated times, puts a rounding-level pivot ahead of larger ones
+    and the factor breaks.) Besides its argument it holds K and one more
+    array of at most 16 T^2 bytes at a time: a chunk's product, a rank-one
+    update or L.
+    """
+    size = len(weighted)
+    work = np.zeros((size, size), dtype=complex)
+    for start in range(0, weighted.shape[1], _PRODUCT_TERMS):
+        chunk = weighted[:, start : start + _PRODUCT_TERMS]
+        work += chunk @ chunk.conj().T
+    order = np.arange(size)
+    floor = size * np.finfo(float).eps * float(np.max(work.diagonal().real, initial=0.0))
+    rank = size
+    for k in range(size):
+        p = k + int(np.argmax(work.diagonal()[k:].real))
+        pivot = work[p, p].real
+        if not pivot > floor:
+            rank = k
+            break
+        work[[k, p]] = work[[p, k]]
+        work[:, [k, p]] = work[:, [p, k]]
+        order[[k, p]] = order[[p, k]]
+        work[:k, k] = 0.0  # no later swap moves these rows or this column
+        work[k:, k] /= math.sqrt(pivot)
+        column = work[k + 1 :, k]
+        work[k + 1 :, k + 1 :] -= column[:, None] * column.conj()
+    return work[np.argsort(order), :rank]
+
+
+def _branch_factor(absorption: np.ndarray, scale: np.ndarray, count: int) -> np.ndarray:
+    """The (T, r) factor L of the branch covariance: L L^H = A diag(n / 2) A^H.
+
+    ``absorption`` is the (T, N) array A and ``scale`` is sqrt(n / 2). Where
+    :func:`_rank` gives r = N, L is A diag(scale) itself; otherwise it is the
+    factor of the T x T Gram of that array, with as many columns as its
+    numerical rank.
+    """
+    weighted = absorption * scale
+    n_times, n_modes = weighted.shape
+    if _rank(count, n_modes, n_times) == n_modes:
+        return weighted
+    return _gram_factor(weighted)
 
 
 def sample_thermal_bath(
@@ -253,7 +319,7 @@ def sample_thermal_bath(
 
     Mode j has independent real and imaginary parts of variance n_j / 2, so
     E|lambda_j|^2 = n_j. Nothing is drawn here: the set stores the per-mode
-    scale and the seed, and its blocks are drawn when they are consumed.
+    scale and the seed, and :func:`monte_carlo_moments` draws the branches.
     """
     if thermal.beta == 0:
         raise InfiniteOccupationError(
@@ -291,11 +357,14 @@ def monte_carlo_moments(
     Each sample is a joint coherent state, so its evolved system branch is the
     coherent label alpha * survival + sum_j lambda_j absorption_j and
     contributes |label|^2 to the occupation with no within-branch correction.
-    The samples are streamed: each block is one (T, N) @ (N, rows) product,
-    and the per-time means and sums of squared deviations of the blocks are
-    merged pairwise (Chan, Golub and LeVeque). Block and branch both stay
-    within ``MC_BLOCK_BYTES``, so memory is O(T * N + MC_BLOCK_BYTES) for any
-    sample count.
+    Over the T times the branch minus alpha * survival is a circular Gaussian
+    vector with covariance K = A diag(n) A^H, so it is drawn as L z: L is the
+    (T, r) factor of :func:`_branch_factor` and z holds 2r standard normals
+    from the set's seeded generator, taken as r complex numbers. The samples
+    are streamed in blocks of ``MC_BLOCK_BYTES``, and the per-time means and
+    sums of squared deviations of the blocks are merged pairwise (Chan, Golub
+    and LeVeque). Memory is O(T * N + T^2 + MC_BLOCK_BYTES) for any sample
+    count.
     """
     if samples.n_modes != coeffs.n_modes:
         raise ValueError("sample set and coefficients disagree on the mode count")
@@ -305,31 +374,36 @@ def monte_carlo_moments(
     count = samples.count
     shape = np.shape(coeffs.survival)
     offsets = complex(alpha) * np.reshape(coeffs.survival, (-1, 1))
-    absorption = coeffs.absorption.reshape(offsets.size, -1)
+    factor = _branch_factor(coeffs.absorption.reshape(offsets.size, -1), samples.scale, count)
+    rank = factor.shape[1]
+    rows = _block_rows(rank, offsets.size)
+    rng = np.random.default_rng(samples.seed)
     # Running per-time statistics of the samples seen so far; merging the
     # first block into these zeros reproduces the block's own exactly.
     mean_amplitude = np.zeros(offsets.size, dtype=complex)
     occupation, spread_m2, occ_m2 = np.zeros((3, offsets.size))
     seen = 0
-    for block in samples.blocks(_block_rows(samples.n_modes, offsets.size)):
-        branch = absorption @ block.T
+    while seen < count:
+        draws = rng.standard_normal((min(rows, count - seen), 2 * rank)).view(complex)
+        branch = _product(factor, draws.T)
+        del draws
         branch += offsets
-        rows = branch.shape[1]
-        total = seen + rows
-        pair_weight = seen * rows / total
+        size = branch.shape[1]
+        total = seen + size
+        pair_weight = seen * size / total
         block_mean = branch.mean(axis=1)
         occ = np.abs(branch) ** 2
         delta_occ = occ.mean(axis=1) - occupation
-        occ_m2 += occ.var(axis=1) * rows + delta_occ**2 * pair_weight
-        occupation += delta_occ * (rows / total)
+        occ_m2 += occ.var(axis=1) * size + delta_occ**2 * pair_weight
+        occupation += delta_occ * (size / total)
         branch -= block_mean[:, None]
         delta = block_mean - mean_amplitude
         spread_m2 += np.sum(np.abs(branch) ** 2, axis=1) + np.abs(delta) ** 2 * pair_weight
-        mean_amplitude += delta * (rows / total)
+        mean_amplitude += delta * (size / total)
         seen = total
         # Hold no block while the next is drawn: with two alive, the allocator
         # could grow and trim the heap once per block and fault in fresh pages.
-        del block
+        del branch, occ
 
     # Standard errors of the two sample means, with the unbiased (count - 1) variance.
     errors = np.sqrt(np.stack([spread_m2, occ_m2]) / count / max(count - 1, 1))

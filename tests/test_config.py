@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -11,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boson_decay import SCENARIOS, ConfigError, build_config, cli, parse_config, run_scenario
+from boson_decay import thermal as thermal_module
 from boson_decay.cli import main
-from boson_decay.config import MEMORY_LIMIT_BYTES, SCHEMA, _estimated_bytes
+from boson_decay.config import MEMORY_LIMIT_BYTES, SCHEMA, _estimated_bytes, parse_document
 from boson_decay.runner import report_from_csv
 
 MINIMAL_FOCK = """
@@ -217,6 +219,37 @@ class TestBoundary:
         with pytest.raises(ConfigError, match=match):
             parse_config(base, overrides=overrides)
 
+    @pytest.mark.parametrize("margin", [0.999, 1.001], ids=["inside", "outside"])
+    @pytest.mark.parametrize(
+        "overrides, rank",
+        [({"n_steps": 5}, None), ({"n_modes": 800, "samples": 10_000, "n_steps": 21}, 21)],
+        ids=["direct-draw", "factored-draw"],
+    )
+    def test_squared_occupation_bound(self, overrides, rank, margin):
+        """2|alpha|^2 + 392 S against sqrt(max_float / (2 samples)), on both sides.
+
+        S is sum_j n_j where the labels are drawn directly (T >= N here), as
+        for the labels themselves, and r max_j n_j where the branch covariance
+        is factored (r = T < N).
+        """
+        config = {**parse_document(THERMAL_CLI), **overrides}
+        samples, modes = int(config["samples"]), int(config["n_modes"])
+        expected = modes if rank is None else rank
+        assert thermal_module._rank(samples, modes, int(config["n_steps"])) == expected
+        omegas = 100.0 - 20.0 + (np.arange(modes) + 0.5) * 40.0 / modes  # the midpoint modes
+        spread = margin * math.sqrt(sys.float_info.max / (2 * samples)) / 392
+        if rank is None:
+            # At beta omega_j ~ 1e-150, n_j = 1 / (beta omega_j) - 1 / 2 to rounding.
+            beta = float(np.sum(1.0 / omegas)) / (spread + modes / 2)
+        else:
+            beta = math.log1p(rank / spread) / omegas[0]  # omegas[0] carries max_j n_j
+        values = {**config, "beta": beta, "alpha_re": 0.0}
+        if margin < 1:
+            assert build_config(values).beta == beta
+        else:
+            with pytest.raises(ConfigError, match="squares per-sample occupations"):
+                build_config(values)
+
     def test_zero_temperature_beta_parses(self):
         config = parse_config(THERMAL_BASE + "beta = inf\n")
         assert config.beta == math.inf
@@ -276,6 +309,15 @@ class TestFiniteRows:
             assert _error_record(capsys)["error"] == "ConfigError"
         if extreme == "phase":
             assert code == (0 if scenario == "fock-decay" else 1)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_decay_past_float64_warns_nothing(self, tmp_path, scenario):
+        """gamma t_max = 1e310 is the -inf exponent of every decay law: no RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--scenario", scenario, *EXTREME_FLAGS["decay"], *SCENARIO_FLAGS[scenario],
+                         "--n-steps", "3", "--output", str(tmp_path / "run.csv")])
+        assert code == 0
 
     def test_fock_law_past_float64_warns_nothing(self):
         """gamma t past float64 is the -inf exponent of exp(-gamma t), not an overflow."""

@@ -2,6 +2,9 @@
 generator, and Monte Carlo sampling against exact Gaussian moments."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,7 +24,6 @@ from boson_decay import (
     conditional_wavefunction,
     discretize_bath,
     exact_thermal_moments,
-    excited_bath_evolution,
     fock_decay_time,
     fock_survival,
     monte_carlo_moments,
@@ -29,6 +31,7 @@ from boson_decay import (
     thermal_factor_closed,
     thermal_factor_discrete,
 )
+from boson_decay import thermal as thermal_module
 from boson_decay.decay import coherent_amplitudes
 from boson_decay.thermal import MC_BLOCK_BYTES, ThermalFactor, _block_rows
 
@@ -303,28 +306,18 @@ class TestShortTimeConsistency:
 
 
 class TestThermalSampling:
-    def test_seed_reproducibility(self, thermal_bath):
+    def test_seed_reproducibility(self, thermal_bath, thermal_propagator):
+        """The same seed gives the same moments, bit for bit; another seed does not."""
         thermal = ThermalSpec.for_system(2e-3, 800.0)
-        a = sample_thermal_bath(thermal_bath, thermal, 32, seed=99)
-        b = sample_thermal_bath(thermal_bath, thermal, 32, seed=99)
-        assert np.array_equal(a.samples, b.samples)
-        c = sample_thermal_bath(thermal_bath, thermal, 32, seed=100)
-        assert not np.array_equal(a.samples, c.samples)
+        coeffs = thermal_propagator.evaluate(np.linspace(0.5, 2.0, 4))
 
-    def test_per_mode_second_moment(self, small_bath):
-        """Sample mean of |lambda_j|^2 sits within 5 standard errors of n_j."""
-        thermal = ThermalSpec.for_system(0.08, 10.0)
-        count = 20000
-        samples = sample_thermal_bath(small_bath, thermal, count, seed=2024)
-        occ = thermal.occupations(small_bath)
-        moments = np.mean(np.abs(samples.samples) ** 2, axis=0)
-        stderr = occ / math.sqrt(count)  # |lambda|^2 is exponential: std = mean
-        assert np.all(np.abs(moments - occ) <= 5.0 * stderr)
+        def moments(seed):
+            samples = sample_thermal_bath(thermal_bath, thermal, 32, seed=seed)
+            mc, errors = monte_carlo_moments(1.0, thermal, coeffs, samples)
+            return np.stack([mc.mean_amplitude, mc.occupation, *errors])
 
-    def test_zero_temperature_limit_gives_null_labels(self, small_bath):
-        thermal = ThermalSpec.for_system(1e4, 10.0)
-        samples = sample_thermal_bath(small_bath, thermal, 10, seed=1)
-        assert np.max(np.abs(samples.samples)) < 1e-100
+        assert np.array_equal(moments(99), moments(99))
+        assert not np.array_equal(moments(99), moments(100))
 
     def test_beta_zero_rejected(self, small_bath):
         with pytest.raises(InfiniteOccupationError, match="infinite variance"):
@@ -335,23 +328,96 @@ class TestThermalSampling:
         with pytest.raises(ValueError):
             sample_thermal_bath(small_bath, thermal, 0, seed=0)
 
-    @pytest.mark.parametrize("rows", [None, 7, 1000])
-    def test_blocks_replay_one_shot_draw(self, thermal_bath, rows):
-        """Any block size gives the one-shot (count, 2N) draw, bit for bit."""
-        thermal = ThermalSpec.for_system(2e-3, 800.0)
-        count = 1000  # not a multiple of 7 or of the default 163 rows
-        samples = sample_thermal_bath(thermal_bath, thermal, count, seed=11)
-        scale = np.sqrt(thermal.occupations(thermal_bath) / 2.0)
-        expected = np.random.default_rng(11).standard_normal((count, 1600)).view(complex) * scale
-        blocks = list(samples.blocks(rows))
-        assert all(len(b) == (rows or _block_rows(800, 1)) for b in blocks[:-1])
-        assert np.array_equal(np.concatenate(blocks), expected)
-        assert np.array_equal(samples.samples, expected)
-
     def test_set_holds_no_samples(self, thermal_bath):
         samples = sample_thermal_bath(thermal_bath, ThermalSpec.for_system(2e-3, 800.0), 10**9, 1)
         assert samples.count == 10**9
         assert samples.scale.shape == (800,)
+
+
+class TestBranchFactor:
+    """The branch covariance factor L (L L^H = A diag(n / 2) A^H) and the rule that picks it."""
+
+    @staticmethod
+    def _weighted(propagator, bath, times):
+        thermal = ThermalSpec.for_system(math.log(2.0) / 800.0, 800.0)
+        scale = np.sqrt(thermal.occupations(bath) / 2.0)
+        return propagator.evaluate(times).absorption * scale, scale
+
+    def test_gram_factor_reproduces_a_singular_gram(self, thermal_bath, thermal_propagator):
+        """t = 0 (a zero row), repeated and nearly repeated times, and a grid finer than K's rank."""
+        times = np.concatenate(
+            [[0.0, 1.0, 1.0, 1.0 + 1e-13, 2.0, 2.0 + 1e-9, 3.0, 3.0 + 1e-6], np.linspace(0, 5, 201)]
+        )
+        weighted, _ = self._weighted(thermal_propagator, thermal_bath, times)
+        gram = weighted @ weighted.conj().T
+        factor = thermal_module._gram_factor(weighted)
+        # The factor stops at K's numerical rank: fewer columns than times.
+        assert factor.shape[0] == times.size > factor.shape[1]
+        scale = np.max(gram.diagonal().real)
+        assert np.max(np.abs(factor @ factor.conj().T - gram)) <= 1e-12 * scale
+        # The overflow bound of the config rests on |L_t|^2 <= K_tt.
+        assert np.all(np.sum(np.abs(factor) ** 2, axis=1) <= gram.diagonal().real + 1e-12 * scale)
+
+    def test_gram_factor_of_zero_has_no_columns(self):
+        assert thermal_module._gram_factor(np.zeros((3, 4), complex)).shape == (3, 0)
+
+    def test_many_samples_factor_the_gram(self, thermal_bath, thermal_propagator):
+        times = np.linspace(0.0, 5.0, 21)
+        assert thermal_module._rank(10_000, 800, times.size) == times.size
+        weighted, scale = self._weighted(thermal_propagator, thermal_bath, times)
+        absorption = thermal_propagator.evaluate(times).absorption
+        factor = thermal_module._branch_factor(absorption, scale, 10_000)
+        gram = weighted @ weighted.conj().T
+        assert factor.shape == (times.size, times.size - 1)  # the row of t = 0 is zero
+        assert np.max(np.abs(factor @ factor.conj().T - gram)) <= 1e-12 * np.max(gram.real)
+
+    @pytest.mark.parametrize("count, n_times", [(21, 21), (10_000, 800), (10_000, 900)])
+    def test_few_samples_or_long_grids_draw_directly(
+        self, thermal_bath, thermal_propagator, count, n_times
+    ):
+        """No more samples than times cannot pay for the Gram; T >= N leaves nothing to save."""
+        assert thermal_module._rank(count, 800, n_times) == 800
+        times = np.linspace(0.0, 5.0, n_times)
+        weighted, scale = self._weighted(thermal_propagator, thermal_bath, times)
+        absorption = thermal_propagator.evaluate(times).absorption
+        assert np.array_equal(thermal_module._branch_factor(absorption, scale, count), weighted)
+
+    @pytest.mark.parametrize("threads", ["2", "4"])
+    def test_same_bits_on_any_blas_thread_count(self, threads):
+        """The factor and a block's product have the same bits on one BLAS thread and on more.
+
+        Their inner dimensions, 500 for the Gram and 201 for the draws, are ones at
+        which a single OpenBLAS product rounds differently with its thread count.
+        OpenBLAS caps the count at the CPUs it finds.
+        """
+        script = (
+            "import hashlib, numpy as np\n"
+            "from boson_decay import thermal\n"
+            "rng = np.random.default_rng(0)\n"
+            "absorption = rng.standard_normal((201, 1000)).view(complex)\n"
+            "factor = thermal._branch_factor(absorption, rng.random(500), 10**6)\n"
+            "draws = rng.standard_normal((300, 402)).view(complex)\n"
+            "branch = thermal._product(factor, draws.T)\n"
+            "print(factor.shape, hashlib.sha256(factor.tobytes() + branch.tobytes()).hexdigest())\n"
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": count},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for count in ("1", threads)
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("(201, 201) ")
+
+    def test_rule_sizes(self):
+        """The Gram is factored for more samples than times, and only where T < N."""
+        assert [thermal_module._rank(m, 800, 21) for m in (21, 22)] == [800, 21]
+        assert [thermal_module._rank(10_000, n, 201) for n in (200, 202)] == [200, 201]
+        assert thermal_module._rank(1, 1, 1) == 1
 
 
 @pytest.fixture(scope="module")
@@ -386,18 +452,6 @@ class TestMonteCarloMoments:
         assert moments.mean_amplitude == pytest.approx(2.0 * coeffs.survival, rel=1e-12)
         assert moments.occupation == pytest.approx(abs(2.0 * coeffs.survival) ** 2, rel=1e-12)
 
-    def test_branch_labels_match_per_sample_evolution(self, setup, thermal_propagator):
-        """The vectorized estimator uses exactly the per-sample label map."""
-        thermal, samples = setup
-        coeffs = thermal_propagator.evaluate(0.8)
-        count = 5
-        expected = [
-            excited_bath_evolution(1.0, samples.samples[i], thermal_propagator, 0.8).system_label
-            for i in range(count)
-        ]
-        branch = 1.0 * coeffs.survival + samples.samples[:count] @ coeffs.absorption
-        assert np.allclose(branch, expected, atol=1e-13)
-
     def test_rejects_temperature_mismatch(self, setup, thermal_propagator):
         _, samples = setup
         other = ThermalSpec.for_system(5e-4, 800.0)
@@ -416,10 +470,57 @@ class TestMonteCarloMoments:
         assert max(scaled) / min(scaled) < 1.5
 
 
+def _binomial_bounds(trials: int, p: float, tail: float) -> tuple[int, int]:
+    """Smallest k_lo and largest k_hi with P(X < k_lo) <= tail and P(X > k_hi) <= tail."""
+    pmf = [math.comb(trials, k) * p**k * (1.0 - p) ** (trials - k) for k in range(trials + 1)]
+    cdf = np.cumsum(pmf)
+    return int(np.searchsorted(cdf, tail, side="right")), int(np.searchsorted(cdf, 1.0 - tail))
+
+
+class TestSeedCalibration:
+    """Over 200 fixed seeds the z-scores of the occupation are standard normal.
+
+    A single seed's cells are correlated across t, so the seeds are the
+    independent units: the bounds below hold for 200 draws whatever that
+    correlation (the variance of a seed's mean z, or of its fraction of
+    |z| > 2, is at most that of one cell).
+    """
+
+    SEEDS = range(1000, 1200)
+    TAIL = 0.0005  # two-sided 99.9 %
+    TWO_SIGMA = math.erfc(2.0 / math.sqrt(2.0))  # 4.55 %
+
+    def test_z_scores_over_seeds(self):
+        system = SystemMode(omega_b=20.0)
+        spec = SpectralDensitySpec(gamma=GAMMA, band_center=20.0, half_bandwidth=4.0)
+        bath = discretize_bath(spec, 40)
+        thermal = ThermalSpec.for_system(0.05, 20.0)
+        coeffs = ExactPropagator(system, bath).evaluate(np.linspace(0.25, 5.0, 20))
+        exact = exact_thermal_moments(0.7, bath, thermal, coeffs).occupation
+        assert thermal_module._rank(2000, bath.n_modes, 20) == 20
+        z = []
+        for seed in self.SEEDS:
+            mc, errors = monte_carlo_moments(
+                0.7, thermal, coeffs, sample_thermal_bath(bath, thermal, 2000, seed)
+            )
+            z.append((mc.occupation - exact) / errors.occupation)
+        z = np.array(z)
+        units = len(self.SEEDS)
+        quantile = 3.2905  # two-sided 99.9 % of a normal
+        assert abs(z.mean()) <= quantile / math.sqrt(units)
+        assert abs(z.std() - 1.0) <= quantile / math.sqrt(2 * units)
+        low, high = _binomial_bounds(units, self.TWO_SIGMA, self.TAIL)
+        assert low <= np.mean(np.abs(z) > 2.0) * units <= high
+
+
 def _whole_array_moments(alpha, coeffs, samples):
-    """Reference estimator: every branch value at once, with numpy's own reductions."""
+    """Reference estimator: every branch from one (M, 2r) draw, with numpy's own reductions."""
     offsets = alpha * np.reshape(coeffs.survival, (-1, 1))
-    branch = coeffs.absorption.reshape(offsets.size, -1) @ samples.samples.T + offsets
+    absorption = coeffs.absorption.reshape(offsets.size, -1)
+    factor = thermal_module._branch_factor(absorption, samples.scale, samples.count)
+    rng = np.random.default_rng(samples.seed)
+    draws = rng.standard_normal((samples.count, 2 * factor.shape[1])).view(complex)
+    branch = factor @ draws.T + offsets
     mean = branch.mean(axis=1)
     occ = np.abs(branch) ** 2
     count = samples.count
@@ -442,21 +543,25 @@ class TestStreamedMonteCarlo:
 
     @pytest.mark.parametrize("offset", [None, -1, 1], ids=["count-1", "rows-1", "rows+1"])
     def test_matches_whole_array(self, thermal_bath, thermal_propagator, offset):
+        """One sample draws directly; a block's worth of samples factors the Gram."""
         thermal = ThermalSpec.for_system(math.log(2.0) / 800.0, 800.0)
         coeffs = thermal_propagator.evaluate(self.TIMES)
-        count = 1 if offset is None else _block_rows(800, self.TIMES.size) + offset
+        size = self.TIMES.size
+        count = 1 if offset is None else _block_rows(size, size) + offset
+        assert thermal_module._rank(count, 800, size) == (800 if offset is None else size)
         samples = sample_thermal_bath(thermal_bath, thermal, count, seed=17)
         self._check(1.0 - 0.5j, thermal, coeffs, samples)
 
     def test_matches_whole_array_on_long_grid(self):
-        """T > N: the branch, not the block, bounds the rows."""
+        """T > N: the draw is direct, and its block rows count the branch too."""
         system = SystemMode(omega_b=20.0)
         spec = SpectralDensitySpec(gamma=GAMMA, band_center=20.0, half_bandwidth=4.0)
         bath = discretize_bath(spec, 20)
         thermal = ThermalSpec.for_system(0.05, 20.0)
         times = np.linspace(0.1, 4.0, 60)
         rows = _block_rows(bath.n_modes, times.size)
-        assert rows == _block_rows(times.size, 1) < _block_rows(bath.n_modes, 1)
+        assert rows < _block_rows(bath.n_modes, 1)
+        assert thermal_module._rank(2 * rows + 3, bath.n_modes, times.size) == bath.n_modes
         samples = sample_thermal_bath(bath, thermal, 2 * rows + 3, seed=3)
         self._check(0.7, thermal, ExactPropagator(system, bath).evaluate(times), samples)
 
