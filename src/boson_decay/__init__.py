@@ -55,12 +55,10 @@ from .thermal import (
     EffectiveHamiltonian,
     GaussianMoments,
     ThermalFactor,
-    ThermalSampleSet,
     conditional_mean_number,
     conditional_wavefunction,
     exact_thermal_moments,
     monte_carlo_moments,
-    sample_thermal_bath,
     thermal_factor_closed,
     thermal_factor_discrete,
     thermal_mean_number,

@@ -14,7 +14,6 @@ import numpy as np
 
 from .bath import DiscreteBath, ThermalSpec
 from .decay import CoherentSuperposition, DensityMatrixFock, default_fock_cutoff
-from .errors import InfiniteOccupationError
 from .propagator import PROVENANCE_ORACLE, PropagatorCoefficients, as_times, dissipation_sum
 
 SHORT_TIME_WINDOW = 0.1
@@ -200,35 +199,6 @@ class EffectiveHamiltonian:
 # thermal sampling and moments
 
 
-@dataclass(frozen=True)
-class ThermalSampleSet:
-    """A seeded stream of i.i.d. thermal label vectors, lambda_j ~ CN(0, n_j).
-
-    The set holds no samples: it keeps the per-mode scale sqrt(n_j / 2), the
-    sample count, the seed and the temperature, and
-    :func:`monte_carlo_moments` draws the system branches these labels induce
-    from ``np.random.default_rng(seed)``. Its memory is O(N) however many
-    samples it has.
-    """
-
-    scale: np.ndarray
-    count: int
-    seed: int
-    beta: float
-
-    def __post_init__(self) -> None:
-        scale = np.asarray(self.scale, dtype=float)
-        object.__setattr__(self, "scale", scale)
-        if scale.ndim != 1:
-            raise ValueError("scale must be a (n_modes,) array")
-        if self.count < 1:
-            raise ValueError(f"count must be at least 1 (got {self.count})")
-
-    @property
-    def n_modes(self) -> int:
-        return int(self.scale.size)
-
-
 def _block_rows(rank: int, n_times: int) -> int:
     """Samples per Monte Carlo block: its (rows, r) draws and (T, rows) branch fit the budget."""
     return max(1, MC_BLOCK_BYTES // (16 * (rank + n_times)))
@@ -312,23 +282,6 @@ def _branch_factor(absorption: np.ndarray, scale: np.ndarray, count: int) -> np.
     return _gram_factor(weighted)
 
 
-def sample_thermal_bath(
-    bath: DiscreteBath, thermal: ThermalSpec, count: int, seed: int
-) -> ThermalSampleSet:
-    """The stream of ``count`` thermal label vectors, one complex Gaussian per mode.
-
-    Mode j has independent real and imaginary parts of variance n_j / 2, so
-    E|lambda_j|^2 = n_j. Nothing is drawn here: the set stores the per-mode
-    scale and the seed, and :func:`monte_carlo_moments` draws the branches.
-    """
-    if thermal.beta == 0:
-        raise InfiniteOccupationError(
-            "infinite variance: beta = 0 gives divergent thermal occupations"
-        )
-    scale = np.sqrt(thermal.occupations(bath) / 2.0)
-    return ThermalSampleSet(scale=scale, count=count, seed=seed, beta=thermal.beta)
-
-
 @dataclass(frozen=True)
 class GaussianMoments:
     """First and second moments of the system mode, <b> and <b^dag b>, per time."""
@@ -348,40 +301,44 @@ class MomentErrors(NamedTuple):
 
 def monte_carlo_moments(
     alpha: complex,
+    bath: DiscreteBath,
     thermal: ThermalSpec,
     coeffs: PropagatorCoefficients,
-    samples: ThermalSampleSet,
+    count: int,
+    seed: int,
 ) -> tuple[GaussianMoments, MomentErrors]:
-    """Monte Carlo estimate of the system moments over thermal bath samples.
+    """Monte Carlo estimate of the system moments over ``count`` thermal bath samples.
 
-    Each sample is a joint coherent state, so its evolved system branch is the
-    coherent label alpha * survival + sum_j lambda_j absorption_j and
-    contributes |label|^2 to the occupation with no within-branch correction.
+    Each sample draws a label lambda_j ~ CN(0, n_j) per mode, with independent
+    real and imaginary parts of variance n_j / 2. The sample is then a joint
+    coherent state, so its evolved system branch is the coherent label
+    alpha * survival + sum_j lambda_j absorption_j and contributes |label|^2
+    to the occupation with no within-branch correction.
     Over the T times the branch minus alpha * survival is a circular Gaussian
     vector with covariance K = A diag(n) A^H, so it is drawn as L z: L is the
     (T, r) factor of :func:`_branch_factor` and z holds 2r standard normals
-    from the set's seeded generator, taken as r complex numbers. The samples
-    are streamed in blocks of ``MC_BLOCK_BYTES``, and the per-time means and
-    sums of squared deviations of the blocks are merged pairwise (Chan, Golub
-    and LeVeque). Memory is O(T * N + T^2 + MC_BLOCK_BYTES) for any sample
-    count.
+    from ``np.random.default_rng(seed)``, taken as r complex numbers. The
+    samples are streamed in blocks of ``MC_BLOCK_BYTES``, and the per-time
+    means and sums of squared deviations of the blocks are merged pairwise
+    (Chan, Golub and LeVeque). Memory is O(T * N + T^2 + MC_BLOCK_BYTES) for
+    any sample count.
     """
-    if samples.n_modes != coeffs.n_modes:
-        raise ValueError("sample set and coefficients disagree on the mode count")
-    if abs(samples.beta - thermal.beta) > 1e-12 * max(1.0, abs(thermal.beta)):
-        raise ValueError("sample set was drawn at a different temperature")
+    if count < 1:
+        raise ValueError(f"count must be at least 1 (got {count})")
+    if coeffs.n_modes != bath.n_modes:
+        raise ValueError("coefficients and bath disagree on the mode count")
+    scale = np.sqrt(thermal.occupations(bath) / 2.0)
 
-    count = samples.count
     shape = np.shape(coeffs.survival)
     offsets = complex(alpha) * np.reshape(coeffs.survival, (-1, 1))
-    factor = _branch_factor(coeffs.absorption.reshape(offsets.size, -1), samples.scale, count)
+    factor = _branch_factor(coeffs.absorption.reshape(offsets.size, -1), scale, count)
     rank = factor.shape[1]
     rows = _block_rows(rank, offsets.size)
-    rng = np.random.default_rng(samples.seed)
+    rng = np.random.default_rng(seed)
     # Running per-time statistics of the samples seen so far; merging the
     # first block into these zeros reproduces the block's own exactly.
     mean_amplitude = np.zeros(offsets.size, dtype=complex)
-    occupation, spread_m2, occ_m2 = np.zeros((3, offsets.size))
+    occ_mean, spread_m2, occ_m2 = np.zeros((3, offsets.size))
     seen = 0
     while seen < count:
         draws = rng.standard_normal((min(rows, count - seen), 2 * rank)).view(complex)
@@ -393,9 +350,9 @@ def monte_carlo_moments(
         pair_weight = seen * size / total
         block_mean = branch.mean(axis=1)
         occ = np.abs(branch) ** 2
-        delta_occ = occ.mean(axis=1) - occupation
+        delta_occ = occ.mean(axis=1) - occ_mean
         occ_m2 += occ.var(axis=1) * size + delta_occ**2 * pair_weight
-        occupation += delta_occ * (size / total)
+        occ_mean += delta_occ * (size / total)
         branch -= block_mean[:, None]
         delta = block_mean - mean_amplitude
         spread_m2 += np.sum(np.abs(branch) ** 2, axis=1) + np.abs(delta) ** 2 * pair_weight
@@ -409,8 +366,10 @@ def monte_carlo_moments(
     errors = np.sqrt(np.stack([spread_m2, occ_m2]) / count / max(count - 1, 1))
     if count == 1:
         errors[:] = math.inf
-    # mean(|x|^2) >= |mean(x)|^2 holds for any sample, so the moment invariant
-    # is automatic here.
+    # The occupation comes from the sample identity mean(|x|^2) = |mean(x)|^2 +
+    # mean(|x - mean(x)|^2), so it keeps the moment invariant after rounding
+    # too: at large |alpha| the streamed mean of |x|^2 can round below |mean(x)|^2.
+    occupation = np.abs(mean_amplitude) ** 2 + spread_m2 / count
     moments = GaussianMoments(mean_amplitude.reshape(shape)[()], occupation.reshape(shape)[()])
     return moments, MomentErrors(*(e.reshape(shape)[()] for e in errors))
 

@@ -33,7 +33,6 @@ from boson_decay import (
     monte_carlo_moments,
     parse_config,
     run_scenario,
-    sample_thermal_bath,
     thermal_factor_closed,
     thermal_factor_discrete,
 )
@@ -168,13 +167,12 @@ class TestAcceptance:
         for n_th in (0.1, 1.0):
             beta = math.log1p(1.0 / n_th) / thermal_system.omega_b
             thermal = ThermalSpec.for_system(beta, thermal_system.omega_b)
-            samples = sample_thermal_bath(thermal_bath, thermal, 10_000, seed=MC_SEED)
-            mc, errors = monte_carlo_moments(1.0, thermal, coeffs, samples)
+            mc, errors = monte_carlo_moments(1.0, thermal_bath, thermal, coeffs, 10_000, MC_SEED)
             exact = exact_thermal_moments(1.0, thermal_bath, thermal, coeffs)
             worst_z_oracle = max(
                 worst_z_oracle, np.max(np.abs(mc.occupation - exact.occupation) / errors.occupation)
             )
-            mc0, errors0 = monte_carlo_moments(0.0, thermal, coeffs, samples)
+            mc0, errors0 = monte_carlo_moments(0.0, thermal_bath, thermal, coeffs, 10_000, MC_SEED)
             target = thermal.n_th * -np.expm1(-GAMMA * times)
             worst_z_equilibration = max(
                 worst_z_equilibration, np.max(np.abs(mc0.occupation - target) / errors0.occupation)

@@ -31,7 +31,6 @@ from boson_decay import (
     fock_survival,
     monte_carlo_moments,
     run_scenario,
-    sample_thermal_bath,
     thermal_factor_closed,
     thermal_factor_discrete,
     thermal_mean_number,
@@ -106,8 +105,9 @@ def test_thermal():
     config, grid, system, bath, report = _run("thermal")
     thermal = ThermalSpec.for_system(config.beta, config.omega_b)
     coeffs = ExactPropagator(system, bath).evaluate(grid)
-    samples = sample_thermal_bath(bath, thermal, config.samples, config.seed)
-    mc, errors = monte_carlo_moments(config.alpha, thermal, coeffs, samples)
+    mc, errors = monte_carlo_moments(
+        config.alpha, bath, thermal, coeffs, config.samples, config.seed
+    )
     phi_closed = thermal_factor_closed(thermal.n_th, config.gamma, grid)
     survival = analytic_survival(system, config.gamma, grid)
     heff = EffectiveHamiltonian(config.omega_b, config.gamma, thermal.n_th)

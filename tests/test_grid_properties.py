@@ -39,7 +39,6 @@ from boson_decay import (
     fock_populations,
     fock_survival,
     monte_carlo_moments,
-    sample_thermal_bath,
     thermal_factor_closed,
     thermal_factor_discrete,
     thermal_mean_number,
@@ -198,13 +197,13 @@ def test_monte_carlo_matches_across_block_sizes(run, seed):
     moments are not compared with per-time ones.)
     """
     system, bath, propagator, thermal, times, alpha = run
-    samples = sample_thermal_bath(bath, thermal, MC_SAMPLES, seed)
     grid = propagator.evaluate(times)
-    moments, errors = monte_carlo_moments(alpha, thermal, grid, samples)
+    moments, errors = monte_carlo_moments(alpha, bath, thermal, grid, MC_SAMPLES, seed)
     with mock.patch.object(thermal_module, "MC_BLOCK_BYTES", MC_TEST_BLOCK_BYTES):
-        factor = thermal_module._branch_factor(grid.absorption, samples.scale, MC_SAMPLES)
+        scale = np.sqrt(thermal.occupations(bath) / 2.0)
+        factor = thermal_module._branch_factor(grid.absorption, scale, MC_SAMPLES)
         assert thermal_module._block_rows(factor.shape[1], times.size) < MC_SAMPLES
-        blocked, blocked_errors = monte_carlo_moments(alpha, thermal, grid, samples)
+        blocked, blocked_errors = monte_carlo_moments(alpha, bath, thermal, grid, MC_SAMPLES, seed)
     _rows_match(moments.mean_amplitude, blocked.mean_amplitude)
     _rows_match(moments.occupation, blocked.occupation)
     _rows_match(errors.mean_amplitude, blocked_errors.mean_amplitude)

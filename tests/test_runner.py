@@ -241,13 +241,39 @@ class TestDiagnostics:
             assert 0.0 <= meta["diagnostics"][key] <= 1e-10
 
     def test_thermal_z_score_reads_the_resolved_rows(self):
-        """max_mc_z_score is the worst |mc - oracle| / stderr over rows with stderr > 1e-12."""
+        """max_mc_z_score is the worst |mc - oracle| / stderr over rows with stderr > 1e-12 mc."""
         report = run_scenario(parse_config(THERMAL_TEXT))
         oracle, mc, stderr = report.table[:, 5:8].T
-        assert stderr[0] < 1e-12 < stderr[1:].min()  # t = 0: every branch equals alpha
+        resolved = stderr > 1e-12 * mc
+        assert not resolved[0] and resolved[1:].all()  # t = 0: every branch equals alpha
         z = report.meta["diagnostics"]["max_mc_z_score"]
         assert z == np.max(np.abs(mc - oracle)[1:] / stderr[1:])
         assert 0.0 < z <= 4.0
+
+    @pytest.mark.parametrize(
+        "beta, alpha_re, alpha_im, worst_z",
+        [(1.0, 3000.0, 0.3, 0.0), (1.0, 1e4, 0.0, 0.0), (0.02, 1e5, 0.0, 4.0)],
+    )
+    def test_thermal_runs_at_large_alpha(self, beta, alpha_re, alpha_im, worst_z):
+        """Large |alpha| gives finite rows, and rounding-sized stderrs carry no z-score.
+
+        The occupation could round below the squared mean amplitude here, which
+        stopped the run. In a cold bath every branch is alpha u, and the stderr
+        of each row is only rounding, 1e-18 of its occupation.
+        """
+        config = build_config(
+            {
+                "scenario": "thermal", "gamma": 1.0, "omega_b": 800.0, "band_center": 800.0,
+                "half_bandwidth": 80.0, "n_modes": 50, "samples": 10_000, "n_steps": 21,
+                "t_max": 5.0, "beta": beta, "seed": 7, "alpha_re": alpha_re,
+                "alpha_im": alpha_im,
+            }
+        )
+        report = run_scenario(config)
+        assert np.isfinite(report.table).all()
+        oracle, mc = report.table[:, 5:7].T
+        np.testing.assert_allclose(mc, oracle, rtol=1e-9)
+        assert 0.0 <= report.meta["diagnostics"]["max_mc_z_score"] <= worst_z
 
     @pytest.mark.parametrize(
         "text, stages",

@@ -27,7 +27,6 @@ from boson_decay import (
     fock_decay_time,
     fock_survival,
     monte_carlo_moments,
-    sample_thermal_bath,
     thermal_factor_closed,
     thermal_factor_discrete,
 )
@@ -312,26 +311,29 @@ class TestThermalSampling:
         coeffs = thermal_propagator.evaluate(np.linspace(0.5, 2.0, 4))
 
         def moments(seed):
-            samples = sample_thermal_bath(thermal_bath, thermal, 32, seed=seed)
-            mc, errors = monte_carlo_moments(1.0, thermal, coeffs, samples)
+            mc, errors = monte_carlo_moments(1.0, thermal_bath, thermal, coeffs, 32, seed)
             return np.stack([mc.mean_amplitude, mc.occupation, *errors])
 
         assert np.array_equal(moments(99), moments(99))
         assert not np.array_equal(moments(99), moments(100))
 
-    def test_beta_zero_rejected(self, small_bath):
-        with pytest.raises(InfiniteOccupationError, match="infinite variance"):
-            sample_thermal_bath(small_bath, ThermalSpec(beta=0.0, n_th=0.0), 4, seed=0)
+    def test_beta_zero_rejected(self, small_bath, small_propagator):
+        coeffs = small_propagator.evaluate(1.0)
+        hot = ThermalSpec(beta=0.0, n_th=0.0)
+        with pytest.raises(InfiniteOccupationError, match="infinite occupation"):
+            monte_carlo_moments(1.0, small_bath, hot, coeffs, 4, 0)
 
-    def test_count_must_be_positive(self, small_bath):
+    def test_count_must_be_positive(self, small_bath, small_propagator):
         thermal = ThermalSpec.for_system(1.0, 10.0)
-        with pytest.raises(ValueError):
-            sample_thermal_bath(small_bath, thermal, 0, seed=0)
+        coeffs = small_propagator.evaluate(1.0)
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            monte_carlo_moments(1.0, small_bath, thermal, coeffs, 0, 0)
 
-    def test_set_holds_no_samples(self, thermal_bath):
-        samples = sample_thermal_bath(thermal_bath, ThermalSpec.for_system(2e-3, 800.0), 10**9, 1)
-        assert samples.count == 10**9
-        assert samples.scale.shape == (800,)
+    def test_rejects_mode_count_mismatch(self, thermal_bath, small_propagator):
+        thermal = ThermalSpec.for_system(2e-3, 800.0)
+        coeffs = small_propagator.evaluate(1.0)
+        with pytest.raises(ValueError, match="mode count"):
+            monte_carlo_moments(1.0, thermal_bath, thermal, coeffs, 4, 0)
 
 
 class TestBranchFactor:
@@ -420,52 +422,53 @@ class TestBranchFactor:
         assert thermal_module._rank(1, 1, 1) == 1
 
 
-@pytest.fixture(scope="module")
-def setup(thermal_bath):
-    thermal = ThermalSpec.for_system(math.log(2.0) / 800.0, 800.0)  # n_th = 1
-    samples = sample_thermal_bath(thermal_bath, thermal, 2000, seed=42)
-    return thermal, samples
+HALF_FILLED = ThermalSpec.for_system(math.log(2.0) / 800.0, 800.0)  # n_th = 1
 
 
 class TestMonteCarloMoments:
-    def test_time_zero_is_exact(self, setup, thermal_propagator):
-        thermal, samples = setup
+    def test_time_zero_is_exact(self, thermal_bath, thermal_propagator):
         coeffs = thermal_propagator.evaluate(0.0)
-        moments, _ = monte_carlo_moments(1.5, thermal, coeffs, samples)
+        moments, _ = monte_carlo_moments(1.5, thermal_bath, HALF_FILLED, coeffs, 2000, 42)
         assert moments.mean_amplitude == pytest.approx(1.5, abs=1e-12)
         assert moments.occupation == pytest.approx(2.25, abs=1e-12)
 
-    def test_matches_exact_moments_within_errors(self, setup, thermal_bath, thermal_propagator):
-        thermal, samples = setup
+    def test_matches_exact_moments_within_errors(self, thermal_bath, thermal_propagator):
         for t in (0.5, 2.0):
             coeffs = thermal_propagator.evaluate(t)
-            mc, errors = monte_carlo_moments(1.0, thermal, coeffs, samples)
-            exact = exact_thermal_moments(1.0, thermal_bath, thermal, coeffs)
+            mc, errors = monte_carlo_moments(1.0, thermal_bath, HALF_FILLED, coeffs, 2000, 42)
+            exact = exact_thermal_moments(1.0, thermal_bath, HALF_FILLED, coeffs)
             assert abs(mc.occupation - exact.occupation) <= 3.0 * errors.occupation
             assert abs(mc.mean_amplitude - exact.mean_amplitude) <= 3.0 * errors.mean_amplitude
 
     def test_vacuum_bath_limit(self, thermal_bath, thermal_propagator):
         cold = ThermalSpec.for_system(math.inf, 800.0)
-        samples = sample_thermal_bath(thermal_bath, cold, 16, seed=3)
         coeffs = thermal_propagator.evaluate(1.0)
-        moments, _ = monte_carlo_moments(2.0, cold, coeffs, samples)
+        moments, _ = monte_carlo_moments(2.0, thermal_bath, cold, coeffs, 16, 3)
         assert moments.mean_amplitude == pytest.approx(2.0 * coeffs.survival, rel=1e-12)
         assert moments.occupation == pytest.approx(abs(2.0 * coeffs.survival) ** 2, rel=1e-12)
 
-    def test_rejects_temperature_mismatch(self, setup, thermal_propagator):
-        _, samples = setup
-        other = ThermalSpec.for_system(5e-4, 800.0)
-        coeffs = thermal_propagator.evaluate(0.5)
-        with pytest.raises(ValueError, match="temperature"):
-            monte_carlo_moments(1.0, other, coeffs, samples)
+    @pytest.mark.parametrize("beta, alpha", [(math.inf, 3000 + 0.3j), (0.02, 1e5)])
+    def test_large_alpha_keeps_the_moment_invariant(
+        self, thermal_bath, thermal_propagator, beta, alpha
+    ):
+        """At large |alpha| the streamed mean of |x|^2 rounds below |mean(x)|^2.
+
+        The occupation is |mean(x)|^2 plus the mean squared spread, so it
+        cannot; its value still matches the exact moments.
+        """
+        thermal = ThermalSpec.for_system(beta, 800.0)
+        coeffs = thermal_propagator.evaluate(np.linspace(0.0, 5.0, 21))
+        mc, _ = monte_carlo_moments(alpha, thermal_bath, thermal, coeffs, 10_000, 7)
+        assert np.all(mc.occupation >= np.abs(mc.mean_amplitude) ** 2)
+        exact = exact_thermal_moments(alpha, thermal_bath, thermal, coeffs).occupation
+        np.testing.assert_allclose(mc.occupation, exact, rtol=1e-9)
 
     def test_standard_error_scales_as_inverse_sqrt(self, thermal_bath, thermal_propagator):
         thermal = ThermalSpec.for_system(math.log(2.0) / 800.0, 800.0)
         coeffs = thermal_propagator.evaluate(1.0)
         scaled = []
         for count in (100, 1000, 10000):
-            samples = sample_thermal_bath(thermal_bath, thermal, count, seed=7)
-            _, errors = monte_carlo_moments(1.0, thermal, coeffs, samples)
+            _, errors = monte_carlo_moments(1.0, thermal_bath, thermal, coeffs, count, 7)
             scaled.append(errors.occupation * math.sqrt(count))
         assert max(scaled) / min(scaled) < 1.5
 
@@ -500,9 +503,7 @@ class TestSeedCalibration:
         assert thermal_module._rank(2000, bath.n_modes, 20) == 20
         z = []
         for seed in self.SEEDS:
-            mc, errors = monte_carlo_moments(
-                0.7, thermal, coeffs, sample_thermal_bath(bath, thermal, 2000, seed)
-            )
+            mc, errors = monte_carlo_moments(0.7, bath, thermal, coeffs, 2000, seed)
             z.append((mc.occupation - exact) / errors.occupation)
         z = np.array(z)
         units = len(self.SEEDS)
@@ -513,17 +514,17 @@ class TestSeedCalibration:
         assert low <= np.mean(np.abs(z) > 2.0) * units <= high
 
 
-def _whole_array_moments(alpha, coeffs, samples):
+def _whole_array_moments(alpha, bath, thermal, coeffs, count, seed):
     """Reference estimator: every branch from one (M, 2r) draw, with numpy's own reductions."""
     offsets = alpha * np.reshape(coeffs.survival, (-1, 1))
     absorption = coeffs.absorption.reshape(offsets.size, -1)
-    factor = thermal_module._branch_factor(absorption, samples.scale, samples.count)
-    rng = np.random.default_rng(samples.seed)
-    draws = rng.standard_normal((samples.count, 2 * factor.shape[1])).view(complex)
+    scale = np.sqrt(thermal.occupations(bath) / 2.0)
+    factor = thermal_module._branch_factor(absorption, scale, count)
+    rng = np.random.default_rng(seed)
+    draws = rng.standard_normal((count, 2 * factor.shape[1])).view(complex)
     branch = factor @ draws.T + offsets
     mean = branch.mean(axis=1)
     occ = np.abs(branch) ** 2
-    count = samples.count
     if count == 1:
         errors = np.full((2, offsets.size), math.inf)
     else:
@@ -549,8 +550,7 @@ class TestStreamedMonteCarlo:
         size = self.TIMES.size
         count = 1 if offset is None else _block_rows(size, size) + offset
         assert thermal_module._rank(count, 800, size) == (800 if offset is None else size)
-        samples = sample_thermal_bath(thermal_bath, thermal, count, seed=17)
-        self._check(1.0 - 0.5j, thermal, coeffs, samples)
+        self._check(1.0 - 0.5j, thermal_bath, thermal, coeffs, count, 17)
 
     def test_matches_whole_array_on_long_grid(self):
         """T > N: the draw is direct, and its block rows count the branch too."""
@@ -562,13 +562,13 @@ class TestStreamedMonteCarlo:
         rows = _block_rows(bath.n_modes, times.size)
         assert rows < _block_rows(bath.n_modes, 1)
         assert thermal_module._rank(2 * rows + 3, bath.n_modes, times.size) == bath.n_modes
-        samples = sample_thermal_bath(bath, thermal, 2 * rows + 3, seed=3)
-        self._check(0.7, thermal, ExactPropagator(system, bath).evaluate(times), samples)
+        coeffs = ExactPropagator(system, bath).evaluate(times)
+        self._check(0.7, bath, thermal, coeffs, 2 * rows + 3, 3)
 
     @staticmethod
-    def _check(alpha, thermal, coeffs, samples):
-        moments, errors = monte_carlo_moments(alpha, thermal, coeffs, samples)
-        mean, occupation, reference_errors = _whole_array_moments(alpha, coeffs, samples)
+    def _check(*args):
+        moments, errors = monte_carlo_moments(*args)
+        mean, occupation, reference_errors = _whole_array_moments(*args)
         np.testing.assert_allclose(moments.mean_amplitude, mean, rtol=1e-13, atol=0)
         np.testing.assert_allclose(moments.occupation, occupation, rtol=1e-13, atol=0)
         np.testing.assert_allclose(np.stack(errors), reference_errors, rtol=1e-13, atol=0)
@@ -584,10 +584,9 @@ class TestStreamedMonteCarlo:
         bath = discretize_bath(spec, 400)
         thermal = ThermalSpec.for_system(math.log(2.0) / 800.0, 800.0)
         coeffs = ExactPropagator(system, bath).evaluate(np.linspace(0.0, 5.0, 21))
-        samples = sample_thermal_bath(bath, thermal, 20_000, seed=5)
         tracemalloc.start()
         try:
-            monte_carlo_moments(1.0, thermal, coeffs, samples)
+            monte_carlo_moments(1.0, bath, thermal, coeffs, 20_000, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
