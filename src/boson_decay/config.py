@@ -83,6 +83,9 @@ class ScenarioConfig:
     output: str
     format: str
     defaults_applied: tuple[str, ...] = ()
+    # eps times the fastest frequency the run rotates a phase at, times t_max: the
+    # rounding of its largest phase omega t. None for fock-decay, which rotates none.
+    max_phase_rounding: float | None = None
 
     @property
     def alpha(self) -> complex:
@@ -168,8 +171,12 @@ def build_config(values: dict[str, Any], overrides: dict[str, Any] | None = None
         merged[key] = default
         defaults_applied.append(key)
 
-    _validate(merged, defaults_applied)
-    return ScenarioConfig(**merged, defaults_applied=tuple(sorted(defaults_applied)))
+    phase_rounding = _validate(merged, defaults_applied)
+    return ScenarioConfig(
+        **merged,
+        defaults_applied=tuple(sorted(defaults_applied)),
+        max_phase_rounding=phase_rounding,
+    )
 
 
 def parse_config(text: str, overrides: dict[str, Any] | None = None) -> ScenarioConfig:
@@ -182,7 +189,8 @@ def _require(merged: dict[str, Any], key: str, scenario: str) -> None:
         raise ConfigError(f"{scenario} requires {key}")
 
 
-def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> None:
+def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> float | None:
+    """Check ``merged`` in place; return the rounding of the run's largest phase, if it has one."""
     scenario = merged["scenario"]
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r} (choose from {', '.join(SCENARIOS)})")
@@ -279,14 +287,16 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> None:
                 frequency + float(np.sum(np.abs(xis))), float(np.max(np.abs(omegas) + np.abs(xis)))
             )
 
-    if scenario != "fock-decay":  # the Fock laws alone rotate no phase
-        if scenario == "oracle-compare":
-            frequency *= max(merged["fock_n"], 1)  # the oracle rotates fock_n excitations at once
-        if not math.isfinite(frequency * merged["t_max"]):
-            raise ConfigError(
-                f"phases omega t overflow float64: frequencies up to {frequency:.3g} over "
-                f"t_max = {merged['t_max']:.3g} (lower omega_b, the band or t_max)"
-            )
+    if scenario == "fock-decay":  # the Fock laws alone rotate no phase
+        return None
+    if scenario == "oracle-compare":
+        frequency *= max(merged["fock_n"], 1)  # the oracle rotates fock_n excitations at once
+    if not math.isfinite(frequency * merged["t_max"]):
+        raise ConfigError(
+            f"phases omega t overflow float64: frequencies up to {frequency:.3g} over "
+            f"t_max = {merged['t_max']:.3g} (lower omega_b, the band or t_max)"
+        )
+    return sys.float_info.epsilon * frequency * merged["t_max"]
 
 
 def _check_squared_occupations(merged: dict[str, Any], alpha: float, omegas: np.ndarray) -> None:

@@ -114,6 +114,19 @@ _MAX_ROOT_STEPS = 64
 # Memory the eigenvalue solve may take per bath mode; the config's size check
 # charges the same figure. It admits two workspaces of 2 * 8 * _ROOT_BLOCK bytes.
 SOLVER_BYTES_PER_MODE = 4096
+# A pole at least one interval width beyond an interval has Bernstein ellipse
+# parameter 3 + sqrt(8) or more there, and the Chebyshev interpolant on r nodes
+# of its term c^2 / (omega - lambda) or c^2 / (omega - lambda)^2 is then within
+# 2 (1 + 2 r) (3 + sqrt(8))^-r of the term, relatively. _FAR_NODES is the least
+# r that puts this below eps: 24.
+_FAR_RHO = 3.0 + math.sqrt(8.0)
+_FAR_NODES = next(r for r in range(1, 64) if 2 * (1 + 2 * r) * _FAR_RHO**-r <= _EPS)
+_ANGLES = (np.arange(_FAR_NODES) + 0.5) * (math.pi / _FAR_NODES)
+_NODES = np.cos(_ANGLES)  # Chebyshev points of the first kind, on [-1, 1]
+_NODE_WEIGHTS = (-1.0) ** np.arange(_FAR_NODES) * np.sin(_ANGLES)  # their barycentric weights
+# The root model converges quadratically: after a step within sqrt(eps) |x| the
+# next would be within about eps |x|, a rounding-size move, so the root is settled.
+_SETTLED = math.sqrt(_EPS)
 
 
 def _root_blocks(count: int) -> list[np.ndarray]:
@@ -179,6 +192,64 @@ def _on_workers(work, items, workspaces: list) -> None:
         raise failures[0]
 
 
+def _far_field(poles, sq_couplings, ks, workspace):
+    """Near columns of the root block ``ks``, and an interpolant of the secular sums beyond them.
+
+    The near columns are the block's bracket poles omega_{ks[0]-1} ..
+    omega_{ks[-1]} plus _ROOT_BLOCK poles on each side. A far side (the
+    poles left or right of them) is interpolated only where its nearest pole
+    lies at least one interval width beyond the block's bracket interval
+    [a, b] = [omega_{ks[0]-1}, omega_{ks[-1]}]; otherwise it joins the near
+    columns. That separation bounds the error of the _FAR_NODES = 24 node
+    interpolant by eps per term (the comment at _FAR_RHO says why). The
+    blocks of the outer roots 0 and N, whose brackets reach to ``lower`` and
+    ``upper``, keep every column near. The far sums
+    sum_j c_j^2 / (omega_j - lambda) and sum_j c_j^2 / (omega_j - lambda)^2
+    of each side are taken once, at the Chebyshev points of [a, b], in the
+    (_ROOT_BLOCK, N) arrays of ``workspace``: no memory beyond the solve's.
+
+    Returns the near column slice and, if a side is far, ``sums(origin, tau)``:
+    the left value, left slope, right value and right slope at the iterates
+    lambda = omega_origin + tau, by barycentric interpolation, shape (k, 4).
+    """
+    m = poles.size
+    if ks[0] == 0 or ks[-1] == m:
+        return slice(0, m), None
+    a, b = poles[ks[0] - 1], poles[ks[-1]]
+    start = max(ks[0] - 1 - _ROOT_BLOCK, 0)
+    stop = min(ks[-1] + 1 + _ROOT_BLOCK, m)
+    if start > 0 and not a - poles[start - 1] >= b - a:
+        start = 0
+    if stop < m and not poles[stop] - b >= b - a:
+        stop = m
+    if start == 0 and stop == m:
+        return slice(0, m), None
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    nodes = half * _NODES[:, None]  # lambda_i - mid
+    values = np.zeros((4, _FAR_NODES))
+    for row, cols in ((0, slice(0, start)), (2, slice(stop, m))):
+        shape = (_FAR_NODES, cols.stop - cols.start)
+        inv, terms = (w.reshape(-1)[: shape[0] * shape[1]].reshape(shape) for w in workspace)
+        # omega_j - lambda_i as (omega_j - mid) - (lambda_i - mid): within 2 eps, as mid is nearer.
+        np.subtract(poles[cols] - mid, nodes, out=inv)
+        np.divide(1.0, inv, out=inv)
+        np.multiply(sq_couplings[cols], inv, out=terms)
+        values[row] = terms.sum(axis=1)
+        terms *= inv
+        values[row + 1] = terms.sum(axis=1)
+
+    def sums(origin, tau):
+        gaps = np.subtract.outer(((poles[origin] - mid) + tau) / half, _NODES)
+        at_node = gaps == 0.0
+        exact = at_node.any(axis=1)
+        gaps[at_node] = 1.0
+        weights = np.divide(_NODE_WEIGHTS, gaps, out=gaps)
+        weights[exact] = at_node[exact]  # on a node, its own value
+        return np.einsum("kr,cr->kc", weights, values) / weights.sum(axis=1)[:, None]
+
+    return slice(start, stop), sums
+
+
 def _secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
     """Origin pole index and offset tau of the secular roots ``ks`` (one block).
 
@@ -193,11 +264,18 @@ def _secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
     inside the band, y + c + b/(delta - y) for an outer root. Its zero is the
     root of a quadratic; a step leaving the current bracket is replaced by
     bisection. A root stops once |g| is within the rounding error of its
-    evaluation, its step no longer moves it, or its bracket has collapsed.
-    The per-pole terms live in ``workspace``, two (_ROOT_BLOCK, N) arrays.
+    evaluation, or its bracket has collapsed; it is settled without a
+    further evaluation once its step is within sqrt(eps) |x|.
+
+    Only the block's near columns (:func:`_far_field`: its brackets and one
+    root block on each side) are summed term by term at every step, in two
+    (k, near) tiles of ``workspace``; the poles beyond them add their
+    interpolated sums, the left ones to the part psi left of the root. A
+    block whose near columns are all N poles (an outer block, or any block of
+    a bath of at most 3 _ROOT_BLOCK - 1 modes) sums every term, as a dense
+    solve does.
     """
     m = poles.size
-    neg_sq = -sq_couplings
     bottom, top = ks == 0, ks == m
     below = poles[np.maximum(ks - 1, 0)]
     above = poles[np.minimum(ks, m - 1)]
@@ -208,15 +286,19 @@ def _secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
     x = np.where(bottom, 0.5 * lo, np.where(top, 0.5 * hi, half_gap))
     tau = np.empty(ks.size)
     active = np.arange(ks.size)
+    columns, far_sums = _far_field(poles, sq_couplings, ks, workspace)
+    neg_sq, width = -sq_couplings[columns], columns.stop - columns.start
     # Pole j is left of root k for j < k; only columns ks[0] <= j < ks[-1] differ by row.
-    band = slice(ks[0], ks[-1])
+    band = slice(ks[0] - columns.start, ks[-1] - columns.start)
     band_left = np.arange(ks[0], ks[-1]) < ks[:, None]
     for step in range(_MAX_ROOT_STEPS):
         k, o = ks[active], origin[active]
         is_bottom, is_top = bottom[active], top[active]
-        inv = _pole_gaps(poles, o, x, out=workspace[0][: k.size])
+        tile = k.size * width  # contiguous tiles: numpy's loops are slower on strided ones
+        inv, terms = (w.reshape(-1)[:tile].reshape(k.size, width) for w in workspace)
+        _pole_gaps(poles, o, x, out=inv, columns=columns)
         np.divide(1.0, inv, out=inv)  # 1 / (x - delta_j)
-        terms = np.multiply(neg_sq, inv, out=workspace[1][: k.size])  # c_j^2 / (delta_j - x)
+        np.multiply(neg_sq, inv, out=terms)  # c_j^2 / (delta_j - x)
         inv *= terms  # minus the slope of each term
         left_mask = band_left[active]
         total, slope = terms.sum(axis=1), -inv.sum(axis=1)
@@ -225,6 +307,12 @@ def _secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
         inv[:, band] *= left_mask
         psi = terms[:, : band.start].sum(axis=1) + terms[:, band].sum(axis=1)
         psi_slope = -inv[:, : band.start].sum(axis=1) - inv[:, band].sum(axis=1)
+        if far_sums is not None:
+            left, left_slope, right, right_slope = far_sums(o, x).T
+            total += left + right
+            slope += left_slope + right_slope
+            psi += left
+            psi_slope += left_slope
         shift = poles[o] - apex
         g = shift + x + total
         rounding = np.abs(shift) + np.abs(x) + (total - 2.0 * psi)
@@ -254,9 +342,11 @@ def _secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
         q = np.where(is_top, np.inf, q)
         nxt = x + np.where((p < near) & (near < q), near, far)
         nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
-        done |= (nxt == x) | (hi - lo <= 4.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
+        done |= hi - lo <= 4.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi))
+        settled = ~done & (np.abs(nxt - x) <= _SETTLED * np.abs(x))
         tau[active[done]] = x[done]
-        keep = ~done
+        tau[active[settled]] = nxt[settled]
+        keep = ~(done | settled)
         active, x, lo, hi = active[keep], nxt[keep], lo[keep], hi[keep]
         if active.size == 0:
             break
@@ -417,7 +507,11 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
     The poles ascend strictly and the couplings c are nonnegative. The
     eigenvalues are the roots of the secular equation
     lambda - apex - sum_j c_j^2 / (lambda - omega_j) = 0, one per
-    interlacing bracket (:func:`_secular_block`). The couplings are then
+    interlacing bracket (:func:`_secular_block`), 128 roots per block: each
+    block sums its near band of poles term by term and takes the rest from
+    a 24-node Chebyshev interpolant (:func:`_far_field`), except the blocks
+    of roots 0 and N and any block whose far poles lie too near, which sum
+    every pole. The couplings are then
     recomputed from the computed roots by the Loewner formula
     c_j^2 = prod_k |lambda_k - omega_j| / prod_{i != j} |omega_i - omega_j|,
     so the roots are the exact eigenvalues of a nearby arrowhead matrix,
@@ -431,9 +525,12 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
     (_ROOT_BLOCK, N) float arrays allocated here, and each pass writes its
     results in place: the roots and then the norms one root block at a
     time, and between them the Loewner product over W contiguous chunks of
-    poles. A chunk multiplies in the factor of every root block in block
-    order, so every array of the result is bit-identical for any W. Time is
-    O(N^2); memory is O(N) for the result and O(W _ROOT_BLOCK N) for the
+    poles. A root block's far-field node sums use its thread's workspace
+    too. A root block depends on nothing but its own roots, and a chunk
+    multiplies in the factor of every root block in block order, so every
+    array of the result is bit-identical for any W. Time is O(N^2): the
+    roots take O(N) per root block and far side plus O(384) per root and
+    step; memory is O(N) for the result and O(W _ROOT_BLOCK N) for the
     workspaces, as neither the matrix nor its eigenvectors are formed.
     """
     n = poles.size
@@ -529,8 +626,17 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
 
 
 def _phases(times, eigenvalues: np.ndarray) -> np.ndarray:
-    """exp(-i t lambda_k): the shape of ``times`` plus one axis over eigenvalues."""
-    return np.exp(-1j * np.multiply.outer(as_times(times), eigenvalues))
+    """exp(-i t lambda_k): the shape of ``times`` plus one axis over eigenvalues.
+
+    Written as the cosine and sine of the real angles -t lambda_k into one
+    complex array, which gives the bits of the complex exponential without
+    forming a complex array of angles.
+    """
+    angles = np.multiply.outer(-as_times(times), eigenvalues)
+    phases = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=phases.real)
+    np.sin(angles, out=phases.imag)
+    return phases
 
 
 def spectral_evolution(

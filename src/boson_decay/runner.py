@@ -295,12 +295,16 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
 
     ``meta["timings"]`` holds the seconds spent in each stage the scenario
     runs: ``bath``, ``spectrum``, ``evaluate``, ``monte_carlo`` and ``oracle``.
+    A scenario that rotates phases records the config's ``max_phase_rounding``
+    in ``meta["diagnostics"]``.
     """
     started = time.time()
     clock = time.perf_counter()
     timings: dict[str, float] = {}
     report = _SCENARIO_RUNNERS[config.scenario](config, timings)
     elapsed = time.perf_counter() - clock
+    if config.max_phase_rounding is not None:
+        report.meta.setdefault("diagnostics", {})["max_phase_rounding"] = config.max_phase_rounding
     report.meta = {
         "config": config.as_dict(),
         "defaults_applied": list(config.defaults_applied),

@@ -349,6 +349,34 @@ BENCHMARK_CONFIGS = {
 }
 
 
+class TestPhaseRounding:
+    """meta["diagnostics"]["max_phase_rounding"]: eps times the fastest frequency times t_max."""
+
+    def test_huge_phases_report_their_rounding(self, tmp_path):
+        """Phases near 2e14 rad run to completion, and the report names their rounding."""
+        path = tmp_path / "run.json"
+        code = main(["--scenario", "oracle-compare", "--gamma", "1e-6", "--omega-b", "1e6",
+                     "--half-bandwidth", "20", "--n-modes", "3", "--fock-n", "2",
+                     "--n-steps", "5", "--t-max", "1e8", "--format", "json",
+                     "--output", str(path)])
+        assert code == 0
+        assert json.loads(path.read_text())["meta"]["diagnostics"]["max_phase_rounding"] >= 1e-3
+
+    @pytest.mark.parametrize("name", list(BENCHMARK_CONFIGS))
+    def test_benchmark_configs_round_their_phases_to_rounding_size(self, name):
+        """Below 2e-12 (thermal-800x1e4 reaches 1.05e-12, oracle-fock10 1.29e-12); none in fock-decay."""
+        config = parse_config(BENCHMARK_CONFIGS[name])
+        diagnostics = run_scenario(config).meta.get("diagnostics", {})
+        if config.scenario == "fock-decay":
+            assert config.max_phase_rounding is None and "max_phase_rounding" not in diagnostics
+        else:
+            assert diagnostics["max_phase_rounding"] == config.max_phase_rounding < 2e-12
+
+    def test_wwa_rounding_is_eps_times_the_gershgorin_bound_times_t_max(self):
+        config = parse_config(BENCHMARK_CONFIGS["wwa-2000x201"])
+        assert config.max_phase_rounding == pytest.approx(2.363e-13, rel=1e-3)
+
+
 class TestResourceGuard:
     """Runs whose arrays would not fit stop at the config with the estimate named."""
 

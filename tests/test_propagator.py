@@ -233,6 +233,125 @@ SOLVER_CASES = {
 }
 
 
+EPS = np.finfo(float).eps
+SPECTRUM_ARRAYS = ("roots", "origin", "tau", "c_hat", "inv_norm")
+
+
+def _all_poles_secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
+    """The secular solver that sums every step over all N poles: the reference.
+
+    A copy of the solver as it was before the far field and the settle rule,
+    so every root block holds (k, N) per-pole terms in ``workspace``.
+    """
+    m = poles.size
+    neg_sq = -sq_couplings
+    bottom, top = ks == 0, ks == m
+    below = poles[np.maximum(ks - 1, 0)]
+    above = poles[np.minimum(ks, m - 1)]
+    half_gap = 0.5 * (above - below)
+    origin = np.clip(ks - 1, 0, m - 1)
+    lo = np.where(bottom, lower - poles[0], 0.0)
+    hi = np.where(top, upper - poles[-1], np.where(bottom, 0.0, half_gap))
+    x = np.where(bottom, 0.5 * lo, np.where(top, 0.5 * hi, half_gap))
+    tau = np.empty(ks.size)
+    active = np.arange(ks.size)
+    # Pole j is left of root k for j < k; only columns ks[0] <= j < ks[-1] differ by row.
+    band = slice(ks[0], ks[-1])
+    band_left = np.arange(ks[0], ks[-1]) < ks[:, None]
+    for step in range(propagator._MAX_ROOT_STEPS):
+        k, o = ks[active], origin[active]
+        is_bottom, is_top = bottom[active], top[active]
+        inv = propagator._pole_gaps(poles, o, x, out=workspace[0][: k.size])
+        np.divide(1.0, inv, out=inv)  # 1 / (x - delta_j)
+        terms = np.multiply(neg_sq, inv, out=workspace[1][: k.size])  # c_j^2 / (delta_j - x)
+        inv *= terms  # minus the slope of each term
+        left_mask = band_left[active]
+        total, slope = terms.sum(axis=1), -inv.sum(axis=1)
+        # Keep only the poles left of each root; terms and inv are not read after this.
+        terms[:, band] *= left_mask
+        inv[:, band] *= left_mask
+        psi = terms[:, : band.start].sum(axis=1) + terms[:, band].sum(axis=1)
+        psi_slope = -inv[:, : band.start].sum(axis=1) - inv[:, band].sum(axis=1)
+        shift = poles[o] - apex
+        g = shift + x + total
+        rounding = np.abs(shift) + np.abs(x) + (total - 2.0 * psi)
+        done = np.abs(g) <= 8.0 * EPS * rounding
+        if step == 0:
+            # g < 0 at the midpoint: the root lies nearer the upper pole.
+            flip = ~(is_bottom | is_top) & (g < 0)
+            origin[active[flip]] = k[flip]
+            o = origin[active]
+            x[flip] -= 2.0 * half_gap[active[flip]]
+            lo[flip], hi[flip] = x[flip], 0.0
+        hi = np.where(g > 0, x, hi)
+        lo = np.where(g > 0, lo, x)
+
+        p = np.where(is_bottom, 0.0, below[active] - poles[o] - x)
+        q = np.where(is_top, 0.0, above[active] - poles[o] - x)
+        g_slope = 1.0 + slope
+        outer = is_bottom | is_top
+        s = p + q  # an outer root has one bracket pole, at s
+        c = np.where(outer, 1.0, g - psi_slope * p - (slope - psi_slope + 1.0) * q)
+        a = np.where(outer, s * g_slope - g, s * g - p * q * g_slope)
+        b = np.where(outer, -g * s, p * q * g)
+        w = a + np.copysign(np.sqrt(np.maximum(a * a - 4.0 * c * b, 0.0)), a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            near, far = 2.0 * b / w, w / (2.0 * c)
+        p = np.where(is_bottom, -np.inf, p)
+        q = np.where(is_top, np.inf, q)
+        nxt = x + np.where((p < near) & (near < q), near, far)
+        nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
+        done |= (nxt == x) | (hi - lo <= 4.0 * EPS * np.maximum(np.abs(lo), np.abs(hi)))
+        tau[active[done]] = x[done]
+        keep = ~done
+        active, x, lo, hi = active[keep], nxt[keep], lo[keep], hi[keep]
+        if active.size == 0:
+            break
+    tau[active] = x
+    return origin, tau
+
+
+def _dense_residuals(system, bath, spectrum):
+    """|g(tau_k)| / (eps rounding_k) of every root, with g summed over all N poles.
+
+    g is the solver's secular function in its power-of-two scale and
+    rounding_k = |omega_o - apex| + |tau_k| + sum_j |c_j^2 / (delta_j - tau_k)|
+    the bound it stops at 8 eps of. No pole may be deflated.
+    """
+    assert spectrum.bath_rows.size == bath.n_modes and not spectrum.rotations
+    apex, omegas, xis = system.omega_b, bath.omegas, bath.xis
+    scale = max(abs(apex), abs(omegas[0]), abs(omegas[-1])) + float(np.linalg.norm(xis))
+    factor = np.ldexp(1.0, -np.frexp(scale)[1])
+    sq = (xis * factor) ** 2
+    residuals = []
+    for ks in np.array_split(np.arange(spectrum.roots.size), max(1, spectrum.roots.size // 256)):
+        origin, tau = spectrum.origin[ks], spectrum.tau[ks]
+        terms = -sq / propagator._pole_gaps(spectrum.poles, origin, tau)
+        shift = spectrum.poles[origin] - apex * factor
+        g = shift + tau + terms.sum(axis=1)
+        rounding = np.abs(shift) + np.abs(tau) + np.abs(terms).sum(axis=1)
+        residuals.append(np.abs(g) / (EPS * rounding))
+    return np.concatenate(residuals)
+
+
+def _spectrum_with(monkeypatch, block, system, bath):
+    """The spectrum of (system, bath) with ``block`` as the secular solver."""
+    with monkeypatch.context() as patch:
+        patch.setattr(propagator, "_secular_block", block)
+        return ExactPropagator(system, bath).spectrum
+
+
+def _warped_bath(n, seed, power, jitter):
+    """n poles on a power-law grid of [0, 10], each moved by up to ``jitter`` of a cell.
+
+    Couplings scale with the root of the local spacing, times a random factor in [e^-2, e].
+    """
+    rng = np.random.default_rng(seed)
+    omegas = 10.0 * ((np.arange(n) + 0.5 + jitter * rng.uniform(-1.0, 1.0, n)) / n) ** power
+    xis = np.sqrt(np.gradient(omegas)) * np.exp(rng.uniform(-2.0, 1.0, n))
+    return _bath(omegas, xis)
+
+
 class TestArrowheadSolver:
     """The secular-equation eigensolver of ExactPropagator against dense eigh."""
 
@@ -291,25 +410,120 @@ class TestArrowheadSolver:
         )
 
 
+class TestSecularFarField:
+    """Near band summed per pole, far poles from their Chebyshev interpolant, against all poles."""
+
+    @pytest.mark.parametrize("n_modes", [2000, 4000])
+    def test_wwa_roots_solve_the_dense_secular_equation(self, n_modes, wwa_system):
+        """Every root within 16 eps rounding, twice the solver's own stopping bound."""
+        bath = discretize_bath(SpectralDensitySpec(GAMMA, 100.0, 20.0), n_modes)
+        spectrum = ExactPropagator(wwa_system, bath).spectrum
+        assert np.max(_dense_residuals(wwa_system, bath, spectrum)) <= 16.0
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        st.integers(600, 1200),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.3, 3.0),
+        st.floats(0.0, 0.45),
+        st.floats(0.1, 12.0),
+    )
+    def test_nonuniform_roots_solve_the_dense_secular_equation(
+        self, n, seed, power, jitter, omega_b
+    ):
+        """Unevenly spaced poles, some far sides too near to interpolate: roots as dense eigh."""
+        system, bath = SystemMode(omega_b), _warped_bath(n, seed, power, jitter)
+        spectrum = ExactPropagator(system, bath).spectrum
+        assert np.max(_dense_residuals(system, bath, spectrum)) <= 16.0
+        h = _single_particle_hamiltonian(system, bath)
+        lam = np.linalg.eigvalsh(h)
+        assert np.max(np.abs(spectrum.eigenvalues - lam)) <= 1e-13 * np.max(np.abs(lam))
+
+    @pytest.mark.parametrize("n_modes", [1, 128, 129, 256, 300, 383])
+    def test_baths_of_at_most_383_modes_keep_the_all_poles_bits(
+        self, monkeypatch, n_modes, wwa_system
+    ):
+        """Three root blocks or fewer: every near band holds every pole."""
+        bath = discretize_bath(SpectralDensitySpec(GAMMA, 100.0, 20.0), n_modes)
+        spectrum = ExactPropagator(wwa_system, bath).spectrum
+        reference = _spectrum_with(monkeypatch, _all_poles_secular_block, wwa_system, bath)
+        for name in SPECTRUM_ARRAYS:
+            assert np.array_equal(getattr(spectrum, name), getattr(reference, name)), name
+
+    def test_nonuniform_bath_of_383_modes_keeps_the_all_poles_bits(self, monkeypatch):
+        system, bath = SystemMode(4.0), _warped_bath(383, 7, 2.0, 0.3)
+        spectrum = ExactPropagator(system, bath).spectrum
+        reference = _spectrum_with(monkeypatch, _all_poles_secular_block, system, bath)
+        for name in SPECTRUM_ARRAYS:
+            assert np.array_equal(getattr(spectrum, name), getattr(reference, name)), name
+
+    def test_interpolated_sums_match_the_far_poles(self):
+        """Within 8 eps of each one-signed far sum, over the block's bracket interval."""
+        bath = discretize_bath(SpectralDensitySpec(GAMMA, 100.0, 20.0), 1000)
+        poles, sq = bath.omegas, bath.xis**2
+        workspace = (np.empty((128, 1000)), np.empty((128, 1000)))
+        ks = np.arange(384, 512)
+        columns, sums = propagator._far_field(poles, sq, ks, workspace)
+        assert columns == slice(ks[0] - 129, ks[-1] + 129)
+        origin = ks - 1
+        tau = np.random.default_rng(1).uniform(0.0, 1.0, ks.size) * (poles[ks] - poles[origin])
+        gaps = -propagator._pole_gaps(poles, origin, tau)
+        far = np.arange(1000) < columns.start, np.arange(1000) >= columns.stop
+        exact = np.stack(
+            [np.sum(np.where(side, sq / gaps**power, 0.0), axis=1) for side in far for power in (1, 2)],
+            axis=1,
+        )
+        assert np.max(np.abs(sums(origin, tau) - exact) / np.abs(exact)) <= 8 * EPS
+
+    def test_interpolant_takes_a_node_value_on_the_node(self):
+        """lambda exactly on a Chebyshev node of [omega_383, omega_511] = [383, 511]."""
+        poles, sq = np.arange(1000.0), np.ones(1000)
+        workspace = (np.empty((128, 1000)), np.empty((128, 1000)))
+        _, sums = propagator._far_field(poles, sq, np.arange(384, 512), workspace)
+        tau = 64.0 * propagator._NODES[3:4]  # from pole 447, the interval's midpoint
+        gaps = poles - (447.0 + tau)
+        exact = [np.sum(1.0 / gaps[side] ** power) for side in (slice(0, 255), slice(640, None))
+                 for power in (1, 2)]
+        np.testing.assert_allclose(sums(np.array([447]), tau)[0], exact, rtol=8 * EPS, atol=0.0)
+
+    def test_outer_blocks_and_near_far_sides_are_summed_per_pole(self):
+        """Blocks of roots 0 and N sum all poles; a far side nearer than the interval width joins."""
+        poles, sq = np.arange(1000.0), np.ones(1000)
+        workspace = (np.empty((128, 1000)), np.empty((128, 1000)))
+        for ks in (np.arange(128), np.arange(896, 1001)):
+            assert propagator._far_field(poles, sq, ks, workspace) == (slice(0, 1000), None)
+        ks = np.arange(384, 512)
+        columns, sums = propagator._far_field(poles, sq, ks, workspace)
+        assert columns == slice(255, 640) and sums is not None
+        # Cells three wide under the block: its interval [383, 765] is 382 wide, pole 254
+        # lies 129 below it and joins; a gap of 1000 above pole 511 keeps the right side far.
+        poles[384:] += 2.0 * np.minimum(np.arange(616.0), 127.0)
+        poles[512:] += 1000.0
+        columns, sums = propagator._far_field(poles, sq, ks, workspace)
+        assert columns == slice(0, 640) and sums is not None
+
+
 class TestSolverThreads:
     @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n_modes", [2000, 4000])
     def test_spectrum_is_bitwise_equal_for_any_worker_count(
-        self, monkeypatch, workers, wwa_system, wwa_bath, wwa_propagator
+        self, monkeypatch, n_modes, workers, wwa_system
     ):
-        """Roots, offsets, couplings and norms at N = 2000 do not depend on the thread count.
+        """Roots, offsets, couplings and norms at N = 2000 and 4000 do not depend on the thread count.
 
         Three threads switching every microsecond on fewer cores shuffle the
         order in which the blocks finish.
         """
+        bath = discretize_bath(SpectralDensitySpec(GAMMA, 100.0, 20.0), n_modes)
+        reference = ExactPropagator(wwa_system, bath).spectrum
         monkeypatch.setattr(propagator, "_worker_count", lambda blocks: workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            spectrum = ExactPropagator(wwa_system, wwa_bath).spectrum
+            spectrum = ExactPropagator(wwa_system, bath).spectrum
         finally:
             sys.setswitchinterval(interval)
-        reference = wwa_propagator.spectrum
-        for name in ("roots", "origin", "tau", "c_hat", "inv_norm"):
+        for name in SPECTRUM_ARRAYS:
             assert np.array_equal(getattr(spectrum, name), getattr(reference, name)), name
 
     def test_decomposition_memory_is_its_per_mode_budget(self, wwa_system, wwa_bath):
@@ -333,7 +547,7 @@ class TestSolverThreads:
         reference = ExactPropagator(wwa_system, bath).spectrum
         monkeypatch.setattr(propagator, "_worker_count", lambda blocks: workers)
         spectrum = ExactPropagator(wwa_system, bath).spectrum
-        for name in ("roots", "origin", "tau", "c_hat", "inv_norm"):
+        for name in SPECTRUM_ARRAYS:
             assert np.array_equal(getattr(spectrum, name), getattr(reference, name)), name
 
     @pytest.mark.parametrize("workers", [1, 3])

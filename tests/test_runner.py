@@ -234,11 +234,22 @@ class TestDiagnostics:
         ids=["wwa-validate", "thermal", "oracle-compare", "excited-bath"],
     )
     def test_propagator_reports_carry_numerical_health(self, text, keys, statistics):
-        """Defects and residuals are at most 1e-10; statistics follow them."""
+        """Defects and residuals are at most 1e-10; statistics and the phase rounding follow them."""
         meta = run_scenario(parse_config(text)).meta
-        assert list(meta["diagnostics"]) == keys + statistics
+        assert list(meta["diagnostics"]) == keys + statistics + ["max_phase_rounding"]
         for key in keys:
             assert 0.0 <= meta["diagnostics"][key] <= 1e-10
+
+    @pytest.mark.parametrize("text", [FOCK_TEXT, COHERENT_TEXT], ids=["fock-decay", "coherent-decay"])
+    def test_phase_rounding_is_reported_where_phases_rotate(self, text):
+        """coherent-decay rotates alpha u, fock-decay no phase at all."""
+        config = parse_config(text)
+        diagnostics = run_scenario(config).meta.get("diagnostics", {})
+        if config.scenario == "fock-decay":
+            assert diagnostics == {}
+        else:
+            assert diagnostics == {"max_phase_rounding": config.max_phase_rounding}
+            assert 0.0 < config.max_phase_rounding < 1e-12
 
     def test_thermal_z_score_reads_the_resolved_rows(self):
         """max_mc_z_score is the worst |mc - oracle| / stderr over rows with stderr > 1e-12 mc."""
