@@ -336,7 +336,8 @@ def _estimated_bytes(merged: dict[str, Any]) -> int:
     propagator solves for its eigenvalues: each of its solver threads reuses
     two (128, N) float blocks, 2 KiB per mode, and the thread count is capped
     so that they fit (the eigenvectors are never stored). Evaluating the grid
-    takes about 40 bytes per grid point and mode. Thermal runs stream their
+    takes about 32 bytes per grid point and mode: the complex result and at
+    most as much again in temporaries. Thermal runs stream their
     samples: the Monte Carlo holds the (T, N) absorption array weighted by
     the occupations (16 N T bytes), where it factors the branch covariance
     also the T x T Gram and one more T x T array at a time (a chunk's
@@ -358,7 +359,7 @@ def _estimated_bytes(merged: dict[str, Any]) -> int:
     estimate = 0
     if scenario in _BATH_SCENARIOS:
         modes = merged["n_modes"] + 1
-        estimate += SOLVER_BYTES_PER_MODE * modes + 40 * steps * modes
+        estimate += SOLVER_BYTES_PER_MODE * modes + 32 * steps * modes
     if scenario == "thermal":
         n = merged["n_modes"]
         gram = 32 * steps * steps if _rank(merged["samples"], n, steps) < n else 0

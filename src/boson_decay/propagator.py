@@ -127,6 +127,18 @@ _NODE_WEIGHTS = (-1.0) ** np.arange(_FAR_NODES) * np.sin(_ANGLES)  # their baryc
 # The root model converges quadratically: after a step within sqrt(eps) |x| the
 # next would be within about eps |x|, a rounding-size move, so the root is settled.
 _SETTLED = math.sqrt(_EPS)
+# OpenBLAS rounds a real matrix product differently with its thread count
+# unless the product has a whole number of groups of 8 output columns, so every
+# column range that ArrowheadSpectrum.evolve multiplies starts and ends on one.
+_ALIGN = 8
+# evolve adds each product into its result this many columns at a time, so the
+# product's temporary over T times is 2T x 512 floats, however many modes.
+_PRODUCT_COLUMNS = 4 * _ROOT_BLOCK
+# ... and at most this many terms of the inner dimension at a time (16 far-field
+# blocks of nodes): a longer product is split by OpenBLAS at boundaries that
+# depend on its thread count (with OpenBLAS 0.3.31 on x86-64, 385 terms already
+# round differently on one thread than on two; 384 do not).
+_PRODUCT_TERMS = 16 * _FAR_NODES
 
 
 def _root_blocks(count: int) -> list[np.ndarray]:
@@ -192,29 +204,22 @@ def _on_workers(work, items, workspaces: list) -> None:
         raise failures[0]
 
 
-def _far_field(poles, sq_couplings, ks, workspace):
-    """Near columns of the root block ``ks``, and an interpolant of the secular sums beyond them.
+def _near_band(poles, ks) -> slice:
+    """The columns that the root block ``ks`` sums term by term; the poles beyond them are far.
 
-    The near columns are the block's bracket poles omega_{ks[0]-1} ..
-    omega_{ks[-1]} plus _ROOT_BLOCK poles on each side. A far side (the
-    poles left or right of them) is interpolated only where its nearest pole
-    lies at least one interval width beyond the block's bracket interval
+    They are the block's bracket poles omega_{ks[0]-1} .. omega_{ks[-1]}
+    plus _ROOT_BLOCK poles on each side. A far side (the poles left or right
+    of them) stays far only where its nearest pole lies at least one
+    interval width beyond the block's bracket interval
     [a, b] = [omega_{ks[0]-1}, omega_{ks[-1]}]; otherwise it joins the near
     columns. That separation bounds the error of the _FAR_NODES = 24 node
-    interpolant by eps per term (the comment at _FAR_RHO says why). The
-    blocks of the outer roots 0 and N, whose brackets reach to ``lower`` and
-    ``upper``, keep every column near. The far sums
-    sum_j c_j^2 / (omega_j - lambda) and sum_j c_j^2 / (omega_j - lambda)^2
-    of each side are taken once, at the Chebyshev points of [a, b], in the
-    (_ROOT_BLOCK, N) arrays of ``workspace``: no memory beyond the solve's.
-
-    Returns the near column slice and, if a side is far, ``sums(origin, tau)``:
-    the left value, left slope, right value and right slope at the iterates
-    lambda = omega_origin + tau, by barycentric interpolation, shape (k, 4).
+    interpolant of a term by eps (the comment at _FAR_RHO says why). The
+    blocks of the outer roots 0 and N, whose brackets reach beyond the
+    poles, keep every column near.
     """
     m = poles.size
     if ks[0] == 0 or ks[-1] == m:
-        return slice(0, m), None
+        return slice(0, m)
     a, b = poles[ks[0] - 1], poles[ks[-1]]
     start = max(ks[0] - 1 - _ROOT_BLOCK, 0)
     stop = min(ks[-1] + 1 + _ROOT_BLOCK, m)
@@ -222,9 +227,49 @@ def _far_field(poles, sq_couplings, ks, workspace):
         start = 0
     if stop < m and not poles[stop] - b >= b - a:
         stop = m
+    return slice(start, stop)
+
+
+def _interval(poles, ks) -> tuple[float, float]:
+    """Midpoint and half width of the bracket interval of the root block ``ks``."""
+    a, b = poles[ks[0] - 1], poles[ks[-1]]
+    return 0.5 * (a + b), 0.5 * (b - a)
+
+
+def _barycentric(scaled: np.ndarray) -> np.ndarray:
+    """Barycentric terms w_r / (s - t_r) of the Chebyshev nodes t_r at points s, shape (k, r).
+
+    Divided by its row sum, row k is the Lagrange basis at s_k; a point
+    exactly on a node gets that node's indicator row instead, whose row sum is one.
+    """
+    gaps = np.subtract.outer(scaled, _NODES)
+    at_node = gaps == 0.0
+    exact = at_node.any(axis=1)
+    gaps[at_node] = 1.0
+    weights = np.divide(_NODE_WEIGHTS, gaps, out=gaps)
+    weights[exact] = at_node[exact]  # on a node, its own value
+    return weights
+
+
+def _far_field(poles, sq_couplings, ks, workspace):
+    """Near columns of the root block ``ks``, and an interpolant of the secular sums beyond them.
+
+    The near columns are :func:`_near_band`'s. The far sums
+    sum_j c_j^2 / (omega_j - lambda) and sum_j c_j^2 / (omega_j - lambda)^2
+    of each far side are taken once, at the Chebyshev points of the block's
+    bracket interval, in the (_ROOT_BLOCK, N) arrays of ``workspace``: no
+    memory beyond the solve's.
+
+    Returns the near column slice and, if a side is far, ``sums(origin, tau)``:
+    the left value, left slope, right value and right slope at the iterates
+    lambda = omega_origin + tau, by barycentric interpolation, shape (k, 4).
+    """
+    m = poles.size
+    near = _near_band(poles, ks)
+    start, stop = near.start, near.stop
     if start == 0 and stop == m:
-        return slice(0, m), None
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return near, None
+    mid, half = _interval(poles, ks)
     nodes = half * _NODES[:, None]  # lambda_i - mid
     values = np.zeros((4, _FAR_NODES))
     for row, cols in ((0, slice(0, start)), (2, slice(stop, m))):
@@ -239,15 +284,10 @@ def _far_field(poles, sq_couplings, ks, workspace):
         values[row + 1] = terms.sum(axis=1)
 
     def sums(origin, tau):
-        gaps = np.subtract.outer(((poles[origin] - mid) + tau) / half, _NODES)
-        at_node = gaps == 0.0
-        exact = at_node.any(axis=1)
-        gaps[at_node] = 1.0
-        weights = np.divide(_NODE_WEIGHTS, gaps, out=gaps)
-        weights[exact] = at_node[exact]  # on a node, its own value
+        weights = _barycentric(((poles[origin] - mid) + tau) / half)
         return np.einsum("kr,cr->kc", weights, values) / weights.sum(axis=1)[:, None]
 
-    return slice(start, stop), sums
+    return near, sums
 
 
 def _secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
@@ -385,6 +425,61 @@ def _deflate(poles: np.ndarray, couplings: np.ndarray):
     return poles, couplings, rotations
 
 
+def _add_product(out: np.ndarray, a: np.ndarray, b: np.ndarray, buffer: np.ndarray) -> None:
+    """out += a @ b for real matrices, formed in ``buffer`` a fixed piece at a time.
+
+    A piece is _PRODUCT_COLUMNS columns of b, a multiple of _ALIGN, and at
+    most _PRODUCT_TERMS terms of the inner dimension; the pieces of the
+    inner dimension are added in order. Each piece then has the same bits on
+    any number of BLAS threads.
+    """
+    rows = a.shape[0]
+    for start in range(0, b.shape[1], _PRODUCT_COLUMNS):
+        cols = slice(start, start + _PRODUCT_COLUMNS)
+        target = out[:, cols]  # padding columns beyond ``out`` are dropped
+        for first in range(0, a.shape[1], _PRODUCT_TERMS):
+            terms = slice(first, first + _PRODUCT_TERMS)
+            piece = b[terms, cols]
+            product = buffer[: rows * piece.shape[1]].reshape(rows, -1)
+            np.matmul(a[:, terms], piece, out=product)
+            target += product[:, : target.shape[1]]
+
+
+def _dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for a real matrix and vector, summed over pieces of _PRODUCT_COLUMNS terms in order.
+
+    With OpenBLAS 0.3.31 on x86-64 a matrix-vector product of 512 terms has
+    the same bits on one thread and on two at any row count; one of 81 rows
+    and 6000 terms does not.
+    """
+    out = a[:, :_PRODUCT_COLUMNS] @ v[:_PRODUCT_COLUMNS]
+    for first in range(_PRODUCT_COLUMNS, a.shape[1], _PRODUCT_COLUMNS):
+        out += a[:, first : first + _PRODUCT_COLUMNS] @ v[first : first + _PRODUCT_COLUMNS]
+    return out
+
+
+def _far_kernels(poles: np.ndarray, far: list):
+    """The far-field kernel of the root blocks ``far``, _PRODUCT_COLUMNS poles at a time.
+
+    ``far`` holds each block's near band, interval midpoint and half width.
+    Yields (columns, kernel) per chunk of columns: rows 24 i .. 24 i + 23
+    of the kernel are 1 / (x_p - omega_j) at block i's Chebyshev points x_p,
+    formed as (x_p - mid) - (omega_j - mid) as in :func:`_far_field`, and
+    zero over block i's near band. One array holds every chunk in turn.
+    """
+    kernel = np.empty((len(far) * _FAR_NODES, min(poles.size, _PRODUCT_COLUMNS)))
+    for start in range(0, poles.size, _PRODUCT_COLUMNS):
+        cols = slice(start, min(start + _PRODUCT_COLUMNS, poles.size))
+        chunk = kernel[:, : cols.stop - start]
+        chunk[:] = 0.0
+        for rows, (near, mid, half) in zip(np.split(chunk, len(far)), far):
+            for side in (slice(start, min(near.start, cols.stop)), slice(max(near.stop, start), cols.stop)):
+                if side.start < side.stop:
+                    gaps = np.subtract.outer(half * _NODES, poles[side] - mid)
+                    rows[:, side.start - start : side.stop - start] = np.divide(1.0, gaps, out=gaps)
+        yield cols, chunk
+
+
 @dataclass(frozen=True)
 class ArrowheadSpectrum:
     """Eigendecomposition of an arrowhead matrix, held in O(N) numbers.
@@ -470,35 +565,104 @@ class ArrowheadSpectrum:
         formed one block of 128 roots at a time from the Cauchy matrix
         C_kj = 1 / (lambda_k - omega_j): component k is
         ``inv_norm[k] * (x_0 + sum_j c_hat_j x_j C_kj)``, the system row sums
-        ``inv_norm[k] * exp(-i lambda_k t) * component_k`` over the roots and
-        bath row j is ``c_hat_j`` times the same sum weighted by C_kj, taken
-        as one real matrix product per block of the stacked real and
-        imaginary parts. Free rows keep their own phase.
+        the phased weights ``inv_norm[k] * exp(-i lambda_k t) * component_k``
+        over the roots and bath row j is ``c_hat_j`` times the same sum
+        weighted by C_kj (:meth:`_contract`). Free rows keep their own phase.
         Memory is O(T N + 128 N) for T times; no (N+1)^2 array is formed.
         """
         times = np.asarray(times, dtype=float)
         flat = times.reshape(-1)
         x = np.array(x, dtype=complex)
         self._rotate(x, back=False)
-        free_phases = _phases(flat, self.free)
-        y = self.c_hat * x[self.bath_rows]
-        system = np.zeros(flat.size, dtype=complex)
-        bath = np.zeros((2 * flat.size, self.poles.size))  # real parts, then imaginary
-        for ks in _root_blocks(self.roots.size):
-            cauchy = self._cauchy(ks)
-            components = x[0] + cauchy @ y.real + 1j * (cauchy @ y.imag)
-            phased = _phases(flat, self.roots[ks])
-            phased *= self.inv_norm[ks] ** 2 * components
-            system += phased.sum(axis=1)
-            bath += np.concatenate((phased.real, phased.imag)) @ cauchy
-        bath *= self.c_hat
-        out = np.empty((flat.size, self.dim), dtype=complex)
-        out[:, 0] = system
-        out.real[:, self.bath_rows], out.imag[:, self.bath_rows] = np.split(bath, 2)
-        # Last: with nothing coupled, the system row is free and has no roots.
-        out[:, self.free_rows] = free_phases * x[self.free_rows]
+        m = self.poles.size
+        out = np.zeros((flat.size, self.dim), dtype=complex)
+        # Row t of ``out`` first holds the real parts of the bath rows out[t, j] / c_hat_j
+        # in its first dim floats and their imaginary parts in the next dim.
+        system = self._contract(x, flat, out.view(float).reshape(2 * flat.size, self.dim)[:, :m])
+        # Unpack in pieces of about 2T x 512 floats, the product buffer's size; every entry is written.
+        free = _phases(flat, self.free) * x[self.free_rows]
+        step = max(1, flat.size * _PRODUCT_COLUMNS // max(m, 1))
+        bath_rows = slice(1, self.dim) if m == self.dim - 1 else self.bath_rows
+        for first in range(0, flat.size, step):
+            rows = out[first : first + step]
+            parts = rows.view(float).reshape(-1, 2, self.dim)[:, :, :m] * self.c_hat
+            rows[:, 0] = system[first : first + step]
+            rows.real[:, bath_rows], rows.imag[:, bath_rows] = parts[:, 0], parts[:, 1]
+            # Last: with nothing coupled, the system row is free and has no roots.
+            rows[:, self.free_rows] = free[first : first + step]
         self._rotate(out, back=True)
         return out.reshape(times.shape + (-1,))
+
+    def _contract(self, x: np.ndarray, times: np.ndarray, bath: np.ndarray) -> np.ndarray:
+        """Add the bath rows of exp(-i H t) x, each over c_hat_j, into ``bath``; return the system row.
+
+        ``bath`` has shape (2T, N) for T ``times``: row 2t takes the real
+        parts at time t and row 2t + 1 the imaginary parts. A root block
+        takes C_kj term by term only over its near band (:func:`_near_band`).
+        On a far side, 1 / (lambda - omega_j) is interpolated in lambda at the
+        24 Chebyshev points x_p of the block's bracket interval, within eps
+        of each term (the comment at _FAR_RHO says why): the block's phased
+        weights w_k become 24 proxy charges sum_k l_p(lambda_k) w_k (l_p the
+        Lagrange basis), which reach bath row j through 1 / (x_p - omega_j),
+        and the far poles reach component k through the same kernel and
+        l_p(lambda_k). The far sides of all blocks are added in one pass over
+        the poles, _PRODUCT_COLUMNS at a time (:func:`_far_kernels`). Each
+        contraction is a real matrix product of the stacked real and
+        imaginary parts over column ranges aligned to _ALIGN, the poles
+        padded at +inf (their kernel entries are -0), in the fixed pieces of
+        :func:`_add_product` and :func:`_dot`, so the result has the same bits
+        on any number of BLAS threads. A far side costs 24 of the 128
+        multiply-adds per pole that a near one costs: about 0.75 T N^2 +
+        3000 T N flops in all, against 4 T N^2 for summing every term.
+        """
+        m = self.poles.size
+        width = -(-m // _ALIGN) * _ALIGN
+        poles = np.concatenate((self.poles, np.full(width - m, np.inf)))
+        y = np.zeros(width, dtype=complex)
+        y[:m] = self.c_hat * x[self.bath_rows]
+        blocks = _root_blocks(self.roots.size)
+        bands = [_near_band(self.poles, ks) for ks in blocks]
+        bands = [slice(b.start // _ALIGN * _ALIGN, -(-b.stop // _ALIGN) * _ALIGN) for b in bands]
+        whole = slice(0, width)
+        far = [(band, *_interval(poles, ks)) for ks, band in zip(blocks, bands) if band != whole]
+        # The far poles' sums sum_j y_j / (x_p - omega_j) at every far block's nodes.
+        # Without bath amplitudes (the system vector) every component is x_0.
+        spread = y.any()
+        at_nodes = np.zeros(len(far) * _FAR_NODES, dtype=complex)
+        if far and spread:
+            for cols, kernel in _far_kernels(poles, far):
+                at_nodes += kernel @ y.real[cols] + 1j * (kernel @ y.imag[cols])
+        system = np.zeros(times.size, dtype=complex)
+        charges = np.empty((2 * times.size, len(far) * _FAR_NODES))
+        buffer = np.empty(2 * times.size * min(width, _PRODUCT_COLUMNS))
+        slot = 0
+        for ks, near in zip(blocks, bands):
+            origin, tau = self.origin[ks], self.tau[ks]
+            cauchy = _pole_gaps(poles, origin, tau, columns=near)
+            np.divide(1.0, cauchy, out=cauchy)
+            if spread:
+                components = x[0] + _dot(cauchy, y.real[near]) + 1j * _dot(cauchy, y.imag[near])
+            else:
+                components = np.full(ks.size, x[0])
+            if near != whole:
+                nodes = slice(slot, slot + _FAR_NODES)
+                slot += _FAR_NODES
+                mid, half = _interval(poles, ks)
+                lagrange = _barycentric(((poles[origin] - mid) + tau) / half)
+                lagrange /= lagrange.sum(axis=1)[:, None]
+                if spread:
+                    components += lagrange @ at_nodes[nodes].real + 1j * (lagrange @ at_nodes[nodes].imag)
+            phased = _phases(times, self.roots[ks])
+            phased *= self.inv_norm[ks] ** 2 * components
+            system += phased.sum(axis=1)
+            stacked = np.stack((phased.real, phased.imag), axis=1).reshape(-1, ks.size)
+            _add_product(bath[:, near], stacked, cauchy, buffer)
+            if near != whole:
+                charges[:, nodes] = stacked @ lagrange
+        cauchy = stacked = None  # the last block's tile is not needed beside the far kernel
+        for cols, kernel in _far_kernels(poles, far) if far else ():
+            _add_product(bath[:, cols], charges, kernel, buffer)
+        return system
 
 
 def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -> ArrowheadSpectrum:
@@ -525,10 +689,13 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
     (_ROOT_BLOCK, N) float arrays allocated here, and each pass writes its
     results in place: the roots and then the norms one root block at a
     time, and between them the Loewner product over W contiguous chunks of
-    poles. A root block's far-field node sums use its thread's workspace
-    too. A root block depends on nothing but its own roots, and a chunk
-    multiplies in the factor of every root block in block order, so every
-    array of the result is bit-identical for any W. Time is O(N^2): the
+    poles. The norms sum c_hat_j^2 / (lambda_k - omega_j)^2 over the
+    block's near band per pole and take its far sides from the slope sums
+    of the same interpolant, with c_hat in place of c. A root block's
+    far-field node sums use its thread's workspace too. A root block
+    depends on nothing but its own roots, and a chunk multiplies in the
+    factor of every root block in block order, so every array of the
+    result is bit-identical for any W. Time is O(N^2): the
     roots take O(N) per root block and far side plus O(384) per root and
     step; memory is O(N) for the result and O(W _ROOT_BLOCK N) for the
     workspaces, as neither the matrix nor its eigenvectors are formed.
@@ -600,13 +767,22 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
     width = -(-m // len(workspaces))
     _on_workers(loewner_chunk, [slice(s, min(s + width, m)) for s in range(0, m, width)], workspaces)
     c_hat = np.sqrt(loewner)
+    sq_hat = c_hat * c_hat
     inv_norm = np.empty(m + 1)
 
     def norms(ks, workspace):
-        vector = _pole_gaps(d, origin[ks], tau[ks], out=workspace[0][: ks.size])
-        np.divide(c_hat, vector, out=vector)
+        """1 / sqrt(1 + sum_j c_hat_j^2 / (lambda_k - omega_j)^2), far sides interpolated."""
+        columns, far_sums = _far_field(d, sq_hat, ks, workspace)
+        tile = ks.size * (columns.stop - columns.start)
+        vector = workspace[0].reshape(-1)[:tile].reshape(ks.size, -1)
+        _pole_gaps(d, origin[ks], tau[ks], out=vector, columns=columns)
+        np.divide(c_hat[columns], vector, out=vector)
         vector *= vector
-        inv_norm[ks] = 1.0 / np.sqrt(1.0 + np.sum(vector, axis=1))
+        total = np.sum(vector, axis=1)
+        if far_sums is not None:
+            _, left_slope, _, right_slope = far_sums(origin[ks], tau[ks]).T
+            total += left_slope + right_slope
+        inv_norm[ks] = 1.0 / np.sqrt(1.0 + total)
 
     _on_workers(norms, blocks, workspaces)
     free_rows = 1 + np.flatnonzero(~coupled)
@@ -666,10 +842,12 @@ class ExactPropagator:
     The decomposition (:func:`_arrowhead_spectrum`: O(N^2) time, the dense
     Hamiltonian never formed) is computed once per (system, bath) pair and
     kept as O(N) numbers in ``spectrum``. Evolving any single-excitation
-    vector over T times then costs O(T N^2) time, in one real matrix product
-    per block of 128 eigenvalues, and O(T N + 128 N) memory
-    (:meth:`ArrowheadSpectrum.evolve`): the (N+1)^2 eigenvector matrix is
-    never stored.
+    vector over T times (:meth:`ArrowheadSpectrum.evolve`) sums each block
+    of 128 eigenvalues exactly over its near band of about 384 poles and
+    through 24 Chebyshev proxy charges beyond it, within eps of each term:
+    about 0.75 T N^2 + 3000 T N flops, against 4 T N^2 for summing every
+    term, and O(T N + 128 N) memory. The (N+1)^2 eigenvector matrix is never
+    stored, and the result has the same bits on any number of CPUs.
     """
 
     def __init__(self, system: SystemMode, bath: DiscreteBath):

@@ -230,7 +230,7 @@ def _run_wwa_validate(config: ScenarioConfig, timings: dict[str, float]) -> RunR
             max_survival_dev <= WWA_TOLERANCE and max_dissipation_dev <= WWA_TOLERANCE
         ),
     }
-    defect = unitarity_defect(coeffs)
+    defect = np.abs(survived + dissipated - 1.0)  # unitarity_defect, from the sums above
     table = {
         "t": grid,
         "re_u": coeffs.survival.real,

@@ -1,6 +1,9 @@
 """Closed-form coefficients against the exact finite-bath propagator."""
 
+import dataclasses
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -623,6 +626,173 @@ class TestEvaluate:
             tracemalloc.stop()
         assert coeffs.absorption.shape == (21, 4000)
         assert peak < 32 * 2**20
+
+
+def _all_poles_evolve(spectrum, x, times):
+    """exp(-i H t) x with every root block summed over all N poles: the reference.
+
+    A copy of ArrowheadSpectrum.evolve as it was before the far field: one
+    (128, N) Cauchy tile and one (2T, 128) x (128, N) product per block.
+    """
+    times = np.asarray(times, dtype=float)
+    flat = times.reshape(-1)
+    x = np.array(x, dtype=complex)
+    spectrum._rotate(x, back=False)
+    free_phases = propagator._phases(flat, spectrum.free)
+    y = spectrum.c_hat * x[spectrum.bath_rows]
+    system = np.zeros(flat.size, dtype=complex)
+    bath = np.zeros((2 * flat.size, spectrum.poles.size))  # real parts, then imaginary
+    for ks in propagator._root_blocks(spectrum.roots.size):
+        cauchy = spectrum._cauchy(ks)
+        components = x[0] + cauchy @ y.real + 1j * (cauchy @ y.imag)
+        phased = propagator._phases(flat, spectrum.roots[ks])
+        phased *= spectrum.inv_norm[ks] ** 2 * components
+        system += phased.sum(axis=1)
+        bath += np.concatenate((phased.real, phased.imag)) @ cauchy
+    bath *= spectrum.c_hat
+    out = np.empty((flat.size, spectrum.dim), dtype=complex)
+    out[:, 0] = system
+    out.real[:, spectrum.bath_rows], out.imag[:, spectrum.bath_rows] = np.split(bath, 2)
+    out[:, spectrum.free_rows] = free_phases * x[spectrum.free_rows]
+    spectrum._rotate(out, back=True)
+    return out.reshape(times.shape + (-1,))
+
+
+def _system_and_random_vectors(dim, seed):
+    """The system unit vector and a random complex unit vector of ``dim`` entries."""
+    system = np.zeros(dim, dtype=complex)
+    system[0] = 1.0
+    x = [1.0, 1j] @ np.random.default_rng(seed).normal(size=(2, dim))
+    return system, x / np.linalg.norm(x)
+
+
+def _assert_evolves_as_all_poles(spectrum, times, seed, bits=False):
+    """evolve of the system vector and of a random complex unit vector against the reference.
+
+    Within 1e-15 absolute, or bit for bit with ``bits``.
+    """
+    for x in _system_and_random_vectors(spectrum.dim, seed):
+        evolved, reference = spectrum.evolve(x, times), _all_poles_evolve(spectrum, x, times)
+        assert np.all(np.isfinite(evolved))
+        if bits:
+            assert np.array_equal(evolved, reference)
+        else:
+            assert np.max(np.abs(evolved - reference)) <= 1e-15
+
+
+class TestFarFieldEvolve:
+    """Near band per pole, far sides through 24 proxy charges, against summing every pole."""
+
+    @pytest.mark.parametrize("n_modes", [2000, 4000])
+    def test_wwa_evolution_matches_all_poles(self, n_modes, wwa_system):
+        bath = discretize_bath(SpectralDensitySpec(GAMMA, 100.0, 20.0), n_modes)
+        spectrum = ExactPropagator(wwa_system, bath).spectrum
+        _assert_evolves_as_all_poles(spectrum, np.linspace(0.0, 5.0, 21), n_modes)
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        st.integers(600, 1200),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.3, 3.0),
+        st.floats(0.0, 0.45),
+        st.floats(0.1, 12.0),
+    )
+    def test_nonuniform_evolution_matches_all_poles(self, n, seed, power, jitter, omega_b):
+        """Unevenly spaced poles, some far sides joined to the near band, t ||H|| up to 100."""
+        spectrum = ExactPropagator(SystemMode(omega_b), _warped_bath(n, seed, power, jitter)).spectrum
+        times = np.array([0.0, 0.7, 3.0, 10.0, 100.0]) / np.max(np.abs(spectrum.eigenvalues))
+        _assert_evolves_as_all_poles(spectrum, times, seed)
+
+    @pytest.mark.parametrize("n_modes", [8, 128, 256, 376])
+    def test_all_near_blocks_keep_the_all_poles_bits(self, n_modes, wwa_system):
+        """At most 383 modes every block is near; a multiple of 8 needs no padding."""
+        bath = discretize_bath(SpectralDensitySpec(GAMMA, 100.0, 20.0), n_modes)
+        spectrum = ExactPropagator(wwa_system, bath).spectrum
+        _assert_evolves_as_all_poles(spectrum, np.linspace(0.0, 5.0, 21), n_modes, bits=True)
+
+    def test_nonuniform_all_near_bath_keeps_the_all_poles_bits(self):
+        spectrum = ExactPropagator(SystemMode(4.0), _warped_bath(376, 7, 2.0, 0.3)).spectrum
+        _assert_evolves_as_all_poles(spectrum, np.linspace(0.0, 5.0, 21), 376, bits=True)
+
+    def test_root_on_a_chebyshev_node(self, wwa_propagator):
+        """A root moved exactly onto a node of its block's interval takes that node's charge alone."""
+        spectrum = wwa_propagator.spectrum
+        ks = np.arange(384, 512)
+        mid, half = propagator._interval(spectrum.poles, ks)
+        k = 400
+        scaled = (spectrum.poles[spectrum.origin[k]] - mid + spectrum.tau[k]) / half
+        node = propagator._NODES[np.argmin(np.abs(propagator._NODES - scaled))]
+        tau = spectrum.tau.copy()
+        tau[k] = half * node - (spectrum.poles[spectrum.origin[k]] - mid)
+        assert (spectrum.poles[spectrum.origin[k]] - mid + tau[k]) / half == node
+        factor = spectrum.poles[0] / wwa_propagator.bath.omegas[0]
+        roots = spectrum.roots.copy()
+        roots[k] = (spectrum.poles[spectrum.origin[k]] + tau[k]) / factor
+        moved = dataclasses.replace(spectrum, tau=tau, roots=roots)
+        lagrange = propagator._barycentric(np.array([node]))
+        assert np.array_equal(lagrange[0] / lagrange.sum(), propagator._NODES == node)
+        _assert_evolves_as_all_poles(moved, np.linspace(0.0, 5.0, 21), k)
+
+    def test_far_side_that_joins_the_near_band(self):
+        """Cells three wide under roots 384..511 pull their left side in; the right stays far."""
+        poles = np.arange(1000.0)
+        poles[384:] += 2.0 * np.minimum(np.arange(616.0), 127.0)
+        poles[512:] += 1000.0
+        spectrum = ExactPropagator(SystemMode(poles[450]), _bath(poles, 0.05 * np.sqrt(np.gradient(poles)))).spectrum
+        ks = np.arange(384, 512)
+        assert propagator._near_band(spectrum.poles, ks) == slice(0, 640)
+        _assert_evolves_as_all_poles(spectrum, np.linspace(0.0, 5.0, 11), 640)
+
+    def test_evaluate_peaks_below_summing_every_pole(self, wwa_propagator):
+        """N = 2000 over 201 times: at most twice the 16 T (N+1)-byte result and one (128, N) tile.
+
+        Summing every pole peaked at 15.9 MB, over this 14.9 MB bound: the
+        result, a (2T, N) bath array, one (2T, N) product and the tile.
+        """
+        tracemalloc.start()
+        try:
+            coeffs = wwa_propagator.evaluate(np.linspace(0.0, 5.0, 201))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coeffs.absorption.shape == (201, 2000)
+        assert peak <= 2 * 16 * 201 * 2001 + 8 * 128 * 2000
+
+    @pytest.mark.parametrize("threads", ["2", "4"])
+    def test_same_bits_on_any_blas_thread_count(self, threads):
+        """evaluate and propagate at N = 201, 300, 500 and 4000 on one BLAS thread and on more.
+
+        Summing every pole, the first three rounded differently on two threads
+        than on one (OpenBLAS 0.3.31): their products had 201, 300 and 500
+        output columns. At N = 4000 the far pass sums 720 proxy charges per
+        pole. OpenBLAS caps the count at the CPUs it finds.
+        """
+        script = (
+            "import hashlib, numpy as np\n"
+            "from boson_decay import ExactPropagator, SpectralDensitySpec, SystemMode, discretize_bath\n"
+            "digest = hashlib.sha256()\n"
+            "for n in (201, 300, 500, 4000):\n"
+            "    bath = discretize_bath(SpectralDensitySpec(1.0, 800.0, 80.0), n)\n"
+            "    exact = ExactPropagator(SystemMode(800.0), bath)\n"
+            "    for steps in (21, 201):\n"
+            "        coeffs = exact.evaluate(np.linspace(0.0, 5.0, steps))\n"
+            "        digest.update(coeffs.survival.tobytes() + coeffs.absorption.tobytes())\n"
+            "    x = [1.0, 1j] @ np.random.default_rng(n).normal(size=(2, n + 1))\n"
+            "    digest.update(exact.propagate(x, np.linspace(0.0, 5.0, 21)).tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": count},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for count in ("1", threads)
+        ]
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].strip()) == 64
 
 
 class TestDissipationAndDefect:
