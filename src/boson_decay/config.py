@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .bath import SpectralDensitySpec, _midpoint_modes, thermal_occupation
+from .bath import SpectralDensitySpec, _holds_sum_rule, _midpoint_modes, thermal_occupation
 from .decay import _MAX_ORACLE_BATH_MODES
 from .errors import ConfigError
 from .propagator import SOLVER_BYTES_PER_MODE
@@ -269,10 +269,13 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> float | No
         spec = SpectralDensitySpec(merged["gamma"], merged["band_center"], merged["half_bandwidth"])
         with np.errstate(over="ignore", invalid="ignore"):
             omegas, xis = _midpoint_modes(spec, merged["n_modes"])
-        if not (np.isfinite(omegas).all() and np.isfinite(xis).all() and np.all(np.diff(omegas) > 0)):
+            # The sum rule fails for couplings that overflow and for squares that are subnormal.
+            resolved = np.isfinite(omegas).all() and np.all(np.diff(omegas) > 0)
+            resolved = resolved and _holds_sum_rule(spec, xis)
+        if not resolved:
             raise ConfigError(
-                f"{merged['n_modes']} midpoint modes cannot resolve the band {spec.band} in "
-                "float64 (they need finite, strictly ascending frequencies and finite couplings)"
+                f"{merged['n_modes']} midpoint modes cannot resolve the band {spec.band} in float64 (they need "
+                "finite, strictly ascending frequencies and couplings whose squares sum to the band integral)"
             )
         if merged["beta"] is not None and not omegas[0] > 0:
             raise ConfigError(
@@ -281,6 +284,14 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> float | No
             )
         if scenario == "thermal":
             _check_squared_occupations(merged, alpha, omegas)
+        if scenario == "oracle-compare" and merged["beta"] is not None:
+            with np.errstate(divide="ignore"):
+                occupations = thermal_occupation(merged["beta"], np.append(omegas, merged["omega_b"]))
+            if not np.isfinite(occupations).all():
+                raise ConfigError(
+                    f"beta = {merged['beta']:.3g} gives infinite thermal occupations in float64 "
+                    "(raise beta)"
+                )
         # Each row's diagonal plus its couplings bounds the bath Hamiltonian's eigenvalues.
         with np.errstate(over="ignore"):
             frequency = max(

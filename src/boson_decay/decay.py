@@ -17,7 +17,7 @@ import numpy as np
 
 from .bath import DiscreteBath
 from .errors import ResourceLimitError, TruncationError
-from .propagator import ExactPropagator, SystemMode, as_times, spectral_evolution
+from .propagator import ExactPropagator, SystemMode, _phases, as_times
 
 _MAX_ORACLE_BATH_MODES = 4
 _TRACE_DEFECT_TOL = 1e-6
@@ -292,6 +292,27 @@ def _sector_basis(n_bath: int, k: int) -> list[tuple[int, ...]]:
         states.append(tuple(occ))
     states.sort()
     return states
+
+
+def spectral_evolution(
+    eigenvalues: np.ndarray, eigenvectors: np.ndarray, components: np.ndarray, times
+) -> np.ndarray:
+    """exp(-i H t) x over ``times`` for a real symmetric H = V diag(lambda) V^T.
+
+    ``components`` is V^T x, shape (d,). The phased components
+    exp(-i lambda t) * V^T x at every time are contracted with V^T as their
+    real and imaginary parts, two real matrix products, so the real
+    eigenvector matrix is never copied to complex. The result has the shape
+    of ``times`` plus (d,); peak memory is about 40 T d bytes for T times.
+    """
+    times = np.asarray(times, dtype=float)
+    weighted = _phases(times.reshape(-1), eigenvalues)
+    weighted *= components
+    v_t = eigenvectors.T
+    evolved = np.empty(weighted.shape, dtype=complex)
+    evolved.real = weighted.real @ v_t
+    evolved.imag = weighted.imag @ v_t
+    return evolved.reshape(times.shape + (-1,))
 
 
 class FockSpaceOracle:

@@ -204,22 +204,60 @@ def _on_workers(work, items, workspaces: list) -> None:
         raise failures[0]
 
 
-def _near_band(poles, ks) -> slice:
-    """The columns that the root block ``ks`` sums term by term; the poles beyond them are far.
+@dataclass(frozen=True)
+class _FarField:
+    """How one root block sums the poles: its near band term by term, and a far field beyond it.
 
-    They are the block's bracket poles omega_{ks[0]-1} .. omega_{ks[-1]}
-    plus _ROOT_BLOCK poles on each side. A far side (the poles left or right
-    of them) stays far only where its nearest pole lies at least one
-    interval width beyond the block's bracket interval
-    [a, b] = [omega_{ks[0]-1}, omega_{ks[-1]}]; otherwise it joins the near
-    columns. That separation bounds the error of the _FAR_NODES = 24 node
-    interpolant of a term by eps (the comment at _FAR_RHO says why). The
-    blocks of the outer roots 0 and N, whose brackets reach beyond the
-    poles, keep every column near.
+    Beyond ``near``, 1 / (lambda - omega_j) is interpolated in lambda at the
+    24 Chebyshev points x_p = mid + half t_p of the block's bracket interval,
+    within eps of each term (the comment at _FAR_RHO says why). Every pass
+    reads the far poles at the nodes through :meth:`kernel` and carries node
+    values to the roots through :meth:`lagrange`. A block that keeps every
+    pole near has no interval: ``mid`` and ``half`` are nan.
+    """
+
+    near: slice
+    mid: float
+    half: float
+
+    def kernel(self, poles: np.ndarray, out=None) -> np.ndarray:
+        """1 / (x_p - omega_j) at the nodes for the ``poles`` omega_j, shape (24, j).
+
+        Formed as (x_p - mid) - (omega_j - mid), within 2 eps as mid is
+        nearer; a pole at +inf gives -0. Written into ``out`` when given.
+        """
+        gaps = np.subtract.outer(self.half * _NODES, poles - self.mid, out=out)
+        return np.divide(1.0, gaps, out=gaps)
+
+    def lagrange(self, poles: np.ndarray, origin: np.ndarray, tau: np.ndarray):
+        """Barycentric terms w_p / (s_k - t_p) at the roots, shape (k, 24), and their row sums.
+
+        Root lambda_k = omega_origin + tau sits at s_k = ((omega_origin - mid) + tau) / half.
+        A row over its sum is the Lagrange basis l_p(lambda_k); a root exactly
+        on a node gets that node's indicator row instead, whose sum is one.
+        """
+        gaps = np.subtract.outer(((poles[origin] - self.mid) + tau) / self.half, _NODES)
+        at_node = gaps == 0.0
+        exact = at_node.any(axis=1)
+        gaps[at_node] = 1.0
+        terms = np.divide(_NODE_WEIGHTS, gaps, out=gaps)
+        terms[exact] = at_node[exact]  # on a node, its own value
+        return terms, terms.sum(axis=1)
+
+
+def _far_field(poles: np.ndarray, ks: np.ndarray) -> _FarField:
+    """The far field of the root block ``ks``, the one block geometry of every pass.
+
+    Its near band is the bracket poles omega_{ks[0]-1} .. omega_{ks[-1]} plus
+    _ROOT_BLOCK poles on each side. A far side stays far only where its
+    nearest pole lies at least one interval width beyond the bracket
+    interval [a, b]; otherwise it joins the near band. The blocks of the
+    outer roots 0 and N, whose brackets reach beyond the poles, keep every
+    pole near.
     """
     m = poles.size
     if ks[0] == 0 or ks[-1] == m:
-        return slice(0, m)
+        return _FarField(slice(0, m), math.nan, math.nan)
     a, b = poles[ks[0] - 1], poles[ks[-1]]
     start = max(ks[0] - 1 - _ROOT_BLOCK, 0)
     stop = min(ks[-1] + 1 + _ROOT_BLOCK, m)
@@ -227,67 +265,37 @@ def _near_band(poles, ks) -> slice:
         start = 0
     if stop < m and not poles[stop] - b >= b - a:
         stop = m
-    return slice(start, stop)
+    return _FarField(slice(start, stop), 0.5 * (a + b), 0.5 * (b - a))
 
 
-def _interval(poles, ks) -> tuple[float, float]:
-    """Midpoint and half width of the bracket interval of the root block ``ks``."""
-    a, b = poles[ks[0] - 1], poles[ks[-1]]
-    return 0.5 * (a + b), 0.5 * (b - a)
+def _far_sums(poles, sq_couplings, ks, workspace):
+    """Near band of the root block ``ks``, and an interpolant of the secular sums beyond it.
 
-
-def _barycentric(scaled: np.ndarray) -> np.ndarray:
-    """Barycentric terms w_r / (s - t_r) of the Chebyshev nodes t_r at points s, shape (k, r).
-
-    Divided by its row sum, row k is the Lagrange basis at s_k; a point
-    exactly on a node gets that node's indicator row instead, whose row sum is one.
+    The far sums sum_j c_j^2 / (omega_j - lambda) and
+    sum_j c_j^2 / (omega_j - lambda)^2 of each far side are taken once at
+    the nodes, in the (_ROOT_BLOCK, N) arrays of ``workspace``. Returns the
+    near band and, if a side is far, ``sums(origin, tau)``: the left value,
+    left slope, right value and right slope at lambda = omega_origin + tau,
+    shape (k, 4).
     """
-    gaps = np.subtract.outer(scaled, _NODES)
-    at_node = gaps == 0.0
-    exact = at_node.any(axis=1)
-    gaps[at_node] = 1.0
-    weights = np.divide(_NODE_WEIGHTS, gaps, out=gaps)
-    weights[exact] = at_node[exact]  # on a node, its own value
-    return weights
-
-
-def _far_field(poles, sq_couplings, ks, workspace):
-    """Near columns of the root block ``ks``, and an interpolant of the secular sums beyond them.
-
-    The near columns are :func:`_near_band`'s. The far sums
-    sum_j c_j^2 / (omega_j - lambda) and sum_j c_j^2 / (omega_j - lambda)^2
-    of each far side are taken once, at the Chebyshev points of the block's
-    bracket interval, in the (_ROOT_BLOCK, N) arrays of ``workspace``: no
-    memory beyond the solve's.
-
-    Returns the near column slice and, if a side is far, ``sums(origin, tau)``:
-    the left value, left slope, right value and right slope at the iterates
-    lambda = omega_origin + tau, by barycentric interpolation, shape (k, 4).
-    """
-    m = poles.size
-    near = _near_band(poles, ks)
-    start, stop = near.start, near.stop
-    if start == 0 and stop == m:
-        return near, None
-    mid, half = _interval(poles, ks)
-    nodes = half * _NODES[:, None]  # lambda_i - mid
+    field, m = _far_field(poles, ks), poles.size
+    if field.near == slice(0, m):
+        return field.near, None
     values = np.zeros((4, _FAR_NODES))
-    for row, cols in ((0, slice(0, start)), (2, slice(stop, m))):
+    for row, cols in ((0, slice(0, field.near.start)), (2, slice(field.near.stop, m))):
         shape = (_FAR_NODES, cols.stop - cols.start)
-        inv, terms = (w.reshape(-1)[: shape[0] * shape[1]].reshape(shape) for w in workspace)
-        # omega_j - lambda_i as (omega_j - mid) - (lambda_i - mid): within 2 eps, as mid is nearer.
-        np.subtract(poles[cols] - mid, nodes, out=inv)
-        np.divide(1.0, inv, out=inv)
-        np.multiply(sq_couplings[cols], inv, out=terms)
-        values[row] = terms.sum(axis=1)
-        terms *= inv
+        kernel, terms = (w.reshape(-1)[: shape[0] * shape[1]].reshape(shape) for w in workspace)
+        field.kernel(poles[cols], out=kernel)
+        np.multiply(sq_couplings[cols], kernel, out=terms)  # c_j^2 / (x_p - omega_j)
+        values[row] -= terms.sum(axis=1)  # 0 - sum: an empty side keeps +0
+        terms *= kernel
         values[row + 1] = terms.sum(axis=1)
 
     def sums(origin, tau):
-        weights = _barycentric(((poles[origin] - mid) + tau) / half)
-        return np.einsum("kr,cr->kc", weights, values) / weights.sum(axis=1)[:, None]
+        terms, total = field.lagrange(poles, origin, tau)
+        return np.einsum("kr,cr->kc", terms, values) / total[:, None]
 
-    return near, sums
+    return field.near, sums
 
 
 def _secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
@@ -307,12 +315,11 @@ def _secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
     evaluation, or its bracket has collapsed; it is settled without a
     further evaluation once its step is within sqrt(eps) |x|.
 
-    Only the block's near columns (:func:`_far_field`: its brackets and one
-    root block on each side) are summed term by term at every step, in two
-    (k, near) tiles of ``workspace``; the poles beyond them add their
-    interpolated sums, the left ones to the part psi left of the root. A
-    block whose near columns are all N poles (an outer block, or any block of
-    a bath of at most 3 _ROOT_BLOCK - 1 modes) sums every term, as a dense
+    Only the block's near band is summed term by term at every step, in two
+    (k, near) tiles of ``workspace``; the far poles add their interpolated
+    sums (:func:`_far_sums`), the left ones to the part psi left of the root.
+    A block whose near band is all N poles (an outer block, or any block of a
+    bath of at most 3 _ROOT_BLOCK - 1 modes) sums every term, as a dense
     solve does.
     """
     m = poles.size
@@ -326,7 +333,7 @@ def _secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
     x = np.where(bottom, 0.5 * lo, np.where(top, 0.5 * hi, half_gap))
     tau = np.empty(ks.size)
     active = np.arange(ks.size)
-    columns, far_sums = _far_field(poles, sq_couplings, ks, workspace)
+    columns, far_sums = _far_sums(poles, sq_couplings, ks, workspace)
     neg_sq, width = -sq_couplings[columns], columns.stop - columns.start
     # Pole j is left of root k for j < k; only columns ks[0] <= j < ks[-1] differ by row.
     band = slice(ks[0] - columns.start, ks[-1] - columns.start)
@@ -445,38 +452,36 @@ def _add_product(out: np.ndarray, a: np.ndarray, b: np.ndarray, buffer: np.ndarr
             target += product[:, : target.shape[1]]
 
 
-def _dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v for a real matrix and vector, summed over pieces of _PRODUCT_COLUMNS terms in order.
+def _chunked_product(a: np.ndarray, b: np.ndarray, terms: int) -> np.ndarray:
+    """a @ b summed over pieces of ``terms`` terms of the inner dimension, added in order.
 
-    With OpenBLAS 0.3.31 on x86-64 a matrix-vector product of 512 terms has
-    the same bits on one thread and on two at any row count; one of 81 rows
-    and 6000 terms does not.
+    The first piece's product is the result and each later one is added
+    into it. A caller picks ``terms`` so that one BLAS product of that length
+    has the same bits on any number of threads; the sum then has them too.
     """
-    out = a[:, :_PRODUCT_COLUMNS] @ v[:_PRODUCT_COLUMNS]
-    for first in range(_PRODUCT_COLUMNS, a.shape[1], _PRODUCT_COLUMNS):
-        out += a[:, first : first + _PRODUCT_COLUMNS] @ v[first : first + _PRODUCT_COLUMNS]
+    out = a[:, :terms] @ b[:terms]
+    for first in range(terms, a.shape[1], terms):
+        out += a[:, first : first + terms] @ b[first : first + terms]
     return out
 
 
 def _far_kernels(poles: np.ndarray, far: list):
-    """The far-field kernel of the root blocks ``far``, _PRODUCT_COLUMNS poles at a time.
+    """The far-field kernels of the root blocks ``far``, _PRODUCT_COLUMNS poles at a time.
 
-    ``far`` holds each block's near band, interval midpoint and half width.
-    Yields (columns, kernel) per chunk of columns: rows 24 i .. 24 i + 23
-    of the kernel are 1 / (x_p - omega_j) at block i's Chebyshev points x_p,
-    formed as (x_p - mid) - (omega_j - mid) as in :func:`_far_field`, and
-    zero over block i's near band. One array holds every chunk in turn.
+    ``far`` holds each block's near band and :class:`_FarField`. Yields
+    (columns, kernel) per chunk of columns: rows 24 i .. 24 i + 23 of the
+    kernel are block i's :meth:`_FarField.kernel`, and zero over its near
+    band. One array holds every chunk in turn.
     """
     kernel = np.empty((len(far) * _FAR_NODES, min(poles.size, _PRODUCT_COLUMNS)))
     for start in range(0, poles.size, _PRODUCT_COLUMNS):
         cols = slice(start, min(start + _PRODUCT_COLUMNS, poles.size))
         chunk = kernel[:, : cols.stop - start]
         chunk[:] = 0.0
-        for rows, (near, mid, half) in zip(np.split(chunk, len(far)), far):
+        for rows, (near, field) in zip(np.split(chunk, len(far)), far):
             for side in (slice(start, min(near.start, cols.stop)), slice(max(near.stop, start), cols.stop)):
                 if side.start < side.stop:
-                    gaps = np.subtract.outer(half * _NODES, poles[side] - mid)
-                    rows[:, side.start - start : side.stop - start] = np.divide(1.0, gaps, out=gaps)
+                    field.kernel(poles[side], out=rows[:, side.start - start : side.stop - start])
         yield cols, chunk
 
 
@@ -598,33 +603,31 @@ class ArrowheadSpectrum:
 
         ``bath`` has shape (2T, N) for T ``times``: row 2t takes the real
         parts at time t and row 2t + 1 the imaginary parts. A root block
-        takes C_kj term by term only over its near band (:func:`_near_band`).
-        On a far side, 1 / (lambda - omega_j) is interpolated in lambda at the
-        24 Chebyshev points x_p of the block's bracket interval, within eps
-        of each term (the comment at _FAR_RHO says why): the block's phased
-        weights w_k become 24 proxy charges sum_k l_p(lambda_k) w_k (l_p the
-        Lagrange basis), which reach bath row j through 1 / (x_p - omega_j),
-        and the far poles reach component k through the same kernel and
-        l_p(lambda_k). The far sides of all blocks are added in one pass over
-        the poles, _PRODUCT_COLUMNS at a time (:func:`_far_kernels`). Each
-        contraction is a real matrix product of the stacked real and
-        imaginary parts over column ranges aligned to _ALIGN, the poles
-        padded at +inf (their kernel entries are -0), in the fixed pieces of
-        :func:`_add_product` and :func:`_dot`, so the result has the same bits
-        on any number of BLAS threads. A far side costs 24 of the 128
-        multiply-adds per pole that a near one costs: about 0.75 T N^2 +
-        3000 T N flops in all, against 4 T N^2 for summing every term.
+        takes C_kj term by term over the near band of its :func:`_far_field`,
+        widened to whole groups of _ALIGN columns. Beyond it, the block's
+        phased weights w_k become 24 proxy charges sum_k l_p(lambda_k) w_k,
+        which reach bath row j through the kernel 1 / (x_p - omega_j), and
+        the far poles reach component k through the same kernel and
+        l_p(lambda_k); the far sides of all blocks are added in one pass over
+        the poles (:func:`_far_kernels`). Every product is real, of the
+        stacked real and imaginary parts, over column ranges aligned to
+        _ALIGN (the poles padded at +inf, whose kernel entries are -0) and in
+        the fixed pieces of :func:`_add_product` and :func:`_chunked_product`,
+        so the result has the same bits on any number of BLAS threads. A far
+        side costs 24 of the 128 multiply-adds per pole that a near one
+        costs: about 0.75 T N^2 + 3000 T N flops in all, against 4 T N^2.
         """
         m = self.poles.size
         width = -(-m // _ALIGN) * _ALIGN
         poles = np.concatenate((self.poles, np.full(width - m, np.inf)))
         y = np.zeros(width, dtype=complex)
         y[:m] = self.c_hat * x[self.bath_rows]
-        blocks = _root_blocks(self.roots.size)
-        bands = [_near_band(self.poles, ks) for ks in blocks]
-        bands = [slice(b.start // _ALIGN * _ALIGN, -(-b.stop // _ALIGN) * _ALIGN) for b in bands]
-        whole = slice(0, width)
-        far = [(band, *_interval(poles, ks)) for ks, band in zip(blocks, bands) if band != whole]
+        blocks = []  # each root block, its near band aligned, and its far field if it has one
+        for ks in _root_blocks(self.roots.size):
+            field = _far_field(self.poles, ks)
+            near = slice(field.near.start // _ALIGN * _ALIGN, -(-field.near.stop // _ALIGN) * _ALIGN)
+            blocks.append((ks, near, None if near == slice(0, width) else field))
+        far = [(near, field) for _, near, field in blocks if field is not None]
         # The far poles' sums sum_j y_j / (x_p - omega_j) at every far block's nodes.
         # Without bath amplitudes (the system vector) every component is x_0.
         spread = y.any()
@@ -636,20 +639,23 @@ class ArrowheadSpectrum:
         charges = np.empty((2 * times.size, len(far) * _FAR_NODES))
         buffer = np.empty(2 * times.size * min(width, _PRODUCT_COLUMNS))
         slot = 0
-        for ks, near in zip(blocks, bands):
+        for ks, near, field in blocks:
             origin, tau = self.origin[ks], self.tau[ks]
             cauchy = _pole_gaps(poles, origin, tau, columns=near)
             np.divide(1.0, cauchy, out=cauchy)
             if spread:
-                components = x[0] + _dot(cauchy, y.real[near]) + 1j * _dot(cauchy, y.imag[near])
+                # With OpenBLAS 0.3.31 on x86-64 a matrix-vector product of 512 terms has the
+                # same bits on one thread and on two at any row count; one of 81 rows and
+                # 6000 terms does not.
+                components = x[0] + _chunked_product(cauchy, y.real[near], _PRODUCT_COLUMNS)
+                components += 1j * _chunked_product(cauchy, y.imag[near], _PRODUCT_COLUMNS)
             else:
                 components = np.full(ks.size, x[0])
-            if near != whole:
+            if field is not None:
                 nodes = slice(slot, slot + _FAR_NODES)
                 slot += _FAR_NODES
-                mid, half = _interval(poles, ks)
-                lagrange = _barycentric(((poles[origin] - mid) + tau) / half)
-                lagrange /= lagrange.sum(axis=1)[:, None]
+                lagrange, total = field.lagrange(poles, origin, tau)
+                lagrange /= total[:, None]
                 if spread:
                     components += lagrange @ at_nodes[nodes].real + 1j * (lagrange @ at_nodes[nodes].imag)
             phased = _phases(times, self.roots[ks])
@@ -657,7 +663,7 @@ class ArrowheadSpectrum:
             system += phased.sum(axis=1)
             stacked = np.stack((phased.real, phased.imag), axis=1).reshape(-1, ks.size)
             _add_product(bath[:, near], stacked, cauchy, buffer)
-            if near != whole:
+            if field is not None:
                 charges[:, nodes] = stacked @ lagrange
         cauchy = stacked = None  # the last block's tile is not needed beside the far kernel
         for cols, kernel in _far_kernels(poles, far) if far else ():
@@ -671,12 +677,9 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
     The poles ascend strictly and the couplings c are nonnegative. The
     eigenvalues are the roots of the secular equation
     lambda - apex - sum_j c_j^2 / (lambda - omega_j) = 0, one per
-    interlacing bracket (:func:`_secular_block`), 128 roots per block: each
-    block sums its near band of poles term by term and takes the rest from
-    a 24-node Chebyshev interpolant (:func:`_far_field`), except the blocks
-    of roots 0 and N and any block whose far poles lie too near, which sum
-    every pole. The couplings are then
-    recomputed from the computed roots by the Loewner formula
+    interlacing bracket (:func:`_secular_block`), 128 roots per block, each
+    with its near band and far field (:func:`_far_field`). The couplings are
+    then recomputed from the computed roots by the Loewner formula
     c_j^2 = prod_k |lambda_k - omega_j| / prod_{i != j} |omega_i - omega_j|,
     so the roots are the exact eigenvalues of a nearby arrowhead matrix,
     whose eigenvector k is [1, c_j / (lambda_k - omega_j)] normalized (Gu and
@@ -689,16 +692,14 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
     (_ROOT_BLOCK, N) float arrays allocated here, and each pass writes its
     results in place: the roots and then the norms one root block at a
     time, and between them the Loewner product over W contiguous chunks of
-    poles. The norms sum c_hat_j^2 / (lambda_k - omega_j)^2 over the
-    block's near band per pole and take its far sides from the slope sums
-    of the same interpolant, with c_hat in place of c. A root block's
-    far-field node sums use its thread's workspace too. A root block
-    depends on nothing but its own roots, and a chunk multiplies in the
-    factor of every root block in block order, so every array of the
-    result is bit-identical for any W. Time is O(N^2): the
-    roots take O(N) per root block and far side plus O(384) per root and
-    step; memory is O(N) for the result and O(W _ROOT_BLOCK N) for the
-    workspaces, as neither the matrix nor its eigenvectors are formed.
+    poles. The norms sum c_hat_j^2 / (lambda_k - omega_j)^2 over the near
+    band and take the far sides from the slope sums of :func:`_far_sums`,
+    with c_hat in place of c. A root block depends on nothing but its own
+    roots, and a chunk multiplies in the factor of every root block in block
+    order, so every array of the result is bit-identical for any W. Time is
+    O(N^2): the roots take O(N) per root block and far side plus O(384) per
+    root and step; memory is O(N) for the result and O(W _ROOT_BLOCK N) for
+    the workspaces, as neither the matrix nor its eigenvectors are formed.
     """
     n = poles.size
     # Scale by a power of two near ||H|| (exact), so nothing under- or overflows.
@@ -772,7 +773,7 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
 
     def norms(ks, workspace):
         """1 / sqrt(1 + sum_j c_hat_j^2 / (lambda_k - omega_j)^2), far sides interpolated."""
-        columns, far_sums = _far_field(d, sq_hat, ks, workspace)
+        columns, far_sums = _far_sums(d, sq_hat, ks, workspace)
         tile = ks.size * (columns.stop - columns.start)
         vector = workspace[0].reshape(-1)[:tile].reshape(ks.size, -1)
         _pole_gaps(d, origin[ks], tau[ks], out=vector, columns=columns)
@@ -813,27 +814,6 @@ def _phases(times, eigenvalues: np.ndarray) -> np.ndarray:
     np.cos(angles, out=phases.real)
     np.sin(angles, out=phases.imag)
     return phases
-
-
-def spectral_evolution(
-    eigenvalues: np.ndarray, eigenvectors: np.ndarray, components: np.ndarray, times
-) -> np.ndarray:
-    """exp(-i H t) x over ``times`` for a real symmetric H = V diag(lambda) V^T.
-
-    ``components`` is V^T x, shape (d,). The phased components
-    exp(-i lambda t) * V^T x at every time are contracted with V^T as their
-    real and imaginary parts, two real matrix products, so the real
-    eigenvector matrix is never copied to complex. The result has the shape
-    of ``times`` plus (d,); peak memory is about 40 T d bytes for T times.
-    """
-    times = np.asarray(times, dtype=float)
-    weighted = _phases(times.reshape(-1), eigenvalues)
-    weighted *= components
-    v_t = eigenvectors.T
-    evolved = np.empty(weighted.shape, dtype=complex)
-    evolved.real = weighted.real @ v_t
-    evolved.imag = weighted.imag @ v_t
-    return evolved.reshape(times.shape + (-1,))
 
 
 class ExactPropagator:

@@ -14,7 +14,13 @@ import numpy as np
 
 from .bath import DiscreteBath, ThermalSpec
 from .decay import CoherentSuperposition, DensityMatrixFock, default_fock_cutoff
-from .propagator import PROVENANCE_ORACLE, PropagatorCoefficients, as_times, dissipation_sum
+from .propagator import (
+    PROVENANCE_ORACLE,
+    PropagatorCoefficients,
+    _chunked_product,
+    as_times,
+    dissipation_sum,
+)
 
 SHORT_TIME_WINDOW = 0.1
 # Bytes of one Monte Carlo block: its (rows, r) normal draws and its (T, rows) branch values.
@@ -215,21 +221,10 @@ def _rank(count: int, n_modes: int, n_times: int) -> int:
     return n_times if n_times < min(n_modes, count) else n_modes
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` as a sum of products over fixed chunks of the inner dimension, added in order.
-
-    The result has the same bits for any number of BLAS threads.
-    """
-    out = a[:, :_PRODUCT_TERMS] @ b[:_PRODUCT_TERMS]
-    for start in range(_PRODUCT_TERMS, a.shape[1], _PRODUCT_TERMS):
-        out += a[:, start : start + _PRODUCT_TERMS] @ b[start : start + _PRODUCT_TERMS]
-    return out
-
-
 def _gram_factor(weighted: np.ndarray) -> np.ndarray:
     """A (T, k) factor L with L L^H = K, the Gram ``weighted @ weighted^H`` of a (T, N) array.
 
-    K is summed over the fixed chunks of modes of :func:`_product` and then
+    K is summed over the fixed chunks of _PRODUCT_TERMS modes and then
     factored in place by a right-looking Cholesky with diagonal pivoting,
     written as elementwise numpy updates: LAPACK's factorizations round
     differently with the number of threads, these updates do not. Each step
@@ -342,7 +337,7 @@ def monte_carlo_moments(
     seen = 0
     while seen < count:
         draws = rng.standard_normal((min(rows, count - seen), 2 * rank)).view(complex)
-        branch = _product(factor, draws.T)
+        branch = _chunked_product(factor, draws.T, _PRODUCT_TERMS)
         del draws
         branch += offsets
         size = branch.shape[1]

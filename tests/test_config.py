@@ -193,6 +193,7 @@ class TestBoundary:
             (WWA_BASE, {"half_bandwidth": 1e-300}, "cannot resolve the band"),
             (WWA_BASE, {"omega_b": 1e300, "band_center": 1e300}, "cannot resolve the band"),
             (WWA_BASE, {"gamma": 1e300, "half_bandwidth": 1e300}, "cannot resolve the band"),
+            (WWA_BASE, {"gamma": 1e300, "half_bandwidth": 1e10, "omega_b": 1e11}, "cannot resolve the band"),
             (THERMAL_CLI, {"beta": 1e-300}, "squares per-sample occupations"),
             (THERMAL_CLI, {"beta": 1.0, "alpha_re": 1e154}, "squares per-sample occupations"),
         ],
@@ -211,6 +212,7 @@ class TestBoundary:
             "band-below-grid-resolution",
             "band-beyond-grid-resolution",
             "couplings-overflow",
+            "coupling-squares-overflow",
             "thermal-occupations-squared-overflow",
             "thermal-alpha-fourth-power-overflows",
         ],
@@ -249,6 +251,32 @@ class TestBoundary:
         else:
             with pytest.raises(ConfigError, match="squares per-sample occupations"):
                 build_config(values)
+
+    @pytest.mark.parametrize(
+        "flags, match",
+        [
+            (
+                ["--scenario", "wwa-validate", "--gamma", "1e-300", "--omega-b", "1",
+                 "--half-bandwidth", "1e-10", "--n-modes", "38"],
+                "38 midpoint modes cannot resolve the band",
+            ),
+            (
+                ["--scenario", "oracle-compare", "--gamma", "1", "--omega-b", "100",
+                 "--half-bandwidth", "20", "--n-modes", "2", "--fock-n", "1", "--beta", "1e-320"],
+                "infinite thermal occupations",
+            ),
+        ],
+        ids=["subnormal-squared-couplings", "oracle-infinite-occupations"],
+    )
+    def test_cli_stops_at_the_config(self, capsys, flags, match):
+        """Runs that failed the sum rule deep in discretize_bath, or exited 0 with nan rows."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(flags + ["--t-max", "1", "--n-steps", "3"])
+        assert code == 1
+        record = _error_record(capsys)
+        assert record["error"] == "ConfigError"
+        assert match in record["message"]
 
     def test_zero_temperature_beta_parses(self):
         config = parse_config(THERMAL_BASE + "beta = inf\n")

@@ -466,7 +466,7 @@ class TestSecularFarField:
         poles, sq = bath.omegas, bath.xis**2
         workspace = (np.empty((128, 1000)), np.empty((128, 1000)))
         ks = np.arange(384, 512)
-        columns, sums = propagator._far_field(poles, sq, ks, workspace)
+        columns, sums = propagator._far_sums(poles, sq, ks, workspace)
         assert columns == slice(ks[0] - 129, ks[-1] + 129)
         origin = ks - 1
         tau = np.random.default_rng(1).uniform(0.0, 1.0, ks.size) * (poles[ks] - poles[origin])
@@ -482,7 +482,7 @@ class TestSecularFarField:
         """lambda exactly on a Chebyshev node of [omega_383, omega_511] = [383, 511]."""
         poles, sq = np.arange(1000.0), np.ones(1000)
         workspace = (np.empty((128, 1000)), np.empty((128, 1000)))
-        _, sums = propagator._far_field(poles, sq, np.arange(384, 512), workspace)
+        _, sums = propagator._far_sums(poles, sq, np.arange(384, 512), workspace)
         tau = 64.0 * propagator._NODES[3:4]  # from pole 447, the interval's midpoint
         gaps = poles - (447.0 + tau)
         exact = [np.sum(1.0 / gaps[side] ** power) for side in (slice(0, 255), slice(640, None))
@@ -494,15 +494,15 @@ class TestSecularFarField:
         poles, sq = np.arange(1000.0), np.ones(1000)
         workspace = (np.empty((128, 1000)), np.empty((128, 1000)))
         for ks in (np.arange(128), np.arange(896, 1001)):
-            assert propagator._far_field(poles, sq, ks, workspace) == (slice(0, 1000), None)
+            assert propagator._far_sums(poles, sq, ks, workspace) == (slice(0, 1000), None)
         ks = np.arange(384, 512)
-        columns, sums = propagator._far_field(poles, sq, ks, workspace)
+        columns, sums = propagator._far_sums(poles, sq, ks, workspace)
         assert columns == slice(255, 640) and sums is not None
         # Cells three wide under the block: its interval [383, 765] is 382 wide, pole 254
         # lies 129 below it and joins; a gap of 1000 above pole 511 keeps the right side far.
         poles[384:] += 2.0 * np.minimum(np.arange(616.0), 127.0)
         poles[512:] += 1000.0
-        columns, sums = propagator._far_field(poles, sq, ks, workspace)
+        columns, sums = propagator._far_sums(poles, sq, ks, workspace)
         assert columns == slice(0, 640) and sums is not None
 
 
@@ -718,7 +718,8 @@ class TestFarFieldEvolve:
         """A root moved exactly onto a node of its block's interval takes that node's charge alone."""
         spectrum = wwa_propagator.spectrum
         ks = np.arange(384, 512)
-        mid, half = propagator._interval(spectrum.poles, ks)
+        field = propagator._far_field(spectrum.poles, ks)
+        mid, half = field.mid, field.half
         k = 400
         scaled = (spectrum.poles[spectrum.origin[k]] - mid + spectrum.tau[k]) / half
         node = propagator._NODES[np.argmin(np.abs(propagator._NODES - scaled))]
@@ -729,8 +730,8 @@ class TestFarFieldEvolve:
         roots = spectrum.roots.copy()
         roots[k] = (spectrum.poles[spectrum.origin[k]] + tau[k]) / factor
         moved = dataclasses.replace(spectrum, tau=tau, roots=roots)
-        lagrange = propagator._barycentric(np.array([node]))
-        assert np.array_equal(lagrange[0] / lagrange.sum(), propagator._NODES == node)
+        terms, total = field.lagrange(spectrum.poles, spectrum.origin[k : k + 1], tau[k : k + 1])
+        assert np.array_equal(terms[0] / total[0], propagator._NODES == node)
         _assert_evolves_as_all_poles(moved, np.linspace(0.0, 5.0, 21), k)
 
     def test_far_side_that_joins_the_near_band(self):
@@ -740,7 +741,7 @@ class TestFarFieldEvolve:
         poles[512:] += 1000.0
         spectrum = ExactPropagator(SystemMode(poles[450]), _bath(poles, 0.05 * np.sqrt(np.gradient(poles)))).spectrum
         ks = np.arange(384, 512)
-        assert propagator._near_band(spectrum.poles, ks) == slice(0, 640)
+        assert propagator._far_field(spectrum.poles, ks).near == slice(0, 640)
         _assert_evolves_as_all_poles(spectrum, np.linspace(0.0, 5.0, 11), 640)
 
     def test_evaluate_peaks_below_summing_every_pole(self, wwa_propagator):

@@ -394,12 +394,12 @@ class TestBranchFactor:
         """
         script = (
             "import hashlib, numpy as np\n"
-            "from boson_decay import thermal\n"
+            "from boson_decay import propagator, thermal\n"
             "rng = np.random.default_rng(0)\n"
             "absorption = rng.standard_normal((201, 1000)).view(complex)\n"
             "factor = thermal._branch_factor(absorption, rng.random(500), 10**6)\n"
             "draws = rng.standard_normal((300, 402)).view(complex)\n"
-            "branch = thermal._product(factor, draws.T)\n"
+            "branch = propagator._chunked_product(factor, draws.T, thermal._PRODUCT_TERMS)\n"
             "print(factor.shape, hashlib.sha256(factor.tobytes() + branch.tobytes()).hexdigest())\n"
         )
         outputs = [
