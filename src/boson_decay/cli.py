@@ -53,11 +53,14 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.config, "r", encoding="utf-8") as handle:
                 document = parse_document(handle.read())
         config = build_config(document, overrides)
-        if args.dump_bath and (config.n_modes is None or config.half_bandwidth is None):
-            raise ConfigError("dump-bath requires n_modes and half_bandwidth")
-        report = run_scenario(config)
+        bath = None
         if args.dump_bath:
-            write_bath_csv(scenario_bath(config), args.dump_bath)
+            if config.n_modes is None or config.half_bandwidth is None:
+                raise ConfigError("dump-bath requires n_modes and half_bandwidth")
+            bath = scenario_bath(config)  # checked before the run
+        report = run_scenario(config)
+        if bath is not None:
+            write_bath_csv(bath, args.dump_bath)
         path = write_report(report, config)
         summary = report.meta.get("summary")
         if summary is not None:

@@ -8,15 +8,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Callable, Mapping, TypeVar, get_args, get_type_hints
 
 import numpy as np
 
-from .bath import SpectralDensitySpec, _holds_sum_rule, _midpoint_modes, thermal_occupation
-from .decay import _MAX_ORACLE_BATH_MODES
+from .bath import DiscreteBath, SpectralDensitySpec, ThermalSpec, discretize_bath
+from .decay import FockSpaceOracle, FockState
 from .errors import ConfigError
-from .propagator import SOLVER_BYTES_PER_MODE
+from .propagator import SOLVER_BYTES_PER_MODE, SystemMode
 from .thermal import MC_BLOCK_BYTES, _rank
 
 SCENARIOS = (
@@ -34,54 +34,40 @@ _FOCK_SCENARIOS = ("fock-decay", "oracle-compare")
 # A run whose largest arrays are estimated above this many bytes is rejected.
 MEMORY_LIMIT_BYTES = 4 * 2**30
 
-# key -> (type, default, help); ... means required (possibly per scenario).
-# The command line offers every key as --key-with-dashes.
-SCHEMA: dict[str, tuple[type, Any, str]] = {
-    "scenario": (str, ..., f"one of {', '.join(SCENARIOS)}"),
-    "gamma": (float, ..., "energy damping rate"),
-    "omega_b": (float, ..., "system mode frequency"),
-    "t_max": (float, ..., "end of the time grid"),
-    "n_steps": (int, ..., "number of grid points"),
-    "n_modes": (int, None, "bath discretization size"),
-    "half_bandwidth": (float, None, "bath band half-width"),
-    "band_center": (float, None, "bath band center (defaults to omega_b)"),
-    "beta": (float, None, "inverse temperature"),
-    "fock_n": (int, None, "initial excitation number"),
-    "alpha_re": (float, 1.0, "initial label, real part"),
-    "alpha_im": (float, 0.0, "initial label, imaginary part"),
-    "samples": (int, None, "monte carlo sample count"),
-    "seed": (int, None, "monte carlo seed"),
-    "excited_mode": (int, 0, "index of the excited bath mode"),
-    "lambda_re": (float, 0.0, "excited bath label, real part"),
-    "lambda_im": (float, 0.0, "excited bath label, imaginary part"),
-    "output": (str, "-", "output path ('-' for stdout)"),
-    "format": (str, "csv", "csv or json"),
-}
+_T = TypeVar("_T")
+
+
+def _key(help_text: str, default: Any = MISSING) -> Any:
+    """A config key's field: its default (none where the key is required) and its help."""
+    return field(default=default, metadata={"help": help_text})
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated, fully-defaulted description of one run."""
+    """Validated, fully-defaulted description of one run.
 
-    scenario: str
-    gamma: float
-    omega_b: float
-    t_max: float
-    n_steps: int
-    n_modes: int | None
-    half_bandwidth: float | None
-    band_center: float | None
-    beta: float | None
-    fock_n: int | None
-    alpha_re: float
-    alpha_im: float
-    samples: int | None
-    seed: int | None
-    excited_mode: int
-    lambda_re: float
-    lambda_im: float
-    output: str
-    format: str
+    Each field made by ``_key`` is a config key; ``SCHEMA`` is read from them.
+    """
+
+    scenario: str = _key(f"one of {', '.join(SCENARIOS)}")
+    gamma: float = _key("energy damping rate")
+    omega_b: float = _key("system mode frequency")
+    t_max: float = _key("end of the time grid")
+    n_steps: int = _key("number of grid points")
+    n_modes: int | None = _key("bath discretization size", None)
+    half_bandwidth: float | None = _key("bath band half-width", None)
+    band_center: float | None = _key("bath band center (defaults to omega_b)", None)
+    beta: float | None = _key("inverse temperature", None)
+    fock_n: int | None = _key("initial excitation number", None)
+    alpha_re: float = _key("initial label, real part", 1.0)
+    alpha_im: float = _key("initial label, imaginary part", 0.0)
+    samples: int | None = _key("monte carlo sample count", None)
+    seed: int | None = _key("monte carlo seed", None)
+    excited_mode: int = _key("index of the excited bath mode", 0)
+    lambda_re: float = _key("excited bath label, real part", 0.0)
+    lambda_im: float = _key("excited bath label, imaginary part", 0.0)
+    output: str = _key("output path ('-' for stdout)", "-")
+    format: str = _key("csv or json", "csv")
     defaults_applied: tuple[str, ...] = ()
     # eps times the fastest frequency the run rotates a phase at, times t_max: the
     # rounding of its largest phase omega t. None for fock-decay, which rotates none.
@@ -98,6 +84,20 @@ class ScenarioConfig:
     def as_dict(self) -> dict[str, Any]:
         """Effective key-value view (defaults included), for the report metadata."""
         return {key: getattr(self, key) for key in SCHEMA}
+
+
+# key -> (type, default, help); ... means required (possibly per scenario).
+# The command line offers every key as --key-with-dashes.
+_HINTS = get_type_hints(ScenarioConfig)
+SCHEMA: dict[str, tuple[type, Any, str]] = {
+    f.name: (
+        (get_args(_HINTS[f.name]) or (_HINTS[f.name],))[0],  # int | None -> int
+        ... if f.default is MISSING else f.default,
+        f.metadata["help"],
+    )
+    for f in fields(ScenarioConfig)
+    if "help" in f.metadata
+}
 
 
 def parse_document(text: str) -> dict[str, str]:
@@ -135,8 +135,6 @@ def _to_int(value: Any) -> int:
 
 def _coerce(key: str, value: Any) -> Any:
     kind = SCHEMA[key][0]
-    if value is None:
-        return value
     if not isinstance(value, kind):
         try:
             value = _to_int(value) if kind is int else kind(value)
@@ -149,18 +147,16 @@ def _coerce(key: str, value: Any) -> Any:
 
 
 def build_config(values: dict[str, Any], overrides: dict[str, Any] | None = None) -> ScenarioConfig:
-    """Merge document values and flag overrides, apply defaults, validate."""
+    """Merge document values and flag overrides, apply defaults, validate.
+
+    A value of None counts as not given.
+    """
     merged: dict[str, Any] = {}
-    for key, value in values.items():
+    for key, value in [*values.items(), *(overrides or {}).items()]:
         if key not in SCHEMA:
             raise ConfigError(f"unknown key {key!r}")
-        merged[key] = _coerce(key, value)
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown key {key!r}")
-        merged[key] = _coerce(key, value)
+        if value is not None:
+            merged[key] = _coerce(key, value)
 
     defaults_applied = []
     for key, (_, default, _) in SCHEMA.items():
@@ -189,8 +185,30 @@ def _require(merged: dict[str, Any], key: str, scenario: str) -> None:
         raise ConfigError(f"{scenario} requires {key}")
 
 
+def _built(key: str, make: Callable[..., _T], *args: Any) -> _T:
+    """``make(*args)``, its ValueError raised as a ConfigError that names ``key``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        message = str(exc)
+        raise ConfigError(message if key in message else f"{key}: {message}") from None
+
+
+def checked_bath(values: Mapping[str, Any]) -> DiscreteBath:
+    """The midpoint bath of a run's keys (``band_center`` defaults to ``omega_b``).
+
+    A key that the bath rejects raises a ConfigError that names it.
+    """
+    center = values["band_center"] if values["band_center"] is not None else values["omega_b"]
+    spec = _built("half_bandwidth", SpectralDensitySpec, values["gamma"], center, values["half_bandwidth"])
+    return _built("n_modes", discretize_bath, spec, values["n_modes"])
+
+
 def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> float | None:
-    """Check ``merged`` in place; return the rounding of the run's largest phase, if it has one."""
+    """Check ``merged`` in place; return the rounding of the run's largest phase, if it has one.
+
+    Rules that a library object enforces are checked by building that object.
+    """
     scenario = merged["scenario"]
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r} (choose from {', '.join(SCENARIOS)})")
@@ -198,8 +216,7 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> float | No
         raise ConfigError(f"format must be 'csv' or 'json' (got {merged['format']!r})")
     if not merged["gamma"] > 0:
         raise ConfigError(f"gamma must be positive (got {merged['gamma']})")
-    if not merged["omega_b"] > 0:
-        raise ConfigError(f"omega_b must be positive (got {merged['omega_b']})")
+    system = _built("omega_b", SystemMode, merged["omega_b"])
     if not merged["t_max"] > 0:
         raise ConfigError(f"t_max must be positive (got {merged['t_max']})")
     if merged["n_steps"] < 2:
@@ -213,27 +230,14 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> float | No
 
     if scenario in _FOCK_SCENARIOS:
         _require(merged, "fock_n", scenario)
-        if merged["fock_n"] < 0:
-            raise ConfigError(f"fock_n must be nonnegative (got {merged['fock_n']})")
+        _built("fock_n", FockState, merged["fock_n"])
 
     if scenario in _BATH_SCENARIOS:
         _require(merged, "n_modes", scenario)
         _require(merged, "half_bandwidth", scenario)
-        if merged["n_modes"] < 1:
-            raise ConfigError(f"n_modes must be at least 1 (got {merged['n_modes']})")
-        if not merged["half_bandwidth"] > 0:
-            raise ConfigError(
-                f"half_bandwidth must be positive (got {merged['half_bandwidth']})"
-            )
         if merged["band_center"] is None:
             merged["band_center"] = merged["omega_b"]
             defaults_applied.append("band_center")
-
-    if scenario == "oracle-compare" and merged["n_modes"] > _MAX_ORACLE_BATH_MODES:
-        raise ConfigError(
-            f"oracle-compare runs the dense oracle and allows at most "
-            f"{_MAX_ORACLE_BATH_MODES} modes (got {merged['n_modes']})"
-        )
 
     if scenario == "thermal":
         _require(merged, "beta", scenario)
@@ -248,13 +252,6 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> float | No
         if merged["seed"] < 0:
             raise ConfigError(f"seed must be nonnegative (got {merged['seed']})")
 
-    if scenario == "excited-bath" and merged["n_modes"] is not None:
-        if not 0 <= merged["excited_mode"] < merged["n_modes"]:
-            raise ConfigError(
-                f"excited_mode must index a bath mode in [0, {merged['n_modes'] - 1}] "
-                f"(got {merged['excited_mode']})"
-            )
-
     estimate = _estimated_bytes(merged)
     if estimate > MEMORY_LIMIT_BYTES:
         raise ConfigError(
@@ -264,38 +261,25 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> float | No
 
     frequency = merged["omega_b"]  # the fastest rotation the run evaluates
     if scenario in _BATH_SCENARIOS:
-        # discretize_bath's own grid, built once the size check has bounded n_modes;
-        # its overflow is what the check reports, so it is not also warned about.
-        spec = SpectralDensitySpec(merged["gamma"], merged["band_center"], merged["half_bandwidth"])
-        with np.errstate(over="ignore", invalid="ignore"):
-            omegas, xis = _midpoint_modes(spec, merged["n_modes"])
-            # The sum rule fails for couplings that overflow and for squares that are subnormal.
-            resolved = np.isfinite(omegas).all() and np.all(np.diff(omegas) > 0)
-            resolved = resolved and _holds_sum_rule(spec, xis)
-        if not resolved:
+        bath = checked_bath(merged)  # built once the size check has bounded n_modes
+        if scenario == "excited-bath" and not 0 <= merged["excited_mode"] < bath.n_modes:
             raise ConfigError(
-                f"{merged['n_modes']} midpoint modes cannot resolve the band {spec.band} in float64 (they need "
-                "finite, strictly ascending frequencies and couplings whose squares sum to the band integral)"
+                f"excited_mode must index a bath mode in [0, {bath.n_modes - 1}] "
+                f"(got {merged['excited_mode']})"
             )
-        if merged["beta"] is not None and not omegas[0] > 0:
-            raise ConfigError(
-                f"thermal occupations need every bath mode above zero frequency "
-                f"(lowest mode at {omegas[0]})"
-            )
-        if scenario == "thermal":
-            _check_squared_occupations(merged, alpha, omegas)
-        if scenario == "oracle-compare" and merged["beta"] is not None:
-            with np.errstate(divide="ignore"):
-                occupations = thermal_occupation(merged["beta"], np.append(omegas, merged["omega_b"]))
-            if not np.isfinite(occupations).all():
-                raise ConfigError(
-                    f"beta = {merged['beta']:.3g} gives infinite thermal occupations in float64 "
-                    "(raise beta)"
-                )
+        if scenario == "oracle-compare":
+            _built("n_modes", FockSpaceOracle, system, bath, merged["fock_n"])
+        if merged["beta"] is not None:
+            thermal = _built("beta", ThermalSpec.for_system, merged["beta"], merged["omega_b"])
+            occupations = _built("beta", thermal.occupations, bath)
+            if scenario == "thermal":
+                _check_squared_occupations(merged, alpha, occupations)
+            _check_occupations(merged["beta"], max(thermal.n_th, float(np.max(occupations))))
         # Each row's diagonal plus its couplings bounds the bath Hamiltonian's eigenvalues.
         with np.errstate(over="ignore"):
             frequency = max(
-                frequency + float(np.sum(np.abs(xis))), float(np.max(np.abs(omegas) + np.abs(xis)))
+                frequency + float(np.sum(np.abs(bath.xis))),
+                float(np.max(np.abs(bath.omegas) + np.abs(bath.xis))),
             )
 
     if scenario == "fock-decay":  # the Fock laws alone rotate no phase
@@ -310,28 +294,38 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> float | No
     return sys.float_info.epsilon * frequency * merged["t_max"]
 
 
-def _check_squared_occupations(merged: dict[str, Any], alpha: float, omegas: np.ndarray) -> None:
+def _check_occupations(beta: float, largest: float) -> None:
+    """Reject occupations above 1/eps, at omega_b or at any bath mode.
+
+    A coefficient that should vanish carries a rounding error: |v_j(0)|^2
+    is a few eps^2 (at most 1.4e-31 up to N = 2000). Weighted by
+    n_j = 1/eps at every mode, the sum of n_j |v_j(0)|^2 that should read
+    0 reads 2.3e-14 at N = 2000; a larger n_j writes finite rows that are
+    wrong, and an infinite one rows of inf and nan.
+    """
+    limit = 1.0 / sys.float_info.epsilon
+    if not largest <= limit:
+        raise ConfigError(
+            f"beta = {beta:.3g} gives near-infinite thermal occupations in float64: up to "
+            f"{largest:.3g}, over 1/eps = {limit:.3g} (raise beta)"
+        )
+
+
+def _check_squared_occupations(merged: dict[str, Any], alpha: float, occupations: np.ndarray) -> None:
     """Reject a thermal run whose Monte Carlo sums of squared occupations would overflow.
 
     A sample's occupation |alpha u_t + (L z)_t|^2 is at most
-    2 |alpha|^2 + 2 |(L z)_t|^2, where L is the (T, r) branch factor and z
-    holds 2r normal draws taken as r complex numbers. numpy's ziggurat draw
-    stays within 14 standard deviations (its tail is r - ln(u) / r with
-    r < 3.7 and u >= 2^-53), so |z_i|^2 <= 392. Drawn directly, L is
-    A diag(sqrt(n / 2)) and (L z)_t = sum_j lambda_j v_j(t) with
-    |lambda_j|^2 <= 196 n_j, so by Cauchy-Schwarz and
-    |u|^2 + sum_j |v_j|^2 = 1 the occupation is at most
-    2 |alpha|^2 + 392 sum_j n_j. A factored L has r <= T columns and
-    |L_t|^2 = K_tt / 2 <= max_j n_j / 2, so |(L z)_t|^2 <= |L_t|^2 |z|^2
-    bounds it by 2 |alpha|^2 + 392 r max_j n_j instead, with r from the
-    Monte Carlo's own rule. The moments add up to twice ``samples`` squares
-    of such occupations.
+    2 |alpha|^2 + 2 |(L z)_t|^2, where L is the (T, r) branch factor,
+    r <= N, and z holds r complex numbers of two normal draws each. numpy's
+    ziggurat draw stays within 14 standard deviations (its tail is
+    r - ln(u) / r with r < 3.7 and u >= 2^-53), so |z|^2 <= 392 r. Each row
+    of L, drawn directly as A diag(sqrt(n / 2)) or factored from the
+    covariance it makes, has |L_t|^2 = sum_j n_j |v_j(t)|^2 / 2
+    <= max_j n_j / 2, as |u|^2 + sum_j |v_j|^2 = 1. So the occupation is at
+    most 2 |alpha|^2 + 392 N max_j n_j, and the moments add up to twice
+    ``samples`` squares of such occupations.
     """
-    rank = _rank(merged["samples"], merged["n_modes"], merged["n_steps"])
-    with np.errstate(over="ignore"):
-        occupations = thermal_occupation(merged["beta"], omegas)
-        spread = np.sum(occupations) if rank == merged["n_modes"] else rank * np.max(occupations)
-    bound = 2.0 * alpha * alpha + 392.0 * float(spread)
+    bound = 2.0 * alpha * alpha + 392.0 * merged["n_modes"] * float(np.max(occupations))
     limit = math.sqrt(sys.float_info.max / (2.0 * merged["samples"]))
     if not bound <= limit:
         raise ConfigError(
@@ -377,7 +371,7 @@ def _estimated_bytes(merged: dict[str, Any]) -> int:
         estimate += 16 * steps * n + gram + 2 * MC_BLOCK_BYTES
     if scenario == "oracle-compare":
         levels = merged["fock_n"] + 1
-        sector = math.comb(merged["fock_n"] + merged["n_modes"], merged["n_modes"])
+        sector = math.comb(merged["fock_n"] + max(merged["n_modes"], 0), merged["fock_n"])
         estimate += 40 * sector * (sector + steps) + 16 * levels * (sector + steps * levels)
     levels = merged["fock_n"] + 1 if scenario in _FOCK_SCENARIOS else 0
     return estimate + 48 * steps * (8 + 2 * levels)

@@ -26,8 +26,8 @@ from typing import Any, Callable, Iterator, TextIO
 import numpy as np
 
 from . import __version__
-from .bath import DiscreteBath, SpectralDensitySpec, ThermalSpec, discretize_bath
-from .config import ScenarioConfig
+from .bath import DiscreteBath, ThermalSpec
+from .config import ScenarioConfig, checked_bath
 from .decay import (
     FockSpaceOracle,
     FockState,
@@ -97,13 +97,8 @@ def _system(config: ScenarioConfig) -> SystemMode:
 
 
 def scenario_bath(config: ScenarioConfig) -> DiscreteBath:
-    """Discretized bath of a bath scenario; ``band_center`` defaults to ``omega_b``."""
-    spec = SpectralDensitySpec(
-        gamma=config.gamma,
-        band_center=config.band_center if config.band_center is not None else config.omega_b,
-        half_bandwidth=config.half_bandwidth,
-    )
-    return discretize_bath(spec, config.n_modes)
+    """Discretized bath of a run; ``band_center`` defaults to ``omega_b``."""
+    return checked_bath(config.as_dict())
 
 
 def _bath_and_propagator(

@@ -1,6 +1,7 @@
 """Coupling density, discretization sum rules, and thermal occupations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,19 @@ class TestDiscretizeBath:
         with pytest.raises(ValueError):
             discretize_bath(spec, 0)
 
+    @pytest.mark.parametrize(
+        "gamma, center, half, n",
+        [(1e-300, 1.0, 1e-10, 38), (1.0, 100.0, 1e-300, 50), (1e300, 1e300, 1e300, 50)],
+        ids=["subnormal-squares", "below-grid-resolution", "overflowing-couplings"],
+    )
+    def test_rejects_a_band_float64_cannot_grid(self, gamma, center, half, n):
+        """A ValueError, without a warning, where the grid or its sum rule fails in float64."""
+        spec = SpectralDensitySpec(gamma=gamma, band_center=center, half_bandwidth=half)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{n} midpoint modes cannot resolve the band"):
+                discretize_bath(spec, n)
+
 
 class TestDiscreteBathValidation:
     def setup_method(self):
@@ -120,6 +134,11 @@ class TestThermalOccupation:
         occ = [thermal_occupation(b, 2.0) for b in betas]
         assert np.all(np.diff(occ) < 0)
 
+    def test_beta_omega_rounding_to_zero_is_infinite_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert thermal_occupation(1e-323, np.array([0.1, 1.0])).tolist() == [math.inf, math.inf]
+
     def test_beta_zero_diverges(self):
         with pytest.raises(InfiniteOccupationError):
             thermal_occupation(0.0, 1.0)
@@ -127,6 +146,10 @@ class TestThermalOccupation:
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             thermal_occupation(1.0, 0.0)
+
+    def test_nonpositive_frequency_names_the_lowest(self):
+        with pytest.raises(ValueError, match=r"above zero frequency \(lowest at -1.0\)"):
+            thermal_occupation(1.0, np.array([-1.0, 2.0]))
 
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):

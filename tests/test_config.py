@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boson_decay import SCENARIOS, ConfigError, build_config, cli, parse_config, run_scenario
-from boson_decay import thermal as thermal_module
 from boson_decay.cli import main
 from boson_decay.config import MEMORY_LIMIT_BYTES, SCHEMA, _estimated_bytes, parse_document
 from boson_decay.runner import report_from_csv
@@ -196,6 +195,18 @@ class TestBoundary:
             (WWA_BASE, {"gamma": 1e300, "half_bandwidth": 1e10, "omega_b": 1e11}, "cannot resolve the band"),
             (THERMAL_CLI, {"beta": 1e-300}, "squares per-sample occupations"),
             (THERMAL_CLI, {"beta": 1.0, "alpha_re": 1e154}, "squares per-sample occupations"),
+            (MINIMAL_FOCK, {"omega_b": 0.0}, "omega_b must be positive"),
+            (MINIMAL_FOCK, {"t_max": -1.0}, "t_max must be positive"),
+            (MINIMAL_FOCK, {"fock_n": -1}, "fock_n.* must be nonnegative"),
+            (WWA_BASE, {"n_modes": 0}, "n_modes must be at least 1"),
+            (WWA_BASE.replace("wwa-validate", "oracle-compare"), {"n_modes": -3, "fock_n": 1},
+             "n_modes must be at least 1"),
+            (WWA_BASE, {"half_bandwidth": 0.0}, "half_bandwidth must be positive"),
+            (THERMAL_BASE, {"beta": 0.0}, "beta must be positive"),
+            (THERMAL_BASE, {"beta": -1.0}, "beta must be positive"),
+            (THERMAL_BASE + "beta = 0.001\n", {"samples": 0}, "samples must be at least 1"),
+            ({**parse_document(MINIMAL_FOCK), "temperature": 1.0}, {}, "unknown key 'temperature'"),
+            (MINIMAL_FOCK, {"temperature": 1.0}, "unknown key 'temperature'"),
         ],
         ids=[
             "t_max-inf",
@@ -215,41 +226,59 @@ class TestBoundary:
             "coupling-squares-overflow",
             "thermal-occupations-squared-overflow",
             "thermal-alpha-fourth-power-overflows",
+            "omega_b-zero",
+            "t_max-negative",
+            "fock_n-negative",
+            "n_modes-zero",
+            "oracle-n_modes-negative",
+            "half_bandwidth-zero",
+            "beta-zero",
+            "beta-negative",
+            "samples-zero",
+            "unknown-key-value",
+            "unknown-key-override",
         ],
     )
     def test_rejected(self, base, overrides, match):
+        """``base`` is a document, or the values it would parse to."""
+        values = parse_document(base) if isinstance(base, str) else base
         with pytest.raises(ConfigError, match=match):
-            parse_config(base, overrides=overrides)
+            build_config(values, overrides)
 
     @pytest.mark.parametrize("margin", [0.999, 1.001], ids=["inside", "outside"])
     @pytest.mark.parametrize(
-        "overrides, rank",
-        [({"n_steps": 5}, None), ({"n_modes": 800, "samples": 10_000, "n_steps": 21}, 21)],
+        "overrides",
+        [{"n_steps": 5}, {"n_modes": 800, "samples": 10_000, "n_steps": 21}],
         ids=["direct-draw", "factored-draw"],
     )
-    def test_squared_occupation_bound(self, overrides, rank, margin):
-        """2|alpha|^2 + 392 S against sqrt(max_float / (2 samples)), on both sides.
+    def test_squared_occupation_bound(self, overrides, margin):
+        """2|alpha|^2 + 392 N max_j n_j against sqrt(max_float / (2 samples)), on both sides.
 
-        S is sum_j n_j where the labels are drawn directly (T >= N here), as
-        for the labels themselves, and r max_j n_j where the branch covariance
-        is factored (r = T < N).
+        At beta = 1 every n_j is below 1e-34, so |alpha| alone decides, whether
+        the labels are drawn directly (T >= N here) or the branch covariance
+        is factored (T < N).
         """
-        config = {**parse_document(THERMAL_CLI), **overrides}
-        samples, modes = int(config["samples"]), int(config["n_modes"])
-        expected = modes if rank is None else rank
-        assert thermal_module._rank(samples, modes, int(config["n_steps"])) == expected
-        omegas = 100.0 - 20.0 + (np.arange(modes) + 0.5) * 40.0 / modes  # the midpoint modes
-        spread = margin * math.sqrt(sys.float_info.max / (2 * samples)) / 392
-        if rank is None:
-            # At beta omega_j ~ 1e-150, n_j = 1 / (beta omega_j) - 1 / 2 to rounding.
-            beta = float(np.sum(1.0 / omegas)) / (spread + modes / 2)
+        config = {**parse_document(THERMAL_CLI), **overrides, "beta": 1.0}
+        alpha = math.sqrt(margin * math.sqrt(sys.float_info.max / (2 * int(config["samples"]))) / 2)
+        values = {**config, "alpha_re": alpha}
+        if margin < 1:
+            assert build_config(values).alpha_re == alpha
         else:
-            beta = math.log1p(rank / spread) / omegas[0]  # omegas[0] carries max_j n_j
-        values = {**config, "beta": beta, "alpha_re": 0.0}
+            with pytest.raises(ConfigError, match="squares per-sample occupations"):
+                build_config(values)
+
+    @pytest.mark.parametrize("margin", [0.999, 1.001], ids=["inside", "outside"])
+    @pytest.mark.parametrize("scenario", ["thermal", "oracle-compare"])
+    def test_occupation_bound(self, scenario, margin):
+        """The largest occupation, at the lowest bath mode, against 1/eps on both sides."""
+        values = {**parse_document(THERMAL_CLI), "scenario": scenario, "n_modes": 4, "fock_n": 1}
+        lowest = 100.0 - 20.0 + 40.0 / 8  # the lowest of four midpoint modes on [80, 120]
+        beta = math.log1p(sys.float_info.epsilon / margin) / lowest
+        values["beta"] = beta
         if margin < 1:
             assert build_config(values).beta == beta
         else:
-            with pytest.raises(ConfigError, match="squares per-sample occupations"):
+            with pytest.raises(ConfigError, match="near-infinite thermal occupations"):
                 build_config(values)
 
     @pytest.mark.parametrize(
@@ -265,11 +294,39 @@ class TestBoundary:
                  "--half-bandwidth", "20", "--n-modes", "2", "--fock-n", "1", "--beta", "1e-320"],
                 "infinite thermal occupations",
             ),
+            (
+                ["--scenario", "oracle-compare", "--gamma", "1", "--omega-b", "100",
+                 "--half-bandwidth", "20", "--n-modes", "2", "--fock-n", "1", "--beta", "1e-300"],
+                "near-infinite thermal occupations",
+            ),
+            (
+                ["--scenario", "thermal", "--gamma", "1", "--omega-b", "100", "--half-bandwidth", "20",
+                 "--n-modes", "5", "--beta", "1e-152", "--samples", "10", "--seed", "1"],
+                "near-infinite thermal occupations",
+            ),
+            (
+                ["--scenario", "thermal", "--gamma", "1", "--omega-b", "0.1", "--band-center", "0.1",
+                 "--half-bandwidth", "0.05", "--n-modes", "5", "--beta", "1e-323", "--samples", "10",
+                 "--seed", "1"],
+                "squares per-sample occupations",
+            ),
         ],
-        ids=["subnormal-squared-couplings", "oracle-infinite-occupations"],
+        ids=[
+            "subnormal-squared-couplings",
+            "oracle-infinite-occupations",
+            "oracle-huge-occupations",
+            "thermal-huge-occupations",
+            "thermal-occupations-past-float64",
+        ],
     )
     def test_cli_stops_at_the_config(self, capsys, flags, match):
-        """Runs that failed the sum rule deep in discretize_bath, or exited 0 with nan rows."""
+        """Runs that failed deep in the code, or exited 0 with nan or finite but wrong rows.
+
+        At beta = 1e-300 the oracle wrote a mean number of 3.47e265 at t = 0,
+        and at beta = 1e-152 the thermal run phi_discrete of 2.05e118, where
+        both read 1; at beta = 1e-323 beta omega rounds to zero and the
+        thermal run warned of a division by zero before it stopped.
+        """
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(flags + ["--t-max", "1", "--n-steps", "3"])
@@ -536,6 +593,34 @@ class TestCliFlags:
         record = _error_record(capsys)
         assert record["error"] == "ConfigError"
         assert "dump-bath requires n_modes and half_bandwidth" in record["message"]
+        assert not bath_path.exists()
+
+    @pytest.mark.parametrize(
+        "flags, match",
+        [
+            (["--scenario", "fock-decay", "--gamma", "1e-300", "--omega-b", "1", "--half-bandwidth",
+              "1e-10", "--n-modes", "38", "--fock-n", "1"], "38 midpoint modes cannot resolve the band"),
+            (["--scenario", "coherent-decay", "--gamma", "1", "--omega-b", "1", "--half-bandwidth", "-3",
+              "--n-modes", "5"], "half_bandwidth must be positive"),
+            (["--scenario", "coherent-decay", "--gamma", "1", "--omega-b", "1", "--half-bandwidth", "3",
+              "--n-modes", "0"], "n_modes must be at least 1"),
+        ],
+        ids=["subnormal-squared-couplings", "negative-half-bandwidth", "no-modes"],
+    )
+    def test_dump_bath_built_through_the_config_check(self, capsys, monkeypatch, tmp_path, flags, match):
+        """A bath the run does not use: it failed deep in discretize_bath, after the run."""
+        def run_scenario(config):
+            raise AssertionError("the scenario ran before the dump bath was checked")
+
+        monkeypatch.setattr(cli, "run_scenario", run_scenario)
+        bath_path = tmp_path / "bath.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(flags + ["--t-max", "1", "--n-steps", "3", "--dump-bath", str(bath_path)])
+        assert code == 1
+        record = _error_record(capsys)
+        assert record["error"] == "ConfigError"
+        assert match in record["message"]
         assert not bath_path.exists()
 
 
