@@ -10,7 +10,7 @@ import sys
 from .bath import write_bath_csv
 from .config import SCHEMA, build_config, parse_document
 from .errors import ConfigError
-from .runner import run_scenario, scenario_bath, write_report
+from .runner import run_scenario, write_report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,14 +53,11 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.config, "r", encoding="utf-8") as handle:
                 document = parse_document(handle.read())
         config = build_config(document, overrides)
-        bath = None
-        if args.dump_bath:
-            if config.n_modes is None or config.half_bandwidth is None:
-                raise ConfigError("dump-bath requires n_modes and half_bandwidth")
-            bath = scenario_bath(config)  # checked before the run
+        if args.dump_bath and config.bath is None:
+            raise ConfigError("dump-bath requires n_modes and half_bandwidth")
         report = run_scenario(config)
-        if bath is not None:
-            write_bath_csv(bath, args.dump_bath)
+        if args.dump_bath:
+            write_bath_csv(config.bath, args.dump_bath)
         path = write_report(report, config)
         summary = report.meta.get("summary")
         if summary is not None:

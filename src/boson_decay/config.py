@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Callable, Mapping, TypeVar, get_args, get_type_hints
+from typing import Any, Callable, TypeVar, get_args, get_type_hints
 
 import numpy as np
 
@@ -72,6 +72,13 @@ class ScenarioConfig:
     # eps times the fastest frequency the run rotates a phase at, times t_max: the
     # rounding of its largest phase omega t. None for fock-decay, which rotates none.
     max_phase_rounding: float | None = None
+    # The objects that the checks built and the run uses: the system mode, the bath of
+    # a run that names n_modes and half_bandwidth, a bath scenario's temperature (beta
+    # = inf where beta is not set), and the oracle of oracle-compare; None where absent.
+    system: SystemMode | None = field(default=None, compare=False, repr=False)
+    bath: DiscreteBath | None = field(default=None, compare=False, repr=False)
+    thermal: ThermalSpec | None = field(default=None, compare=False, repr=False)
+    oracle: FockSpaceOracle | None = field(default=None, compare=False, repr=False)
 
     @property
     def alpha(self) -> complex:
@@ -167,12 +174,8 @@ def build_config(values: dict[str, Any], overrides: dict[str, Any] | None = None
         merged[key] = default
         defaults_applied.append(key)
 
-    phase_rounding = _validate(merged, defaults_applied)
-    return ScenarioConfig(
-        **merged,
-        defaults_applied=tuple(sorted(defaults_applied)),
-        max_phase_rounding=phase_rounding,
-    )
+    built = _validate(merged, defaults_applied)
+    return ScenarioConfig(**merged, defaults_applied=tuple(sorted(defaults_applied)), **built)
 
 
 def parse_config(text: str, overrides: dict[str, Any] | None = None) -> ScenarioConfig:
@@ -194,20 +197,12 @@ def _built(key: str, make: Callable[..., _T], *args: Any) -> _T:
         raise ConfigError(message if key in message else f"{key}: {message}") from None
 
 
-def checked_bath(values: Mapping[str, Any]) -> DiscreteBath:
-    """The midpoint bath of a run's keys (``band_center`` defaults to ``omega_b``).
+def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> dict[str, Any]:
+    """Check ``merged`` in place; return the objects the checks built and the phase rounding.
 
-    A key that the bath rejects raises a ConfigError that names it.
-    """
-    center = values["band_center"] if values["band_center"] is not None else values["omega_b"]
-    spec = _built("half_bandwidth", SpectralDensitySpec, values["gamma"], center, values["half_bandwidth"])
-    return _built("n_modes", discretize_bath, spec, values["n_modes"])
-
-
-def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> float | None:
-    """Check ``merged`` in place; return the rounding of the run's largest phase, if it has one.
-
-    Rules that a library object enforces are checked by building that object.
+    Rules that a library object enforces are checked by building that object,
+    and the run uses the objects built here: the ``ScenarioConfig`` fields
+    ``system``, ``bath``, ``thermal``, ``oracle`` and ``max_phase_rounding``.
     """
     scenario = merged["scenario"]
     if scenario not in SCENARIOS:
@@ -217,6 +212,7 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> float | No
     if not merged["gamma"] > 0:
         raise ConfigError(f"gamma must be positive (got {merged['gamma']})")
     system = _built("omega_b", SystemMode, merged["omega_b"])
+    built: dict[str, Any] = dict(system=system, bath=None, thermal=None, oracle=None)
     if not merged["t_max"] > 0:
         raise ConfigError(f"t_max must be positive (got {merged['t_max']})")
     if merged["n_steps"] < 2:
@@ -231,14 +227,9 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> float | No
     if scenario in _FOCK_SCENARIOS:
         _require(merged, "fock_n", scenario)
         _built("fock_n", FockState, merged["fock_n"])
-
     if scenario in _BATH_SCENARIOS:
         _require(merged, "n_modes", scenario)
         _require(merged, "half_bandwidth", scenario)
-        if merged["band_center"] is None:
-            merged["band_center"] = merged["omega_b"]
-            defaults_applied.append("band_center")
-
     if scenario == "thermal":
         _require(merged, "beta", scenario)
         _require(merged, "samples", scenario)
@@ -254,27 +245,39 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> float | No
 
     estimate = _estimated_bytes(merged)
     if estimate > MEMORY_LIMIT_BYTES:
+        # A size past float64, as integer keys of 10^400 make, is named by its power of two.
+        gib = f"{estimate / 2**30:.3g}" if estimate < 2**1000 else f"2^{estimate.bit_length() - 31}"
         raise ConfigError(
-            f"run needs about {estimate / 2**30:.3g} GiB for its largest arrays, over the "
+            f"run needs about {gib} GiB for its largest arrays, over the "
             f"{MEMORY_LIMIT_BYTES / 2**30:.3g} GiB limit (lower n_modes, n_steps, samples or fock_n)"
         )
 
+    # A run that names a band has its bath built here, once the size check has bounded n_modes.
+    if merged["n_modes"] is not None and merged["half_bandwidth"] is not None:
+        if merged["band_center"] is None:
+            merged["band_center"] = merged["omega_b"]
+            defaults_applied.append("band_center")
+        band = merged["gamma"], merged["band_center"], merged["half_bandwidth"]
+        spec = _built("half_bandwidth", SpectralDensitySpec, *band)
+        built["bath"] = _built("n_modes", discretize_bath, spec, merged["n_modes"])
+
     frequency = merged["omega_b"]  # the fastest rotation the run evaluates
     if scenario in _BATH_SCENARIOS:
-        bath = checked_bath(merged)  # built once the size check has bounded n_modes
+        bath = built["bath"]
         if scenario == "excited-bath" and not 0 <= merged["excited_mode"] < bath.n_modes:
             raise ConfigError(
                 f"excited_mode must index a bath mode in [0, {bath.n_modes - 1}] "
                 f"(got {merged['excited_mode']})"
             )
         if scenario == "oracle-compare":
-            _built("n_modes", FockSpaceOracle, system, bath, merged["fock_n"])
-        if merged["beta"] is not None:
-            thermal = _built("beta", ThermalSpec.for_system, merged["beta"], merged["omega_b"])
-            occupations = _built("beta", thermal.occupations, bath)
-            if scenario == "thermal":
-                _check_squared_occupations(merged, alpha, occupations)
-            _check_occupations(merged["beta"], max(thermal.n_th, float(np.max(occupations))))
+            built["oracle"] = _built("n_modes", FockSpaceOracle, system, bath, merged["fock_n"])
+        # No beta is zero temperature: n_th = 0 and a vacuum bath.
+        beta = merged["beta"] if merged["beta"] is not None else math.inf
+        thermal = built["thermal"] = _built("beta", ThermalSpec.for_system, beta, merged["omega_b"])
+        occupations = _built("beta", thermal.occupations, bath)
+        if scenario == "thermal":
+            _check_squared_occupations(merged, alpha, occupations)
+        _check_occupations(beta, max(thermal.n_th, float(np.max(occupations))))
         # Each row's diagonal plus its couplings bounds the bath Hamiltonian's eigenvalues.
         with np.errstate(over="ignore"):
             frequency = max(
@@ -283,7 +286,7 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> float | No
             )
 
     if scenario == "fock-decay":  # the Fock laws alone rotate no phase
-        return None
+        return {**built, "max_phase_rounding": None}
     if scenario == "oracle-compare":
         frequency *= max(merged["fock_n"], 1)  # the oracle rotates fock_n excitations at once
     if not math.isfinite(frequency * merged["t_max"]):
@@ -291,7 +294,7 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> float | No
             f"phases omega t overflow float64: frequencies up to {frequency:.3g} over "
             f"t_max = {merged['t_max']:.3g} (lower omega_b, the band or t_max)"
         )
-    return sys.float_info.epsilon * frequency * merged["t_max"]
+    return {**built, "max_phase_rounding": sys.float_info.epsilon * frequency * merged["t_max"]}
 
 
 def _check_occupations(beta: float, largest: float) -> None:
@@ -326,7 +329,7 @@ def _check_squared_occupations(merged: dict[str, Any], alpha: float, occupations
     ``samples`` squares of such occupations.
     """
     bound = 2.0 * alpha * alpha + 392.0 * merged["n_modes"] * float(np.max(occupations))
-    limit = math.sqrt(sys.float_info.max / (2.0 * merged["samples"]))
+    limit = math.sqrt(int(sys.float_info.max) / (2 * merged["samples"]))  # int / int: any samples
     if not bound <= limit:
         raise ConfigError(
             f"thermal Monte Carlo squares per-sample occupations of up to {bound:.3g}, over the "
@@ -337,9 +340,12 @@ def _check_squared_occupations(merged: dict[str, Any], alpha: float, occupations
 def _estimated_bytes(merged: dict[str, Any]) -> int:
     """Bytes of a validated run's largest arrays, from its sizes alone (exact integers).
 
-    Bath runs hold ``SOLVER_BYTES_PER_MODE`` (4 KiB) per mode while the
-    propagator solves for its eigenvalues: each of its solver threads reuses
-    two (128, N) float blocks, 2 KiB per mode, and the thread count is capped
+    A run that names a band, in any scenario, holds its bath and either the
+    temporaries that discretize it or the text that ``--dump-bath`` writes of
+    it: 256 bytes per mode covers both (about 200 measured). Bath scenarios
+    hold ``SOLVER_BYTES_PER_MODE`` (4 KiB) per mode while the propagator
+    solves for its eigenvalues: each of its solver threads reuses two
+    (128, N) float blocks, 2 KiB per mode, and the thread count is capped
     so that they fit (the eigenvectors are never stored). Evaluating the grid
     takes about 32 bytes per grid point and mode: the complex result and at
     most as much again in temporaries. Thermal runs stream their
@@ -362,6 +368,8 @@ def _estimated_bytes(merged: dict[str, Any]) -> int:
     """
     scenario, steps = merged["scenario"], merged["n_steps"]
     estimate = 0
+    if merged["n_modes"] is not None and merged["half_bandwidth"] is not None:
+        estimate += 256 * merged["n_modes"]
     if scenario in _BATH_SCENARIOS:
         modes = merged["n_modes"] + 1
         estimate += SOLVER_BYTES_PER_MODE * modes + 32 * steps * modes

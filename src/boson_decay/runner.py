@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import sys
 import time
 from contextlib import contextmanager
@@ -26,10 +25,8 @@ from typing import Any, Callable, Iterator, TextIO
 import numpy as np
 
 from . import __version__
-from .bath import DiscreteBath, ThermalSpec
-from .config import ScenarioConfig, checked_bath
+from .config import ScenarioConfig
 from .decay import (
-    FockSpaceOracle,
     FockState,
     coherent_decay,
     excited_bath_evolution,
@@ -39,7 +36,6 @@ from .decay import (
 from .floatrepr import format_rows
 from .propagator import (
     ExactPropagator,
-    SystemMode,
     analytic_survival,
     dissipation_sum,
     unitarity_defect,
@@ -92,24 +88,10 @@ def _time_grid(config: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, config.t_max, config.n_steps)
 
 
-def _system(config: ScenarioConfig) -> SystemMode:
-    return SystemMode(omega_b=config.omega_b)
-
-
-def scenario_bath(config: ScenarioConfig) -> DiscreteBath:
-    """Discretized bath of a run; ``band_center`` defaults to ``omega_b``."""
-    return checked_bath(config.as_dict())
-
-
-def _bath_and_propagator(
-    config: ScenarioConfig, timings: dict[str, float]
-) -> tuple[DiscreteBath, ExactPropagator]:
-    """The scenario's bath and its propagator, timed as the ``bath`` and ``spectrum`` stages."""
-    with _stage(timings, "bath"):
-        bath = scenario_bath(config)
+def _propagator(config: ScenarioConfig, timings: dict[str, float]) -> ExactPropagator:
+    """The propagator of the config's system and bath, timed as the ``spectrum`` stage."""
     with _stage(timings, "spectrum"):
-        propagator = ExactPropagator(_system(config), bath)
-    return bath, propagator
+        return ExactPropagator(config.system, config.bath)
 
 
 def _report(table: dict[str, np.ndarray], meta: dict[str, Any] | None = None) -> RunReport:
@@ -152,13 +134,13 @@ def _coherent_table(grid: np.ndarray, label: np.ndarray, mean_number) -> dict[st
 
 def _run_coherent_decay(config: ScenarioConfig, timings: dict[str, float]) -> RunReport:
     grid = _time_grid(config)
-    survival = analytic_survival(_system(config), config.gamma, grid)
+    survival = analytic_survival(config.system, config.gamma, grid)
     return _report(_coherent_table(grid, *coherent_decay(config.alpha, survival)))
 
 
 def _run_excited_bath(config: ScenarioConfig, timings: dict[str, float]) -> RunReport:
-    bath, propagator = _bath_and_propagator(config, timings)
-    lambdas = np.zeros(bath.n_modes, dtype=complex)
+    propagator = _propagator(config, timings)
+    lambdas = np.zeros(config.bath.n_modes, dtype=complex)
     lambdas[config.excited_mode] = config.excited_label
     grid = _time_grid(config)
     with _stage(timings, "evaluate"):
@@ -172,8 +154,7 @@ def _run_excited_bath(config: ScenarioConfig, timings: dict[str, float]) -> RunR
 
 
 def _run_thermal(config: ScenarioConfig, timings: dict[str, float]) -> RunReport:
-    bath, propagator = _bath_and_propagator(config, timings)
-    thermal = ThermalSpec.for_system(config.beta, config.omega_b)
+    bath, thermal, propagator = config.bath, config.thermal, _propagator(config, timings)
     grid = _time_grid(config)
     with _stage(timings, "evaluate"):
         coeffs = propagator.evaluate(grid)
@@ -207,7 +188,7 @@ def _run_thermal(config: ScenarioConfig, timings: dict[str, float]) -> RunReport
 
 def _run_wwa_validate(config: ScenarioConfig, timings: dict[str, float]) -> RunReport:
     grid = _time_grid(config)
-    _, propagator = _bath_and_propagator(config, timings)
+    propagator = _propagator(config, timings)
     with _stage(timings, "evaluate"):
         coeffs = propagator.evaluate(grid)
     survived = np.abs(coeffs.survival) ** 2
@@ -238,20 +219,14 @@ def _run_wwa_validate(config: ScenarioConfig, timings: dict[str, float]) -> RunR
 
 
 def _run_oracle_compare(config: ScenarioConfig, timings: dict[str, float]) -> RunReport:
-    bath, propagator = _bath_and_propagator(config, timings)
-    n = config.fock_n
-    oracle = FockSpaceOracle(propagator.system, bath, n_max=n)
-    # No beta is zero temperature: n_th = 0 and a vacuum bath.
-    thermal = ThermalSpec.for_system(
-        config.beta if config.beta is not None else math.inf, config.omega_b
-    )
+    n, thermal, propagator = config.fock_n, config.thermal, _propagator(config, timings)
     grid = _time_grid(config)
     with _stage(timings, "evaluate"):
         coeffs = propagator.evaluate(grid)
     survived = np.abs(coeffs.survival) ** 2
     law = fock_populations(n, np.minimum(survived, 1.0)).probs
     with _stage(timings, "oracle"):
-        pops = oracle.reduced_density(FockState(n), grid).populations
+        pops = config.oracle.reduced_density(FockState(n), grid).populations
     deviation = np.max(np.abs(pops - law), axis=1)
     heff = EffectiveHamiltonian(config.omega_b, config.gamma, thermal.n_th)
     heff_mean = heff.evolve_fock(n, grid).mean_number
@@ -263,7 +238,7 @@ def _run_oracle_compare(config: ScenarioConfig, timings: dict[str, float]) -> Ru
         "max_pop_deviation": deviation,
         "heff_fock_mean": heff_mean,
         "exact_fock_mean": exact_mean,
-        "oracle_fock_mean": n * survived + dissipation_sum(coeffs, thermal.occupations(bath)),
+        "oracle_fock_mean": n * survived + dissipation_sum(coeffs, thermal.occupations(config.bath)),
         "divergence": heff_mean - exact_mean,
     }
     return _report(
@@ -289,7 +264,8 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     """Execute one scenario and return its report with full metadata.
 
     ``meta["timings"]`` holds the seconds spent in each stage the scenario
-    runs: ``bath``, ``spectrum``, ``evaluate``, ``monte_carlo`` and ``oracle``.
+    runs: ``spectrum``, ``evaluate``, ``monte_carlo`` and ``oracle``. The bath,
+    its temperature and the oracle are the config's, built when it was validated.
     A scenario that rotates phases records the config's ``max_phase_rounding``
     in ``meta["diagnostics"]``.
     """

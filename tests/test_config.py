@@ -25,6 +25,9 @@ t_max = 5
 n_steps = 100
 """
 
+# An integer key past float64, 10^400: coerced exactly, it must not overflow a float later.
+HUGE = "1" + "0" * 400
+
 THERMAL_BASE = """
 scenario = thermal
 gamma = 1.0
@@ -310,6 +313,26 @@ class TestBoundary:
                  "--seed", "1"],
                 "squares per-sample occupations",
             ),
+            (
+                ["--scenario", "thermal", "--gamma", "1", "--omega-b", "100", "--half-bandwidth", "20",
+                 "--n-modes", "5", "--beta", "1", "--samples", HUGE, "--seed", "1"],
+                f"that {HUGE} samples allow",
+            ),
+            (
+                ["--scenario", "fock-decay", "--gamma", "1", "--omega-b", "1", "--fock-n", "2",
+                 "--n-steps", HUGE],
+                "limit (lower n_modes, n_steps, samples or fock_n)",
+            ),
+            (
+                ["--scenario", "excited-bath", "--gamma", "1", "--omega-b", "100", "--half-bandwidth",
+                 "20", "--n-modes", HUGE],
+                "limit (lower n_modes, n_steps, samples or fock_n)",
+            ),
+            (
+                ["--scenario", "oracle-compare", "--gamma", "1", "--omega-b", "100", "--half-bandwidth",
+                 "20", "--n-modes", "2", "--fock-n", HUGE],
+                "limit (lower n_modes, n_steps, samples or fock_n)",
+            ),
         ],
         ids=[
             "subnormal-squared-couplings",
@@ -317,6 +340,10 @@ class TestBoundary:
             "oracle-huge-occupations",
             "thermal-huge-occupations",
             "thermal-occupations-past-float64",
+            "samples-past-float64",
+            "n_steps-past-float64",
+            "n_modes-past-float64",
+            "fock_n-past-float64",
         ],
     )
     def test_cli_stops_at_the_config(self, capsys, flags, match):
@@ -325,11 +352,12 @@ class TestBoundary:
         At beta = 1e-300 the oracle wrote a mean number of 3.47e265 at t = 0,
         and at beta = 1e-152 the thermal run phi_discrete of 2.05e118, where
         both read 1; at beta = 1e-323 beta omega rounds to zero and the
-        thermal run warned of a division by zero before it stopped.
+        thermal run warned of a division by zero before it stopped. Integers
+        past float64 (``HUGE``) exited 1 with an OverflowError.
         """
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(flags + ["--t-max", "1", "--n-steps", "3"])
+            code = main(["--t-max", "1", "--n-steps", "3", *flags])
         assert code == 1
         record = _error_record(capsys)
         assert record["error"] == "ConfigError"
@@ -474,10 +502,13 @@ class TestResourceGuard:
             (BENCHMARK_CONFIGS["oracle-fock10"], {"fock_n": 30}),
             (BENCHMARK_CONFIGS["oracle-fock10"], {"fock_n": 11, "n_steps": 100_000}),
             (BENCHMARK_CONFIGS["oracle-fock10"], {"n_modes": 1, "fock_n": 2000, "n_steps": 201}),
+            (MINIMAL_FOCK, {"n_modes": 10**9, "half_bandwidth": 0.5}),
+            (MINIMAL_FOCK.replace("fock-decay", "coherent-decay"),
+             {"n_modes": 10**9, "half_bandwidth": 0.5}),
         ],
         ids=[
             "n_modes", "n_steps-x-fock_n", "n_steps-x-n_modes", "oracle-sector",
-            "oracle-sector-x-n_steps", "oracle-density",
+            "oracle-sector-x-n_steps", "oracle-density", "fock-decay-band", "coherent-decay-band",
         ],
     )
     def test_oversize_rejected_without_allocating(self, base, overrides):

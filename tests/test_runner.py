@@ -1,5 +1,6 @@
 """Scenario execution, report schemas, serialization, and the CLI surface."""
 
+import collections
 import contextlib
 import dataclasses
 import io
@@ -17,7 +18,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from boson_decay import RunReport, build_config, parse_config, propagator, run_scenario
+from boson_decay import config as config_module
+from boson_decay.bath import ThermalSpec
 from boson_decay.cli import main
+from boson_decay.decay import FockSpaceOracle
 from boson_decay.runner import (
     _BLOCK_CELLS,
     emit_report,
@@ -199,6 +203,13 @@ class TestOracleCompareScenario:
         magnitudes = np.abs(report.table[:, i_div]).tolist()
         assert magnitudes == sorted(magnitudes)
 
+    def test_config_run_twice_gives_the_same_bytes(self):
+        """The second run reuses the sector that the config's oracle diagonalized in the first."""
+        config = parse_config(ORACLE_TEXT)
+        first = emit_report(run_scenario(config), "csv")
+        assert config.oracle._sectors
+        assert emit_report(run_scenario(config), "csv") == first
+
 
 PROPAGATOR_KEYS = ["max_unitarity_defect", "sum_rule_residual"]
 
@@ -291,10 +302,10 @@ class TestDiagnostics:
         [
             (FOCK_TEXT, []),
             (COHERENT_TEXT, []),
-            (EXCITED_TEXT, ["bath", "spectrum", "evaluate"]),
-            (THERMAL_TEXT, ["bath", "spectrum", "evaluate", "monte_carlo"]),
-            (WWA_TEXT, ["bath", "spectrum", "evaluate"]),
-            (ORACLE_TEXT, ["bath", "spectrum", "evaluate", "oracle"]),
+            (EXCITED_TEXT, ["spectrum", "evaluate"]),
+            (THERMAL_TEXT, ["spectrum", "evaluate", "monte_carlo"]),
+            (WWA_TEXT, ["spectrum", "evaluate"]),
+            (ORACLE_TEXT, ["spectrum", "evaluate", "oracle"]),
         ],
         ids=["fock-decay", "coherent-decay", "excited-bath", "thermal", "wwa-validate",
              "oracle-compare"],
@@ -542,6 +553,40 @@ class TestBlockWriter:
                 write_report(report, config)
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
+
+
+BATH_TEXTS = {
+    "excited-bath": EXCITED_TEXT,
+    "thermal": THERMAL_TEXT,
+    "wwa-validate": WWA_TEXT,
+    "oracle-compare": ORACLE_TEXT,
+}
+
+
+class TestBuiltOnce:
+    @pytest.mark.parametrize("dump", [False, True], ids=["run", "dump-bath"])
+    @pytest.mark.parametrize("scenario", list(BATH_TEXTS))
+    def test_cli_builds_each_object_once(self, monkeypatch, tmp_path, scenario, dump):
+        """One bath, one temperature and (oracle-compare) one oracle per run, bath dumped or not."""
+        calls = collections.Counter()
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(config_module, "discretize_bath", counted("bath", config_module.discretize_bath))
+        monkeypatch.setattr(
+            ThermalSpec, "for_system", classmethod(counted("thermal", ThermalSpec.for_system.__func__))
+        )
+        monkeypatch.setattr(FockSpaceOracle, "__init__", counted("oracle", FockSpaceOracle.__init__))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BATH_TEXTS[scenario])
+        dump_flags = ["--dump-bath", str(tmp_path / "bath.csv")] if dump else []
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "run.csv"), *dump_flags]) == 0
+        assert calls == collections.Counter(bath=1, thermal=1, oracle=int(scenario == "oracle-compare"))
+        assert (tmp_path / "bath.csv").exists() == dump
 
 
 class TestCli:
