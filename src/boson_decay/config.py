@@ -16,20 +16,20 @@ import numpy as np
 from .bath import DiscreteBath, SpectralDensitySpec, ThermalSpec, discretize_bath
 from .decay import FockSpaceOracle, FockState
 from .errors import ConfigError
-from .propagator import SOLVER_BYTES_PER_MODE, SystemMode
-from .thermal import MC_BLOCK_BYTES, _rank
+from .propagator import SystemMode, solve_bytes
+from .thermal import check_squared_occupations, monte_carlo_bytes
 
-SCENARIOS = (
-    "fock-decay",
-    "coherent-decay",
-    "excited-bath",
-    "thermal",
-    "wwa-validate",
-    "oracle-compare",
-)
-
-_BATH_SCENARIOS = ("excited-bath", "thermal", "wwa-validate", "oracle-compare")
-_FOCK_SCENARIOS = ("fock-decay", "oracle-compare")
+# Each scenario and the keys it requires besides the always-required ones, in the order
+# a missing one is named. The bath scenarios are those that require n_modes.
+_REQUIRES = {
+    "fock-decay": ("fock_n",),
+    "coherent-decay": (),
+    "excited-bath": ("n_modes", "half_bandwidth"),
+    "thermal": ("n_modes", "half_bandwidth", "beta", "samples"),
+    "wwa-validate": ("n_modes", "half_bandwidth"),
+    "oracle-compare": ("fock_n", "n_modes", "half_bandwidth"),
+}
+SCENARIOS = tuple(_REQUIRES)
 
 # A run whose largest arrays are estimated above this many bytes is rejected.
 MEMORY_LIMIT_BYTES = 4 * 2**30
@@ -183,11 +183,6 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> Scenario
     return build_config(parse_document(text), overrides)
 
 
-def _require(merged: dict[str, Any], key: str, scenario: str) -> None:
-    if merged.get(key) is None:
-        raise ConfigError(f"{scenario} requires {key}")
-
-
 def _built(key: str, make: Callable[..., _T], *args: Any) -> _T:
     """``make(*args)``, its ValueError raised as a ConfigError that names ``key``."""
     try:
@@ -224,15 +219,11 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> dict[str, 
     if not math.isfinite(norm_sq):
         raise ConfigError(f"|alpha|^2 + |lambda|^2 must be a finite float (got {norm_sq})")
 
-    if scenario in _FOCK_SCENARIOS:
-        _require(merged, "fock_n", scenario)
-        _built("fock_n", FockState, merged["fock_n"])
-    if scenario in _BATH_SCENARIOS:
-        _require(merged, "n_modes", scenario)
-        _require(merged, "half_bandwidth", scenario)
-    if scenario == "thermal":
-        _require(merged, "beta", scenario)
-        _require(merged, "samples", scenario)
+    for key in _REQUIRES[scenario]:
+        if merged[key] is None:
+            raise ConfigError(f"{scenario} requires {key}")
+        if key == "fock_n":  # a negative fock_n is named before a missing key after it
+            _built("fock_n", FockState, merged["fock_n"])
     if merged["beta"] is not None and not merged["beta"] > 0:
         raise ConfigError(f"beta must be positive (got {merged['beta']})")
     if merged["samples"] is not None:
@@ -262,7 +253,7 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> dict[str, 
         built["bath"] = _built("n_modes", discretize_bath, spec, merged["n_modes"])
 
     frequency = merged["omega_b"]  # the fastest rotation the run evaluates
-    if scenario in _BATH_SCENARIOS:
+    if "n_modes" in _REQUIRES[scenario]:
         bath = built["bath"]
         if scenario == "excited-bath" and not 0 <= merged["excited_mode"] < bath.n_modes:
             raise ConfigError(
@@ -276,7 +267,7 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> dict[str, 
         thermal = built["thermal"] = _built("beta", ThermalSpec.for_system, beta, merged["omega_b"])
         occupations = _built("beta", thermal.occupations, bath)
         if scenario == "thermal":
-            _check_squared_occupations(merged, alpha, occupations)
+            _built("samples", check_squared_occupations, alpha, occupations, merged["samples"])
         _check_occupations(beta, max(thermal.n_th, float(np.max(occupations))))
         # Each row's diagonal plus its couplings bounds the bath Hamiltonian's eigenvalues.
         with np.errstate(over="ignore"):
@@ -314,72 +305,31 @@ def _check_occupations(beta: float, largest: float) -> None:
         )
 
 
-def _check_squared_occupations(merged: dict[str, Any], alpha: float, occupations: np.ndarray) -> None:
-    """Reject a thermal run whose Monte Carlo sums of squared occupations would overflow.
-
-    A sample's occupation |alpha u_t + (L z)_t|^2 is at most
-    2 |alpha|^2 + 2 |(L z)_t|^2, where L is the (T, r) branch factor,
-    r <= N, and z holds r complex numbers of two normal draws each. numpy's
-    ziggurat draw stays within 14 standard deviations (its tail is
-    r - ln(u) / r with r < 3.7 and u >= 2^-53), so |z|^2 <= 392 r. Each row
-    of L, drawn directly as A diag(sqrt(n / 2)) or factored from the
-    covariance it makes, has |L_t|^2 = sum_j n_j |v_j(t)|^2 / 2
-    <= max_j n_j / 2, as |u|^2 + sum_j |v_j|^2 = 1. So the occupation is at
-    most 2 |alpha|^2 + 392 N max_j n_j, and the moments add up to twice
-    ``samples`` squares of such occupations.
-    """
-    bound = 2.0 * alpha * alpha + 392.0 * merged["n_modes"] * float(np.max(occupations))
-    limit = math.sqrt(int(sys.float_info.max) / (2 * merged["samples"]))  # int / int: any samples
-    if not bound <= limit:
-        raise ConfigError(
-            f"thermal Monte Carlo squares per-sample occupations of up to {bound:.3g}, over the "
-            f"{limit:.3g} that {merged['samples']} samples allow in float64 (lower alpha or raise beta)"
-        )
-
-
 def _estimated_bytes(merged: dict[str, Any]) -> int:
     """Bytes of a validated run's largest arrays, from its sizes alone (exact integers).
 
-    A run that names a band, in any scenario, holds its bath and either the
-    temporaries that discretize it or the text that ``--dump-bath`` writes of
-    it: 256 bytes per mode covers both (about 200 measured). Bath scenarios
-    hold ``SOLVER_BYTES_PER_MODE`` (4 KiB) per mode while the propagator
-    solves for its eigenvalues: each of its solver threads reuses two
-    (128, N) float blocks, 2 KiB per mode, and the thread count is capped
-    so that they fit (the eigenvectors are never stored). Evaluating the grid
-    takes about 32 bytes per grid point and mode: the complex result and at
-    most as much again in temporaries. Thermal runs stream their
-    samples: the Monte Carlo holds the (T, N) absorption array weighted by
-    the occupations (16 N T bytes), where it factors the branch covariance
-    also the T x T Gram and one more T x T array at a time (a chunk's
-    product, a rank-one update or the factor; 16 T^2 bytes each), and at
-    most two blocks of ``MC_BLOCK_BYTES`` whatever the sample count. Every report
-    holds its columns stacked into one float64 table, and the binomial law of
-    a Fock scenario holds (T, n+1) temporaries while it is evaluated; 48
-    bytes per cell covers both, at most 8 columns plus two per Fock level.
-    CSV and JSON rows are formatted in fixed blocks of rows, so their text is
-    not counted. The oracle of ``oracle-compare`` diagonalizes the dense
-    Hamiltonian of its one excitation sector, of dimension d = C(fock_n + N, N):
-    the matrix, the eigensolver's copy and 2 d^2 workspace, and the
-    eigenvectors take about 40 d^2 bytes. Evolving the sector over the grid
-    takes about 40 bytes per grid point and sector state, its partial-trace
-    table 16 bytes per sector state and Fock level, and the reduced density
-    16 bytes per grid point and pair of Fock levels.
+    Each object the run builds states its own: :func:`solve_bytes` for the
+    propagator of a bath scenario, :func:`monte_carlo_bytes` for the thermal
+    Monte Carlo and :meth:`FockSpaceOracle.sector_bytes` for the oracle of
+    ``oracle-compare``, which stops a bath of more than 4 modes here, before
+    its sector is sized. Added here: a run that names a band, in any
+    scenario, holds its bath and either the temporaries that discretize it
+    or the text that ``--dump-bath`` writes of it, and 256 bytes per mode
+    covers both (about 200 measured). Every report holds its columns stacked
+    into one float64 table, and the binomial law of a Fock scenario holds
+    (T, n+1) temporaries while it is evaluated; 48 bytes per cell covers
+    both, at most 8 columns plus two per Fock level. CSV and JSON rows are
+    formatted in fixed blocks of rows, so their text is not counted.
     """
-    scenario, steps = merged["scenario"], merged["n_steps"]
+    scenario, steps, n_modes = merged["scenario"], merged["n_steps"], merged["n_modes"]
     estimate = 0
-    if merged["n_modes"] is not None and merged["half_bandwidth"] is not None:
-        estimate += 256 * merged["n_modes"]
-    if scenario in _BATH_SCENARIOS:
-        modes = merged["n_modes"] + 1
-        estimate += SOLVER_BYTES_PER_MODE * modes + 32 * steps * modes
+    if n_modes is not None and merged["half_bandwidth"] is not None:
+        estimate += 256 * n_modes
+    if "n_modes" in _REQUIRES[scenario]:
+        estimate += solve_bytes(n_modes, steps)
     if scenario == "thermal":
-        n = merged["n_modes"]
-        gram = 32 * steps * steps if _rank(merged["samples"], n, steps) < n else 0
-        estimate += 16 * steps * n + gram + 2 * MC_BLOCK_BYTES
+        estimate += monte_carlo_bytes(merged["samples"], n_modes, steps)
     if scenario == "oracle-compare":
-        levels = merged["fock_n"] + 1
-        sector = math.comb(merged["fock_n"] + max(merged["n_modes"], 0), merged["fock_n"])
-        estimate += 40 * sector * (sector + steps) + 16 * levels * (sector + steps * levels)
-    levels = merged["fock_n"] + 1 if scenario in _FOCK_SCENARIOS else 0
+        estimate += _built("n_modes", FockSpaceOracle.sector_bytes, n_modes, merged["fock_n"], steps)
+    levels = merged["fock_n"] + 1 if "fock_n" in _REQUIRES[scenario] else 0
     return estimate + 48 * steps * (8 + 2 * levels)

@@ -315,6 +315,14 @@ def spectral_evolution(
     return evolved.reshape(times.shape + (-1,))
 
 
+def _check_mode_count(n_modes: int) -> None:
+    """Raise ResourceLimitError for a bath too large for the dense oracle."""
+    if n_modes > _MAX_ORACLE_BATH_MODES:
+        raise ResourceLimitError(
+            f"dense oracle supports at most {_MAX_ORACLE_BATH_MODES} bath modes (got {n_modes})"
+        )
+
+
 class FockSpaceOracle:
     """Dense evolution of the joint state in a truncated product Fock basis.
 
@@ -327,11 +335,7 @@ class FockSpaceOracle:
     """
 
     def __init__(self, system: SystemMode, bath: DiscreteBath, n_max: int):
-        if bath.n_modes > _MAX_ORACLE_BATH_MODES:
-            raise ResourceLimitError(
-                f"dense oracle supports at most {_MAX_ORACLE_BATH_MODES} bath modes "
-                f"(got {bath.n_modes})"
-            )
+        _check_mode_count(bath.n_modes)
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
         self.system = system
@@ -342,6 +346,25 @@ class FockSpaceOracle:
         self._bath_strings: dict[tuple[int, ...], int] = {}
         self._sectors: dict[int, dict[str, Any]] = {}
 
+    @staticmethod
+    def sector_bytes(n_modes: int, k: int, n_times: int) -> int:
+        """Bytes that :meth:`reduced_density` takes for ``Fock(k)`` over ``n_times`` times.
+
+        At ``n_modes`` = N it diagonalizes the dense Hamiltonian of the one excitation sector,
+        of dimension d = C(k + N, N): the matrix, the eigensolver's copy and
+        2 d^2 workspace, and the eigenvectors take about 40 d^2 bytes.
+        Evolving the sector over the grid takes about 40 bytes per grid point
+        and sector state, its partial-trace table 16 bytes per sector state
+        and Fock level, and the reduced density 16 bytes per grid point and
+        pair of Fock levels. An exact integer; N above the oracle's limit of
+        4 modes raises :class:`ResourceLimitError` before d is formed, so
+        every size returns at once.
+        """
+        _check_mode_count(n_modes)
+        levels = k + 1
+        sector = math.comb(k + max(n_modes, 0), k)  # N < 1 (no bath) sizes one state
+        return 40 * sector * (sector + n_times) + 16 * levels * (sector + n_times * levels)
+
     def _sector(self, k: int) -> dict[str, Any]:
         """The sector of total excitation k, diagonalized on first use and cached."""
         if k not in self._sectors:
@@ -349,7 +372,6 @@ class FockSpaceOracle:
             index = {occ: i for i, occ in enumerate(basis)}
             eigenvalues, eigenvectors = np.linalg.eigh(self._sector_hamiltonian(basis, index))
             self._sectors[k] = {
-                "basis": basis,
                 "index": index,
                 "eigenvalues": eigenvalues,
                 "eigenvectors": eigenvectors,

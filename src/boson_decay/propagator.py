@@ -111,8 +111,8 @@ _EPS = np.finfo(float).eps
 # of the Loewner product, whatever W is.
 _ROOT_BLOCK = 128
 _MAX_ROOT_STEPS = 64
-# Memory the eigenvalue solve may take per bath mode; the config's size check
-# charges the same figure. It admits two workspaces of 2 * 8 * _ROOT_BLOCK bytes.
+# Memory the eigenvalue solve may take per mode; solve_bytes charges the same
+# figure. It admits two workspaces of 2 * 8 * _ROOT_BLOCK bytes.
 SOLVER_BYTES_PER_MODE = 4096
 # A pole at least one interval width beyond an interval has Bernstein ellipse
 # parameter 3 + sqrt(8) or more there, and the Chebyshev interpolant on r nodes
@@ -814,6 +814,19 @@ def _phases(times, eigenvalues: np.ndarray) -> np.ndarray:
     np.cos(angles, out=phases.real)
     np.sin(angles, out=phases.imag)
     return phases
+
+
+def solve_bytes(n_modes: int, n_times: int) -> int:
+    """Bytes that an :class:`ExactPropagator` of ``n_modes`` bath modes takes over ``n_times`` times.
+
+    The eigenvalue solve holds ``SOLVER_BYTES_PER_MODE`` (4 KiB) per mode,
+    the system's included: each of its solver threads reuses two (128, N)
+    float blocks, 2 KiB per mode, and the thread count is capped so that
+    they fit (the eigenvectors are never stored). Its :meth:`~ExactPropagator.evaluate`
+    takes about 32 bytes per grid point and mode: the complex result and at
+    most as much again in temporaries. An exact integer, for any size.
+    """
+    return (SOLVER_BYTES_PER_MODE + 32 * n_times) * (n_modes + 1)
 
 
 class ExactPropagator:

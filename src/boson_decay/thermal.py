@@ -6,6 +6,7 @@ Gaussian moments.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -219,6 +220,43 @@ def _rank(count: int, n_modes: int, n_times: int) -> int:
     only where T < N leaves columns to save; then r <= T.
     """
     return n_times if n_times < min(n_modes, count) else n_modes
+
+
+def monte_carlo_bytes(count: int, n_modes: int, n_times: int) -> int:
+    """Bytes :func:`monte_carlo_moments` takes for ``count`` samples of N modes at T times.
+
+    It holds the (T, N) absorption array weighted by the occupations
+    (16 N T bytes); where it factors the branch covariance (:func:`_rank`)
+    also the T x T Gram and one more T x T array at a time (a chunk's
+    product, a rank-one update or the factor; 16 T^2 bytes each); and at
+    most two blocks of ``MC_BLOCK_BYTES`` whatever the sample count. An
+    exact integer, for any size.
+    """
+    gram = 32 * n_times * n_times if _rank(count, n_modes, n_times) < n_modes else 0
+    return 16 * n_times * n_modes + gram + 2 * MC_BLOCK_BYTES
+
+
+def check_squared_occupations(alpha: complex, occupations: np.ndarray, count: int) -> None:
+    """Raise ValueError where the Monte Carlo sums of squared occupations would overflow.
+
+    A sample's occupation |alpha u_t + (L z)_t|^2 is at most
+    2 |alpha|^2 + 2 |(L z)_t|^2, where L is the (T, r) branch factor,
+    r <= N, and z holds r complex numbers of two normal draws each. numpy's
+    ziggurat draw stays within 14 standard deviations (its tail is
+    r - ln(u) / r with r < 3.7 and u >= 2^-53), so |z|^2 <= 392 r. Each row
+    of L, drawn directly as A diag(sqrt(n / 2)) or factored from the
+    covariance it makes, has |L_t|^2 = sum_j n_j |v_j(t)|^2 / 2
+    <= max_j n_j / 2, as |u|^2 + sum_j |v_j|^2 = 1. So the occupation is at
+    most 2 |alpha|^2 + 392 N max_j n_j over the N ``occupations``, and the
+    moments add up to twice ``count`` squares of such occupations.
+    """
+    bound = 2.0 * abs(alpha) * abs(alpha) + 392.0 * occupations.size * float(np.max(occupations))
+    limit = math.sqrt(int(sys.float_info.max) / (2 * count))  # int / int: any count
+    if not bound <= limit:
+        raise ValueError(
+            f"thermal Monte Carlo squares per-sample occupations of up to {bound:.3g}, over the "
+            f"{limit:.3g} that {count} samples allow in float64 (lower alpha or raise beta)"
+        )
 
 
 def _gram_factor(weighted: np.ndarray) -> np.ndarray:

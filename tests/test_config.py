@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boson_decay
 from boson_decay import SCENARIOS, ConfigError, build_config, cli, parse_config, run_scenario
 from boson_decay.cli import main
 from boson_decay.config import MEMORY_LIMIT_BYTES, SCHEMA, _estimated_bytes, parse_document
@@ -135,6 +139,17 @@ class TestValidation:
         )
         with pytest.raises(ConfigError, match="at most 4"):
             parse_config(text)
+
+    def test_oracle_mode_limit_comes_before_the_band(self):
+        """The limit is checked while the run is sized, before a band it cannot resolve is built."""
+        text = (
+            "scenario = oracle-compare\ngamma = 1e-300\nomega_b = 1\nfock_n = 1\n"
+            "t_max = 1\nn_steps = 3\nn_modes = 38\nhalf_bandwidth = 1e-10\n"
+        )
+        with pytest.raises(ConfigError, match="at most 4 bath modes"):
+            parse_config(text)
+        with pytest.raises(ConfigError, match="38 midpoint modes cannot resolve the band"):
+            parse_config(text.replace("oracle-compare", "wwa-validate"))
 
     def test_excited_mode_bounds(self):
         text = (
@@ -554,6 +569,48 @@ class TestResourceGuard:
         summary = json.loads(capsys.readouterr().err.splitlines()[0])["summary"]
         assert summary["max_population_deviation"] <= 1e-8
 
+    @pytest.mark.parametrize("size", ["10000000", HUGE], ids=["1e7", "past-float64"])
+    def test_oversize_oracle_bath_stops_at_its_mode_limit(self, capsys, size):
+        """Sized before its mode limit was checked, the oracle's sector C(fock_n + N, N)
+        hung the config with both keys at 10^7 and overflowed with both at 10^400.
+        """
+        code = main(
+            [
+                "--scenario", "oracle-compare", "--gamma", "1", "--omega-b", "100",
+                "--half-bandwidth", "20", "--n-modes", size, "--fock-n", size,
+                "--t-max", "1", "--n-steps", "3",
+            ]
+        )
+        assert code == 1
+        assert _error_record(capsys) == {
+            "error": "ConfigError",
+            "message": f"n_modes: dense oracle supports at most 4 bath modes (got {size})",
+        }
+
+    def test_every_size_combination_ends_at_the_config(self):
+        """Every scenario, with each non-empty subset of the size keys at 10^9 or at
+        10^400, builds or raises ConfigError (180 configs, in a child process, so
+        that a hang fails the test instead of stalling the suite).
+
+        Only ``build_config`` is run. A config that passes may still run for an
+        unbounded time: no rule bounds the run time, and a thermal run with
+        ``samples`` = 10^300 passes the config and does not finish.
+        """
+        src = str(pathlib.Path(boson_decay.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", SIZE_SWEEP], capture_output=True, text=True,
+                timeout=60, env={**os.environ, "PYTHONPATH": path},
+            )
+        except subprocess.TimeoutExpired as exc:
+            started = os.fsdecode(exc.stdout or b"").splitlines()
+            pytest.fail(f"config still running after 60 s, at case {started[-1:]}")
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 180
+        assert [line for line in lines if not line.endswith(("built", "ConfigError"))] == []
+
     def test_cli_reports_oversize_run(self, capsys):
         code = main(
             [
@@ -566,6 +623,28 @@ class TestResourceGuard:
         record = _error_record(capsys)
         assert record["error"] == "ConfigError"
         assert "GiB" in record["message"]
+
+
+# Prints one line per config as it starts it (scenario, size keys, exponent) and
+# ends the line with how build_config ended: "built", or the exception's name.
+SIZE_SWEEP = """
+import itertools
+from boson_decay import SCENARIOS, build_config
+
+base = dict(gamma=1, omega_b=100, half_bandwidth=20, t_max=1, n_steps=3, n_modes=2,
+            fock_n=1, beta=1, samples=10, seed=1)
+keys = ("n_modes", "fock_n", "n_steps", "samples")
+for scenario in SCENARIOS:
+    for count in range(1, len(keys) + 1):
+        for subset in itertools.combinations(keys, count):
+            for exponent in (9, 400):
+                print(scenario, ",".join(subset), exponent, end=" ", flush=True)
+                try:
+                    build_config({**base, "scenario": scenario, **dict.fromkeys(subset, 10**exponent)})
+                    print("built", flush=True)
+                except Exception as exc:
+                    print(type(exc).__name__, flush=True)
+"""
 
 
 COHERENT_FLAGS = [

@@ -1,6 +1,7 @@
 """Zero-temperature decay laws validated against the dense Fock-space oracle."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -327,6 +328,30 @@ class TestFockSpaceOracle:
         bath = discretize_bath(spec, 5)
         with pytest.raises(ResourceLimitError, match="at most 4"):
             FockSpaceOracle(small_system, bath, n_max=1)
+
+    def test_sector_bytes_checks_the_mode_limit_before_the_sector(self):
+        """C(2 * 10^7, 10^7) is never formed: the 4-mode limit is checked first."""
+        with pytest.raises(ResourceLimitError, match=r"at most 4 bath modes \(got 10000000\)"):
+            FockSpaceOracle.sector_bytes(10_000_000, 10_000_000, 3)
+        assert FockSpaceOracle.sector_bytes(4, 11, 201) == (
+            40 * 1365 * (1365 + 201) + 16 * 12 * (1365 + 201 * 12)
+        )
+
+    @pytest.mark.parametrize(
+        "n_modes, k, n_times", [(4, 6, 201), (4, 10, 201), (3, 8, 51), (2, 12, 1001)]
+    )
+    def test_sector_bytes_bound_the_traced_peak(self, n_modes, k, n_times):
+        """The stated size is at least the peak that ``reduced_density`` allocates."""
+        spec = SpectralDensitySpec(gamma=GAMMA, band_center=100.0, half_bandwidth=20.0)
+        oracle = FockSpaceOracle(SystemMode(100.0), discretize_bath(spec, n_modes), n_max=k)
+        times = np.linspace(0.0, 5.0, n_times)
+        tracemalloc.start()
+        try:
+            oracle.reduced_density(FockState(k), times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= FockSpaceOracle.sector_bytes(n_modes, k, n_times)
 
     def test_truncation_defect_is_surfaced(self, small_system, small_bath):
         with pytest.raises(TruncationError, match="raise n_max"):

@@ -32,7 +32,7 @@ from boson_decay import (
 )
 from boson_decay import thermal as thermal_module
 from boson_decay.decay import coherent_amplitudes
-from boson_decay.thermal import MC_BLOCK_BYTES, ThermalFactor, _block_rows
+from boson_decay.thermal import MC_BLOCK_BYTES, ThermalFactor, _block_rows, monte_carlo_bytes
 
 GAMMA = 1.0
 
@@ -592,6 +592,7 @@ class TestStreamedMonteCarlo:
             tracemalloc.stop()
         assert peak < 16 * 2**20
         assert peak < 1.75 * MC_BLOCK_BYTES
+        assert peak <= monte_carlo_bytes(20_000, 400, 21)
 
 
 class TestExactThermalMoments:
