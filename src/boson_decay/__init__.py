@@ -54,13 +54,12 @@ from .runner import RunReport, emit_report, run_scenario, write_report
 from .thermal import (
     EffectiveHamiltonian,
     GaussianMoments,
+    ThermalAttenuator,
     ThermalFactor,
     conditional_mean_number,
     conditional_wavefunction,
-    exact_thermal_moments,
     monte_carlo_moments,
     thermal_factor_closed,
-    thermal_factor_discrete,
     thermal_mean_number,
 )
 

@@ -74,10 +74,12 @@ class ScenarioConfig:
     max_phase_rounding: float | None = None
     # The objects that the checks built and the run uses: the system mode, the bath of
     # a run that names n_modes and half_bandwidth, a bath scenario's temperature (beta
-    # = inf where beta is not set), and the oracle of oracle-compare; None where absent.
+    # = inf where beta is not set) and the occupations it gives the bath's modes, and
+    # the oracle of oracle-compare; None where absent.
     system: SystemMode | None = field(default=None, compare=False, repr=False)
     bath: DiscreteBath | None = field(default=None, compare=False, repr=False)
     thermal: ThermalSpec | None = field(default=None, compare=False, repr=False)
+    occupations: np.ndarray | None = field(default=None, compare=False, repr=False)
     oracle: FockSpaceOracle | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -197,7 +199,8 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> dict[str, 
 
     Rules that a library object enforces are checked by building that object,
     and the run uses the objects built here: the ``ScenarioConfig`` fields
-    ``system``, ``bath``, ``thermal``, ``oracle`` and ``max_phase_rounding``.
+    ``system``, ``bath``, ``thermal``, ``occupations``, ``oracle`` and
+    ``max_phase_rounding``.
     """
     scenario = merged["scenario"]
     if scenario not in SCENARIOS:
@@ -207,7 +210,7 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> dict[str, 
     if not merged["gamma"] > 0:
         raise ConfigError(f"gamma must be positive (got {merged['gamma']})")
     system = _built("omega_b", SystemMode, merged["omega_b"])
-    built: dict[str, Any] = dict(system=system, bath=None, thermal=None, oracle=None)
+    built: dict[str, Any] = {"system": system}  # an object that is not built stays None
     if not merged["t_max"] > 0:
         raise ConfigError(f"t_max must be positive (got {merged['t_max']})")
     if merged["n_steps"] < 2:
@@ -265,7 +268,7 @@ def _validate(merged: dict[str, Any], defaults_applied: list[str]) -> dict[str, 
         # No beta is zero temperature: n_th = 0 and a vacuum bath.
         beta = merged["beta"] if merged["beta"] is not None else math.inf
         thermal = built["thermal"] = _built("beta", ThermalSpec.for_system, beta, merged["omega_b"])
-        occupations = _built("beta", thermal.occupations, bath)
+        occupations = built["occupations"] = _built("beta", thermal.occupations, bath)
         if scenario == "thermal":
             _built("samples", check_squared_occupations, alpha, occupations, merged["samples"])
         _check_occupations(beta, max(thermal.n_th, float(np.max(occupations))))

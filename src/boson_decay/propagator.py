@@ -894,17 +894,10 @@ class ExactPropagator:
         )
 
 
-def dissipation_sum(coeffs: PropagatorCoefficients, occupations=None):
-    """sum_j n_j |absorption_j|^2, per time.
-
-    With every n_j = 1 (no ``occupations``) this is the total probability
-    transferred into the bath; with the thermal occupations of the bath modes
-    it is the thermal population they feed into the system.
-    """
+def dissipation_sum(coeffs: PropagatorCoefficients):
+    """sum_j |absorption_j|^2, per time: the total probability transferred into the bath."""
     weights = np.abs(coeffs.absorption)
     weights *= weights
-    if occupations is not None:
-        weights *= occupations
     return np.sum(weights, axis=-1)[()]
 
 

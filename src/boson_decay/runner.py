@@ -42,11 +42,10 @@ from .propagator import (
 )
 from .thermal import (
     EffectiveHamiltonian,
+    ThermalAttenuator,
     conditional_mean_number,
-    exact_thermal_moments,
     monte_carlo_moments,
     thermal_factor_closed,
-    thermal_factor_discrete,
     thermal_mean_number,
 )
 
@@ -154,17 +153,20 @@ def _run_excited_bath(config: ScenarioConfig, timings: dict[str, float]) -> RunR
 
 
 def _run_thermal(config: ScenarioConfig, timings: dict[str, float]) -> RunReport:
-    bath, thermal, propagator = config.bath, config.thermal, _propagator(config, timings)
+    thermal, propagator = config.thermal, _propagator(config, timings)
     grid = _time_grid(config)
     with _stage(timings, "evaluate"):
         coeffs = propagator.evaluate(grid)
+    channel = ThermalAttenuator.from_coefficients(coeffs, config.occupations)
     alpha = config.alpha
     phi_c = thermal_factor_closed(thermal.n_th, config.gamma, grid)
     survival = analytic_survival(propagator.system, config.gamma, grid)
     heff = EffectiveHamiltonian(config.omega_b, config.gamma, thermal.n_th)
     with _stage(timings, "monte_carlo"):
-        mc, errors = monte_carlo_moments(alpha, bath, thermal, coeffs, config.samples, config.seed)
-    oracle = exact_thermal_moments(alpha, bath, thermal, coeffs).occupation
+        mc, errors = monte_carlo_moments(
+            alpha, config.occupations, coeffs, config.samples, config.seed
+        )
+    oracle = channel.occupation(alpha)
     meta = _propagator_diagnostics(propagator, unitarity_defect(coeffs))
     # Rows whose branches all coincide (t = 0, or a cold bath under a large alpha)
     # have a stderr of rounding size only, relative to their occupation.
@@ -174,7 +176,7 @@ def _run_thermal(config: ScenarioConfig, timings: dict[str, float]) -> RunReport
     return _report(
         {
             "t": grid,
-            "phi_discrete": thermal_factor_discrete(bath, thermal, coeffs).value,
+            "phi_discrete": channel.phi_discrete().value,
             "phi_closed": phi_c.value,
             "paper_mean_number": conditional_mean_number(alpha, survival, phi_c),
             "heff_mean_number": heff.evolve_coherent(alpha, grid).mean_number,
@@ -223,8 +225,8 @@ def _run_oracle_compare(config: ScenarioConfig, timings: dict[str, float]) -> Ru
     grid = _time_grid(config)
     with _stage(timings, "evaluate"):
         coeffs = propagator.evaluate(grid)
-    survived = np.abs(coeffs.survival) ** 2
-    law = fock_populations(n, np.minimum(survived, 1.0)).probs
+    channel = ThermalAttenuator.from_coefficients(coeffs, config.occupations)
+    law = fock_populations(n, np.minimum(np.abs(coeffs.survival) ** 2, 1.0)).probs
     with _stage(timings, "oracle"):
         pops = config.oracle.reduced_density(FockState(n), grid).populations
     deviation = np.max(np.abs(pops - law), axis=1)
@@ -238,7 +240,7 @@ def _run_oracle_compare(config: ScenarioConfig, timings: dict[str, float]) -> Ru
         "max_pop_deviation": deviation,
         "heff_fock_mean": heff_mean,
         "exact_fock_mean": exact_mean,
-        "oracle_fock_mean": n * survived + dissipation_sum(coeffs, thermal.occupations(config.bath)),
+        "oracle_fock_mean": channel.fock_mean(n),
         "divergence": heff_mean - exact_mean,
     }
     return _report(

@@ -1,6 +1,6 @@
-"""Finite-temperature decay: enhancement factor, conditional state, effective
-Hamiltonian laws, and a seeded Monte Carlo sampler checked against exact
-Gaussian moments.
+"""Finite-temperature decay: the exact thermal channel, enhancement factor,
+conditional state, effective Hamiltonian laws, and a seeded Monte Carlo
+sampler checked against the channel's exact moments.
 """
 
 from __future__ import annotations
@@ -13,14 +13,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bath import DiscreteBath, ThermalSpec
 from .decay import CoherentSuperposition, DensityMatrixFock, default_fock_cutoff
 from .propagator import (
     PROVENANCE_ORACLE,
     PropagatorCoefficients,
     _chunked_product,
     as_times,
-    dissipation_sum,
 )
 
 SHORT_TIME_WINDOW = 0.1
@@ -44,13 +42,43 @@ class ThermalFactor:
             raise ValueError(f"thermal factor must be at least 1 (got {self.value})")
 
 
-def thermal_factor_discrete(
-    bath: DiscreteBath, thermal: ThermalSpec, coeffs: PropagatorCoefficients
-) -> ThermalFactor:
-    """Mode-resolved enhancement: 1 + sum_j n_j |absorption_j|^2."""
-    if coeffs.n_modes != bath.n_modes:
-        raise ValueError("coefficients and bath disagree on the mode count")
-    return ThermalFactor(value=1.0 + dissipation_sum(coeffs, thermal.occupations(bath)))
+@dataclass(frozen=True)
+class ThermalAttenuator:
+    """The system's exact thermal channel: its survival u and added noise N, per time.
+
+    In this excitation-conserving quadratic model the bath acts on the system
+    mode only through u(t) and N(t) = sum_j n_j |v_j(t)|^2 over the
+    occupations n_j of the bath modes: a thermal attenuator (Weedbrook et
+    al., Rev. Mod. Phys. 84, 621 (2012)). Its methods are the exact laws of
+    the finite bath.
+    """
+
+    survival: complex | np.ndarray
+    noise: float | np.ndarray
+
+    @classmethod
+    def from_coefficients(cls, coeffs: PropagatorCoefficients, occupations) -> ThermalAttenuator:
+        """The channel of oracle ``coeffs``, with mode j weighted by ``occupations[j]``."""
+        if coeffs.provenance != PROVENANCE_ORACLE:
+            raise ValueError("the exact thermal channel requires oracle coefficients")
+        if coeffs.n_modes != np.size(occupations):
+            raise ValueError("coefficients and occupations disagree on the mode count")
+        noise = np.abs(coeffs.absorption)
+        noise *= noise
+        noise *= occupations
+        return cls(survival=coeffs.survival, noise=np.sum(noise, axis=-1)[()])
+
+    def phi_discrete(self) -> ThermalFactor:
+        """Mode-resolved enhancement of the conditional state normalization: 1 + N."""
+        return ThermalFactor(value=1.0 + self.noise)
+
+    def occupation(self, alpha: complex):
+        """<b^dag b> from a coherent label ``alpha``: |alpha u|^2 + N."""
+        return np.abs(complex(alpha) * self.survival) ** 2 + self.noise
+
+    def fock_mean(self, n: int):
+        """<b^dag b> from the number state ``n``: n |u|^2 + N."""
+        return n * np.abs(self.survival) ** 2 + self.noise
 
 
 def thermal_mean_number(n0: float, n_th: float, gamma: float, t):
@@ -334,19 +362,19 @@ class MomentErrors(NamedTuple):
 
 def monte_carlo_moments(
     alpha: complex,
-    bath: DiscreteBath,
-    thermal: ThermalSpec,
+    occupations: np.ndarray,
     coeffs: PropagatorCoefficients,
     count: int,
     seed: int,
 ) -> tuple[GaussianMoments, MomentErrors]:
     """Monte Carlo estimate of the system moments over ``count`` thermal bath samples.
 
-    Each sample draws a label lambda_j ~ CN(0, n_j) per mode, with independent
-    real and imaginary parts of variance n_j / 2. The sample is then a joint
-    coherent state, so its evolved system branch is the coherent label
-    alpha * survival + sum_j lambda_j absorption_j and contributes |label|^2
-    to the occupation with no within-branch correction.
+    Each sample draws a label lambda_j ~ CN(0, n_j) per mode, n_j being
+    ``occupations[j]``, with independent real and imaginary parts of
+    variance n_j / 2. The sample is then a joint coherent state, so its
+    evolved system branch is the coherent label alpha * survival +
+    sum_j lambda_j absorption_j and contributes |label|^2 to the occupation
+    with no within-branch correction.
     Over the T times the branch minus alpha * survival is a circular Gaussian
     vector with covariance K = A diag(n) A^H, so it is drawn as L z: L is the
     (T, r) factor of :func:`_branch_factor` and z holds 2r standard normals
@@ -358,9 +386,9 @@ def monte_carlo_moments(
     """
     if count < 1:
         raise ValueError(f"count must be at least 1 (got {count})")
-    if coeffs.n_modes != bath.n_modes:
-        raise ValueError("coefficients and bath disagree on the mode count")
-    scale = np.sqrt(thermal.occupations(bath) / 2.0)
+    if coeffs.n_modes != np.size(occupations):
+        raise ValueError("coefficients and occupations disagree on the mode count")
+    scale = np.sqrt(occupations / 2.0)
 
     shape = np.shape(coeffs.survival)
     offsets = complex(alpha) * np.reshape(coeffs.survival, (-1, 1))
@@ -405,25 +433,3 @@ def monte_carlo_moments(
     occupation = np.abs(mean_amplitude) ** 2 + spread_m2 / count
     moments = GaussianMoments(mean_amplitude.reshape(shape)[()], occupation.reshape(shape)[()])
     return moments, MomentErrors(*(e.reshape(shape)[()] for e in errors))
-
-
-def exact_thermal_moments(
-    alpha: complex,
-    bath: DiscreteBath,
-    thermal: ThermalSpec,
-    coeffs: PropagatorCoefficients,
-) -> GaussianMoments:
-    """Exact thermal-average moments from the linear operator evolution.
-
-    <b(t)> = alpha * survival and
-    <b^dag b>(t) = |alpha * survival|^2 + sum_j n_j |absorption_j|^2; thermal
-    modes contribute only through their mean occupations. Requires oracle
-    coefficients so the result is exact at the given finite bath.
-    """
-    if coeffs.provenance != PROVENANCE_ORACLE:
-        raise ValueError("exact thermal moments require oracle coefficients")
-    if coeffs.n_modes != bath.n_modes:
-        raise ValueError("coefficients and bath disagree on the mode count")
-    mean_amplitude = complex(alpha) * coeffs.survival
-    occupation = np.abs(mean_amplitude) ** 2 + dissipation_sum(coeffs, thermal.occupations(bath))
-    return GaussianMoments(mean_amplitude=mean_amplitude, occupation=occupation)

@@ -20,13 +20,13 @@ from boson_decay import (
     CoherentState,
     SpectralDensitySpec,
     SystemMode,
+    ThermalAttenuator,
     ThermalSpec,
     analytic_survival,
     coherent_decay,
     conditional_wavefunction,
     discretize_bath,
     dissipation_sum,
-    exact_thermal_moments,
     fock_decay_time,
     fock_populations,
     fock_survival,
@@ -34,7 +34,6 @@ from boson_decay import (
     parse_config,
     run_scenario,
     thermal_factor_closed,
-    thermal_factor_discrete,
 )
 
 GAMMA = 1.0
@@ -149,7 +148,8 @@ class TestAcceptance:
         worst = 0.0
         for beta_omega in (0.1, 1.0, 10.0):
             thermal = ThermalSpec.for_system(beta_omega / omega_b, omega_b)
-            phi_d = thermal_factor_discrete(bath, thermal, coeffs)
+            channel = ThermalAttenuator.from_coefficients(coeffs, thermal.occupations(bath))
+            phi_d = channel.phi_discrete()
             phi_c = thermal_factor_closed(thermal.n_th, GAMMA, coeffs.t)
             worst = max(worst, np.max(np.abs(phi_d.value - phi_c.value) / phi_c.value))
         _report(
@@ -167,12 +167,13 @@ class TestAcceptance:
         for n_th in (0.1, 1.0):
             beta = math.log1p(1.0 / n_th) / thermal_system.omega_b
             thermal = ThermalSpec.for_system(beta, thermal_system.omega_b)
-            mc, errors = monte_carlo_moments(1.0, thermal_bath, thermal, coeffs, 10_000, MC_SEED)
-            exact = exact_thermal_moments(1.0, thermal_bath, thermal, coeffs)
+            occupations = thermal.occupations(thermal_bath)
+            mc, errors = monte_carlo_moments(1.0, occupations, coeffs, 10_000, MC_SEED)
+            exact = ThermalAttenuator.from_coefficients(coeffs, occupations).occupation(1.0)
             worst_z_oracle = max(
-                worst_z_oracle, np.max(np.abs(mc.occupation - exact.occupation) / errors.occupation)
+                worst_z_oracle, np.max(np.abs(mc.occupation - exact) / errors.occupation)
             )
-            mc0, errors0 = monte_carlo_moments(0.0, thermal_bath, thermal, coeffs, 10_000, MC_SEED)
+            mc0, errors0 = monte_carlo_moments(0.0, occupations, coeffs, 10_000, MC_SEED)
             target = thermal.n_th * -np.expm1(-GAMMA * times)
             worst_z_equilibration = max(
                 worst_z_equilibration, np.max(np.abs(mc0.occupation - target) / errors0.occupation)

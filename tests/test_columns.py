@@ -1,7 +1,8 @@
 """Every CSV column is an exported library function, pinned bit for bit.
 
 Each scenario's table is recomputed here from functions of the ``boson_decay``
-package alone and compared with ``report.table`` by ``np.array_equal``. A
+package, and oracle-compare's ``oracle_fock_mean`` from a sum written out
+here, and compared with ``report.table`` by ``np.array_equal``. A
 runner that re-derived a law inline in another operand order, or called a
 different function, fails here.
 """
@@ -18,6 +19,7 @@ from boson_decay import (
     FockState,
     SpectralDensitySpec,
     SystemMode,
+    ThermalAttenuator,
     ThermalSpec,
     analytic_survival,
     build_config,
@@ -25,14 +27,12 @@ from boson_decay import (
     conditional_mean_number,
     discretize_bath,
     dissipation_sum,
-    exact_thermal_moments,
     excited_bath_evolution,
     fock_populations,
     fock_survival,
     monte_carlo_moments,
     run_scenario,
     thermal_factor_closed,
-    thermal_factor_discrete,
     thermal_mean_number,
     unitarity_defect,
 )
@@ -105,22 +105,21 @@ def test_thermal():
     config, grid, system, bath, report = _run("thermal")
     thermal = ThermalSpec.for_system(config.beta, config.omega_b)
     coeffs = ExactPropagator(system, bath).evaluate(grid)
-    mc, errors = monte_carlo_moments(
-        config.alpha, bath, thermal, coeffs, config.samples, config.seed
-    )
+    occupations = thermal.occupations(bath)
+    mc, errors = monte_carlo_moments(config.alpha, occupations, coeffs, config.samples, config.seed)
     phi_closed = thermal_factor_closed(thermal.n_th, config.gamma, grid)
     survival = analytic_survival(system, config.gamma, grid)
     heff = EffectiveHamiltonian(config.omega_b, config.gamma, thermal.n_th)
-    exact = exact_thermal_moments(config.alpha, bath, thermal, coeffs)
+    channel = ThermalAttenuator.from_coefficients(coeffs, occupations)
     _assert_table(
         report,
         {
             "t": grid,
-            "phi_discrete": thermal_factor_discrete(bath, thermal, coeffs).value,
+            "phi_discrete": channel.phi_discrete().value,
             "phi_closed": phi_closed.value,
             "paper_mean_number": conditional_mean_number(config.alpha, survival, phi_closed),
             "heff_mean_number": heff.evolve_coherent(config.alpha, grid).mean_number,
-            "oracle_occupation": exact.occupation,
+            "oracle_occupation": channel.occupation(config.alpha),
             "mc_occupation": mc.occupation,
             "mc_stderr": errors.occupation,
         },
@@ -150,6 +149,14 @@ def test_wwa_validate():
     assert summary["max_sum_abs_v_sq_deviation"] == np.max(np.abs(dissipated - transferred))
 
 
+def _weighted_sum(coeffs, occupations):
+    """sum_j n_j |v_j|^2 per time, written out here as the independent reference."""
+    weights = np.abs(coeffs.absorption)
+    weights *= weights
+    weights *= occupations
+    return np.sum(weights, axis=-1)
+
+
 @pytest.mark.parametrize("name", ["oracle-compare", "oracle-compare-zero-temperature"])
 def test_oracle_compare(name):
     config, grid, system, bath, report = _run(name)
@@ -173,7 +180,7 @@ def test_oracle_compare(name):
             "max_pop_deviation": np.max(np.abs(pops - law), axis=1),
             "heff_fock_mean": heff_mean,
             "exact_fock_mean": exact_mean,
-            "oracle_fock_mean": n * survived + dissipation_sum(coeffs, thermal.occupations(bath)),
+            "oracle_fock_mean": n * survived + _weighted_sum(coeffs, thermal.occupations(bath)),
             "divergence": heff_mean - exact_mean,
         },
     )

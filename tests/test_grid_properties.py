@@ -26,6 +26,7 @@ from boson_decay import (
     FockState,
     SpectralDensitySpec,
     SystemMode,
+    ThermalAttenuator,
     ThermalSpec,
     analytic_propagator,
     analytic_survival,
@@ -34,13 +35,11 @@ from boson_decay import (
     conditional_wavefunction,
     discretize_bath,
     dissipation_sum,
-    exact_thermal_moments,
     excited_bath_evolution,
     fock_populations,
     fock_survival,
     monte_carlo_moments,
     thermal_factor_closed,
-    thermal_factor_discrete,
     thermal_mean_number,
     unitarity_defect,
 )
@@ -107,13 +106,13 @@ def test_propagator_laws_match_per_time(run):
 @given(small_runs())
 def test_thermal_laws_match_per_time(run):
     system, bath, propagator, thermal, times, alpha = run
-    grid = propagator.evaluate(times)
-    single = [propagator.evaluate(t) for t in times]
+    occupations = thermal.occupations(bath)
+    channel = ThermalAttenuator.from_coefficients(propagator.evaluate(times), occupations)
+    single = [
+        ThermalAttenuator.from_coefficients(propagator.evaluate(t), occupations) for t in times
+    ]
     gamma = bath.spec.gamma
-    _rows_match(
-        thermal_factor_discrete(bath, thermal, grid).value,
-        [thermal_factor_discrete(bath, thermal, c).value for c in single],
-    )
+    _rows_match(channel.phi_discrete().value, [c.phi_discrete().value for c in single])
     phi = thermal_factor_closed(thermal.n_th, gamma, times)
     phis = [thermal_factor_closed(thermal.n_th, gamma, t) for t in times]
     _rows_match(phi.value, [p.value for p in phis])
@@ -122,10 +121,9 @@ def test_thermal_laws_match_per_time(run):
         conditional_mean_number(alpha, survival, phi),
         [conditional_mean_number(alpha, u, p) for u, p in zip(survival, phis)],
     )
-    exact = exact_thermal_moments(alpha, bath, thermal, grid)
-    per_time = [exact_thermal_moments(alpha, bath, thermal, c) for c in single]
-    _rows_match(exact.mean_amplitude, [m.mean_amplitude for m in per_time])
-    _rows_match(exact.occupation, [m.occupation for m in per_time])
+    _rows_match(channel.survival, [c.survival for c in single])
+    _rows_match(channel.occupation(alpha), [c.occupation(alpha) for c in single])
+    _rows_match(channel.fock_mean(3), [c.fock_mean(3) for c in single])
 
 
 def _rows_equal(grid_values, per_time_values):
@@ -198,12 +196,13 @@ def test_monte_carlo_matches_across_block_sizes(run, seed):
     """
     system, bath, propagator, thermal, times, alpha = run
     grid = propagator.evaluate(times)
-    moments, errors = monte_carlo_moments(alpha, bath, thermal, grid, MC_SAMPLES, seed)
+    occupations = thermal.occupations(bath)
+    moments, errors = monte_carlo_moments(alpha, occupations, grid, MC_SAMPLES, seed)
     with mock.patch.object(thermal_module, "MC_BLOCK_BYTES", MC_TEST_BLOCK_BYTES):
-        scale = np.sqrt(thermal.occupations(bath) / 2.0)
+        scale = np.sqrt(occupations / 2.0)
         factor = thermal_module._branch_factor(grid.absorption, scale, MC_SAMPLES)
         assert thermal_module._block_rows(factor.shape[1], times.size) < MC_SAMPLES
-        blocked, blocked_errors = monte_carlo_moments(alpha, bath, thermal, grid, MC_SAMPLES, seed)
+        blocked, blocked_errors = monte_carlo_moments(alpha, occupations, grid, MC_SAMPLES, seed)
     _rows_match(moments.mean_amplitude, blocked.mean_amplitude)
     _rows_match(moments.occupation, blocked.occupation)
     _rows_match(errors.mean_amplitude, blocked_errors.mean_amplitude)

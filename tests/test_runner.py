@@ -588,6 +588,21 @@ class TestBuiltOnce:
         assert calls == collections.Counter(bath=1, thermal=1, oracle=int(scenario == "oracle-compare"))
         assert (tmp_path / "bath.csv").exists() == dump
 
+    @pytest.mark.parametrize("scenario", list(BATH_TEXTS))
+    def test_occupations_built_once_per_run(self, monkeypatch, scenario):
+        """The config's check and every column of the run read one occupations array."""
+        calls = []
+        occupations = ThermalSpec.occupations
+
+        def counted(spec, bath):
+            calls.append(spec)
+            return occupations(spec, bath)
+
+        monkeypatch.setattr(ThermalSpec, "occupations", counted)
+        config = parse_config(BATH_TEXTS[scenario])
+        run_scenario(config)
+        assert len(calls) == 1
+
 
 class TestCli:
     def _run(self, *args, env_extra=None):

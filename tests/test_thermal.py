@@ -22,19 +22,23 @@ from boson_decay import (
     coherent_decay,
     conditional_mean_number,
     conditional_wavefunction,
+    ThermalAttenuator,
     discretize_bath,
-    exact_thermal_moments,
     fock_decay_time,
     fock_survival,
     monte_carlo_moments,
     thermal_factor_closed,
-    thermal_factor_discrete,
 )
 from boson_decay import thermal as thermal_module
 from boson_decay.decay import coherent_amplitudes
 from boson_decay.thermal import MC_BLOCK_BYTES, ThermalFactor, _block_rows, monte_carlo_bytes
 
 GAMMA = 1.0
+
+
+def _channel(bath, thermal, coeffs):
+    """The exact thermal channel of ``coeffs`` over ``bath`` at the temperature of ``thermal``."""
+    return ThermalAttenuator.from_coefficients(coeffs, thermal.occupations(bath))
 
 
 class TestThermalFactor:
@@ -55,7 +59,7 @@ class TestThermalFactor:
     def test_discrete_is_one_at_time_zero(self, thermal_system, thermal_bath, thermal_propagator):
         thermal = ThermalSpec.for_system(1e-3, thermal_system.omega_b)
         coeffs = thermal_propagator.evaluate(0.0)
-        phi = thermal_factor_discrete(thermal_bath, thermal, coeffs)
+        phi = _channel(thermal_bath, thermal, coeffs).phi_discrete()
         assert phi.value == pytest.approx(1.0, abs=1e-12)
 
     def test_discrete_is_one_at_zero_temperature(
@@ -63,7 +67,7 @@ class TestThermalFactor:
     ):
         thermal = ThermalSpec.for_system(math.inf, thermal_system.omega_b)
         coeffs = thermal_propagator.evaluate(2.0)
-        phi = thermal_factor_discrete(thermal_bath, thermal, coeffs)
+        phi = _channel(thermal_bath, thermal, coeffs).phi_discrete()
         assert phi.value == 1.0
 
     def test_discrete_matches_closed_form_in_regime(
@@ -74,7 +78,7 @@ class TestThermalFactor:
         thermal = ThermalSpec.for_system(beta, thermal_system.omega_b)
         for t in np.linspace(0.0, 5.0, 11):
             coeffs = thermal_propagator.evaluate(t)
-            phi_d = thermal_factor_discrete(thermal_bath, thermal, coeffs)
+            phi_d = _channel(thermal_bath, thermal, coeffs).phi_discrete()
             phi_c = thermal_factor_closed(thermal.n_th, GAMMA, t)
             assert abs(phi_d.value - phi_c.value) / phi_c.value <= 2e-2
 
@@ -85,7 +89,7 @@ class TestThermalFactor:
         beta = math.log(2.0) / thermal_system.omega_b
         thermal = ThermalSpec.for_system(beta, thermal_system.omega_b)
         coeffs = thermal_propagator.evaluate(1.0)
-        phi = thermal_factor_discrete(thermal_bath, thermal, coeffs)
+        phi = _channel(thermal_bath, thermal, coeffs).phi_discrete()
         assert phi.value == pytest.approx(2.0 - math.exp(-1.0), abs=2e-2)
 
     def test_rejects_value_below_one(self):
@@ -95,7 +99,7 @@ class TestThermalFactor:
     def test_rejects_mode_count_mismatch(self, thermal_system, thermal_bath, small_propagator):
         thermal = ThermalSpec.for_system(1.0, thermal_system.omega_b)
         with pytest.raises(ValueError, match="mode count"):
-            thermal_factor_discrete(thermal_bath, thermal, small_propagator.evaluate(0.1))
+            _channel(thermal_bath, thermal, small_propagator.evaluate(0.1))
 
 
 class TestConditionalWavefunction:
@@ -307,11 +311,11 @@ class TestShortTimeConsistency:
 class TestThermalSampling:
     def test_seed_reproducibility(self, thermal_bath, thermal_propagator):
         """The same seed gives the same moments, bit for bit; another seed does not."""
-        thermal = ThermalSpec.for_system(2e-3, 800.0)
+        occupations = ThermalSpec.for_system(2e-3, 800.0).occupations(thermal_bath)
         coeffs = thermal_propagator.evaluate(np.linspace(0.5, 2.0, 4))
 
         def moments(seed):
-            mc, errors = monte_carlo_moments(1.0, thermal_bath, thermal, coeffs, 32, seed)
+            mc, errors = monte_carlo_moments(1.0, occupations, coeffs, 32, seed)
             return np.stack([mc.mean_amplitude, mc.occupation, *errors])
 
         assert np.array_equal(moments(99), moments(99))
@@ -321,19 +325,19 @@ class TestThermalSampling:
         coeffs = small_propagator.evaluate(1.0)
         hot = ThermalSpec(beta=0.0, n_th=0.0)
         with pytest.raises(InfiniteOccupationError, match="infinite occupation"):
-            monte_carlo_moments(1.0, small_bath, hot, coeffs, 4, 0)
+            monte_carlo_moments(1.0, hot.occupations(small_bath), coeffs, 4, 0)
 
     def test_count_must_be_positive(self, small_bath, small_propagator):
         thermal = ThermalSpec.for_system(1.0, 10.0)
         coeffs = small_propagator.evaluate(1.0)
         with pytest.raises(ValueError, match="count must be at least 1"):
-            monte_carlo_moments(1.0, small_bath, thermal, coeffs, 0, 0)
+            monte_carlo_moments(1.0, thermal.occupations(small_bath), coeffs, 0, 0)
 
     def test_rejects_mode_count_mismatch(self, thermal_bath, small_propagator):
         thermal = ThermalSpec.for_system(2e-3, 800.0)
         coeffs = small_propagator.evaluate(1.0)
         with pytest.raises(ValueError, match="mode count"):
-            monte_carlo_moments(1.0, thermal_bath, thermal, coeffs, 4, 0)
+            monte_carlo_moments(1.0, thermal.occupations(thermal_bath), coeffs, 4, 0)
 
 
 class TestBranchFactor:
@@ -428,22 +432,24 @@ HALF_FILLED = ThermalSpec.for_system(math.log(2.0) / 800.0, 800.0)  # n_th = 1
 class TestMonteCarloMoments:
     def test_time_zero_is_exact(self, thermal_bath, thermal_propagator):
         coeffs = thermal_propagator.evaluate(0.0)
-        moments, _ = monte_carlo_moments(1.5, thermal_bath, HALF_FILLED, coeffs, 2000, 42)
+        occupations = HALF_FILLED.occupations(thermal_bath)
+        moments, _ = monte_carlo_moments(1.5, occupations, coeffs, 2000, 42)
         assert moments.mean_amplitude == pytest.approx(1.5, abs=1e-12)
         assert moments.occupation == pytest.approx(2.25, abs=1e-12)
 
     def test_matches_exact_moments_within_errors(self, thermal_bath, thermal_propagator):
         for t in (0.5, 2.0):
             coeffs = thermal_propagator.evaluate(t)
-            mc, errors = monte_carlo_moments(1.0, thermal_bath, HALF_FILLED, coeffs, 2000, 42)
-            exact = exact_thermal_moments(1.0, thermal_bath, HALF_FILLED, coeffs)
-            assert abs(mc.occupation - exact.occupation) <= 3.0 * errors.occupation
-            assert abs(mc.mean_amplitude - exact.mean_amplitude) <= 3.0 * errors.mean_amplitude
+            occupations = HALF_FILLED.occupations(thermal_bath)
+            mc, errors = monte_carlo_moments(1.0, occupations, coeffs, 2000, 42)
+            exact = ThermalAttenuator.from_coefficients(coeffs, occupations)
+            assert abs(mc.occupation - exact.occupation(1.0)) <= 3.0 * errors.occupation
+            assert abs(mc.mean_amplitude - exact.survival) <= 3.0 * errors.mean_amplitude
 
     def test_vacuum_bath_limit(self, thermal_bath, thermal_propagator):
         cold = ThermalSpec.for_system(math.inf, 800.0)
         coeffs = thermal_propagator.evaluate(1.0)
-        moments, _ = monte_carlo_moments(2.0, thermal_bath, cold, coeffs, 16, 3)
+        moments, _ = monte_carlo_moments(2.0, cold.occupations(thermal_bath), coeffs, 16, 3)
         assert moments.mean_amplitude == pytest.approx(2.0 * coeffs.survival, rel=1e-12)
         assert moments.occupation == pytest.approx(abs(2.0 * coeffs.survival) ** 2, rel=1e-12)
 
@@ -458,17 +464,17 @@ class TestMonteCarloMoments:
         """
         thermal = ThermalSpec.for_system(beta, 800.0)
         coeffs = thermal_propagator.evaluate(np.linspace(0.0, 5.0, 21))
-        mc, _ = monte_carlo_moments(alpha, thermal_bath, thermal, coeffs, 10_000, 7)
+        mc, _ = monte_carlo_moments(alpha, thermal.occupations(thermal_bath), coeffs, 10_000, 7)
         assert np.all(mc.occupation >= np.abs(mc.mean_amplitude) ** 2)
-        exact = exact_thermal_moments(alpha, thermal_bath, thermal, coeffs).occupation
+        exact = _channel(thermal_bath, thermal, coeffs).occupation(alpha)
         np.testing.assert_allclose(mc.occupation, exact, rtol=1e-9)
 
     def test_standard_error_scales_as_inverse_sqrt(self, thermal_bath, thermal_propagator):
-        thermal = ThermalSpec.for_system(math.log(2.0) / 800.0, 800.0)
+        occupations = HALF_FILLED.occupations(thermal_bath)
         coeffs = thermal_propagator.evaluate(1.0)
         scaled = []
         for count in (100, 1000, 10000):
-            _, errors = monte_carlo_moments(1.0, thermal_bath, thermal, coeffs, count, 7)
+            _, errors = monte_carlo_moments(1.0, occupations, coeffs, count, 7)
             scaled.append(errors.occupation * math.sqrt(count))
         assert max(scaled) / min(scaled) < 1.5
 
@@ -499,11 +505,11 @@ class TestSeedCalibration:
         bath = discretize_bath(spec, 40)
         thermal = ThermalSpec.for_system(0.05, 20.0)
         coeffs = ExactPropagator(system, bath).evaluate(np.linspace(0.25, 5.0, 20))
-        exact = exact_thermal_moments(0.7, bath, thermal, coeffs).occupation
+        exact = _channel(bath, thermal, coeffs).occupation(0.7)
         assert thermal_module._rank(2000, bath.n_modes, 20) == 20
         z = []
         for seed in self.SEEDS:
-            mc, errors = monte_carlo_moments(0.7, bath, thermal, coeffs, 2000, seed)
+            mc, errors = monte_carlo_moments(0.7, thermal.occupations(bath), coeffs, 2000, seed)
             z.append((mc.occupation - exact) / errors.occupation)
         z = np.array(z)
         units = len(self.SEEDS)
@@ -514,11 +520,11 @@ class TestSeedCalibration:
         assert low <= np.mean(np.abs(z) > 2.0) * units <= high
 
 
-def _whole_array_moments(alpha, bath, thermal, coeffs, count, seed):
+def _whole_array_moments(alpha, occupations, coeffs, count, seed):
     """Reference estimator: every branch from one (M, 2r) draw, with numpy's own reductions."""
     offsets = alpha * np.reshape(coeffs.survival, (-1, 1))
     absorption = coeffs.absorption.reshape(offsets.size, -1)
-    scale = np.sqrt(thermal.occupations(bath) / 2.0)
+    scale = np.sqrt(occupations / 2.0)
     factor = thermal_module._branch_factor(absorption, scale, count)
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((count, 2 * factor.shape[1])).view(complex)
@@ -550,7 +556,7 @@ class TestStreamedMonteCarlo:
         size = self.TIMES.size
         count = 1 if offset is None else _block_rows(size, size) + offset
         assert thermal_module._rank(count, 800, size) == (800 if offset is None else size)
-        self._check(1.0 - 0.5j, thermal_bath, thermal, coeffs, count, 17)
+        self._check(1.0 - 0.5j, thermal.occupations(thermal_bath), coeffs, count, 17)
 
     def test_matches_whole_array_on_long_grid(self):
         """T > N: the draw is direct, and its block rows count the branch too."""
@@ -563,7 +569,7 @@ class TestStreamedMonteCarlo:
         assert rows < _block_rows(bath.n_modes, 1)
         assert thermal_module._rank(2 * rows + 3, bath.n_modes, times.size) == bath.n_modes
         coeffs = ExactPropagator(system, bath).evaluate(times)
-        self._check(0.7, bath, thermal, coeffs, 2 * rows + 3, 3)
+        self._check(0.7, thermal.occupations(bath), coeffs, 2 * rows + 3, 3)
 
     @staticmethod
     def _check(*args):
@@ -586,7 +592,7 @@ class TestStreamedMonteCarlo:
         coeffs = ExactPropagator(system, bath).evaluate(np.linspace(0.0, 5.0, 21))
         tracemalloc.start()
         try:
-            monte_carlo_moments(1.0, bath, thermal, coeffs, 20_000, 5)
+            monte_carlo_moments(1.0, thermal.occupations(bath), coeffs, 20_000, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -599,30 +605,40 @@ class TestExactThermalMoments:
     def test_time_zero(self, thermal_bath, thermal_propagator):
         thermal = ThermalSpec.for_system(2e-3, 800.0)
         coeffs = thermal_propagator.evaluate(0.0)
-        moments = exact_thermal_moments(0.5 + 0.5j, thermal_bath, thermal, coeffs)
-        assert moments.mean_amplitude == pytest.approx(0.5 + 0.5j, abs=1e-12)
-        assert moments.occupation == pytest.approx(0.5, abs=1e-10)
+        channel = _channel(thermal_bath, thermal, coeffs)
+        assert (0.5 + 0.5j) * channel.survival == pytest.approx(0.5 + 0.5j, abs=1e-12)
+        assert channel.occupation(0.5 + 0.5j) == pytest.approx(0.5, abs=1e-10)
 
     def test_equilibrates_to_resonant_occupation(self, thermal_bath, thermal_propagator):
         """With no drive the occupation relaxes toward n_th (within the 2% regime)."""
         thermal = ThermalSpec.for_system(math.log(2.0) / 800.0, 800.0)
         coeffs = thermal_propagator.evaluate(5.0)
-        moments = exact_thermal_moments(0.0, thermal_bath, thermal, coeffs)
+        occupation = _channel(thermal_bath, thermal, coeffs).occupation(0.0)
         target = thermal.n_th * -math.expm1(-GAMMA * 5.0)
-        assert abs(moments.occupation - target) / target < 2e-2
+        assert abs(occupation - target) / target < 2e-2
 
     def test_zero_temperature_reduces_to_coherent_decay(self, thermal_bath, thermal_propagator):
         cold = ThermalSpec.for_system(math.inf, 800.0)
         coeffs = thermal_propagator.evaluate(1.0)
-        moments = exact_thermal_moments(2.0, thermal_bath, cold, coeffs)
-        assert moments.occupation == pytest.approx(abs(2.0 * coeffs.survival) ** 2, rel=1e-12)
+        occupation = _channel(thermal_bath, cold, coeffs).occupation(2.0)
+        assert occupation == pytest.approx(abs(2.0 * coeffs.survival) ** 2, rel=1e-12)
+
+    def test_zero_temperature_adds_no_noise(self, thermal_bath, thermal_propagator):
+        """At beta = inf N is exactly 0, and the laws are |alpha u|^2 and n |u|^2 bit for bit."""
+        times = np.linspace(0.0, 5.0, 21)
+        coeffs = thermal_propagator.evaluate(times)
+        channel = _channel(thermal_bath, ThermalSpec.for_system(math.inf, 800.0), coeffs)
+        assert np.array_equal(channel.noise, np.zeros(times.size))
+        assert np.array_equal(channel.phi_discrete().value, np.ones(times.size))
+        alpha = 1.3 - 0.4j
+        assert np.array_equal(channel.occupation(alpha), np.abs(alpha * coeffs.survival) ** 2)
+        assert np.array_equal(channel.fock_mean(3), 3 * np.abs(coeffs.survival) ** 2)
 
     def test_occupation_dominates_mean_field(self, thermal_bath, thermal_propagator):
         thermal = ThermalSpec.for_system(1.5e-3, 800.0)
         for t in np.linspace(0.0, 4.0, 9):
-            coeffs = thermal_propagator.evaluate(t)
-            moments = exact_thermal_moments(1.1, thermal_bath, thermal, coeffs)
-            assert moments.occupation >= abs(moments.mean_amplitude) ** 2 - 1e-12
+            channel = _channel(thermal_bath, thermal, thermal_propagator.evaluate(t))
+            assert channel.occupation(1.1) >= abs(1.1 * channel.survival) ** 2 - 1e-12
 
     def test_requires_oracle_coefficients(self, thermal_system, thermal_bath):
         from boson_decay import analytic_propagator
@@ -630,4 +646,4 @@ class TestExactThermalMoments:
         thermal = ThermalSpec.for_system(2e-3, 800.0)
         coeffs = analytic_propagator(thermal_system, GAMMA, thermal_bath, 1.0)
         with pytest.raises(ValueError, match="oracle"):
-            exact_thermal_moments(1.0, thermal_bath, thermal, coeffs)
+            _channel(thermal_bath, thermal, coeffs)
