@@ -35,13 +35,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """``argv`` with each value flag joined to the token after it, as ``--beta=-inf``.
+
+    Argparse (3.10-3.12) reads a separate ``-1e+16``, ``-1e-3`` or ``-inf``
+    as a flag rather than as the value of the flag before it; joined, every
+    value reaches the config's own coercion and checks.
+    """
+    flags = {option for action in parser._actions if action.nargs is None for option in action.option_strings}
+    tokens, joined = iter(argv), []
+    for token in tokens:
+        value = next(tokens, None) if token in flags else None
+        joined.append(token if value is None else f"{token}={value}")
+    return joined
+
+
 def _error_record(exc: Exception) -> str:
     return json.dumps({"error": type(exc).__name__, "message": str(exc)})
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined(parser, sys.argv[1:] if argv is None else argv))
     overrides = {
         key: value
         for key, value in vars(args).items()

@@ -12,8 +12,6 @@ T times takes O(T N + 128 N) memory.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,14 +103,15 @@ def analytic_propagator(
 
 
 _EPS = np.finfo(float).eps
-# Roots solved together. Each solver thread holds a workspace of two
-# (_ROOT_BLOCK, N) float arrays, so the solve takes O(W * _ROOT_BLOCK * N)
-# memory on W threads; the root blocks also fix the order of every sum and
-# of the Loewner product, whatever W is.
+# Roots solved together. The solve holds one workspace of two (_ROOT_BLOCK, N)
+# float arrays, O(_ROOT_BLOCK * N) memory; the root blocks also fix the order
+# of every sum and of the Loewner product.
 _ROOT_BLOCK = 128
 _MAX_ROOT_STEPS = 64
 # Memory the eigenvalue solve may take per mode; solve_bytes charges the same
-# figure. It admits two workspaces of 2 * 8 * _ROOT_BLOCK bytes.
+# figure. It covers the one workspace, 2 * 8 * _ROOT_BLOCK = 2 KiB per mode,
+# plus the O(N) result: the traced peak at N = 2000 is 2254 bytes per mode
+# (4437 when the solve ran two threads, each with its own workspace).
 SOLVER_BYTES_PER_MODE = 4096
 # A pole at least one interval width beyond an interval has Bernstein ellipse
 # parameter 3 + sqrt(8) or more there, and the Chebyshev interpolant on r nodes
@@ -158,50 +157,6 @@ def _pole_gaps(
     gaps = np.subtract(poles[origin][:, None], poles[columns], out=out)
     gaps += tau[:, None]
     return gaps
-
-
-def _worker_count(blocks: int) -> int:
-    """Solver threads for ``blocks`` root blocks: one per usable CPU, within the memory budget.
-
-    The usable CPUs are this process's affinity set, or every CPU where there is none.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    budget = SOLVER_BYTES_PER_MODE // (2 * 8 * _ROOT_BLOCK)
-    return max(1, min(cpus, blocks, budget))
-
-
-def _on_workers(work, items, workspaces: list) -> None:
-    """Call ``work(item, workspace)`` for every item, on one thread per workspace.
-
-    The calling thread is the first worker; each takes the next item when it
-    is free, and numpy releases the interpreter lock inside its loops, so
-    they overlap. The first exception in ``work`` stops them all and is
-    raised here once every thread has ended.
-    """
-    items, lock, failures = iter(items), threading.Lock(), []
-
-    def run(workspace):
-        while not failures:
-            with lock:
-                item = next(items, None)
-            if item is None:
-                return
-            try:
-                work(item, workspace)
-            except BaseException as exc:
-                failures.append(exc)
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in workspaces[1:]]
-    for thread in threads:
-        thread.start()
-    run(workspaces[0])
-    for thread in threads:
-        thread.join()
-    if failures:
-        raise failures[0]
 
 
 @dataclass(frozen=True)
@@ -686,20 +641,16 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
     Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172). Deflated poles
     (:func:`_deflate`) are eigenvalues with their own eigenvectors.
 
-    Three passes run on W threads (:func:`_worker_count`: one per usable
-    CPU, at most two under ``SOLVER_BYTES_PER_MODE``) through
-    :func:`_on_workers`, each thread reusing a workspace of two
-    (_ROOT_BLOCK, N) float arrays allocated here, and each pass writes its
-    results in place: the roots and then the norms one root block at a
-    time, and between them the Loewner product over W contiguous chunks of
-    poles. The norms sum c_hat_j^2 / (lambda_k - omega_j)^2 over the near
+    Three passes run on the calling thread, one root block at a time, each
+    reusing one workspace of two (_ROOT_BLOCK, N) float arrays allocated
+    here and writing its results in place: the roots, the Loewner product
+    (each block's factor multiplied in, in block order, over all poles) and
+    the norms. The norms sum c_hat_j^2 / (lambda_k - omega_j)^2 over the near
     band and take the far sides from the slope sums of :func:`_far_sums`,
-    with c_hat in place of c. A root block depends on nothing but its own
-    roots, and a chunk multiplies in the factor of every root block in block
-    order, so every array of the result is bit-identical for any W. Time is
-    O(N^2): the roots take O(N) per root block and far side plus O(384) per
-    root and step; memory is O(N) for the result and O(W _ROOT_BLOCK N) for
-    the workspaces, as neither the matrix nor its eigenvectors are formed.
+    with c_hat in place of c. Time is O(N^2): the roots take O(N) per root
+    block and far side plus O(384) per root and step; memory is O(N) for the
+    result and O(_ROOT_BLOCK N) for the workspace, as neither the matrix nor
+    its eigenvectors are formed.
     """
     n = poles.size
     # Scale by a power of two near ||H|| (exact), so nothing under- or overflows.
@@ -729,50 +680,29 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
     spread = 2.0 * float(np.linalg.norm(c))
     lower, upper = min(apex, d[0]) - spread, max(apex, d[-1]) + spread
     blocks = _root_blocks(m + 1)
-    workspaces = [
-        (np.empty((_ROOT_BLOCK, m)), np.empty((_ROOT_BLOCK, m)))
-        for _ in range(_worker_count(len(blocks)))
-    ]
+    workspace = (np.empty((_ROOT_BLOCK, m)), np.empty((_ROOT_BLOCK, m)))
     origin, tau = np.empty(m + 1, dtype=int), np.empty(m + 1)
-
-    def roots(ks, workspace):
+    for ks in blocks:
         origin[ks], tau[ks] = _secular_block(apex, d, sq, ks, lower, upper, workspace)
-
-    _on_workers(roots, blocks, workspaces)
+    # Root k is paired to pole k-1 (k <= j) or pole k (k > j), so every Loewner
+    # ratio lies in (0, 1]; roots 0 and N stay unpaired.
     loewner = np.ones(m)
-
-    def loewner_chunk(cols, workspace):
-        """Multiply the Loewner product of the poles ``cols`` by each root block's factor, in order.
-
-        Root k is paired to pole k-1 (k <= j) or pole k (k > j), so every
-        ratio lies in (0, 1]; roots 0 and N stay unpaired.
-        """
-        js = np.arange(cols.start, cols.stop)
-        for ks in blocks:
-            tile = ks.size * js.size  # contiguous tiles: numpy's loops are slower on strided ones
-            paired, ratio = (w.reshape(-1)[:tile].reshape(ks.size, -1) for w in workspace)
-            above = d[np.minimum(ks, m - 1)][:, None]
-            split = np.clip(ks[0] - cols.start, 0, js.size)
-            paired[:, :split] = above
-            paired[:, split:] = d[np.maximum(ks - 1, 0)][:, None]
-            # Only columns ks[0] <= j < ks[-1] differ by row.
-            band = slice(split, np.clip(ks[-1] - cols.start, 0, js.size))
-            np.copyto(paired[:, band], above, where=ks[:, None] > js[band])
-            paired -= d[cols]
-            paired[(ks == 0) | (ks == m)] = 1.0
-            _pole_gaps(d, origin[ks], tau[ks], out=ratio, columns=cols)
-            ratio /= paired
-            np.abs(ratio, out=ratio)
-            loewner[cols] *= np.prod(ratio, axis=0)
-
-    width = -(-m // len(workspaces))
-    _on_workers(loewner_chunk, [slice(s, min(s + width, m)) for s in range(0, m, width)], workspaces)
+    for ks in blocks:
+        paired, ratio = workspace[0][: ks.size], workspace[1][: ks.size]
+        above = d[np.minimum(ks, m - 1)][:, None]
+        paired[:, : ks[0]] = above
+        paired[:, ks[0] :] = d[np.maximum(ks - 1, 0)][:, None]
+        # Only columns ks[0] <= j < ks[-1] differ by row.
+        np.copyto(paired[:, ks[0] : ks[-1]], above, where=ks[:, None] > np.arange(ks[0], ks[-1]))
+        paired -= d
+        paired[(ks == 0) | (ks == m)] = 1.0
+        _pole_gaps(d, origin[ks], tau[ks], out=ratio)
+        ratio /= paired
+        loewner *= np.prod(np.abs(ratio, out=ratio), axis=0)
     c_hat = np.sqrt(loewner)
     sq_hat = c_hat * c_hat
     inv_norm = np.empty(m + 1)
-
-    def norms(ks, workspace):
-        """1 / sqrt(1 + sum_j c_hat_j^2 / (lambda_k - omega_j)^2), far sides interpolated."""
+    for ks in blocks:  # 1 / sqrt(1 + sum_j c_hat_j^2 / (lambda_k - omega_j)^2)
         columns, far_sums = _far_sums(d, sq_hat, ks, workspace)
         tile = ks.size * (columns.stop - columns.start)
         vector = workspace[0].reshape(-1)[:tile].reshape(ks.size, -1)
@@ -784,8 +714,6 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
             _, left_slope, _, right_slope = far_sums(origin[ks], tau[ks]).T
             total += left_slope + right_slope
         inv_norm[ks] = 1.0 / np.sqrt(1.0 + total)
-
-    _on_workers(norms, blocks, workspaces)
     free_rows = 1 + np.flatnonzero(~coupled)
     return ArrowheadSpectrum(
         dim=n + 1,
@@ -820,9 +748,9 @@ def solve_bytes(n_modes: int, n_times: int) -> int:
     """Bytes that an :class:`ExactPropagator` of ``n_modes`` bath modes takes over ``n_times`` times.
 
     The eigenvalue solve holds ``SOLVER_BYTES_PER_MODE`` (4 KiB) per mode,
-    the system's included: each of its solver threads reuses two (128, N)
-    float blocks, 2 KiB per mode, and the thread count is capped so that
-    they fit (the eigenvectors are never stored). Its :meth:`~ExactPropagator.evaluate`
+    the system's included: its one workspace of two (128, N) float blocks
+    takes 2 KiB per mode and the result O(N) more (the eigenvectors are
+    never stored). Its :meth:`~ExactPropagator.evaluate`
     takes about 32 bytes per grid point and mode: the complex result and at
     most as much again in temporaries. An exact integer, for any size.
     """
@@ -840,7 +768,9 @@ class ExactPropagator:
     through 24 Chebyshev proxy charges beyond it, within eps of each term:
     about 0.75 T N^2 + 3000 T N flops, against 4 T N^2 for summing every
     term, and O(T N + 128 N) memory. The (N+1)^2 eigenvector matrix is never
-    stored, and the result has the same bits on any number of CPUs.
+    stored. The decomposition runs on the calling thread and every product
+    of the evolution is cut to round alike on any number of BLAS threads,
+    so the result has the same bits on any number of CPUs.
     """
 
     def __init__(self, system: SystemMode, bath: DiscreteBath):

@@ -733,6 +733,33 @@ class TestCliFlags:
         assert match in record["message"]
         assert not bath_path.exists()
 
+    def test_separate_negative_exponent_value_runs(self, capsys):
+        """``--alpha-im -1e+16`` as two tokens: argparse alone exits 2 with a usage error."""
+        flags = ["--scenario", "fock-decay", "--gamma", "1", "--omega-b", "1", "--t-max", "1",
+                 "--n-steps", "2", "--fock-n", "0", "--alpha-im", "-1e+16"]
+        assert main(flags) == 0
+        assert capsys.readouterr().out == "t,P_0\n0.0,1.0\n1.0,1.0\n"
+
+    def test_separate_negative_infinity_stops_at_the_config(self, capsys):
+        flags = ["--scenario", "thermal", "--gamma", "1", "--omega-b", "100", "--half-bandwidth", "20",
+                 "--n-modes", "5", "--samples", "10", "--seed", "1", "--t-max", "1", "--n-steps", "3",
+                 "--beta", "-inf"]
+        assert main(flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            '{"error": "ConfigError", "message": "key \'beta\' must be finite (got -inf)"}'
+        ]
+
+    def test_separate_dash_output_streams_to_stdout(self, capsys, tmp_path):
+        flags = ["--scenario", "excited-bath", "--gamma", "1", "--omega-b", "100", "--half-bandwidth",
+                 "20", "--n-modes", "5", "--t-max", "1", "--n-steps", "3", "--lambda-re", "-1e-3"]
+        path = tmp_path / "report.csv"
+        assert main(flags + ["--output", str(path)]) == 0
+        capsys.readouterr()
+        assert main(flags + ["--output", "-"]) == 0
+        assert capsys.readouterr().out == path.read_text()
+
 
 class TestOverrides:
     def test_integer_strings_parse_exactly(self):

@@ -7,7 +7,9 @@ at most 200 Monte Carlo samples) and float keys whose magnitudes span
 on stderr and nothing on stdout, or exit 0 with a report whose cells are all
 finite, whose diagnostics are finite, and with no warning raised. The one
 non-finite cell by design is the Monte Carlo stderr of a single sample, which
-is infinite.
+is infinite. Each float is passed either as ``--key=value`` or as the two
+tokens ``--key value``, drawn per key: ``cli.main`` takes both alike, even a
+value such as ``-1e+16`` or ``-inf`` that argparse alone reads as a flag.
 
 A huge ``samples`` is not drawn: such a thermal run passes the config and then
 runs for as long as its sample count takes, since no rule bounds the run time;
@@ -40,7 +42,10 @@ def _magnitude(signed: bool = False):
 
 @st.composite
 def commands(draw):
-    """A ``boson-decay`` command line, as a flag -> value dict, for a drawn scenario."""
+    """A ``boson-decay`` command line for a drawn scenario.
+
+    As a flag -> value dict, and the set of float keys to pass as two tokens.
+    """
     scenario = draw(st.sampled_from(SCENARIOS))
     flags = {
         "scenario": scenario,
@@ -68,16 +73,16 @@ def commands(draw):
     if scenario == "thermal":
         flags["samples"] = draw(st.integers(1, 200))
         flags["seed"] = draw(st.integers(0, 2**32))
-    return flags
+    separate = {key for key, value in flags.items() if isinstance(value, float) and draw(st.booleans())}
+    return flags, separate
 
 
-def _run(flags):
+def _run(flags, separate):
     """Exit code, stdout, stderr lines and warnings of ``boson-decay`` with ``flags``."""
     argv = ["--format=json", "--output=-"]
     for key, value in flags.items():
-        # --key=value: argparse takes a separate "-1e+16" for a flag, not a value.
-        argv.append(f"--{key.replace('_', '-')}={value!r}" if isinstance(value, float) else
-                    f"--{key.replace('_', '-')}={value}")
+        flag, text = f"--{key.replace('_', '-')}", repr(value) if isinstance(value, float) else str(value)
+        argv += [flag, text] if key in separate else [f"{flag}={text}"]
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -94,8 +99,9 @@ def _run(flags):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(commands())
-def test_every_command_stops_at_the_config_or_writes_finite_cells(flags):
-    code, out, err, caught = _run(flags)
+def test_every_command_stops_at_the_config_or_writes_finite_cells(command):
+    flags, separate = command
+    code, out, err, caught = _run(flags, separate)
     if code == 1:
         assert len(err) == 1 and out == ""
         assert json.loads(err[0])["error"] == "ConfigError", err[0]

@@ -391,6 +391,51 @@ class TestArrowheadSolver:
         assert np.max(np.abs(lam - np.linalg.eigvalsh(h))) <= 1e-12 * h_norm
         assert np.max(np.abs(v.T @ v - np.eye(len(lam)))) <= 1e-11
 
+    def test_decomposition_memory_is_its_per_mode_budget(self, wwa_system, wwa_bath):
+        """Traced peak of the N = 2000 decomposition is at most 2 * 8 * 128 (N+1) bytes + 1 MiB."""
+        tracemalloc.start()
+        try:
+            ExactPropagator(wwa_system, wwa_bath)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * 128 * (wwa_bath.n_modes + 1) + 2**20
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 129, 257, 2000, 4000])
+    def test_solve_starts_no_thread(self, monkeypatch, n_modes, wwa_system):
+        """With ``Thread.start`` raising, the spectrum is built with the same bits as before."""
+        bath = discretize_bath(SpectralDensitySpec(GAMMA, 100.0, 20.0), n_modes)
+        reference = ExactPropagator(wwa_system, bath).spectrum
+
+        def start(thread):
+            raise AssertionError("the solve started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        spectrum = ExactPropagator(wwa_system, bath).spectrum
+        for name in SPECTRUM_ARRAYS:
+            assert np.array_equal(getattr(spectrum, name), getattr(reference, name)), name
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 127, 128, 129, 255, 256, 257, 383, 384, 385, 1000, 2000])
+    def test_loewner_couplings_match_the_product_over_all_roots(self, n_modes, wwa_system):
+        """c_hat_j^2 = prod_k |lambda_k - omega_j| / prod_{i != j} |omega_i - omega_j| within (N+1) eps.
+
+        The reference sums the logarithms of every factor in extended precision,
+        with no pairing of roots to poles and no root blocks; root counts
+        around multiples of 128 end the last block at or just past a pole.
+        """
+        bath = discretize_bath(SpectralDensitySpec(GAMMA, 100.0, 20.0), n_modes)
+        spectrum = ExactPropagator(wwa_system, bath).spectrum
+        d = spectrum.poles
+        log_roots = np.zeros(d.size, dtype=np.longdouble)
+        for ks in propagator._root_blocks(d.size + 1):
+            gaps = propagator._pole_gaps(d, spectrum.origin[ks], spectrum.tau[ks])
+            log_roots += np.log(np.abs(gaps).astype(np.longdouble)).sum(axis=0)
+        spacing = np.abs(d[:, None] - d)
+        np.fill_diagonal(spacing, 1.0)
+        log_poles = np.log(spacing.astype(np.longdouble)).sum(axis=0)
+        expected = np.exp(0.5 * (log_roots - log_poles)).astype(float)
+        assert np.max(np.abs(spectrum.c_hat - expected) / expected) <= (n_modes + 1) * EPS
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(1, 40).flatmap(
@@ -504,85 +549,6 @@ class TestSecularFarField:
         poles[512:] += 1000.0
         columns, sums = propagator._far_sums(poles, sq, ks, workspace)
         assert columns == slice(0, 640) and sums is not None
-
-
-class TestSolverThreads:
-    @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("n_modes", [2000, 4000])
-    def test_spectrum_is_bitwise_equal_for_any_worker_count(
-        self, monkeypatch, n_modes, workers, wwa_system
-    ):
-        """Roots, offsets, couplings and norms at N = 2000 and 4000 do not depend on the thread count.
-
-        Three threads switching every microsecond on fewer cores shuffle the
-        order in which the blocks finish.
-        """
-        bath = discretize_bath(SpectralDensitySpec(GAMMA, 100.0, 20.0), n_modes)
-        reference = ExactPropagator(wwa_system, bath).spectrum
-        monkeypatch.setattr(propagator, "_worker_count", lambda blocks: workers)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            spectrum = ExactPropagator(wwa_system, bath).spectrum
-        finally:
-            sys.setswitchinterval(interval)
-        for name in SPECTRUM_ARRAYS:
-            assert np.array_equal(getattr(spectrum, name), getattr(reference, name)), name
-
-    def test_decomposition_memory_is_its_per_mode_budget(self, wwa_system, wwa_bath):
-        """Traced peak of the N = 2000 decomposition is at most 4096 (N+1) bytes + 1 MiB."""
-        tracemalloc.start()
-        try:
-            ExactPropagator(wwa_system, wwa_bath)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4096 * (wwa_bath.n_modes + 1) + 2**20
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("n_modes", [1, 2, 129, 257])
-    def test_small_spectrum_is_bitwise_equal_for_any_worker_count(
-        self, monkeypatch, n_modes, workers, wwa_system
-    ):
-        """One or a few root blocks, and column chunks that end inside a block's band."""
-        spec = SpectralDensitySpec(gamma=GAMMA, band_center=100.0, half_bandwidth=20.0)
-        bath = discretize_bath(spec, n_modes)
-        reference = ExactPropagator(wwa_system, bath).spectrum
-        monkeypatch.setattr(propagator, "_worker_count", lambda blocks: workers)
-        spectrum = ExactPropagator(wwa_system, bath).spectrum
-        for name in SPECTRUM_ARRAYS:
-            assert np.array_equal(getattr(spectrum, name), getattr(reference, name)), name
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_every_item_runs_once(self, workers):
-        """One workspace runs on the calling thread alone; more share the items.
-
-        Switching threads every microsecond makes a lost or repeated take show.
-        """
-        done = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            propagator._on_workers(
-                lambda item, workspace: done.append((item, threading.current_thread())),
-                range(500),
-                [None] * workers,
-            )
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(item for item, _ in done) == list(range(500))
-        if workers == 1:
-            assert {thread for _, thread in done} == {threading.current_thread()}
-
-    def test_worker_error_is_raised_and_threads_end(self):
-        def work(item, workspace):
-            if item == 3:
-                raise ZeroDivisionError("item 3")
-
-        before = threading.active_count()
-        with pytest.raises(ZeroDivisionError, match="item 3"):
-            propagator._on_workers(work, range(10), [None, None])
-        assert threading.active_count() == before
 
 
 class TestEvaluate:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from boson_decay import RunReport, build_config, parse_config, propagator, run_scenario
+from boson_decay import RunReport, build_config, parse_config, run_scenario
 from boson_decay import config as config_module
 from boson_decay.bath import ThermalSpec
 from boson_decay.cli import main
@@ -317,14 +317,6 @@ class TestDiagnostics:
         assert list(timings) == stages
         assert all(seconds >= 0.0 for seconds in timings.values())
         assert sum(timings.values()) <= meta["elapsed_seconds"]
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_wwa_csv_does_not_depend_on_solver_threads(self, monkeypatch, workers):
-        """The N = 2000 wwa-validate CSV is byte-identical on 1 or 3 solver threads."""
-        config = parse_config(WWA_TEXT, overrides={"n_modes": 2000})
-        expected = emit_report(run_scenario(config), "csv")
-        monkeypatch.setattr(propagator, "_worker_count", lambda blocks: workers)
-        assert emit_report(run_scenario(config), "csv") == expected
 
     @pytest.mark.parametrize("name", list(BENCHMARK_BATH_CONFIGS))
     def test_sum_rule_at_benchmark_configs(self, name):
