@@ -27,6 +27,7 @@ from .decay import (
     JointCoherentLabels,
     OpenSystemState,
     PopulationDistribution,
+    basis_amplitudes,
     coherent_decay,
     coherent_decay_time,
     coherent_overlap,

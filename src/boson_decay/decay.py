@@ -37,12 +37,32 @@ class FockState:
         if self.n < 0:
             raise ValueError(f"excitation number must be nonnegative (got {self.n})")
 
+    def norm(self) -> float:
+        return 1.0
+
+    def amplitudes(self, n_max: int) -> np.ndarray:
+        """Number-basis amplitudes, m = 0..n_max: one at m = n."""
+        if self.n > n_max:
+            raise ValueError(
+                f"truncation n_max={n_max} cannot represent a {self.n}-excitation state"
+            )
+        amps = np.zeros(n_max + 1, dtype=complex)
+        amps[self.n] = 1.0
+        return amps
+
 
 @dataclass(frozen=True)
 class CoherentState:
     """Displaced vacuum with complex label ``alpha``."""
 
     alpha: complex
+
+    def norm(self) -> float:
+        return 1.0
+
+    def amplitudes(self, n_max: int) -> np.ndarray:
+        """Number-basis amplitudes <m|alpha>, m = 0..n_max."""
+        return coherent_amplitudes(self.alpha, n_max)
 
 
 @dataclass(frozen=True)
@@ -78,18 +98,50 @@ class CoherentSuperposition:
 OpenSystemState = Union[FockState, CoherentState, CoherentSuperposition]
 
 
+def basis_amplitudes(state: OpenSystemState, n_max: int) -> np.ndarray:
+    """Normalized number-basis amplitudes of ``state``, m = 0..n_max.
+
+    Raises :class:`TruncationError` where the basis drops more than
+    _TRACE_DEFECT_TOL of the state's squared norm.
+    """
+    amps = state.amplitudes(n_max)
+    norm = state.norm()
+    defect = abs(float(np.vdot(amps, amps).real) / norm**2 - 1.0)
+    if defect > _TRACE_DEFECT_TOL:
+        raise TruncationError(
+            f"truncated basis drops {defect:.3e} of the initial norm "
+            f"(tolerance {_TRACE_DEFECT_TOL:.0e}); raise n_max"
+        )
+    return amps / norm
+
+
 def coherent_overlap(a: complex, b: complex) -> complex:
     """<a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a) b)."""
     return complex(np.exp(-0.5 * abs(a) ** 2 - 0.5 * abs(b) ** 2 + np.conj(a) * b))
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """log m! for m = 0..n, a cumulative sum of log m in extended precision (np.longdouble)."""
+    logs = np.zeros(n + 1, dtype=np.longdouble)
+    np.log(np.arange(1, n + 1, dtype=np.longdouble), out=logs[1:])
+    return np.cumsum(logs, out=logs)
+
+
 def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
-    """Number-basis amplitudes of |alpha> up to ``n_max`` (recurrence, stable)."""
-    amps = np.empty(n_max + 1, dtype=complex)
-    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for m in range(1, n_max + 1):
-        amps[m] = amps[m - 1] * alpha / math.sqrt(m)
-    return amps
+    """Number-basis amplitudes <m|alpha> of |alpha>, m = 0..n_max.
+
+    The magnitude is exp(-|alpha|^2/2 + m log|alpha| - log(m!)/2), so no
+    amplitude underflows before its own magnitude does, and the phase is
+    the m-th power of alpha / |alpha|, a running product: exact for a label
+    on either axis, so a real cat state keeps exact zeros.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mag = np.arange(n_max + 1) * np.log(np.longdouble(abs(alpha)))
+    log_mag[0] = 0.0  # |alpha|^0 = 1, also at alpha = 0
+    log_mag -= 0.5 * _log_factorials(n_max) + 0.5 * abs(alpha) ** 2
+    phase = np.full(n_max + 1, complex(alpha) / abs(alpha) if alpha else 1.0, dtype=complex)
+    phase[0] = 1.0
+    return np.exp(log_mag.astype(float)) * np.cumprod(phase, out=phase)
 
 
 def default_fock_cutoff(alpha_scale: float) -> int:
@@ -127,9 +179,11 @@ def fock_populations(n: int, survival) -> PopulationDistribution:
     ``survival`` is the single-excitation survival probability, one value or
     an array of them (one per time); each of the n excitations is
     independently retained with that probability, giving
-    P_m = C(n, m) p^m (1-p)^(n-m). The law is evaluated in log space so it
-    stays finite for large n; the endpoint terms are masked, so p = 0 and
-    p = 1 give exact unit populations.
+    P_m = C(n, m) p^m (1-p)^(n-m). The law is evaluated in log space, with
+    log C(n, m) = log n! - log m! - log (n-m)! from one table of
+    :func:`_log_factorials`, so it stays finite and costs O(n) per time for
+    large n; the endpoint terms are masked, so p = 0 and p = 1 give exact
+    unit populations.
     """
     if n < 0:
         raise ValueError("excitation number must be nonnegative")
@@ -137,7 +191,8 @@ def fock_populations(n: int, survival) -> PopulationDistribution:
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError(f"survival probability must lie in [0, 1] (got {survival})")
     m = np.arange(n + 1)
-    log_comb = np.array([math.log(math.comb(n, k)) for k in range(n + 1)])
+    log_factorials = _log_factorials(n)
+    log_comb = (log_factorials[n] - log_factorials - log_factorials[::-1]).astype(float)
     p = p[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
         kept = m * np.log(p)
@@ -362,7 +417,8 @@ class FockSpaceOracle:
         """
         _check_mode_count(n_modes)
         levels = k + 1
-        sector = math.comb(k + max(n_modes, 0), k)  # N < 1 (no bath) sizes one state
+        # C(k + N, N) = (k + 1) ... (k + N) / N!; N < 1 (no bath) sizes one state
+        sector = math.prod(range(k + 1, k + n_modes + 1)) // math.factorial(max(n_modes, 0))
         return 40 * sector * (sector + n_times) + 16 * levels * (sector + n_times * levels)
 
     def _sector(self, k: int) -> dict[str, Any]:
@@ -407,38 +463,6 @@ class FockSpaceOracle:
                 h[i2, i] = amp
         return h
 
-    def _initial_amplitudes(self, initial: OpenSystemState) -> dict[int, complex]:
-        """Normalized amplitude of |m> (system) x vacuum (bath) in ``initial``, by sector m."""
-        if isinstance(initial, FockState):
-            if initial.n > self.n_max:
-                raise ValueError(
-                    f"truncation n_max={self.n_max} cannot represent a "
-                    f"{initial.n}-excitation state"
-                )
-            system_amps = {initial.n: 1.0 + 0.0j}
-            exact_norm_sq = 1.0
-        elif isinstance(initial, CoherentState):
-            amps = coherent_amplitudes(initial.alpha, self.n_max)
-            system_amps = {m: amps[m] for m in range(self.n_max + 1)}
-            exact_norm_sq = 1.0
-        elif isinstance(initial, CoherentSuperposition):
-            amps = initial.amplitudes(self.n_max)
-            system_amps = {m: amps[m] for m in range(self.n_max + 1)}
-            exact_norm_sq = initial.norm() ** 2
-        else:
-            raise TypeError(f"unsupported initial state {type(initial).__name__}")
-
-        truncated_norm_sq = sum(abs(a) ** 2 for a in system_amps.values())
-        defect = abs(truncated_norm_sq - exact_norm_sq) / exact_norm_sq
-        if defect > _TRACE_DEFECT_TOL:
-            raise TruncationError(
-                f"truncated basis drops {defect:.3e} of the initial norm "
-                f"(tolerance {_TRACE_DEFECT_TOL:.0e}); raise n_max"
-            )
-
-        norm = math.sqrt(exact_norm_sq)
-        return {m: amp / norm for m, amp in system_amps.items() if amp != 0}
-
     def reduced_density(self, initial: OpenSystemState, times) -> DensityMatrixFock:
         """Evolve ``initial`` (bath in vacuum) over ``times`` and trace out the bath.
 
@@ -452,10 +476,11 @@ class FockSpaceOracle:
         times = np.asarray(times, dtype=float)
         vacuum = (0,) * self.bath.n_modes
         evolved = []
-        for m, amp in self._initial_amplitudes(initial).items():
+        amps = basis_amplitudes(initial, self.n_max)
+        for m in np.flatnonzero(amps).tolist():
             sector = self._sector(m)
             v = sector["eigenvectors"]
-            components = amp * v[sector["index"][(m,) + vacuum]]
+            components = amps[m] * v[sector["index"][(m,) + vacuum]]
             states = spectral_evolution(sector["eigenvalues"], v, components, times)
             evolved.append((sector["system_occ"], sector["bath_cols"], states.reshape(-1, len(v))))
         table = np.zeros((self.n_max + 1, len(self._bath_strings)), dtype=complex)

@@ -13,5 +13,5 @@ class ResourceLimitError(ValueError):
     """Raised when a dense Fock-space computation would exceed the documented size limits."""
 
 
-class TruncationError(RuntimeError):
+class TruncationError(ValueError):
     """Raised when a truncated Fock basis drops more norm than the tolerance allows."""

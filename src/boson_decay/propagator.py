@@ -126,18 +126,22 @@ _NODE_WEIGHTS = (-1.0) ** np.arange(_FAR_NODES) * np.sin(_ANGLES)  # their baryc
 # The root model converges quadratically: after a step within sqrt(eps) |x| the
 # next would be within about eps |x|, a rounding-size move, so the root is settled.
 _SETTLED = math.sqrt(_EPS)
-# OpenBLAS rounds a real matrix product differently with its thread count
-# unless the product has a whole number of groups of 8 output columns, so every
-# column range that ArrowheadSpectrum.evolve multiplies starts and ends on one.
+# OpenBLAS rounds a product differently with its thread count unless two things
+# hold. Its output has a whole number of groups of _ALIGN columns, so every column
+# range that ArrowheadSpectrum.evolve multiplies starts and ends on one. And its
+# inner dimension is short enough that OpenBLAS does not split it at boundaries
+# that depend on the count: a longer sum goes through _add_product or
+# _chunked_product, one piece of at most so many terms at a time. With OpenBLAS
+# 0.3.31 on x86-64 the limit is 384 terms for a real matrix product (385 already
+# round differently on one thread than on two), 512 for a real matrix-vector
+# product, and 128 for a complex product (193 already differ).
 _ALIGN = 8
+_REAL_TERMS = 16 * _FAR_NODES  # 16 far-field blocks of nodes
+_VECTOR_TERMS = 512
+_COMPLEX_TERMS = 128
 # evolve adds each product into its result this many columns at a time, so the
 # product's temporary over T times is 2T x 512 floats, however many modes.
 _PRODUCT_COLUMNS = 4 * _ROOT_BLOCK
-# ... and at most this many terms of the inner dimension at a time (16 far-field
-# blocks of nodes): a longer product is split by OpenBLAS at boundaries that
-# depend on its thread count (with OpenBLAS 0.3.31 on x86-64, 385 terms already
-# round differently on one thread than on two; 384 do not).
-_PRODUCT_TERMS = 16 * _FAR_NODES
 
 
 def _root_blocks(count: int) -> list[np.ndarray]:
@@ -391,7 +395,7 @@ def _add_product(out: np.ndarray, a: np.ndarray, b: np.ndarray, buffer: np.ndarr
     """out += a @ b for real matrices, formed in ``buffer`` a fixed piece at a time.
 
     A piece is _PRODUCT_COLUMNS columns of b, a multiple of _ALIGN, and at
-    most _PRODUCT_TERMS terms of the inner dimension; the pieces of the
+    most _REAL_TERMS terms of the inner dimension; the pieces of the
     inner dimension are added in order. Each piece then has the same bits on
     any number of BLAS threads.
     """
@@ -399,8 +403,8 @@ def _add_product(out: np.ndarray, a: np.ndarray, b: np.ndarray, buffer: np.ndarr
     for start in range(0, b.shape[1], _PRODUCT_COLUMNS):
         cols = slice(start, start + _PRODUCT_COLUMNS)
         target = out[:, cols]  # padding columns beyond ``out`` are dropped
-        for first in range(0, a.shape[1], _PRODUCT_TERMS):
-            terms = slice(first, first + _PRODUCT_TERMS)
+        for first in range(0, a.shape[1], _REAL_TERMS):
+            terms = slice(first, first + _REAL_TERMS)
             piece = b[terms, cols]
             product = buffer[: rows * piece.shape[1]].reshape(rows, -1)
             np.matmul(a[:, terms], piece, out=product)
@@ -599,11 +603,8 @@ class ArrowheadSpectrum:
             cauchy = _pole_gaps(poles, origin, tau, columns=near)
             np.divide(1.0, cauchy, out=cauchy)
             if spread:
-                # With OpenBLAS 0.3.31 on x86-64 a matrix-vector product of 512 terms has the
-                # same bits on one thread and on two at any row count; one of 81 rows and
-                # 6000 terms does not.
-                components = x[0] + _chunked_product(cauchy, y.real[near], _PRODUCT_COLUMNS)
-                components += 1j * _chunked_product(cauchy, y.imag[near], _PRODUCT_COLUMNS)
+                components = x[0] + _chunked_product(cauchy, y.real[near], _VECTOR_TERMS)
+                components += 1j * _chunked_product(cauchy, y.imag[near], _VECTOR_TERMS)
             else:
                 components = np.full(ks.size, x[0])
             if field is not None:
@@ -641,13 +642,13 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
     Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172). Deflated poles
     (:func:`_deflate`) are eigenvalues with their own eigenvectors.
 
-    Three passes run on the calling thread, one root block at a time, each
+    Two passes run on the calling thread, one root block at a time, each
     reusing one workspace of two (_ROOT_BLOCK, N) float arrays allocated
-    here and writing its results in place: the roots, the Loewner product
-    (each block's factor multiplied in, in block order, over all poles) and
-    the norms. The norms sum c_hat_j^2 / (lambda_k - omega_j)^2 over the near
-    band and take the far sides from the slope sums of :func:`_far_sums`,
-    with c_hat in place of c. Time is O(N^2): the roots take O(N) per root
+    here and writing its results in place. The first finds a block's roots
+    and at once multiplies that block's Loewner factors into every pole, in
+    block order. The second takes the norms: it sums
+    c_hat_j^2 / (lambda_k - omega_j)^2 over the near band and takes the far
+    sides from the slope sums of :func:`_far_sums`, with c_hat in place of c. Time is O(N^2): the roots take O(N) per root
     block and far side plus O(384) per root and step; memory is O(N) for the
     result and O(_ROOT_BLOCK N) for the workspace, as neither the matrix nor
     its eigenvectors are formed.
@@ -682,12 +683,11 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
     blocks = _root_blocks(m + 1)
     workspace = (np.empty((_ROOT_BLOCK, m)), np.empty((_ROOT_BLOCK, m)))
     origin, tau = np.empty(m + 1, dtype=int), np.empty(m + 1)
-    for ks in blocks:
-        origin[ks], tau[ks] = _secular_block(apex, d, sq, ks, lower, upper, workspace)
-    # Root k is paired to pole k-1 (k <= j) or pole k (k > j), so every Loewner
-    # ratio lies in (0, 1]; roots 0 and N stay unpaired.
     loewner = np.ones(m)
     for ks in blocks:
+        origin[ks], tau[ks] = _secular_block(apex, d, sq, ks, lower, upper, workspace)
+        # Root k is paired to pole k-1 (k <= j) or pole k (k > j), so every Loewner
+        # ratio lies in (0, 1]; roots 0 and N stay unpaired.
         paired, ratio = workspace[0][: ks.size], workspace[1][: ks.size]
         above = d[np.minimum(ks, m - 1)][:, None]
         paired[:, : ks[0]] = above

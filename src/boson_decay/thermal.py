@@ -13,8 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .decay import CoherentSuperposition, DensityMatrixFock, default_fock_cutoff
+from .decay import CoherentSuperposition, DensityMatrixFock, basis_amplitudes, default_fock_cutoff
 from .propagator import (
+    _COMPLEX_TERMS,
     PROVENANCE_ORACLE,
     PropagatorCoefficients,
     _chunked_product,
@@ -24,11 +25,6 @@ from .propagator import (
 SHORT_TIME_WINDOW = 0.1
 # Bytes of one Monte Carlo block: its (rows, r) normal draws and its (T, rows) branch values.
 MC_BLOCK_BYTES = 2 << 20
-# Longest inner dimension of one BLAS product. OpenBLAS cuts a longer one into blocks
-# whose boundaries depend on its thread count, which changes the rounding (with OpenBLAS
-# 0.3.31 on x86-64 a complex product of 193 terms already rounds differently on one
-# thread than on two); products this short round alike on any count.
-_PRODUCT_TERMS = 128
 
 
 @dataclass(frozen=True)
@@ -218,12 +214,7 @@ class EffectiveHamiltonian:
             )
         if n_max is None:
             n_max = default_fock_cutoff(max(abs(a) for _, a in state.terms))
-        amps = state.amplitudes(n_max) / state.norm()
-        truncated = float(np.sum(np.abs(amps) ** 2))
-        if abs(truncated - 1.0) > 1e-6:
-            raise ValueError(
-                f"truncated basis keeps only {truncated:.8f} of the initial norm; raise n_max"
-            )
+        amps = basis_amplitudes(state, n_max)
         evolved = amps * self.evolve_fock(np.arange(n_max + 1), t[..., None]).amplitude
         pre_trace = np.sum(np.abs(evolved) ** 2, axis=-1)
         rho = evolved[..., :, None] * np.conj(evolved[..., None, :]) / pre_trace[..., None, None]
@@ -255,12 +246,14 @@ def monte_carlo_bytes(count: int, n_modes: int, n_times: int) -> int:
 
     It holds the (T, N) absorption array weighted by the occupations
     (16 N T bytes); where it factors the branch covariance (:func:`_rank`)
-    also the T x T Gram and one more T x T array at a time (a chunk's
-    product, a rank-one update or the factor; 16 T^2 bytes each); and at
-    most two blocks of ``MC_BLOCK_BYTES`` whatever the sample count. An
-    exact integer, for any size.
+    also that array's conjugate while the Gram is summed (16 N T bytes), the
+    T x T Gram and one more T x T array at a time (a chunk's product, a
+    rank-one update or the factor; 16 T^2 bytes each); and at most two
+    blocks of ``MC_BLOCK_BYTES`` whatever the sample count. An exact
+    integer, for any size.
     """
-    gram = 32 * n_times * n_times if _rank(count, n_modes, n_times) < n_modes else 0
+    factored = _rank(count, n_modes, n_times) < n_modes
+    gram = 16 * n_times * (n_modes + 2 * n_times) if factored else 0
     return 16 * n_times * n_modes + gram + 2 * MC_BLOCK_BYTES
 
 
@@ -290,25 +283,23 @@ def check_squared_occupations(alpha: complex, occupations: np.ndarray, count: in
 def _gram_factor(weighted: np.ndarray) -> np.ndarray:
     """A (T, k) factor L with L L^H = K, the Gram ``weighted @ weighted^H`` of a (T, N) array.
 
-    K is summed over the fixed chunks of _PRODUCT_TERMS modes and then
-    factored in place by a right-looking Cholesky with diagonal pivoting,
-    written as elementwise numpy updates: LAPACK's factorizations round
-    differently with the number of threads, these updates do not. Each step
+    K is summed over the fixed chunks of _COMPLEX_TERMS modes
+    (:func:`_chunked_product`) and then factored in place by a right-looking
+    Cholesky with diagonal pivoting, written as elementwise numpy updates:
+    LAPACK's factorizations round differently with the number of threads,
+    these updates do not. Each step
     takes the largest remaining pivot. Once that is at rounding level,
     T eps max_t K_tt, the factor stops: every entry of the remaining Schur
     complement is then that small too, so L L^H = K to about
     T eps max_t K_tt, and k is the numerical rank of K, at most min(N, T).
     (Without pivoting, a numerically singular K, as on a fine grid or at
     nearly repeated times, puts a rounding-level pivot ahead of larger ones
-    and the factor breaks.) Besides its argument it holds K and one more
-    array of at most 16 T^2 bytes at a time: a chunk's product, a rank-one
-    update or L.
+    and the factor breaks.) Besides its argument it holds K, one more
+    array of at most 16 T^2 bytes at a time (a chunk's product, a rank-one
+    update or L) and, while K is summed, the argument's conjugate.
     """
     size = len(weighted)
-    work = np.zeros((size, size), dtype=complex)
-    for start in range(0, weighted.shape[1], _PRODUCT_TERMS):
-        chunk = weighted[:, start : start + _PRODUCT_TERMS]
-        work += chunk @ chunk.conj().T
+    work = _chunked_product(weighted, weighted.conj().T, _COMPLEX_TERMS)
     order = np.arange(size)
     floor = size * np.finfo(float).eps * float(np.max(work.diagonal().real, initial=0.0))
     rank = size
@@ -403,7 +394,7 @@ def monte_carlo_moments(
     seen = 0
     while seen < count:
         draws = rng.standard_normal((min(rows, count - seen), 2 * rank)).view(complex)
-        branch = _chunked_product(factor, draws.T, _PRODUCT_TERMS)
+        branch = _chunked_product(factor, draws.T, _COMPLEX_TERMS)
         del draws
         branch += offsets
         size = branch.shape[1]

@@ -13,6 +13,7 @@ from boson_decay import (
     CoherentState,
     CoherentSuperposition,
     DiscreteBath,
+    EffectiveHamiltonian,
     ExactPropagator,
     FockSpaceOracle,
     FockState,
@@ -21,6 +22,7 @@ from boson_decay import (
     SystemMode,
     ThermalSpec,
     TruncationError,
+    basis_amplitudes,
     coherent_decay,
     coherent_decay_time,
     coherent_overlap,
@@ -361,8 +363,48 @@ class TestFockSpaceOracle:
         with pytest.raises(ValueError, match="cannot represent"):
             FockSpaceOracle(small_system, small_bath, n_max=2).reduced_density(FockState(3), 0.1)
 
-    def test_default_cutoff_covers_poisson_tail(self):
+    @pytest.mark.parametrize("alpha", [1.0, 40.0, 100.0, 30.0 - 20.0j])
+    def test_default_cutoff_covers_poisson_tail(self, alpha):
+        """Past |alpha| = 38.6 a recurrence from exp(-|alpha|^2 / 2) underflowed to all zeros."""
         assert default_fock_cutoff(1.0) >= 17
-        alpha = 1.0
-        amps = coherent_amplitudes(alpha, default_fock_cutoff(alpha))
-        assert 1.0 - float(np.sum(np.abs(amps) ** 2)) < 1e-9
+        amps = coherent_amplitudes(alpha, default_fock_cutoff(abs(alpha)))
+        assert 0.0 <= 1.0 - float(np.sum(np.abs(amps) ** 2)) < 1e-9
+
+
+class TestBasisAmplitudes:
+    """Every state answers ``amplitudes(n_max)`` and ``norm()``; one rule truncates them."""
+
+    def test_each_state_in_the_number_basis(self):
+        fock = FockState(2).amplitudes(4)
+        assert np.array_equal(fock, [0, 0, 1, 0, 0]) and fock.dtype == complex
+        label = 0.3 - 0.2j
+        assert np.array_equal(CoherentState(label).amplitudes(8), coherent_amplitudes(label, 8))
+        cat = CoherentSuperposition(((1.0, 1.5), (1.0, -1.5)))
+        amps = basis_amplitudes(cat, default_fock_cutoff(1.5))
+        assert np.allclose(amps, cat.amplitudes(default_fock_cutoff(1.5)) / cat.norm(), rtol=1e-15)
+        assert float(np.sum(np.abs(amps) ** 2)) == pytest.approx(1.0, abs=1e-9)
+        assert np.all(amps[1::2] == 0)  # the even cat has no odd levels
+
+    def test_coherent_amplitudes_recurrence_and_phase(self):
+        """<m|alpha> = <m-1|alpha> alpha / sqrt(m), with <0|alpha> = exp(-|alpha|^2 / 2)."""
+        for alpha in (0.0, 0.8 + 0.3j, -2.0, 5.0j):
+            amps = coherent_amplitudes(alpha, 40)
+            assert amps[0] == pytest.approx(math.exp(-0.5 * abs(alpha) ** 2), rel=1e-15)
+            recurrence = amps[:-1] * alpha / np.sqrt(np.arange(1, 41))
+            np.testing.assert_allclose(amps[1:], recurrence, rtol=1e-13, atol=1e-300)
+
+    def test_one_truncation_rule_for_both_callers(self, small_system, small_bath):
+        """The oracle and the effective Hamiltonian reject a too-small basis with one error."""
+        state = CoherentSuperposition(((1.0, 2.0),))
+        oracle = FockSpaceOracle(small_system, small_bath, n_max=3)
+        heff = EffectiveHamiltonian(omega_b=5.0, gamma=GAMMA, n_th=0.0)
+        messages = []
+        for run in (
+            lambda: oracle.reduced_density(state, 0.1),
+            lambda: heff.evolve_superposition(state, 0.01, n_max=3),
+        ):
+            with pytest.raises(TruncationError, match="raise n_max") as error:
+                run()
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
+        assert issubclass(TruncationError, ValueError)

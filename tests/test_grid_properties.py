@@ -30,6 +30,7 @@ from boson_decay import (
     ThermalSpec,
     analytic_propagator,
     analytic_survival,
+    basis_amplitudes,
     coherent_decay,
     conditional_mean_number,
     conditional_wavefunction,
@@ -254,7 +255,9 @@ def _reference_density(oracle, initial, t):
     """Reduced state at one time from the explicit sector unitaries (v e^{-i lambda t}) v^T."""
     vacuum = (0,) * oracle.bath.n_modes
     table = np.zeros((oracle.n_max + 1, len(oracle._bath_strings)), dtype=complex)
-    for m, amp in oracle._initial_amplitudes(initial).items():
+    amps = basis_amplitudes(initial, oracle.n_max)
+    for m in np.flatnonzero(amps):
+        amp = amps[m]
         sector = oracle._sectors[m]
         v = sector["eigenvectors"]
         vec = np.zeros(len(v), dtype=complex)

@@ -597,7 +597,7 @@ class TestBuiltOnce:
 
 
 class TestCli:
-    def _run(self, *args, env_extra=None):
+    def _run(self, *args, env_extra=None, timeout=None):
         env = dict(os.environ)
         env.update(env_extra or {})
         return subprocess.run(
@@ -605,7 +605,20 @@ class TestCli:
             capture_output=True,
             text=True,
             env=env,
+            timeout=timeout,
         )
+
+    def test_large_fock_n_ends_with_unit_row_sums(self, tmp_path):
+        """fock_n = 10^5 ends within 20 s: its binomial table is O(n), not big-integer math.comb."""
+        out = tmp_path / "fock.csv"
+        result = self._run(
+            "--scenario", "fock-decay", "--gamma", "1", "--omega-b", "1", "--fock-n", "100000",
+            "--t-max", "1", "--n-steps", "2", "--output", str(out), timeout=20,
+        )
+        assert result.returncode == 0, result.stderr
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (2, 100_002)
+        assert np.max(np.abs(rows[:, 1:].sum(axis=1) - 1.0)) <= 1e-10
 
     def test_config_file_run(self, tmp_path):
         cfg = tmp_path / "run.cfg"

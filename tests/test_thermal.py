@@ -287,6 +287,16 @@ class TestEffectiveSuperposition:
         with pytest.warns(UserWarning, match="short-time"):
             h.evolve_superposition(state, 0.2)
 
+    def test_large_label_in_its_default_basis(self):
+        """|alpha| = 40: amplitudes from exp(-|alpha|^2 / 2) underflowed, so no n_max passed."""
+        h = EffectiveHamiltonian(omega_b=5.0, gamma=GAMMA, n_th=0.5)
+        rho, pre_trace = h.evolve_superposition(CoherentSuperposition(((1.0, 40.0j),)), 0.01)
+        evo = h.evolve_coherent(40.0j, 0.01)
+        assert rho.trace == pytest.approx(1.0, abs=1e-12)
+        assert rho.fidelity_with_coherent(evo.label) == pytest.approx(1.0, abs=1e-8)
+        assert rho.mean_number == pytest.approx(1600.0 * math.exp(-GAMMA * 0.01), rel=1e-9)
+        assert 0.0 < pre_trace < 1.0
+
     def test_insufficient_truncation_rejected(self):
         h = EffectiveHamiltonian(omega_b=5.0, gamma=GAMMA, n_th=0.0)
         state = CoherentSuperposition(((1.0, 2.0),))
@@ -403,7 +413,7 @@ class TestBranchFactor:
             "absorption = rng.standard_normal((201, 1000)).view(complex)\n"
             "factor = thermal._branch_factor(absorption, rng.random(500), 10**6)\n"
             "draws = rng.standard_normal((300, 402)).view(complex)\n"
-            "branch = propagator._chunked_product(factor, draws.T, thermal._PRODUCT_TERMS)\n"
+            "branch = propagator._chunked_product(factor, draws.T, propagator._COMPLEX_TERMS)\n"
             "print(factor.shape, hashlib.sha256(factor.tobytes() + branch.tobytes()).hexdigest())\n"
         )
         outputs = [
