@@ -115,9 +115,17 @@ def basis_amplitudes(state: OpenSystemState, n_max: int) -> np.ndarray:
     return amps / norm
 
 
+def _label_sq(label: complex) -> float:
+    """|label|^2 of a coherent label; a ValueError names a label whose square is past float64."""
+    magnitude = abs(complex(label))
+    if not math.isfinite(magnitude * magnitude):
+        raise ValueError(f"coherent label {label!r} is too large: |alpha|^2 is past float64")
+    return magnitude * magnitude
+
+
 def coherent_overlap(a: complex, b: complex) -> complex:
     """<a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a) b)."""
-    return complex(np.exp(-0.5 * abs(a) ** 2 - 0.5 * abs(b) ** 2 + np.conj(a) * b))
+    return complex(np.exp(-0.5 * _label_sq(a) - 0.5 * _label_sq(b) + np.conj(a) * b))
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -147,7 +155,10 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
 def default_fock_cutoff(alpha_scale: float) -> int:
     """Truncation that bounds the dropped Poisson tail well below 1e-6."""
     a = abs(alpha_scale)
-    return int(math.ceil(a * a + 6.0 * a + 10.0))
+    cutoff = a * a + 6.0 * a + 10.0
+    if not math.isfinite(cutoff):
+        raise ValueError(f"coherent label scale {alpha_scale!r} is too large: |alpha|^2 is past float64")
+    return int(math.ceil(cutoff))
 
 
 # --------------------------------------------------------------------------

@@ -104,8 +104,8 @@ def analytic_propagator(
 
 _EPS = np.finfo(float).eps
 # Roots solved together. The solve holds one workspace of two (_ROOT_BLOCK, N)
-# float arrays, O(_ROOT_BLOCK * N) memory; the root blocks also fix the order
-# of every sum and of the Loewner product.
+# float arrays, O(_ROOT_BLOCK * N) memory; the root blocks, split into the
+# tiles of _root_tiles, also fix the order of every sum and of the Loewner product.
 _ROOT_BLOCK = 128
 _MAX_ROOT_STEPS = 64
 # Memory the eigenvalue solve may take per mode; solve_bytes charges the same
@@ -117,7 +117,10 @@ SOLVER_BYTES_PER_MODE = 4096
 # parameter 3 + sqrt(8) or more there, and the Chebyshev interpolant on r nodes
 # of its term c^2 / (omega - lambda) or c^2 / (omega - lambda)^2 is then within
 # 2 (1 + 2 r) (3 + sqrt(8))^-r of the term, relatively. _FAR_NODES is the least
-# r that puts this below eps: 24.
+# r that puts this below eps: 24. The Loewner pass interpolates log|x - omega|,
+# whose Chebyshev coefficients there are 2 rho^-n / n: on r nodes it is within
+# 4 rho^-r / (r (1 - 1 / rho)) of the term, absolutely, 8.5e-20 at r = 24, so
+# the 2 * _ROOT_BLOCK terms of one tile's far factor stay below eps / 10 in its log.
 _FAR_RHO = 3.0 + math.sqrt(8.0)
 _FAR_NODES = next(r for r in range(1, 64) if 2 * (1 + 2 * r) * _FAR_RHO**-r <= _EPS)
 _ANGLES = (np.arange(_FAR_NODES) + 0.5) * (math.pi / _FAR_NODES)
@@ -136,7 +139,7 @@ _SETTLED = math.sqrt(_EPS)
 # round differently on one thread than on two), 512 for a real matrix-vector
 # product, and 128 for a complex product (193 already differ).
 _ALIGN = 8
-_REAL_TERMS = 16 * _FAR_NODES  # 16 far-field blocks of nodes
+_REAL_TERMS = 16 * _FAR_NODES  # 16 far-field tiles of nodes
 _VECTOR_TERMS = 512
 _COMPLEX_TERMS = 128
 # evolve adds each product into its result this many columns at a time, so the
@@ -165,14 +168,14 @@ def _pole_gaps(
 
 @dataclass(frozen=True)
 class _FarField:
-    """How one root block sums the poles: its near band term by term, and a far field beyond it.
+    """How one root tile sums the poles: its near band term by term, and a far field beyond it.
 
     Beyond ``near``, 1 / (lambda - omega_j) is interpolated in lambda at the
-    24 Chebyshev points x_p = mid + half t_p of the block's bracket interval,
+    24 Chebyshev points x_p = mid + half t_p of the tile's bracket interval,
     within eps of each term (the comment at _FAR_RHO says why). Every pass
     reads the far poles at the nodes through :meth:`kernel` and carries node
-    values to the roots through :meth:`lagrange`. A block that keeps every
-    pole near has no interval: ``mid`` and ``half`` are nan.
+    values to the roots through :meth:`lagrange`. A tile holding root 0 or N
+    has no interval: ``mid`` and ``half`` are nan.
     """
 
     near: slice
@@ -205,30 +208,46 @@ class _FarField:
 
 
 def _far_field(poles: np.ndarray, ks: np.ndarray) -> _FarField:
-    """The far field of the root block ``ks``, the one block geometry of every pass.
+    """The far field of the root tile ``ks`` (:func:`_root_tiles`), the one geometry of every pass.
 
     Its near band is the bracket poles omega_{ks[0]-1} .. omega_{ks[-1]} plus
-    _ROOT_BLOCK poles on each side. A far side stays far only where its
-    nearest pole lies at least one interval width beyond the bracket
-    interval [a, b]; otherwise it joins the near band. The blocks of the
-    outer roots 0 and N, whose brackets reach beyond the poles, keep every
-    pole near.
+    _ROOT_BLOCK poles on each side. A far side stays far only where it holds
+    at least _ROOT_BLOCK poles and its nearest pole lies at least one
+    interval width beyond the bracket interval [a, b]; otherwise it joins
+    the near band, so a bath of at most 3 _ROOT_BLOCK - 1 modes keeps every
+    pole near. A tile holding root 0 or N, whose bracket reaches beyond the
+    poles, keeps every pole near.
     """
     m = poles.size
     if ks[0] == 0 or ks[-1] == m:
         return _FarField(slice(0, m), math.nan, math.nan)
     a, b = poles[ks[0] - 1], poles[ks[-1]]
-    start = max(ks[0] - 1 - _ROOT_BLOCK, 0)
-    stop = min(ks[-1] + 1 + _ROOT_BLOCK, m)
-    if start > 0 and not a - poles[start - 1] >= b - a:
+    start, stop = ks[0] - 1 - _ROOT_BLOCK, ks[-1] + 1 + _ROOT_BLOCK
+    if start < _ROOT_BLOCK or not a - poles[start - 1] >= b - a:
         start = 0
-    if stop < m and not poles[stop] - b >= b - a:
+    if stop > m - _ROOT_BLOCK or not poles[stop] - b >= b - a:
         stop = m
     return _FarField(slice(start, stop), 0.5 * (a + b), 0.5 * (b - a))
 
 
+def _root_tiles(poles: np.ndarray) -> list[np.ndarray]:
+    """The roots 0..N as the tiles that every pass solves, in a fixed order.
+
+    They are the blocks of :func:`_root_blocks`, unless the other roots of a
+    block holding root 0 or N take a far side. Then roots 0 and N, whose
+    brackets reach beyond the poles, come first as one tile over every pole,
+    and the rest of each block is a tile with its near band and far field.
+    """
+    m = poles.size
+    blocks = _root_blocks(m + 1) if m else []  # no coupled pole, no root
+    inner = [ks[(ks > 0) & (ks < m)] for ks in blocks]
+    if not any(ks.size and _far_field(poles, ks).near != slice(0, m) for ks in inner[:1] + inner[-1:]):
+        return blocks
+    return [np.array([0, m])] + [ks for ks in inner if ks.size]
+
+
 def _far_sums(poles, sq_couplings, ks, workspace):
-    """Near band of the root block ``ks``, and an interpolant of the secular sums beyond it.
+    """Near band of the root tile ``ks``, and an interpolant of the secular sums beyond it.
 
     The far sums sum_j c_j^2 / (omega_j - lambda) and
     sum_j c_j^2 / (omega_j - lambda)^2 of each far side are taken once at
@@ -258,7 +277,7 @@ def _far_sums(poles, sq_couplings, ks, workspace):
 
 
 def _secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
-    """Origin pole index and offset tau of the secular roots ``ks`` (one block).
+    """Origin pole index and offset tau of the secular roots ``ks`` (one tile of :func:`_root_tiles`).
 
     Root 0 lies in (lower, omega_0), root k in (omega_{k-1}, omega_k) and root
     N in (omega_{N-1}, upper); lower and upper lie strictly beyond the outer
@@ -274,12 +293,12 @@ def _secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
     evaluation, or its bracket has collapsed; it is settled without a
     further evaluation once its step is within sqrt(eps) |x|.
 
-    Only the block's near band is summed term by term at every step, in two
-    (k, near) tiles of ``workspace``; the far poles add their interpolated
+    Only the tile's near band is summed term by term at every step, in two
+    (k, near) arrays of ``workspace``; the far poles add their interpolated
     sums (:func:`_far_sums`), the left ones to the part psi left of the root.
-    A block whose near band is all N poles (an outer block, or any block of a
-    bath of at most 3 _ROOT_BLOCK - 1 modes) sums every term, as a dense
-    solve does.
+    A tile whose near band is all N poles (the tile of roots 0 and N, or any
+    block of a bath of at most 3 _ROOT_BLOCK - 1 modes) sums every term, as a
+    dense solve does.
     """
     m = poles.size
     bottom, top = ks == 0, ks == m
@@ -360,6 +379,48 @@ def _secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
     return origin, tau
 
 
+def _loewner_factors(poles, ks, origin, tau, product, far_log, workspace):
+    """Multiply the Loewner factors of the roots ``ks`` into ``product``; add their far logs to ``far_log``.
+
+    Root k is paired to pole k-1 (k <= j) or pole k (k > j), so every ratio
+    |lambda_k - omega_j| / |omega_paired - omega_j| lies in (0, 1]; roots 0
+    and N stay unpaired. The near band's ratios are multiplied in term by
+    term. For a far pole the tile's sum of log ratios becomes
+    sum_p D_p log|x_p - omega_j| over the nodes, with charges
+    D_p = sum_k l_p(lambda_k) - l_p(omega_paired), which sum to zero; so the
+    kernel is read as log((x_p - omega_j) / (mid - omega_j)), in
+    [log(2/3), log(4/3)], whose constant part cancels.
+    """
+    m = poles.size
+    field = _far_field(poles, ks)
+    near = field.near
+    tile = ks.size * (near.stop - near.start)
+    paired, ratio = (w.reshape(-1)[:tile].reshape(ks.size, -1) for w in workspace)
+    above = poles[np.minimum(ks, m - 1)][:, None]
+    first, last = ks[0] - near.start, ks[-1] - near.start
+    paired[:, :first] = above
+    paired[:, first:] = poles[np.maximum(ks - 1, 0)][:, None]
+    # Only columns ks[0] <= j < ks[-1] differ by row.
+    np.copyto(paired[:, first:last], above, where=ks[:, None] > np.arange(ks[0], ks[-1]))
+    paired -= poles[near]
+    paired[(ks == 0) | (ks == m)] = 1.0
+    _pole_gaps(poles, origin, tau, out=ratio, columns=near)
+    ratio /= paired
+    product[near] *= np.prod(np.abs(ratio, out=ratio), axis=0)
+    if near == slice(0, m):
+        return
+    terms, total = field.lagrange(poles, origin, tau)
+    at_roots = terms / total[:, None]
+    terms, total = field.lagrange(poles, np.arange(ks[0] - 1, ks[-1] + 1), 0.0)
+    at_poles = terms / total[:, None]
+    # Far left poles pair root k with pole k, far right ones with pole k - 1.
+    for pairs, side in ((at_poles[1:], slice(0, near.start)), (at_poles[:-1], slice(near.stop, m))):
+        shape = (_FAR_NODES, side.stop - side.start)
+        kernel = field.kernel(poles[side], out=workspace[0].reshape(-1)[: shape[0] * shape[1]].reshape(shape))
+        kernel *= field.mid - poles[side]  # (mid - omega_j) / (x_p - omega_j)
+        far_log[side] -= (at_roots - pairs).sum(axis=0) @ np.log(kernel, out=kernel)
+
+
 def _deflate(poles: np.ndarray, couplings: np.ndarray):
     """Zero every coupling that moves no eigenvalue by more than eps ||H|| (||H|| < 1 here).
 
@@ -425,11 +486,11 @@ def _chunked_product(a: np.ndarray, b: np.ndarray, terms: int) -> np.ndarray:
 
 
 def _far_kernels(poles: np.ndarray, far: list):
-    """The far-field kernels of the root blocks ``far``, _PRODUCT_COLUMNS poles at a time.
+    """The far-field kernels of the root tiles ``far``, _PRODUCT_COLUMNS poles at a time.
 
-    ``far`` holds each block's near band and :class:`_FarField`. Yields
+    ``far`` holds each tile's near band and :class:`_FarField`. Yields
     (columns, kernel) per chunk of columns: rows 24 i .. 24 i + 23 of the
-    kernel are block i's :meth:`_FarField.kernel`, and zero over its near
+    kernel are tile i's :meth:`_FarField.kernel`, and zero over its near
     band. One array holds every chunk in turn.
     """
     kernel = np.empty((len(far) * _FAR_NODES, min(poles.size, _PRODUCT_COLUMNS)))
@@ -526,7 +587,7 @@ class ArrowheadSpectrum:
         """exp(-i H t) x for every time in ``times``: the shape of ``times`` plus (dim,).
 
         The components V^T x, the phases and the contraction with V are
-        formed one block of 128 roots at a time from the Cauchy matrix
+        formed one tile of up to 128 roots at a time from the Cauchy matrix
         C_kj = 1 / (lambda_k - omega_j): component k is
         ``inv_norm[k] * (x_0 + sum_j c_hat_j x_j C_kj)``, the system row sums
         the phased weights ``inv_norm[k] * exp(-i lambda_k t) * component_k``
@@ -561,33 +622,34 @@ class ArrowheadSpectrum:
         """Add the bath rows of exp(-i H t) x, each over c_hat_j, into ``bath``; return the system row.
 
         ``bath`` has shape (2T, N) for T ``times``: row 2t takes the real
-        parts at time t and row 2t + 1 the imaginary parts. A root block
-        takes C_kj term by term over the near band of its :func:`_far_field`,
-        widened to whole groups of _ALIGN columns. Beyond it, the block's
-        phased weights w_k become 24 proxy charges sum_k l_p(lambda_k) w_k,
-        which reach bath row j through the kernel 1 / (x_p - omega_j), and
-        the far poles reach component k through the same kernel and
-        l_p(lambda_k); the far sides of all blocks are added in one pass over
-        the poles (:func:`_far_kernels`). Every product is real, of the
+        parts at time t and row 2t + 1 the imaginary parts. A root tile
+        (:func:`_root_tiles`) takes C_kj term by term over the near band of
+        its :func:`_far_field`, widened to whole groups of _ALIGN columns; the
+        tile of roots 0 and N, over every pole, is a rank-two update. Beyond
+        the near band, the tile's phased weights w_k become 24 proxy charges
+        sum_k l_p(lambda_k) w_k, which reach bath row j through the kernel
+        1 / (x_p - omega_j), and the far poles reach component k through the
+        same kernel and l_p(lambda_k); the far sides of all tiles are added
+        in one pass over the poles (:func:`_far_kernels`). Every product is real, of the
         stacked real and imaginary parts, over column ranges aligned to
         _ALIGN (the poles padded at +inf, whose kernel entries are -0) and in
         the fixed pieces of :func:`_add_product` and :func:`_chunked_product`,
         so the result has the same bits on any number of BLAS threads. A far
         side costs 24 of the 128 multiply-adds per pole that a near one
-        costs: about 0.75 T N^2 + 3000 T N flops in all, against 4 T N^2.
+        costs: about 0.75 T N^2 + 1600 T N flops in all, against 4 T N^2.
         """
         m = self.poles.size
         width = -(-m // _ALIGN) * _ALIGN
         poles = np.concatenate((self.poles, np.full(width - m, np.inf)))
         y = np.zeros(width, dtype=complex)
         y[:m] = self.c_hat * x[self.bath_rows]
-        blocks = []  # each root block, its near band aligned, and its far field if it has one
-        for ks in _root_blocks(self.roots.size):
+        tiles = []  # each root tile, its near band aligned, and its far field if it has one
+        for ks in _root_tiles(self.poles):
             field = _far_field(self.poles, ks)
             near = slice(field.near.start // _ALIGN * _ALIGN, -(-field.near.stop // _ALIGN) * _ALIGN)
-            blocks.append((ks, near, None if near == slice(0, width) else field))
-        far = [(near, field) for _, near, field in blocks if field is not None]
-        # The far poles' sums sum_j y_j / (x_p - omega_j) at every far block's nodes.
+            tiles.append((ks, near, None if near == slice(0, width) else field))
+        far = [(near, field) for _, near, field in tiles if field is not None]
+        # The far poles' sums sum_j y_j / (x_p - omega_j) at every far tile's nodes.
         # Without bath amplitudes (the system vector) every component is x_0.
         spread = y.any()
         at_nodes = np.zeros(len(far) * _FAR_NODES, dtype=complex)
@@ -598,7 +660,7 @@ class ArrowheadSpectrum:
         charges = np.empty((2 * times.size, len(far) * _FAR_NODES))
         buffer = np.empty(2 * times.size * min(width, _PRODUCT_COLUMNS))
         slot = 0
-        for ks, near, field in blocks:
+        for ks, near, field in tiles:
             origin, tau = self.origin[ks], self.tau[ks]
             cauchy = _pole_gaps(poles, origin, tau, columns=near)
             np.divide(1.0, cauchy, out=cauchy)
@@ -621,7 +683,7 @@ class ArrowheadSpectrum:
             _add_product(bath[:, near], stacked, cauchy, buffer)
             if field is not None:
                 charges[:, nodes] = stacked @ lagrange
-        cauchy = stacked = None  # the last block's tile is not needed beside the far kernel
+        cauchy = stacked = None  # the last tile's Cauchy array is not needed beside the far kernel
         for cols, kernel in _far_kernels(poles, far) if far else ():
             _add_product(bath[:, cols], charges, kernel, buffer)
         return system
@@ -633,8 +695,9 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
     The poles ascend strictly and the couplings c are nonnegative. The
     eigenvalues are the roots of the secular equation
     lambda - apex - sum_j c_j^2 / (lambda - omega_j) = 0, one per
-    interlacing bracket (:func:`_secular_block`), 128 roots per block, each
-    with its near band and far field (:func:`_far_field`). The couplings are
+    interlacing bracket (:func:`_secular_block`), solved a tile of at most
+    128 roots at a time (:func:`_root_tiles`), each tile with its near band
+    and far field (:func:`_far_field`). The couplings are
     then recomputed from the computed roots by the Loewner formula
     c_j^2 = prod_k |lambda_k - omega_j| / prod_{i != j} |omega_i - omega_j|,
     so the roots are the exact eigenvalues of a nearby arrowhead matrix,
@@ -642,16 +705,19 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
     Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172). Deflated poles
     (:func:`_deflate`) are eigenvalues with their own eigenvectors.
 
-    Two passes run on the calling thread, one root block at a time, each
+    Two passes run on the calling thread, one root tile at a time, each
     reusing one workspace of two (_ROOT_BLOCK, N) float arrays allocated
-    here and writing its results in place. The first finds a block's roots
-    and at once multiplies that block's Loewner factors into every pole, in
-    block order. The second takes the norms: it sums
-    c_hat_j^2 / (lambda_k - omega_j)^2 over the near band and takes the far
-    sides from the slope sums of :func:`_far_sums`, with c_hat in place of c. Time is O(N^2): the roots take O(N) per root
-    block and far side plus O(384) per root and step; memory is O(N) for the
-    result and O(_ROOT_BLOCK N) for the workspace, as neither the matrix nor
-    its eigenvectors are formed.
+    here and writing its results in place. The first finds a tile's roots
+    and at once takes its Loewner factors (:func:`_loewner_factors`): the
+    near band's are multiplied into their poles, in tile order, and the far
+    poles' logs are summed through 24 charges and applied once at the end.
+    The second takes the norms: it sums c_hat_j^2 / (lambda_k - omega_j)^2
+    over the near band and takes the far sides from the slope sums of
+    :func:`_far_sums`, with c_hat in place of c. Only the tile of roots 0
+    and N sums every pole. Time is O(N^2): each pass takes O(N) per tile and
+    far side plus O(384) per root (and step, for the roots); memory is O(N)
+    for the result and O(_ROOT_BLOCK N) for the workspace, as neither the
+    matrix nor its eigenvectors are formed.
     """
     n = poles.size
     # Scale by a power of two near ||H|| (exact), so nothing under- or overflows.
@@ -680,29 +746,17 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
     sq = c * c
     spread = 2.0 * float(np.linalg.norm(c))
     lower, upper = min(apex, d[0]) - spread, max(apex, d[-1]) + spread
-    blocks = _root_blocks(m + 1)
+    tiles = _root_tiles(d)
     workspace = (np.empty((_ROOT_BLOCK, m)), np.empty((_ROOT_BLOCK, m)))
     origin, tau = np.empty(m + 1, dtype=int), np.empty(m + 1)
-    loewner = np.ones(m)
-    for ks in blocks:
+    loewner, far_log = np.ones(m), np.zeros(m)
+    for ks in tiles:
         origin[ks], tau[ks] = _secular_block(apex, d, sq, ks, lower, upper, workspace)
-        # Root k is paired to pole k-1 (k <= j) or pole k (k > j), so every Loewner
-        # ratio lies in (0, 1]; roots 0 and N stay unpaired.
-        paired, ratio = workspace[0][: ks.size], workspace[1][: ks.size]
-        above = d[np.minimum(ks, m - 1)][:, None]
-        paired[:, : ks[0]] = above
-        paired[:, ks[0] :] = d[np.maximum(ks - 1, 0)][:, None]
-        # Only columns ks[0] <= j < ks[-1] differ by row.
-        np.copyto(paired[:, ks[0] : ks[-1]], above, where=ks[:, None] > np.arange(ks[0], ks[-1]))
-        paired -= d
-        paired[(ks == 0) | (ks == m)] = 1.0
-        _pole_gaps(d, origin[ks], tau[ks], out=ratio)
-        ratio /= paired
-        loewner *= np.prod(np.abs(ratio, out=ratio), axis=0)
-    c_hat = np.sqrt(loewner)
+        _loewner_factors(d, ks, origin[ks], tau[ks], loewner, far_log, workspace)
+    c_hat = np.sqrt(loewner * np.exp(far_log))
     sq_hat = c_hat * c_hat
     inv_norm = np.empty(m + 1)
-    for ks in blocks:  # 1 / sqrt(1 + sum_j c_hat_j^2 / (lambda_k - omega_j)^2)
+    for ks in tiles:  # 1 / sqrt(1 + sum_j c_hat_j^2 / (lambda_k - omega_j)^2)
         columns, far_sums = _far_sums(d, sq_hat, ks, workspace)
         tile = ks.size * (columns.stop - columns.start)
         vector = workspace[0].reshape(-1)[:tile].reshape(ks.size, -1)
@@ -763,11 +817,11 @@ class ExactPropagator:
     The decomposition (:func:`_arrowhead_spectrum`: O(N^2) time, the dense
     Hamiltonian never formed) is computed once per (system, bath) pair and
     kept as O(N) numbers in ``spectrum``. Evolving any single-excitation
-    vector over T times (:meth:`ArrowheadSpectrum.evolve`) sums each block
-    of 128 eigenvalues exactly over its near band of about 384 poles and
-    through 24 Chebyshev proxy charges beyond it, within eps of each term:
-    about 0.75 T N^2 + 3000 T N flops, against 4 T N^2 for summing every
-    term, and O(T N + 128 N) memory. The (N+1)^2 eigenvector matrix is never
+    vector over T times (:meth:`ArrowheadSpectrum.evolve`) sums each tile
+    of up to 128 eigenvalues exactly over its near band of about 384 poles
+    and through 24 Chebyshev proxy charges beyond it, within eps of each
+    term: about 0.75 T N^2 + 1600 T N flops, against 4 T N^2 for summing
+    every term, and O(T N + 128 N) memory. The (N+1)^2 eigenvector matrix is never
     stored. The decomposition runs on the calling thread and every product
     of the evolution is cut to round alike on any number of BLAS threads,
     so the result has the same bits on any number of CPUs.

@@ -165,6 +165,15 @@ class TestCoherentOverlap:
         with pytest.raises(ValueError, match="positive norm"):
             CoherentSuperposition(((1.0, 0.5), (-1.0, 0.5)))
 
+    def test_superposition_rejects_a_label_whose_square_is_past_float64(self):
+        """|1e200|^2 overflows: a ValueError names the label, not a bare OverflowError."""
+        with pytest.raises(ValueError, match=r"label \(1e\+200\+0j\) is too large"):
+            CoherentSuperposition(((1, 1e200),))
+
+    def test_fock_cutoff_rejects_a_label_whose_square_is_past_float64(self):
+        with pytest.raises(ValueError, match=r"label scale 1e\+200 is too large"):
+            default_fock_cutoff(1e200)
+
 
 class TestExcitedBathEvolution:
     def test_vacuum_bath_reduces_to_plain_decay(self, small_propagator, small_bath):

@@ -337,6 +337,24 @@ def _dense_residuals(system, bath, spectrum):
     return np.concatenate(residuals)
 
 
+def _assert_loewner_couplings(spectrum):
+    """c_hat_j^2 = prod_k |lambda_k - omega_j| / prod_{i != j} |omega_i - omega_j| within (N+1) eps.
+
+    The reference sums the logarithms of every factor in extended precision,
+    with no pairing of roots to poles and no root blocks.
+    """
+    d = spectrum.poles
+    log_roots = np.zeros(d.size, dtype=np.longdouble)
+    for ks in propagator._root_blocks(d.size + 1):
+        gaps = propagator._pole_gaps(d, spectrum.origin[ks], spectrum.tau[ks])
+        log_roots += np.log(np.abs(gaps).astype(np.longdouble)).sum(axis=0)
+    spacing = np.abs(d[:, None] - d)
+    np.fill_diagonal(spacing, 1.0)
+    log_poles = np.log(spacing.astype(np.longdouble)).sum(axis=0)
+    expected = np.exp(0.5 * (log_roots - log_poles)).astype(float)
+    assert np.max(np.abs(spectrum.c_hat - expected) / expected) <= (d.size + 1) * EPS
+
+
 def _spectrum_with(monkeypatch, block, system, bath):
     """The spectrum of (system, bath) with ``block`` as the secular solver."""
     with monkeypatch.context() as patch:
@@ -419,22 +437,27 @@ class TestArrowheadSolver:
     def test_loewner_couplings_match_the_product_over_all_roots(self, n_modes, wwa_system):
         """c_hat_j^2 = prod_k |lambda_k - omega_j| / prod_{i != j} |omega_i - omega_j| within (N+1) eps.
 
-        The reference sums the logarithms of every factor in extended precision,
-        with no pairing of roots to poles and no root blocks; root counts
-        around multiples of 128 end the last block at or just past a pole.
+        Root counts around multiples of 128 end the last block at or just
+        past a pole; from 384 modes the far poles take their factors from
+        the blocks' log kernel.
         """
         bath = discretize_bath(SpectralDensitySpec(GAMMA, 100.0, 20.0), n_modes)
-        spectrum = ExactPropagator(wwa_system, bath).spectrum
-        d = spectrum.poles
-        log_roots = np.zeros(d.size, dtype=np.longdouble)
-        for ks in propagator._root_blocks(d.size + 1):
-            gaps = propagator._pole_gaps(d, spectrum.origin[ks], spectrum.tau[ks])
-            log_roots += np.log(np.abs(gaps).astype(np.longdouble)).sum(axis=0)
-        spacing = np.abs(d[:, None] - d)
-        np.fill_diagonal(spacing, 1.0)
-        log_poles = np.log(spacing.astype(np.longdouble)).sum(axis=0)
-        expected = np.exp(0.5 * (log_roots - log_poles)).astype(float)
-        assert np.max(np.abs(spectrum.c_hat - expected) / expected) <= (n_modes + 1) * EPS
+        _assert_loewner_couplings(ExactPropagator(wwa_system, bath).spectrum)
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        st.integers(600, 1200),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.3, 3.0),
+        st.floats(0.0, 0.45),
+        st.floats(0.1, 12.0),
+    )
+    def test_nonuniform_loewner_couplings_match_the_product_over_all_roots(
+        self, n, seed, power, jitter, omega_b
+    ):
+        """Unevenly spaced poles, some far sides joined to the near band: the same (N+1) eps bound."""
+        bath = _warped_bath(n, seed, power, jitter)
+        _assert_loewner_couplings(ExactPropagator(SystemMode(omega_b), bath).spectrum)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -534,12 +557,20 @@ class TestSecularFarField:
                  for power in (1, 2)]
         np.testing.assert_allclose(sums(np.array([447]), tau)[0], exact, rtol=8 * EPS, atol=0.0)
 
-    def test_outer_blocks_and_near_far_sides_are_summed_per_pole(self):
-        """Blocks of roots 0 and N sum all poles; a far side nearer than the interval width joins."""
+    def test_outer_roots_and_near_far_sides_are_summed_per_pole(self):
+        """Roots 0 and N sum all poles, the rest of their blocks take a far side; a near far side joins."""
         poles, sq = np.arange(1000.0), np.ones(1000)
         workspace = (np.empty((128, 1000)), np.empty((128, 1000)))
-        for ks in (np.arange(128), np.arange(896, 1001)):
-            assert propagator._far_sums(poles, sq, ks, workspace) == (slice(0, 1000), None)
+        tiles = propagator._root_tiles(poles)
+        assert [(ks[0], ks[-1]) for ks in tiles[:2] + tiles[-1:]] == [(0, 1000), (1, 127), (896, 999)]
+        assert propagator._far_sums(poles, sq, tiles[0], workspace) == (slice(0, 1000), None)
+        for ks, near in ((tiles[1], slice(0, 256)), (tiles[-1], slice(767, 1000))):
+            columns, sums = propagator._far_sums(poles, sq, ks, workspace)
+            assert columns == near and sums is not None
+        # 383 poles: a far side of at most 127 poles joins, so every block stays whole and near.
+        blocks = propagator._root_tiles(poles[:383])
+        assert [list(ks) for ks in blocks] == [list(ks) for ks in propagator._root_blocks(384)]
+        assert all(propagator._far_field(poles[:383], ks).near == slice(0, 383) for ks in blocks)
         ks = np.arange(384, 512)
         columns, sums = propagator._far_sums(poles, sq, ks, workspace)
         assert columns == slice(255, 640) and sums is not None
@@ -679,6 +710,23 @@ class TestFarFieldEvolve:
     def test_nonuniform_all_near_bath_keeps_the_all_poles_bits(self):
         spectrum = ExactPropagator(SystemMode(4.0), _warped_bath(376, 7, 2.0, 0.3)).spectrum
         _assert_evolves_as_all_poles(spectrum, np.linspace(0.0, 5.0, 21), 376, bits=True)
+
+    @pytest.mark.parametrize("omega_b, xi, root, beyond", [(1e3, 0.5, -1, 1e3), (5.0, 3.0, 0, -80.0)])
+    def test_outer_roots_far_outside_a_large_bath(self, omega_b, xi, root, beyond):
+        """1000 poles on [0, 10]: omega_b = 1e3 puts root N above 1e3, coupling 3 root 0 below -80.
+
+        Roots 0 and N are one tile over every pole; the rest of their blocks take far sides.
+        """
+        bath = _bath(np.linspace(0.0, 10.0, 1000), np.full(1000, xi))
+        system = SystemMode(omega_b)
+        _assert_matches_dense_eigh(system, bath)
+        spectrum = ExactPropagator(system, bath).spectrum
+        tiles = propagator._root_tiles(spectrum.poles)
+        assert [list(ks) for ks in tiles[:2]] == [[0, 1000], list(range(1, 128))]
+        lam = spectrum.eigenvalues
+        assert lam[root] / beyond > 1.0
+        times = np.array([0.0, 0.7, 3.0, 10.0, 100.0]) / np.max(np.abs(lam))
+        _assert_evolves_as_all_poles(spectrum, times, 1000)
 
     def test_root_on_a_chebyshev_node(self, wwa_propagator):
         """A root moved exactly onto a node of its block's interval takes that node's charge alone."""
