@@ -146,7 +146,7 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         log_mag = np.arange(n_max + 1) * np.log(np.longdouble(abs(alpha)))
     log_mag[0] = 0.0  # |alpha|^0 = 1, also at alpha = 0
-    log_mag -= 0.5 * _log_factorials(n_max) + 0.5 * abs(alpha) ** 2
+    log_mag -= 0.5 * _log_factorials(n_max) + 0.5 * _label_sq(alpha)
     phase = np.full(n_max + 1, complex(alpha) / abs(alpha) if alpha else 1.0, dtype=complex)
     phase[0] = 1.0
     return np.exp(log_mag.astype(float)) * np.cumprod(phase, out=phase)

@@ -92,7 +92,9 @@ def analytic_propagator(
     survival = analytic_survival(system, gamma, t)
     t = as_times(t)[..., None]
     detuning = system.omega_b - bath.omegas
-    numerator = np.exp(-0.5 * gamma * t) * np.exp(-1j * detuning * t) - 1.0
+    with np.errstate(over="ignore"):  # gamma t past float64 is the -inf exponent
+        damping = np.exp(-0.5 * gamma * t)
+    numerator = damping * np.exp(-1j * detuning * t) - 1.0
     kernel = np.exp(-1j * bath.omegas * t) * numerator / (detuning - 0.5j * gamma)
     return PropagatorCoefficients(
         t=t[..., 0][()],
@@ -110,8 +112,7 @@ _ROOT_BLOCK = 128
 _MAX_ROOT_STEPS = 64
 # Memory the eigenvalue solve may take per mode; solve_bytes charges the same
 # figure. It covers the one workspace, 2 * 8 * _ROOT_BLOCK = 2 KiB per mode,
-# plus the O(N) result: the traced peak at N = 2000 is 2254 bytes per mode
-# (4437 when the solve ran two threads, each with its own workspace).
+# plus the O(N) result: the traced peak at N = 2000 is 2254 bytes per mode.
 SOLVER_BYTES_PER_MODE = 4096
 # A pole at least one interval width beyond an interval has Bernstein ellipse
 # parameter 3 + sqrt(8) or more there, and the Chebyshev interpolant on r nodes
@@ -147,10 +148,6 @@ _COMPLEX_TERMS = 128
 _PRODUCT_COLUMNS = 4 * _ROOT_BLOCK
 
 
-def _root_blocks(count: int) -> list[np.ndarray]:
-    return [np.arange(s, min(s + _ROOT_BLOCK, count)) for s in range(0, count, _ROOT_BLOCK)]
-
-
 def _pole_gaps(
     poles: np.ndarray, origin: np.ndarray, tau: np.ndarray, out=None, columns=slice(None)
 ) -> np.ndarray:
@@ -167,18 +164,21 @@ def _pole_gaps(
 
 
 @dataclass(frozen=True)
-class _FarField:
-    """How one root tile sums the poles: its near band term by term, and a far field beyond it.
+class _Tile:
+    """One root tile of :func:`_root_tiles` and how it meets the poles: the one geometry of every pass.
 
-    Beyond ``near``, 1 / (lambda - omega_j) is interpolated in lambda at the
+    The roots ``ks`` sum their ``near`` band term by term. Over each of the
+    ``far`` sides, 1 / (lambda - omega_j) is interpolated in lambda at the
     24 Chebyshev points x_p = mid + half t_p of the tile's bracket interval,
     within eps of each term (the comment at _FAR_RHO says why). Every pass
     reads the far poles at the nodes through :meth:`kernel` and carries node
     values to the roots through :meth:`lagrange`. A tile holding root 0 or N
-    has no interval: ``mid`` and ``half`` are nan.
+    has no interval: ``mid`` and ``half`` are nan, and ``far`` is empty.
     """
 
+    ks: np.ndarray
     near: slice
+    far: tuple
     mid: float
     half: float
 
@@ -207,77 +207,71 @@ class _FarField:
         return terms, terms.sum(axis=1)
 
 
-def _far_field(poles: np.ndarray, ks: np.ndarray) -> _FarField:
-    """The far field of the root tile ``ks`` (:func:`_root_tiles`), the one geometry of every pass.
+def _root_tiles(poles: np.ndarray) -> tuple:
+    """The roots 0..N as the tiles that every pass solves, in a fixed order, each with its geometry.
 
-    Its near band is the bracket poles omega_{ks[0]-1} .. omega_{ks[-1]} plus
+    The tiles are blocks of _ROOT_BLOCK roots, unless the other roots of a
+    block holding root 0 or N take a far side. Then roots 0 and N, whose
+    brackets reach beyond the poles, come first as one tile over every pole,
+    and the rest of each block is a tile with its near band and far sides.
+    A near band is the bracket poles omega_{ks[0]-1} .. omega_{ks[-1]} plus
     _ROOT_BLOCK poles on each side. A far side stays far only where it holds
     at least _ROOT_BLOCK poles and its nearest pole lies at least one
     interval width beyond the bracket interval [a, b]; otherwise it joins
     the near band, so a bath of at most 3 _ROOT_BLOCK - 1 modes keeps every
-    pole near. A tile holding root 0 or N, whose bracket reaches beyond the
-    poles, keeps every pole near.
+    pole near. With no pole there is no root and no tile.
     """
     m = poles.size
-    if ks[0] == 0 or ks[-1] == m:
-        return _FarField(slice(0, m), math.nan, math.nan)
-    a, b = poles[ks[0] - 1], poles[ks[-1]]
-    start, stop = ks[0] - 1 - _ROOT_BLOCK, ks[-1] + 1 + _ROOT_BLOCK
-    if start < _ROOT_BLOCK or not a - poles[start - 1] >= b - a:
-        start = 0
-    if stop > m - _ROOT_BLOCK or not poles[stop] - b >= b - a:
-        stop = m
-    return _FarField(slice(start, stop), 0.5 * (a + b), 0.5 * (b - a))
+
+    def tile(ks):
+        if not ks.size or ks[0] == 0 or ks[-1] == m:
+            return _Tile(ks, slice(0, m), (), math.nan, math.nan)
+        a, b = poles[ks[0] - 1], poles[ks[-1]]
+        start, stop = ks[0] - 1 - _ROOT_BLOCK, ks[-1] + 1 + _ROOT_BLOCK
+        if start < _ROOT_BLOCK or not a - poles[start - 1] >= b - a:
+            start = 0
+        if stop > m - _ROOT_BLOCK or not poles[stop] - b >= b - a:
+            stop = m
+        far = (slice(0, start), slice(stop, m)) if (start, stop) != (0, m) else ()
+        return _Tile(ks, slice(start, stop), far, 0.5 * (a + b), 0.5 * (b - a))
+
+    blocks = [np.arange(s, min(s + _ROOT_BLOCK, m + 1)) for s in range(0, m + 1 if m else 0, _ROOT_BLOCK)]
+    inner = [tile(ks[(ks > 0) & (ks < m)]) for ks in blocks]
+    if any(t.far for t in inner[:1] + inner[-1:]):
+        return (tile(np.array([0, m])), *(t for t in inner if t.ks.size))
+    return tuple(tile(ks) for ks in blocks)
 
 
-def _root_tiles(poles: np.ndarray) -> list[np.ndarray]:
-    """The roots 0..N as the tiles that every pass solves, in a fixed order.
-
-    They are the blocks of :func:`_root_blocks`, unless the other roots of a
-    block holding root 0 or N take a far side. Then roots 0 and N, whose
-    brackets reach beyond the poles, come first as one tile over every pole,
-    and the rest of each block is a tile with its near band and far field.
-    """
-    m = poles.size
-    blocks = _root_blocks(m + 1) if m else []  # no coupled pole, no root
-    inner = [ks[(ks > 0) & (ks < m)] for ks in blocks]
-    if not any(ks.size and _far_field(poles, ks).near != slice(0, m) for ks in inner[:1] + inner[-1:]):
-        return blocks
-    return [np.array([0, m])] + [ks for ks in inner if ks.size]
-
-
-def _far_sums(poles, sq_couplings, ks, workspace):
-    """Near band of the root tile ``ks``, and an interpolant of the secular sums beyond it.
+def _far_sums(poles, sq_couplings, tile, workspace):
+    """An interpolant of the secular sums over the far sides of ``tile``, or None if it has none.
 
     The far sums sum_j c_j^2 / (omega_j - lambda) and
     sum_j c_j^2 / (omega_j - lambda)^2 of each far side are taken once at
-    the nodes, in the (_ROOT_BLOCK, N) arrays of ``workspace``. Returns the
-    near band and, if a side is far, ``sums(origin, tau)``: the left value,
-    left slope, right value and right slope at lambda = omega_origin + tau,
-    shape (k, 4).
+    the nodes, in the (_ROOT_BLOCK, N) arrays of ``workspace``. Returns
+    ``sums(origin, tau)``: the left value, left slope, right value and right
+    slope at lambda = omega_origin + tau, shape (k, 4).
     """
-    field, m = _far_field(poles, ks), poles.size
-    if field.near == slice(0, m):
-        return field.near, None
+    if not tile.far:
+        return None
     values = np.zeros((4, _FAR_NODES))
-    for row, cols in ((0, slice(0, field.near.start)), (2, slice(field.near.stop, m))):
+    for row, cols in zip((0, 2), tile.far):
         shape = (_FAR_NODES, cols.stop - cols.start)
         kernel, terms = (w.reshape(-1)[: shape[0] * shape[1]].reshape(shape) for w in workspace)
-        field.kernel(poles[cols], out=kernel)
+        tile.kernel(poles[cols], out=kernel)
         np.multiply(sq_couplings[cols], kernel, out=terms)  # c_j^2 / (x_p - omega_j)
         values[row] -= terms.sum(axis=1)  # 0 - sum: an empty side keeps +0
         terms *= kernel
         values[row + 1] = terms.sum(axis=1)
 
     def sums(origin, tau):
-        terms, total = field.lagrange(poles, origin, tau)
+        terms, total = tile.lagrange(poles, origin, tau)
         return np.einsum("kr,cr->kc", terms, values) / total[:, None]
 
-    return field.near, sums
+    return sums
 
 
-def _secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
-    """Origin pole index and offset tau of the secular roots ``ks`` (one tile of :func:`_root_tiles`).
+def _secular_block(apex, poles, sq_couplings, tile, lower, upper, workspace):
+    """Origin pole index and offset tau of the secular roots of ``tile`` (a :class:`_Tile`).
 
     Root 0 lies in (lower, omega_0), root k in (omega_{k-1}, omega_k) and root
     N in (omega_{N-1}, upper); lower and upper lie strictly beyond the outer
@@ -294,13 +288,13 @@ def _secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
     further evaluation once its step is within sqrt(eps) |x|.
 
     Only the tile's near band is summed term by term at every step, in two
-    (k, near) arrays of ``workspace``; the far poles add their interpolated
+    (k, near) arrays of ``workspace``; its far sides add their interpolated
     sums (:func:`_far_sums`), the left ones to the part psi left of the root.
-    A tile whose near band is all N poles (the tile of roots 0 and N, or any
-    block of a bath of at most 3 _ROOT_BLOCK - 1 modes) sums every term, as a
-    dense solve does.
+    A tile with no far side (the tile of roots 0 and N, or any block of a
+    bath of at most 3 _ROOT_BLOCK - 1 modes) sums every term, as a dense
+    solve does.
     """
-    m = poles.size
+    m, ks, columns = poles.size, tile.ks, tile.near
     bottom, top = ks == 0, ks == m
     below = poles[np.maximum(ks - 1, 0)]
     above = poles[np.minimum(ks, m - 1)]
@@ -311,7 +305,7 @@ def _secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
     x = np.where(bottom, 0.5 * lo, np.where(top, 0.5 * hi, half_gap))
     tau = np.empty(ks.size)
     active = np.arange(ks.size)
-    columns, far_sums = _far_sums(poles, sq_couplings, ks, workspace)
+    far_sums = _far_sums(poles, sq_couplings, tile, workspace)
     neg_sq, width = -sq_couplings[columns], columns.stop - columns.start
     # Pole j is left of root k for j < k; only columns ks[0] <= j < ks[-1] differ by row.
     band = slice(ks[0] - columns.start, ks[-1] - columns.start)
@@ -319,8 +313,8 @@ def _secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
     for step in range(_MAX_ROOT_STEPS):
         k, o = ks[active], origin[active]
         is_bottom, is_top = bottom[active], top[active]
-        tile = k.size * width  # contiguous tiles: numpy's loops are slower on strided ones
-        inv, terms = (w.reshape(-1)[:tile].reshape(k.size, width) for w in workspace)
+        size = k.size * width  # contiguous arrays: numpy's loops are slower on strided ones
+        inv, terms = (w.reshape(-1)[:size].reshape(k.size, width) for w in workspace)
         _pole_gaps(poles, o, x, out=inv, columns=columns)
         np.divide(1.0, inv, out=inv)  # 1 / (x - delta_j)
         np.multiply(neg_sq, inv, out=terms)  # c_j^2 / (delta_j - x)
@@ -379,8 +373,8 @@ def _secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
     return origin, tau
 
 
-def _loewner_factors(poles, ks, origin, tau, product, far_log, workspace):
-    """Multiply the Loewner factors of the roots ``ks`` into ``product``; add their far logs to ``far_log``.
+def _loewner_factors(poles, tile, origin, tau, product, far_log, workspace):
+    """Multiply the Loewner factors of the roots of ``tile`` into ``product``; add their far logs to ``far_log``.
 
     Root k is paired to pole k-1 (k <= j) or pole k (k > j), so every ratio
     |lambda_k - omega_j| / |omega_paired - omega_j| lies in (0, 1]; roots 0
@@ -391,11 +385,9 @@ def _loewner_factors(poles, ks, origin, tau, product, far_log, workspace):
     kernel is read as log((x_p - omega_j) / (mid - omega_j)), in
     [log(2/3), log(4/3)], whose constant part cancels.
     """
-    m = poles.size
-    field = _far_field(poles, ks)
-    near = field.near
-    tile = ks.size * (near.stop - near.start)
-    paired, ratio = (w.reshape(-1)[:tile].reshape(ks.size, -1) for w in workspace)
+    m, ks, near = poles.size, tile.ks, tile.near
+    size = ks.size * (near.stop - near.start)
+    paired, ratio = (w.reshape(-1)[:size].reshape(ks.size, -1) for w in workspace)
     above = poles[np.minimum(ks, m - 1)][:, None]
     first, last = ks[0] - near.start, ks[-1] - near.start
     paired[:, :first] = above
@@ -407,17 +399,17 @@ def _loewner_factors(poles, ks, origin, tau, product, far_log, workspace):
     _pole_gaps(poles, origin, tau, out=ratio, columns=near)
     ratio /= paired
     product[near] *= np.prod(np.abs(ratio, out=ratio), axis=0)
-    if near == slice(0, m):
+    if not tile.far:
         return
-    terms, total = field.lagrange(poles, origin, tau)
+    terms, total = tile.lagrange(poles, origin, tau)
     at_roots = terms / total[:, None]
-    terms, total = field.lagrange(poles, np.arange(ks[0] - 1, ks[-1] + 1), 0.0)
+    terms, total = tile.lagrange(poles, np.arange(ks[0] - 1, ks[-1] + 1), 0.0)
     at_poles = terms / total[:, None]
     # Far left poles pair root k with pole k, far right ones with pole k - 1.
-    for pairs, side in ((at_poles[1:], slice(0, near.start)), (at_poles[:-1], slice(near.stop, m))):
+    for pairs, side in zip((at_poles[1:], at_poles[:-1]), tile.far):
         shape = (_FAR_NODES, side.stop - side.start)
-        kernel = field.kernel(poles[side], out=workspace[0].reshape(-1)[: shape[0] * shape[1]].reshape(shape))
-        kernel *= field.mid - poles[side]  # (mid - omega_j) / (x_p - omega_j)
+        kernel = tile.kernel(poles[side], out=workspace[0].reshape(-1)[: shape[0] * shape[1]].reshape(shape))
+        kernel *= tile.mid - poles[side]  # (mid - omega_j) / (x_p - omega_j)
         far_log[side] -= (at_roots - pairs).sum(axis=0) @ np.log(kernel, out=kernel)
 
 
@@ -488,20 +480,20 @@ def _chunked_product(a: np.ndarray, b: np.ndarray, terms: int) -> np.ndarray:
 def _far_kernels(poles: np.ndarray, far: list):
     """The far-field kernels of the root tiles ``far``, _PRODUCT_COLUMNS poles at a time.
 
-    ``far`` holds each tile's near band and :class:`_FarField`. Yields
+    ``far`` holds each tile's aligned near band and :class:`_Tile`. Yields
     (columns, kernel) per chunk of columns: rows 24 i .. 24 i + 23 of the
-    kernel are tile i's :meth:`_FarField.kernel`, and zero over its near
-    band. One array holds every chunk in turn.
+    kernel are tile i's :meth:`_Tile.kernel`, and zero over its near band.
+    One array holds every chunk in turn.
     """
     kernel = np.empty((len(far) * _FAR_NODES, min(poles.size, _PRODUCT_COLUMNS)))
     for start in range(0, poles.size, _PRODUCT_COLUMNS):
         cols = slice(start, min(start + _PRODUCT_COLUMNS, poles.size))
         chunk = kernel[:, : cols.stop - start]
         chunk[:] = 0.0
-        for rows, (near, field) in zip(np.split(chunk, len(far)), far):
+        for rows, (near, tile) in zip(np.split(chunk, len(far)), far):
             for side in (slice(start, min(near.start, cols.stop)), slice(max(near.stop, start), cols.stop)):
                 if side.start < side.stop:
-                    field.kernel(poles[side], out=rows[:, side.start - start : side.stop - start])
+                    tile.kernel(poles[side], out=rows[:, side.start - start : side.stop - start])
         yield cols, chunk
 
 
@@ -520,6 +512,8 @@ class ArrowheadSpectrum:
     ``free_rows`` (deflated modes, and the system row when nothing couples)
     is an eigenvector by itself. Both hold in the basis reached by
     ``rotations``: (i, j, cos, sin) on bath modes i and j, in the order applied.
+    ``tiles`` are the root tiles of the solve (:func:`_root_tiles`), which
+    depend on ``poles`` alone; :meth:`evolve` and :meth:`vectors` read them.
     """
 
     dim: int
@@ -527,6 +521,7 @@ class ArrowheadSpectrum:
     origin: np.ndarray
     tau: np.ndarray
     poles: np.ndarray
+    tiles: tuple
     c_hat: np.ndarray
     inv_norm: np.ndarray
     bath_rows: np.ndarray
@@ -576,7 +571,7 @@ class ArrowheadSpectrum:
         root_column, free_column = np.split(column, [self.roots.size])
         v = np.zeros((self.dim, self.dim))
         v[self.free_rows, free_column] = 1.0
-        for ks in _root_blocks(self.roots.size):
+        for ks in (tile.ks for tile in self.tiles):
             v[0, root_column[ks]] = self.inv_norm[ks]
             vector = self._cauchy(ks) * self.c_hat
             v[self.bath_rows[:, None], root_column[ks]] = vector.T * self.inv_norm[ks]
@@ -622,11 +617,11 @@ class ArrowheadSpectrum:
         """Add the bath rows of exp(-i H t) x, each over c_hat_j, into ``bath``; return the system row.
 
         ``bath`` has shape (2T, N) for T ``times``: row 2t takes the real
-        parts at time t and row 2t + 1 the imaginary parts. A root tile
-        (:func:`_root_tiles`) takes C_kj term by term over the near band of
-        its :func:`_far_field`, widened to whole groups of _ALIGN columns; the
-        tile of roots 0 and N, over every pole, is a rank-two update. Beyond
-        the near band, the tile's phased weights w_k become 24 proxy charges
+        parts at time t and row 2t + 1 the imaginary parts. Each of the
+        spectrum's ``tiles`` takes C_kj term by term over its near band,
+        widened to whole groups of _ALIGN columns; the tile of roots 0 and N,
+        over every pole, is a rank-two update. Beyond the near band, the
+        tile's phased weights w_k become 24 proxy charges
         sum_k l_p(lambda_k) w_k, which reach bath row j through the kernel
         1 / (x_p - omega_j), and the far poles reach component k through the
         same kernel and l_p(lambda_k); the far sides of all tiles are added
@@ -643,12 +638,8 @@ class ArrowheadSpectrum:
         poles = np.concatenate((self.poles, np.full(width - m, np.inf)))
         y = np.zeros(width, dtype=complex)
         y[:m] = self.c_hat * x[self.bath_rows]
-        tiles = []  # each root tile, its near band aligned, and its far field if it has one
-        for ks in _root_tiles(self.poles):
-            field = _far_field(self.poles, ks)
-            near = slice(field.near.start // _ALIGN * _ALIGN, -(-field.near.stop // _ALIGN) * _ALIGN)
-            tiles.append((ks, near, None if near == slice(0, width) else field))
-        far = [(near, field) for _, near, field in tiles if field is not None]
+        aligned = [slice(t.near.start // _ALIGN * _ALIGN, -(-t.near.stop // _ALIGN) * _ALIGN) for t in self.tiles]
+        far = [(near, tile) for near, tile in zip(aligned, self.tiles) if tile.far]
         # The far poles' sums sum_j y_j / (x_p - omega_j) at every far tile's nodes.
         # Without bath amplitudes (the system vector) every component is x_0.
         spread = y.any()
@@ -660,7 +651,8 @@ class ArrowheadSpectrum:
         charges = np.empty((2 * times.size, len(far) * _FAR_NODES))
         buffer = np.empty(2 * times.size * min(width, _PRODUCT_COLUMNS))
         slot = 0
-        for ks, near, field in tiles:
+        for tile, near in zip(self.tiles, aligned):
+            ks = tile.ks
             origin, tau = self.origin[ks], self.tau[ks]
             cauchy = _pole_gaps(poles, origin, tau, columns=near)
             np.divide(1.0, cauchy, out=cauchy)
@@ -669,10 +661,10 @@ class ArrowheadSpectrum:
                 components += 1j * _chunked_product(cauchy, y.imag[near], _VECTOR_TERMS)
             else:
                 components = np.full(ks.size, x[0])
-            if field is not None:
+            if tile.far:
                 nodes = slice(slot, slot + _FAR_NODES)
                 slot += _FAR_NODES
-                lagrange, total = field.lagrange(poles, origin, tau)
+                lagrange, total = tile.lagrange(poles, origin, tau)
                 lagrange /= total[:, None]
                 if spread:
                     components += lagrange @ at_nodes[nodes].real + 1j * (lagrange @ at_nodes[nodes].imag)
@@ -681,7 +673,7 @@ class ArrowheadSpectrum:
             system += phased.sum(axis=1)
             stacked = np.stack((phased.real, phased.imag), axis=1).reshape(-1, ks.size)
             _add_product(bath[:, near], stacked, cauchy, buffer)
-            if field is not None:
+            if tile.far:
                 charges[:, nodes] = stacked @ lagrange
         cauchy = stacked = None  # the last tile's Cauchy array is not needed beside the far kernel
         for cols, kernel in _far_kernels(poles, far) if far else ():
@@ -696,14 +688,16 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
     eigenvalues are the roots of the secular equation
     lambda - apex - sum_j c_j^2 / (lambda - omega_j) = 0, one per
     interlacing bracket (:func:`_secular_block`), solved a tile of at most
-    128 roots at a time (:func:`_root_tiles`), each tile with its near band
-    and far field (:func:`_far_field`). The couplings are
+    128 roots at a time. The tiles and their near bands and far sides are
+    built once here (:func:`_root_tiles`), read by every pass and kept on
+    the spectrum for :meth:`~ArrowheadSpectrum.evolve`. The couplings are
     then recomputed from the computed roots by the Loewner formula
     c_j^2 = prod_k |lambda_k - omega_j| / prod_{i != j} |omega_i - omega_j|,
     so the roots are the exact eigenvalues of a nearby arrowhead matrix,
     whose eigenvector k is [1, c_j / (lambda_k - omega_j)] normalized (Gu and
     Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172). Deflated poles
-    (:func:`_deflate`) are eigenvalues with their own eigenvectors.
+    (:func:`_deflate`) are eigenvalues with their own eigenvectors; with no
+    coupled pole there is no root and no tile, and the system row is one too.
 
     Two passes run on the calling thread, one root tile at a time, each
     reusing one workspace of two (_ROOT_BLOCK, N) float arrays allocated
@@ -726,60 +720,47 @@ def _arrowhead_spectrum(apex: float, poles: np.ndarray, couplings: np.ndarray) -
     apex = apex * factor
     poles, couplings, rotations = _deflate(poles * factor, couplings * factor)
     coupled = couplings > 0
-    if not coupled.any():  # diagonal matrix: every row is an eigenvector
-        empty = np.empty(0)
-        return ArrowheadSpectrum(
-            dim=n + 1,
-            roots=empty,
-            origin=np.empty(0, dtype=int),
-            tau=empty,
-            poles=empty,
-            c_hat=empty,
-            inv_norm=empty,
-            bath_rows=np.empty(0, dtype=int),
-            free_rows=np.arange(n + 1),
-            free=np.concatenate(([apex], poles)) / factor,
-            rotations=(),
-        )
     d, c = poles[coupled], couplings[coupled]
     m = d.size
+    count = m + 1 if m else 0  # roots
     sq = c * c
     spread = 2.0 * float(np.linalg.norm(c))
-    lower, upper = min(apex, d[0]) - spread, max(apex, d[-1]) + spread
+    lower, upper = d.min(initial=apex) - spread, d.max(initial=apex) + spread
     tiles = _root_tiles(d)
     workspace = (np.empty((_ROOT_BLOCK, m)), np.empty((_ROOT_BLOCK, m)))
-    origin, tau = np.empty(m + 1, dtype=int), np.empty(m + 1)
+    origin, tau = np.empty(count, dtype=int), np.empty(count)
     loewner, far_log = np.ones(m), np.zeros(m)
-    for ks in tiles:
-        origin[ks], tau[ks] = _secular_block(apex, d, sq, ks, lower, upper, workspace)
-        _loewner_factors(d, ks, origin[ks], tau[ks], loewner, far_log, workspace)
+    for tile in tiles:
+        ks = tile.ks
+        origin[ks], tau[ks] = _secular_block(apex, d, sq, tile, lower, upper, workspace)
+        _loewner_factors(d, tile, origin[ks], tau[ks], loewner, far_log, workspace)
     c_hat = np.sqrt(loewner * np.exp(far_log))
     sq_hat = c_hat * c_hat
-    inv_norm = np.empty(m + 1)
-    for ks in tiles:  # 1 / sqrt(1 + sum_j c_hat_j^2 / (lambda_k - omega_j)^2)
-        columns, far_sums = _far_sums(d, sq_hat, ks, workspace)
-        tile = ks.size * (columns.stop - columns.start)
-        vector = workspace[0].reshape(-1)[:tile].reshape(ks.size, -1)
+    inv_norm = np.empty(count)
+    for tile in tiles:  # 1 / sqrt(1 + sum_j c_hat_j^2 / (lambda_k - omega_j)^2)
+        ks, columns = tile.ks, tile.near
+        vector = workspace[0].reshape(-1)[: ks.size * (columns.stop - columns.start)].reshape(ks.size, -1)
         _pole_gaps(d, origin[ks], tau[ks], out=vector, columns=columns)
         np.divide(c_hat[columns], vector, out=vector)
         vector *= vector
         total = np.sum(vector, axis=1)
-        if far_sums is not None:
-            _, left_slope, _, right_slope = far_sums(origin[ks], tau[ks]).T
+        if tile.far:
+            _, left_slope, _, right_slope = _far_sums(d, sq_hat, tile, workspace)(origin[ks], tau[ks]).T
             total += left_slope + right_slope
         inv_norm[ks] = 1.0 / np.sqrt(1.0 + total)
-    free_rows = 1 + np.flatnonzero(~coupled)
+    free_rows = np.flatnonzero(np.concatenate(([m == 0], ~coupled)))
     return ArrowheadSpectrum(
         dim=n + 1,
         roots=(d[origin] + tau) / factor,
         origin=origin,
         tau=tau,
         poles=d,
+        tiles=tiles,
         c_hat=c_hat,
         inv_norm=inv_norm,
         bath_rows=1 + np.flatnonzero(coupled),
         free_rows=free_rows,
-        free=poles[free_rows - 1] / factor,
+        free=np.concatenate(([apex], poles))[free_rows] / factor,
         rotations=tuple(rotations),
     )
 

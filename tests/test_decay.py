@@ -174,6 +174,17 @@ class TestCoherentOverlap:
         with pytest.raises(ValueError, match=r"label scale 1e\+200 is too large"):
             default_fock_cutoff(1e200)
 
+    def test_coherent_state_rejects_a_label_whose_square_is_past_float64(self):
+        """Not a bare OverflowError from a Python float power."""
+        with pytest.raises(ValueError, match=r"label 1e\+200 is too large"):
+            CoherentState(1e200).amplitudes(3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_amplitudes_reject_a_numpy_label_whose_square_is_past_float64(self):
+        """Not an overflow warning and all-zero amplitudes."""
+        with pytest.raises(ValueError, match=r"label np\.complex128\(1e\+200\+0j\) is too large"):
+            coherent_amplitudes(np.complex128(1e200), 3)
+
 
 class TestExcitedBathEvolution:
     def test_vacuum_bath_reduces_to_plain_decay(self, small_propagator, small_bath):

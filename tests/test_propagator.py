@@ -112,6 +112,17 @@ class TestAnalyticPropagator:
             )
         assert coeffs.survival == pytest.approx(analytic_survival(system, GAMMA, 0.9))
 
+    @pytest.mark.filterwarnings("error")
+    def test_gamma_t_past_float64_gives_the_long_time_limit_silently(self):
+        """gamma t = 1e310: survival 0 and absorption xi_j e^{-i omega_j t} (-1) / (Delta_j - i gamma / 2)."""
+        bath = discretize_bath(SpectralDensitySpec(GAMMA, 1.0, 0.5), 3)
+        system, gamma, t = SystemMode(1.0), 1e300, 1e10
+        coeffs = analytic_propagator(system, gamma, bath, t)
+        limit = bath.xis * np.exp(-1j * bath.omegas * t) * -1.0 / (system.omega_b - bath.omegas - 0.5j * gamma)
+        assert coeffs.survival == 0.0
+        assert np.all(np.isfinite(coeffs.absorption))
+        np.testing.assert_allclose(coeffs.absorption, limit, rtol=4 * EPS, atol=0.0)
+
 
 class TestSingleParticleHamiltonian:
     def test_arrowhead_structure(self):
@@ -240,13 +251,23 @@ EPS = np.finfo(float).eps
 SPECTRUM_ARRAYS = ("roots", "origin", "tau", "c_hat", "inv_norm")
 
 
-def _all_poles_secular_block(apex, poles, sq_couplings, ks, lower, upper, workspace):
+def _root_blocks(count):
+    """The roots 0..count-1 in blocks of 128, the order the references below sum in."""
+    return [np.arange(s, min(s + 128, count)) for s in range(0, count, 128)]
+
+
+def _tile_from(tiles, first):
+    """The root tile of ``tiles`` whose first root is ``first``."""
+    return next(tile for tile in tiles if tile.ks[0] == first)
+
+
+def _all_poles_secular_block(apex, poles, sq_couplings, tile, lower, upper, workspace):
     """The secular solver that sums every step over all N poles: the reference.
 
     A copy of the solver as it was before the far field and the settle rule,
-    so every root block holds (k, N) per-pole terms in ``workspace``.
+    so every root tile holds (k, N) per-pole terms in ``workspace``.
     """
-    m = poles.size
+    m, ks = poles.size, tile.ks
     neg_sq = -sq_couplings
     bottom, top = ks == 0, ks == m
     below = poles[np.maximum(ks - 1, 0)]
@@ -345,7 +366,7 @@ def _assert_loewner_couplings(spectrum):
     """
     d = spectrum.poles
     log_roots = np.zeros(d.size, dtype=np.longdouble)
-    for ks in propagator._root_blocks(d.size + 1):
+    for ks in _root_blocks(d.size + 1):
         gaps = propagator._pole_gaps(d, spectrum.origin[ks], spectrum.tau[ks])
         log_roots += np.log(np.abs(gaps).astype(np.longdouble)).sum(axis=0)
     spacing = np.abs(d[:, None] - d)
@@ -533,8 +554,10 @@ class TestSecularFarField:
         bath = discretize_bath(SpectralDensitySpec(GAMMA, 100.0, 20.0), 1000)
         poles, sq = bath.omegas, bath.xis**2
         workspace = (np.empty((128, 1000)), np.empty((128, 1000)))
-        ks = np.arange(384, 512)
-        columns, sums = propagator._far_sums(poles, sq, ks, workspace)
+        tile = _tile_from(propagator._root_tiles(poles), 384)
+        ks, columns = tile.ks, tile.near
+        sums = propagator._far_sums(poles, sq, tile, workspace)
+        assert np.array_equal(ks, np.arange(384, 512))
         assert columns == slice(ks[0] - 129, ks[-1] + 129)
         origin = ks - 1
         tau = np.random.default_rng(1).uniform(0.0, 1.0, ks.size) * (poles[ks] - poles[origin])
@@ -550,7 +573,7 @@ class TestSecularFarField:
         """lambda exactly on a Chebyshev node of [omega_383, omega_511] = [383, 511]."""
         poles, sq = np.arange(1000.0), np.ones(1000)
         workspace = (np.empty((128, 1000)), np.empty((128, 1000)))
-        _, sums = propagator._far_sums(poles, sq, np.arange(384, 512), workspace)
+        sums = propagator._far_sums(poles, sq, _tile_from(propagator._root_tiles(poles), 384), workspace)
         tau = 64.0 * propagator._NODES[3:4]  # from pole 447, the interval's midpoint
         gaps = poles - (447.0 + tau)
         exact = [np.sum(1.0 / gaps[side] ** power) for side in (slice(0, 255), slice(640, None))
@@ -562,24 +585,24 @@ class TestSecularFarField:
         poles, sq = np.arange(1000.0), np.ones(1000)
         workspace = (np.empty((128, 1000)), np.empty((128, 1000)))
         tiles = propagator._root_tiles(poles)
-        assert [(ks[0], ks[-1]) for ks in tiles[:2] + tiles[-1:]] == [(0, 1000), (1, 127), (896, 999)]
-        assert propagator._far_sums(poles, sq, tiles[0], workspace) == (slice(0, 1000), None)
-        for ks, near in ((tiles[1], slice(0, 256)), (tiles[-1], slice(767, 1000))):
-            columns, sums = propagator._far_sums(poles, sq, ks, workspace)
-            assert columns == near and sums is not None
+        assert [(t.ks[0], t.ks[-1]) for t in tiles[:2] + tiles[-1:]] == [(0, 1000), (1, 127), (896, 999)]
+        assert tiles[0].near == slice(0, 1000) and propagator._far_sums(poles, sq, tiles[0], workspace) is None
+        for tile, near in ((tiles[1], slice(0, 256)), (tiles[-1], slice(767, 1000))):
+            assert tile.near == near and propagator._far_sums(poles, sq, tile, workspace) is not None
         # 383 poles: a far side of at most 127 poles joins, so every block stays whole and near.
         blocks = propagator._root_tiles(poles[:383])
-        assert [list(ks) for ks in blocks] == [list(ks) for ks in propagator._root_blocks(384)]
-        assert all(propagator._far_field(poles[:383], ks).near == slice(0, 383) for ks in blocks)
-        ks = np.arange(384, 512)
-        columns, sums = propagator._far_sums(poles, sq, ks, workspace)
-        assert columns == slice(255, 640) and sums is not None
+        assert [list(t.ks) for t in blocks] == [list(ks) for ks in _root_blocks(384)]
+        assert all(t.near == slice(0, 383) for t in blocks)
+        tile = _tile_from(tiles, 384)
+        assert np.array_equal(tile.ks, np.arange(384, 512))
+        assert tile.near == slice(255, 640) and propagator._far_sums(poles, sq, tile, workspace) is not None
         # Cells three wide under the block: its interval [383, 765] is 382 wide, pole 254
         # lies 129 below it and joins; a gap of 1000 above pole 511 keeps the right side far.
         poles[384:] += 2.0 * np.minimum(np.arange(616.0), 127.0)
         poles[512:] += 1000.0
-        columns, sums = propagator._far_sums(poles, sq, ks, workspace)
-        assert columns == slice(0, 640) and sums is not None
+        tile = _tile_from(propagator._root_tiles(poles), 384)
+        assert np.array_equal(tile.ks, np.arange(384, 512))
+        assert tile.near == slice(0, 640) and propagator._far_sums(poles, sq, tile, workspace) is not None
 
 
 class TestEvaluate:
@@ -639,7 +662,7 @@ def _all_poles_evolve(spectrum, x, times):
     y = spectrum.c_hat * x[spectrum.bath_rows]
     system = np.zeros(flat.size, dtype=complex)
     bath = np.zeros((2 * flat.size, spectrum.poles.size))  # real parts, then imaginary
-    for ks in propagator._root_blocks(spectrum.roots.size):
+    for ks in _root_blocks(spectrum.roots.size):
         cauchy = spectrum._cauchy(ks)
         components = x[0] + cauchy @ y.real + 1j * (cauchy @ y.imag)
         phased = propagator._phases(flat, spectrum.roots[ks])
@@ -721,8 +744,7 @@ class TestFarFieldEvolve:
         system = SystemMode(omega_b)
         _assert_matches_dense_eigh(system, bath)
         spectrum = ExactPropagator(system, bath).spectrum
-        tiles = propagator._root_tiles(spectrum.poles)
-        assert [list(ks) for ks in tiles[:2]] == [[0, 1000], list(range(1, 128))]
+        assert [list(tile.ks) for tile in spectrum.tiles[:2]] == [[0, 1000], list(range(1, 128))]
         lam = spectrum.eigenvalues
         assert lam[root] / beyond > 1.0
         times = np.array([0.0, 0.7, 3.0, 10.0, 100.0]) / np.max(np.abs(lam))
@@ -731,9 +753,9 @@ class TestFarFieldEvolve:
     def test_root_on_a_chebyshev_node(self, wwa_propagator):
         """A root moved exactly onto a node of its block's interval takes that node's charge alone."""
         spectrum = wwa_propagator.spectrum
-        ks = np.arange(384, 512)
-        field = propagator._far_field(spectrum.poles, ks)
-        mid, half = field.mid, field.half
+        tile = _tile_from(spectrum.tiles, 384)
+        assert np.array_equal(tile.ks, np.arange(384, 512))
+        mid, half = tile.mid, tile.half
         k = 400
         scaled = (spectrum.poles[spectrum.origin[k]] - mid + spectrum.tau[k]) / half
         node = propagator._NODES[np.argmin(np.abs(propagator._NODES - scaled))]
@@ -744,7 +766,7 @@ class TestFarFieldEvolve:
         roots = spectrum.roots.copy()
         roots[k] = (spectrum.poles[spectrum.origin[k]] + tau[k]) / factor
         moved = dataclasses.replace(spectrum, tau=tau, roots=roots)
-        terms, total = field.lagrange(spectrum.poles, spectrum.origin[k : k + 1], tau[k : k + 1])
+        terms, total = tile.lagrange(spectrum.poles, spectrum.origin[k : k + 1], tau[k : k + 1])
         assert np.array_equal(terms[0] / total[0], propagator._NODES == node)
         _assert_evolves_as_all_poles(moved, np.linspace(0.0, 5.0, 21), k)
 
@@ -754,8 +776,8 @@ class TestFarFieldEvolve:
         poles[384:] += 2.0 * np.minimum(np.arange(616.0), 127.0)
         poles[512:] += 1000.0
         spectrum = ExactPropagator(SystemMode(poles[450]), _bath(poles, 0.05 * np.sqrt(np.gradient(poles)))).spectrum
-        ks = np.arange(384, 512)
-        assert propagator._far_field(spectrum.poles, ks).near == slice(0, 640)
+        tile = _tile_from(spectrum.tiles, 384)
+        assert np.array_equal(tile.ks, np.arange(384, 512)) and tile.near == slice(0, 640)
         _assert_evolves_as_all_poles(spectrum, np.linspace(0.0, 5.0, 11), 640)
 
     def test_evaluate_peaks_below_summing_every_pole(self, wwa_propagator):
@@ -808,6 +830,120 @@ class TestFarFieldEvolve:
         ]
         assert outputs[0] == outputs[1]
         assert len(outputs[0].strip()) == 64
+
+
+class TestRootTiles:
+    """One tile geometry per solve: built once, kept on the spectrum, read by evolve and vectors()."""
+
+    def test_solve_builds_each_tile_once(self, monkeypatch, wwa_system, wwa_bath):
+        """N = 2000: 17 tiles, roots 0 and N and 16 blocks of the rest, each built once."""
+        built, tile_class = [], propagator._Tile
+
+        def counted(*fields):
+            built.append(tile_class(*fields))
+            return built[-1]
+
+        monkeypatch.setattr(propagator, "_Tile", counted)
+        spectrum = ExactPropagator(wwa_system, wwa_bath).spectrum
+        assert len(spectrum.tiles) == 17
+        assert sorted(map(id, built)) == sorted(map(id, spectrum.tiles))
+
+    def test_evolution_and_vectors_read_the_kept_tiles(self, monkeypatch, wwa_system):
+        """With the tile builders raising, evaluate, propagate and vectors() give the same bits."""
+        exact = ExactPropagator(wwa_system, discretize_bath(SpectralDensitySpec(GAMMA, 100.0, 20.0), 1000))
+        times = np.linspace(0.0, 5.0, 5)
+        _, x = _system_and_random_vectors(1001, 3)
+
+        def outputs():
+            coeffs = exact.evaluate(times)
+            return coeffs.survival, coeffs.absorption, exact.propagate(x, times), exact.spectrum.vectors()
+
+        reference = outputs()
+
+        def build(*args):
+            raise AssertionError("a tile was built again")
+
+        monkeypatch.setattr(propagator, "_root_tiles", build)
+        monkeypatch.setattr(propagator, "_Tile", build)
+        for got, expected in zip(outputs(), reference):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("xi", [0.0, 1e-300, 2.3e-101])
+    def test_uncoupled_bath_takes_the_general_solve(self, xi):
+        """Every coupling deflated: no root, no tile, and every row, the system's too, is free."""
+        bath = _bath(np.array([0.75, 1.25, 1.5]), np.full(3, xi))
+        spectrum = ExactPropagator(SystemMode(1.0), bath).spectrum
+        assert spectrum.tiles == () and spectrum.roots.size == spectrum.poles.size == 0
+        assert np.array_equal(spectrum.free_rows, np.arange(4))
+        assert np.array_equal(spectrum.eigenvalues, [0.75, 1.0, 1.25, 1.5])
+        assert np.array_equal(spectrum.weights, [0.0, 1.0, 0.0, 0.0])
+        times = np.linspace(0.0, 5.0, 6)
+        x = np.array([1.0, 2.0, 1j, -1.0])
+        expected = np.exp(-1j * np.multiply.outer(times, np.concatenate(([1.0], bath.omegas)))) * x
+        assert np.array_equal(spectrum.evolve(x, times), expected)
+
+
+def _mirrored_bath(n, seed, power, jitter, omega_b):
+    """2n poles placed as omega_b -+ a warped power-law grid of [0, 10], couplings mirrored too."""
+    rng = np.random.default_rng(seed)
+    offsets = 10.0 * ((np.arange(n) + 0.5 + jitter * rng.uniform(-1.0, 1.0, n)) / n) ** power
+    xis = np.sqrt(np.gradient(offsets)) * np.exp(rng.uniform(-2.0, 1.0, n))
+    return _bath(np.concatenate((omega_b - offsets[::-1], omega_b + offsets)), np.concatenate((xis[::-1], xis)))
+
+
+INVARIANCE_CASES = {
+    "wwa-384": (100.0, lambda: discretize_bath(SpectralDensitySpec(GAMMA, 100.0, 20.0), 384)),
+    "wwa-1000": (100.0, lambda: discretize_bath(SpectralDensitySpec(GAMMA, 100.0, 20.0), 1000)),
+    "mirrored-warped-1000": (12.0, lambda: _mirrored_bath(500, 5, 2.0, 0.3, 12.0)),
+}
+
+
+class TestExactInvariances:
+    """Symmetries of the model that need no dense matrix, at sizes with far tiles.
+
+    N = 384 is the first size whose outer blocks take a far side and N = 1000
+    has far sides on both; the warped bath has uneven poles, some far sides
+    joined. Each bound is ten times the largest defect measured on these
+    baths and at N = 2000 and 8000 (21 times on [0, 5]): 1.7e-15 for the
+    mirror of u, 9.3e-15 for the mirror of |v|, 2.6e-14 for the shift,
+    2.2e-16 for the norm and 3.8e-16 for time reversal.
+    """
+
+    @pytest.fixture(scope="class", params=list(INVARIANCE_CASES))
+    def case(self, request):
+        omega_b, make_bath = INVARIANCE_CASES[request.param]
+        bath = make_bath()
+        exact = ExactPropagator(SystemMode(omega_b), bath)
+        times = np.linspace(0.0, 5.0, 21)
+        return omega_b, bath, exact, times, exact.evaluate(times)
+
+    def test_mirror_keeps_the_survival_real(self, case):
+        """Poles mirrored about omega_b with mirrored couplings map H - omega_b to its negative."""
+        omega_b, _, _, times, coeffs = case
+        assert np.max(np.abs((np.exp(1j * omega_b * times) * coeffs.survival).imag)) <= 2e-14
+
+    def test_mirror_keeps_the_absorption_moduli(self, case):
+        _, _, _, _, coeffs = case
+        v = np.abs(coeffs.absorption)
+        assert np.max(np.abs(v - v[:, ::-1])) <= 1e-13
+
+    def test_shift_of_every_frequency_is_a_phase(self, case):
+        """omega_b, the band and every pole moved up by 37: u -> e^{-i 37 t} u."""
+        omega_b, bath, _, times, coeffs = case
+        shifted = ExactPropagator(SystemMode(omega_b + 37.0), _bath(bath.omegas + 37.0, bath.xis))
+        assert np.max(np.abs(shifted.evaluate(times).survival - np.exp(-37j * times) * coeffs.survival)) <= 3e-13
+
+    def test_propagate_keeps_the_norm(self, case):
+        _, bath, exact, times, _ = case
+        _, x = _system_and_random_vectors(bath.n_modes + 1, bath.n_modes)
+        assert np.max(np.abs(np.linalg.norm(exact.propagate(x, times), axis=1) - 1.0)) <= 2.2e-15
+
+    def test_time_reversal_returns_the_vector(self, case):
+        """H is real, so conj(U(t) conj(U(t) x)) = U(-t) U(t) x = x."""
+        _, bath, exact, times, _ = case
+        _, x = _system_and_random_vectors(bath.n_modes + 1, bath.n_modes)
+        for t, y in zip(times, exact.propagate(x, times)):
+            assert np.max(np.abs(np.conj(exact.propagate(np.conj(y), t)) - x)) <= 4e-15
 
 
 class TestDissipationAndDefect:
